@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Union
 
-from .alphabet import Alphabet, Word
+from .alphabet import Alphabet, Word, bracket_alphabet
 from .dyck import (
     BracketMachine,
     DyckReduction,
@@ -144,13 +144,11 @@ class DyckN:
         if self.n < 2:
             raise ValueError("Dyck shift needs n >= 2")
 
-    @property
+    @cached_property
     def alphabet(self) -> Alphabet:
-        from .alphabet import bracket_alphabet
-
         return bracket_alphabet(self.n)
 
-    @property
+    @cached_property
     def matrix(self) -> Matrix01:
         return all_ones(self.n)
 
@@ -168,10 +166,8 @@ class MarkovDyck:
     def n(self) -> int:
         return len(self.matrix)
 
-    @property
+    @cached_property
     def alphabet(self) -> Alphabet:
-        from .alphabet import bracket_alphabet
-
         return bracket_alphabet(self.n)
 
 
@@ -185,7 +181,7 @@ class FullShift:
         if self.n < 2:
             raise ValueError("full shift needs n >= 2")
 
-    @property
+    @cached_property
     def alphabet(self) -> Alphabet:
         return Alphabet(tuple(str(i) for i in range(self.n)))
 
@@ -210,7 +206,7 @@ class Expanded:
         if self.fresh_name in self.base.alphabet:
             raise ValueError(f"fresh symbol {self.fresh_name!r} already in alphabet")
 
-    @property
+    @cached_property
     def alphabet(self) -> Alphabet:
         return self.base.alphabet.extend(self.fresh_name)
 
@@ -369,6 +365,20 @@ def _stepper(spec: SubshiftSpec):
     raise TypeError(f"no stepper for {type(spec).__name__}")
 
 
+def _read(st, state, word: Word):
+    """Stepper state after reading `word` from `state`; None once it dies."""
+    for sym in word:
+        state = st.step(state, sym)
+        if state is None:
+            return None
+    return state
+
+
+def _in_alphabet(spec: SubshiftSpec, word: Word) -> bool:
+    k = len(spec.alphabet)
+    return all(0 <= sym < k for sym in word)
+
+
 def reduce_dyck(spec: Union[DyckN, MarkovDyck], word: Word) -> DyckReduction:
     """Normal form of a bracket word under the spec's cancellation rules."""
     return reduce_brackets(_bracket_matrix(spec), word)
@@ -399,31 +409,25 @@ def is_admissible(spec: SubshiftSpec, word: Word) -> bool:
     if isinstance(spec, SoficGraph):
         g = spec.graph
         return bool(read_forward(g, set(range(len(g.vertices))), word))
-    if isinstance(spec, (DyckN, MarkovDyck)):
-        return _machine(_bracket_matrix(spec)).run(word) is not None
-    if isinstance(spec, Expanded):
+    if isinstance(spec, (DyckN, MarkovDyck, Expanded)):
+        if not _in_alphabet(spec, word):
+            return False
         st = _stepper(spec)
-        state = st.start
-        for sym in word:
-            if not (0 <= sym < len(spec.alphabet)):
-                return False
-            state = st.step(state, sym)
-            if state is None:
-                return False
-        return True
+        return _read(st, st.start, word) is not None
     raise TypeError(f"unknown spec {type(spec).__name__}")
 
 
 def _stepper_words(
     spec: SubshiftSpec, length: int, meter: _Meter, prefix_state=None
-) -> Iterator[Word]:
+) -> Iterator[tuple[Word, object]]:
+    """Admissible words of `length` with the stepper state each ends in."""
     st = _stepper(spec)
     k = len(spec.alphabet)
 
-    def go(state, word: Word) -> Iterator[Word]:
+    def go(state, word: Word) -> Iterator[tuple[Word, object]]:
         if len(word) == length:
             meter.tick()
-            yield word
+            yield word, state
             return
         for sym in range(k):
             nxt = st.step(state, sym)
@@ -458,7 +462,7 @@ def blocks(
             meter.tick()
             out.append(w)
         return out
-    return list(_stepper_words(spec, length, meter))
+    return [w for w, _ in _stepper_words(spec, length, meter)]
 
 
 def predecessor_words(
@@ -487,10 +491,18 @@ def predecessor_words(
             meter.tick()
             out.add(w)
         return out
-    # bracket variants: filter candidate prefixes by concatenation
+    # bracket variants: a candidate v qualifies iff `word` reads on from
+    # v's end state; candidates sharing an end state share the answer
+    if not _in_alphabet(spec, word):
+        return set()
+    st = _stepper(spec)
+    reads_on: dict[object, bool] = {}
     out = set()
-    for cand in _stepper_words(spec, length, meter):
-        if is_admissible(spec, cand + word):
+    for cand, state in _stepper_words(spec, length, meter):
+        ok = reads_on.get(state)
+        if ok is None:
+            ok = reads_on[state] = _read(st, state, word) is not None
+        if ok:
             out.add(cand)
     return out
 
@@ -516,13 +528,13 @@ def follower_words(
             meter.tick()
             out.add(w)
         return out
+    if not _in_alphabet(spec, word):
+        return set()
     st = _stepper(spec)
-    state = st.start
-    for sym in word:
-        state = st.step(state, sym)
-        if state is None:
-            return set()
-    return set(_stepper_words(spec, length, meter, prefix_state=state))
+    state = _read(st, st.start, word)
+    if state is None:
+        return set()
+    return {w for w, _ in _stepper_words(spec, length, meter, prefix_state=state)}
 
 
 # -- synchronization -----------------------------------------------------
@@ -539,12 +551,8 @@ def _bracket_emitted(spec: SubshiftSpec, word: Word) -> int | None:
     where fresh symbols lengthen words but never touch the bracket state.
     """
     st = _stepper(spec)
-    state = st.start
-    for sym in word:
-        state = st.step(state, sym)
-        if state is None:
-            return None
-    return st.emitted(state)
+    state = _read(st, st.start, word)
+    return None if state is None else st.emitted(state)
 
 
 def _sync_no_search(
@@ -778,11 +786,11 @@ def _expanded_class_reps(spec: Expanded, level: int, budget: Budget) -> list[Wor
     2*level+1 suffices.
     """
     meter = _Meter(budget)
+    st = _stepper(spec)
     seen: dict[frozenset[Word], Word] = {}
     for length in range(1, 2 * level + 2):
-        for w in _stepper_words(spec, length, meter):
-            emitted = _bracket_emitted(spec, w)
-            if emitted is None or emitted < level:
+        for w, state in _stepper_words(spec, length, meter):
+            if st.emitted(state) < level:
                 continue
             fp = frozenset(predecessor_words(spec, w, level, budget))
             if fp not in seen:

@@ -10,27 +10,48 @@ from __future__ import annotations
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import even_shift_spec, golden_mean_spec
+import oracles
+from conftest import FIB, even_shift_spec, fibonacci_dyck_spec, golden_mean_spec
 from lgk import (
     Alphabet,
     Budget,
     BudgetExceeded,
+    DyckN,
     FullShift,
     SftForbidden,
     blocks,
+    build_lambda_synchronizing,
+    expand_spec,
     follower_words,
     is_admissible,
     is_synchronizing,
+    plan_for,
     predecessor_words,
     synchronizing_classes,
 )
+from lgk.dyck import all_ones
 from lgk.labeled_graph import is_essential, is_left_resolving
 from lgk.subshift import sft_cover
 
 words_01 = st.lists(st.integers(0, 1), min_size=0, max_size=10).map(tuple)
+
+
+def expanded(spec, target_name):
+    return expand_spec(spec, plan_for(spec.alphabet, target_name))
+
+
+# name -> (spec factory, longest word drawn, matrix of an unexpanded bracket spec)
+PREDECESSOR_SPECS = {
+    "gm": (golden_mean_spec, 10, None),
+    "even": (even_shift_spec, 10, None),
+    "dyck2": (lambda: DyckN(2), 3, all_ones(2)),
+    "fib": (fibonacci_dyck_spec, 3, FIB),
+    "dyck2+e": (lambda: expanded(DyckN(2), "a1"), 3, None),
+    "fib+e": (lambda: expanded(fibonacci_dyck_spec(), "a1"), 3, None),
+}
 
 
 def has_factor(word, factor):
@@ -89,14 +110,20 @@ def test_predecessor_and_follower_exact_sets():
     assert follower_words(gm, (), 1) == {(0,), (1,)}
 
 
-@given(st.sampled_from(["gm", "even"]), words_01, st.integers(0, 3))
-def test_predecessors_match_bruteforce(kind, word, length):
-    spec = golden_mean_spec() if kind == "gm" else even_shift_spec()
-    if not is_admissible(spec, word):
-        return
+@settings(max_examples=240)  # about 40 per spec
+@given(st.sampled_from(sorted(PREDECESSOR_SPECS)), st.integers(0, 3), st.data())
+def test_predecessors_match_bruteforce(kind, length, data):
+    make, max_len, matrix = PREDECESSOR_SPECS[kind]
+    spec = make()
+    symbols = st.integers(0, len(spec.alphabet) - 1)
+    word = data.draw(st.lists(symbols, max_size=max_len).map(tuple), label="word")
     got = predecessor_words(spec, word, length)
-    want = {v for v in blocks(spec, length) if is_admissible(spec, v + word)}
-    assert got == want
+    candidates = blocks(spec, length)
+    assert got == {v for v in candidates if is_admissible(spec, v + word)}
+    if matrix is not None:
+        assert got == {
+            v for v in candidates if oracles.bracket_word_nonzero(matrix, v + word)
+        }
 
 
 @given(st.sampled_from(["gm", "even"]), words_01, st.integers(0, 3))
@@ -154,6 +181,60 @@ def test_synchronizing_class_counts():
 def test_budget_exhaustion_raises():
     with pytest.raises(BudgetExceeded):
         blocks(golden_mean_spec(), 9, budget=Budget(max_words=10))
+
+
+def test_bracket_predecessors_draw_one_word_per_candidate():
+    # Dyck-2 has 48 blocks of length 3; each candidate costs exactly one word
+    assert len(blocks(DyckN(2), 3)) == 48
+    with pytest.raises(BudgetExceeded):
+        predecessor_words(DyckN(2), (), 3, Budget(max_words=47))
+    assert len(predecessor_words(DyckN(2), (), 3, Budget(max_words=48))) == 48
+
+
+@pytest.mark.parametrize("kind", ["dyck2", "fib", "dyck2+e"])
+def test_bracket_specs_reject_out_of_range_symbols(kind):
+    spec = PREDECESSOR_SPECS[kind][0]()
+    k = len(spec.alphabet)
+    for bad in (-1, k):
+        for word in ((bad,), (1, bad), (bad, k - 1)):
+            assert not is_admissible(spec, word), word
+            assert follower_words(spec, word, 1) == set(), word
+            assert predecessor_words(spec, word, 1) == set(), word
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: DyckN(2),
+        fibonacci_dyck_spec,
+        lambda: FullShift(3),
+        lambda: expanded(DyckN(2), "b1"),
+    ],
+    ids=["dyck2", "fib", "full3", "dyck2+e"],
+)
+def test_spec_alphabet_is_built_once_and_keeps_equality(make):
+    spec = make()
+    assert spec.alphabet is spec.alphabet
+    fresh = make()
+    assert spec == fresh
+    assert hash(spec) == hash(fresh)
+
+
+def test_alphabet_constructions_do_not_grow_with_census_depth(monkeypatch):
+    built = []
+    original = Alphabet.__post_init__
+
+    def counting(self):
+        built.append(self.names)
+        original(self)
+
+    monkeypatch.setattr(Alphabet, "__post_init__", counting)
+    counts = []
+    for depth in (1, 2):
+        built.clear()
+        build_lambda_synchronizing(expanded(DyckN(2), "a1"), depth)
+        counts.append(len(built))
+    assert counts[0] == counts[1]
 
 
 def test_sft_cover_shape():
