@@ -21,7 +21,7 @@ from .analysis import (
     is_lambda_synchronizing_system,
     simplicity_prediction,
 )
-from .invariants import compare_reports, invariant_report
+from .invariants import compare_reports, connecting_map_check, invariant_report
 from .serialize import (
     dumps,
     export_dot,
@@ -39,7 +39,6 @@ from .system import (
     build_cantor_horizon_dyck,
     build_cantor_horizon_markov_dyck,
     build_lambda_synchronizing,
-    matrix_compatibility_violation,
     transition_matrices,
     verify_all,
 )
@@ -123,7 +122,8 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def _verify_checks(sys: LambdaGraphSystem, budget: Budget) -> dict[str, Verdict]:
     checks = dict(verify_all(sys))
-    bad_level = matrix_compatibility_violation(transition_matrices(sys))
+    tm = transition_matrices(sys)
+    bad_level = next((l for l in range(len(tm.a) - 1) if not connecting_map_check(tm, l)), None)
     checks["matrix compatibility"] = (
         Verdict.yes()
         if bad_level is None

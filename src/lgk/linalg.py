@@ -278,7 +278,12 @@ def smith_normal_form(m: Matrix, want_transforms: bool = True) -> SmithDecomposi
 
 
 def _numpy_snf_diagonal(m: Matrix) -> list[int] | None:
-    """Diagonal of the Smith form via int64 numpy; None if growth risks overflow."""
+    """Diagonal of the Smith form via int64 numpy; None if growth risks overflow.
+
+    Every entry is checked to be below 2^31 before each row pass and each
+    column pass.  A multiplier q is an entry divided by the positive pivot,
+    so |q·x| < 2^62 and no update can wrap around.
+    """
     try:
         import numpy as np
     except ImportError:  # pragma: no cover
@@ -286,7 +291,7 @@ def _numpy_snf_diagonal(m: Matrix) -> list[int] | None:
     rows, cols = shape(m)
     if rows == 0 or cols == 0:
         return []
-    limit = 1 << 40
+    limit = 1 << 31
     if max((abs(x) for row in m for x in row), default=0) >= limit:
         return None
     a = np.array(m, dtype=np.int64)
@@ -317,6 +322,8 @@ def _numpy_snf_diagonal(m: Matrix) -> list[int] | None:
             if rows_nz.size:
                 q = col[rows_nz] // p
                 a[t + 1 + rows_nz, t:] -= q[:, None] * a[t, t:]
+                if overflow_risk():
+                    return None
             row = a[t, t + 1 :]
             cols_nz = np.nonzero(row)[0]
             if cols_nz.size:
@@ -439,26 +446,6 @@ def kernel_basis(m: Matrix) -> list[list[int]]:
 
 def groups_isomorphic(g1: AbelianGroup, g2: AbelianGroup) -> bool:
     return g1 == g2
-
-
-def lattice_contains(m: Matrix, x: list[int], snf: SmithDecomposition | None = None) -> bool:
-    """Is x in the column span of m over Z?"""
-    rows, _ = shape(m)
-    if len(x) != rows:
-        raise ValueError("shape mismatch")
-    if snf is None:
-        snf = smith_normal_form(m)
-    y = mat_vec(snf.u, x)
-    diag = snf.diagonal
-    rank = snf.rank
-    for i in range(rows):
-        d = diag[i] if i < len(diag) else 0
-        if i < rank:
-            if y[i] % d:
-                return False
-        elif y[i]:
-            return False
-    return True
 
 
 def solve_integer(m: Matrix, x: list[int], snf: SmithDecomposition | None = None) -> list[int] | None:

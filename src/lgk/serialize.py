@@ -71,35 +71,60 @@ def spec_to_payload(spec: SubshiftSpec) -> dict:
     raise ValueError(f"unserializable spec {type(spec).__name__}")
 
 
+def _strings(value: Any, what: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ValueError(f"{what} must be a list of strings")
+    return value
+
+
+def _integer(value: Any, what: str) -> int:
+    # bool is a subclass of int, and JSON true/false are not counts
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def spec_from_payload(payload: dict) -> SubshiftSpec:
+    """Spec from its JSON payload; a malformed field raises ValueError."""
     if not isinstance(payload, dict) or "kind" not in payload:
         raise ValueError("spec payload must be an object with a 'kind' field")
     kind = payload["kind"]
     if kind == "sft":
-        alphabet = Alphabet(tuple(payload["alphabet"]))
-        forbidden = frozenset(alphabet.word(w) for w in payload["forbidden"])
+        alphabet = Alphabet(tuple(_strings(payload["alphabet"], "alphabet")))
+        forbidden = frozenset(alphabet.word(w) for w in _strings(payload["forbidden"], "forbidden"))
         return SftForbidden(alphabet, forbidden)
     if kind == "sofic":
-        alphabet = Alphabet(tuple(payload["alphabet"]))
+        alphabet = Alphabet(tuple(_strings(payload["alphabet"], "alphabet")))
+        edges = payload["edges"]
+        if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 3 and all(isinstance(x, str) for x in e)
+            for e in edges
+        ):
+            raise ValueError("edges must be [source, label, target] string triples")
         graph = from_names(
             alphabet,
-            payload["vertices"],
-            [tuple(e) for e in payload["edges"]],
+            _strings(payload["vertices"], "vertices"),
+            [tuple(e) for e in edges],
         )
         return SoficGraph(graph)
     if kind == "dyck":
-        return DyckN(int(payload["n"]))
+        return DyckN(_integer(payload["n"], "n"))
     if kind == "markov_dyck":
-        matrix = tuple(tuple(int(x) for x in row) for row in payload["matrix"])
+        rows = payload["matrix"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError("matrix must be a list of rows")
+        matrix = tuple(tuple(_integer(x, "matrix entry") for x in row) for row in rows)
         return MarkovDyck(matrix)
     if kind == "full":
-        return FullShift(int(payload["n"]))
+        return FullShift(_integer(payload["n"], "n"))
     if kind == "expanded":
         base = spec_from_payload(payload["base"])
         if not isinstance(base, (DyckN, MarkovDyck)):
             raise ValueError("expanded specs wrap only Dyck-type bases")
-        target = base.alphabet.index(payload["target"])
-        return Expanded(base=base, target=target, fresh_name=payload["fresh"])
+        target, fresh = payload["target"], payload["fresh"]
+        if not isinstance(target, str) or not isinstance(fresh, str):
+            raise ValueError("expanded specs need string 'target' and 'fresh' fields")
+        return Expanded(base=base, target=base.alphabet.index(target), fresh_name=fresh)
     raise ValueError(f"unknown spec kind {kind!r}")
 
 

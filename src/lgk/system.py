@@ -25,7 +25,7 @@ giving a byte-stable normal form used for isomorphism checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .alphabet import Alphabet, Word, bracket_alphabet
 from .dyck import Matrix01, all_ones, state_words, validate_transition_matrix
@@ -372,56 +372,31 @@ def verify_all(sys: LambdaGraphSystem) -> dict[str, Verdict]:
 
 @dataclass(frozen=True)
 class TransitionMatrices:
-    """Per-level symbolic matrix data of a system.
+    """Per-level transition and collapse matrices of a system.
 
     `a[l][i][j]` counts edges from vertex i at level l to vertex j at level
-    l+1; `by_symbol[l][sym]` splits that count by edge label (so `a[l]` is
-    the entrywise sum over symbols); `i[l][i][j]` is 1 exactly when vertex j
-    collapses onto vertex i.
+    l+1; `i[l][i][j]` is 1 exactly when vertex j collapses onto vertex i.
     """
 
     sizes: tuple[int, ...]
     a: tuple[Matrix, ...]
     i: tuple[Matrix, ...]
-    by_symbol: tuple[tuple[Matrix, ...], ...]
-
-    def symbol_slice(self, l: int, symbol: int) -> Matrix:
-        return self.by_symbol[l][symbol]
 
 
 def transition_matrices(sys: LambdaGraphSystem) -> TransitionMatrices:
     a_list: list[Matrix] = []
     i_list: list[Matrix] = []
-    sliced: list[tuple[Matrix, ...]] = []
     for l in range(sys.depth):
         rows, cols = sys.levels[l].size, sys.levels[l + 1].size
         total = [[0] * cols for _ in range(rows)]
-        per_symbol = [[[0] * cols for _ in range(rows)] for _ in range(len(sys.alphabet))]
-        for s, sym, t in sys.edges[l]:
+        for s, _, t in sys.edges[l]:
             total[s][t] += 1
-            per_symbol[sym][s][t] += 1
         collapse = [[0] * cols for _ in range(rows)]
         for v, image in enumerate(sys.iota[l]):
             collapse[image][v] = 1
         a_list.append(tuple(tuple(r) for r in total))
         i_list.append(tuple(tuple(r) for r in collapse))
-        sliced.append(tuple(tuple(tuple(r) for r in m) for m in per_symbol))
-    return TransitionMatrices(
-        sizes=sys.sizes,
-        a=tuple(a_list),
-        i=tuple(i_list),
-        by_symbol=tuple(sliced),
-    )
-
-
-def matrix_compatibility_violation(tm: TransitionMatrices) -> Optional[int]:
-    """First level l where A_l I_{l+1} != I_l A_{l+1}, or None."""
-    from .linalg import mat_eq, mat_mul
-
-    for l in range(len(tm.a) - 1):
-        if not mat_eq(mat_mul(tm.a[l], tm.i[l + 1]), mat_mul(tm.i[l], tm.a[l + 1])):
-            return l
-    return None
+    return TransitionMatrices(sizes=sys.sizes, a=tuple(a_list), i=tuple(i_list))
 
 
 # -- builders ------------------------------------------------------------

@@ -10,7 +10,7 @@ a reduction calculus.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 
@@ -110,6 +110,48 @@ def killed_counts(torsion: tuple[int, ...], up_to: int) -> dict[int, int]:
             count *= gcd(k, t)
         out[k] = count
     return out
+
+
+def invariant_factors(m: list[list[int]]) -> list[int]:
+    """Nonzero invariant factors of m, from determinantal divisors.
+
+    The k-th determinantal divisor d_k is the gcd of all k x k minors, and
+    the k-th invariant factor is d_k / d_(k-1); the rank is the largest k
+    with d_k != 0.  Exponential in the size, so only for small matrices.
+    """
+    rows, cols = len(m), len(m[0]) if m else 0
+    factors: list[int] = []
+    prev = 1
+    for k in range(1, min(rows, cols) + 1):
+        d = gcd_all(
+            det_small([[m[r][c] for c in cs] for r in rs])
+            for rs in combinations(range(rows), k)
+            for cs in combinations(range(cols), k)
+        )
+        if d == 0:
+            break
+        factors.append(d // prev)
+        prev = d
+    return factors
+
+
+def four_level_groups(a: list[list[int]], i: list[list[int]]):
+    """k0, k1, bf0, bf1 of one level gap, each from its own matrix.
+
+    The cokernel and kernel of I^t - A^t, then the cokernel and kernel of
+    I - A, as (free rank, torsion) pairs.  The package reads all four off
+    one Smith diagonal; this computes them separately as the reference.
+    """
+    rows, cols = len(a), len(a[0])
+    bf = [[i[r][c] - a[r][c] for c in range(cols)] for r in range(rows)]
+    k = [[bf[r][c] for r in range(rows)] for c in range(cols)]
+    out = []
+    for m, m_rows, m_cols in ((k, cols, rows), (bf, rows, cols)):
+        factors = invariant_factors(m)
+        rank = len(factors)
+        out.append((m_rows - rank, tuple(f for f in factors if f > 1)))
+        out.append((m_cols - rank, ()))
+    return tuple(out)
 
 
 # -- bracket words via partial maps on state words -----------------------

@@ -1,0 +1,70 @@
+"""Byte identity of the CLI over every bundled spec.
+
+Each job runs `lgk.cli.main` in-process from the repository root and is
+compared by exit code and the sha256 of its stdout against
+tests/cli_goldens.json.  Besides the specs, the jobs read
+tests/non_intertwining_system.json, a small system whose matrices fail
+the intertwining identity between levels 1 and 2, so the failing branch
+of `verify` and the BROKEN connecting map of `invariants` are pinned too.
+A change that alters any output byte of these jobs fails here, so
+simplifications and speed-ups can be checked for identical output.  To
+re-record after a deliberate output change:
+
+    PYTHONPATH=src python tests/test_cli_goldens.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+from lgk.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDENS = Path(__file__).resolve().parent / "cli_goldens.json"
+BRACKET = ("dyck2", "dyck3", "markovdyck_fib")
+
+
+def _jobs() -> list[tuple[str, ...]]:
+    jobs = []
+    for path in sorted((ROOT / "specs").glob("*.json")):
+        depth = "4" if path.stem in BRACKET else "8"
+        for command in ("invariants", "verify"):
+            for fmt in ("json", "text"):
+                jobs.append((command, "--spec", f"specs/{path.name}", "--depth", depth, "--format", fmt))
+    for command in ("invariants", "verify"):
+        for fmt in ("json", "text"):
+            jobs.append((command, "--system", "tests/non_intertwining_system.json", "--format", fmt))
+    jobs += [
+        ("flowcheck", "--spec", "specs/markovdyck_fib.json", "--depth", "3", "--expand", "a1"),
+        ("flowcheck", "--spec", "specs/dyck2.json", "--depth", "3", "--expand", "b1"),
+        ("flowcheck", "--spec", "specs/dyck2.json", "--depth", "3", "--expand", "a1", "--format", "json"),
+        ("flowcheck", "--spec", "specs/goldenmean.json", "--depth", "8", "--expand", "1", "--format", "json"),
+    ]
+    return jobs
+
+
+def _run(job: tuple[str, ...]) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(job))
+    return {"exit": code, "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+
+
+@pytest.mark.parametrize("job", _jobs(), ids=" ".join)
+def test_cli_output_matches_golden(job, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    goldens = json.loads(GOLDENS.read_text(encoding="utf-8"))
+    assert _run(job) == goldens[" ".join(job)]
+
+
+if __name__ == "__main__":
+    os.chdir(ROOT)
+    record = {" ".join(job): _run(job) for job in _jobs()}
+    GOLDENS.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -6,18 +6,33 @@ family follows the closed form rank (N-1)*N^l with constant Z/N torsion.
 """
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import FIB, golden_mean_spec
+import oracles
+from conftest import FIB, even_shift_spec, golden_mean_spec
 from lgk.invariants import (
     InvariantReport,
     LevelGroups,
     compare_reports,
+    connecting_map_check,
     invariant_report,
     level_groups,
 )
 from lgk.flow import expand_spec, plan_for
-from lgk.linalg import AbelianGroup, groups_isomorphic
-from lgk.subshift import DyckN, FullShift
+from lgk.linalg import (
+    AbelianGroup,
+    cokernel,
+    groups_isomorphic,
+    kernel_group,
+    mat_mul,
+    mat_sub,
+    mat_vec,
+    smith_normal_form,
+    solve_integer,
+    transpose,
+)
+from lgk.subshift import DyckN, FullShift, MarkovDyck
 from lgk.system import (
     TransitionMatrices,
     build_cantor_horizon_dyck,
@@ -109,7 +124,7 @@ def test_level_groups_single_gap():
 
 
 def test_report_needs_a_level_gap():
-    empty = TransitionMatrices(sizes=(1,), a=(), i=(), by_symbol=())
+    empty = TransitionMatrices(sizes=(1,), a=(), i=())
     with pytest.raises(ValueError):
         invariant_report(empty)
 
@@ -117,6 +132,79 @@ def test_report_needs_a_level_gap():
 def test_stabilization_window_must_fit():
     report = invariant_report(build_lambda_synchronizing(golden_mean_spec(), 5), window=6)
     assert not report.stabilized.is_yes
+
+
+# -- what the algebra implies -------------------------------------------
+
+
+def small_systems():
+    """Outputs of the quotient, Cantor-horizon and class-census builders."""
+    return [
+        build_lambda_synchronizing(golden_mean_spec(), 5),
+        build_lambda_synchronizing(even_shift_spec(), 5),
+        build_cantor_horizon_dyck(2, 4),
+        build_cantor_horizon_dyck(3, 3),
+        build_cantor_horizon_markov_dyck(FIB, 5),
+        build_lambda_synchronizing(DyckN(2), 3),
+        build_lambda_synchronizing(MarkovDyck(FIB), 3),
+        build_lambda_synchronizing(expand_spec(DyckN(2), plan_for(DyckN(2).alphabet, "a1")), 2),
+    ]
+
+
+def test_intertwining_certifies_every_pushed_relation():
+    """connecting_map_check is the intertwining identity alone; the lattice
+    membership it implies is checked here against solve_integer."""
+    for sys in small_systems():
+        tm = transition_matrices(sys)
+        for l in range(len(tm.a) - 1):
+            assert connecting_map_check(tm, l)
+            down = mat_sub(transpose(tm.i[l]), transpose(tm.a[l]))
+            up = mat_sub(transpose(tm.i[l + 1]), transpose(tm.a[l + 1]))
+            push = transpose(tm.i[l + 1])
+            certificate = transpose(tm.i[l])
+            assert mat_mul(push, down) == mat_mul(up, certificate)
+            snf = smith_normal_form(up)
+            for j in range(len(down[0])):
+                pushed = mat_vec(push, [row[j] for row in down])
+                assert mat_vec(up, [row[j] for row in certificate]) == pushed
+                solution = solve_integer(up, pushed, snf)
+                assert solution is not None and mat_vec(up, solution) == pushed
+
+
+def test_one_diagonal_matches_four_smith_forms_on_built_systems():
+    for sys in small_systems():
+        tm = transition_matrices(sys)
+        for l in range(len(tm.a)):
+            k = mat_sub(transpose(tm.i[l]), transpose(tm.a[l]))
+            bf = mat_sub(tm.i[l], tm.a[l])
+            g = level_groups(tm, l)
+            assert (g.k0, g.k1, g.bf0, g.bf1) == (
+                cokernel(k), kernel_group(k), cokernel(bf), kernel_group(bf)
+            )
+
+
+@st.composite
+def random_transition_matrices(draw):
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
+    entries = st.integers(-3, 3)
+
+    def matrix(rows, cols):
+        return tuple(tuple(draw(entries) for _ in range(cols)) for _ in range(rows))
+
+    gaps = list(zip(sizes, sizes[1:]))
+    return TransitionMatrices(
+        sizes=tuple(sizes),
+        a=tuple(matrix(r, c) for r, c in gaps),
+        i=tuple(matrix(r, c) for r, c in gaps),
+    )
+
+
+@given(random_transition_matrices())
+def test_one_diagonal_matches_four_group_oracle(tm):
+    for l in range(len(tm.a)):
+        g = level_groups(tm, l)
+        got = tuple((x.free_rank, x.torsion) for x in (g.k0, g.k1, g.bf0, g.bf1))
+        assert got == oracles.four_level_groups(tm.a[l], tm.i[l])
 
 
 # -- expansion invariance ------------------------------------------------

@@ -3,7 +3,9 @@
 Smith decompositions are certified in full (transforms multiply out,
 unimodularity, divisibility chain), and cokernels of every small 2x2
 matrix are compared against two computations that share no code with the
-package: determinantal divisors and an explicit coset census.
+package: determinantal divisors and an explicit coset census.  The int64
+fast path is compared with the reference Smith form on large-entry
+matrices, and with sympy's when it is installed.
 """
 
 from __future__ import annotations
@@ -11,19 +13,20 @@ from __future__ import annotations
 import random
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from lgk.linalg import (
     AbelianGroup,
+    _numpy_snf_diagonal,
     cokernel,
     det_int,
     eye,
     is_unimodular,
     kernel_basis,
     kernel_group,
-    lattice_contains,
     mat_eq,
     mat_mul,
     mat_vec,
@@ -144,11 +147,23 @@ def test_kernel_basis_spans_and_saturates(m):
         assert diag == [1] * len(basis)
 
 
+def in_column_span(m, y) -> bool:
+    """Is y in the column span of m?  Decided by cokernels alone.
+
+    With L the column lattice of m and L' that of m with y appended,
+    Z^rows/L maps onto Z^rows/L'.  Finitely generated abelian groups are
+    Hopfian, so the two cokernels are isomorphic exactly when that
+    surjection is injective, that is when L' = L.  This shares no
+    transform code with solve_integer.
+    """
+    return cokernel(m) == cokernel([row + [x] for row, x in zip(m, y)])
+
+
 @given(int_matrices(max_dim=4, span=6), st.lists(st.integers(-5, 5), min_size=4, max_size=4))
 def test_solve_integer_agrees_with_membership(m, coeffs):
     cols = len(m[0])
     x = mat_vec(m, coeffs[:cols] + [0] * max(0, cols - len(coeffs)))
-    assert lattice_contains(m, x)
+    assert in_column_span(m, x)
     s = solve_integer(m, x)
     assert s is not None
     assert mat_vec(m, s) == x
@@ -157,11 +172,91 @@ def test_solve_integer_agrees_with_membership(m, coeffs):
 @given(int_matrices(max_dim=4, span=4), st.data())
 def test_membership_negative_cases(m, data):
     y = [data.draw(st.integers(-8, 8)) for _ in range(len(m))]
-    inside = lattice_contains(m, y)
+    inside = in_column_span(m, y)
     s = solve_integer(m, y)
     assert inside == (s is not None)
     if s is not None:
         assert mat_vec(m, s) == y
+
+
+# -- the int64 fast path -------------------------------------------------
+
+
+def overflow_repro() -> list[list[int]]:
+    """21x21, big enough for the fast path; one elimination step of the
+    2^39 entries against the unit pivot needs products near 2^78."""
+    n = 21
+    m = [[3 * (r == c) for c in range(n)] for r in range(n)]
+    m[0][0], m[0][1], m[1][0], m[1][1] = 1, 2**39, 2**39, 5
+    return m
+
+
+def test_fast_path_never_wraps_around():
+    m = overflow_repro()
+    # the 2x2 corner has divisors 1 and 2^78 - 5, which is prime to 3
+    big = 3 * (2**78 - 5)
+    assert big == 906694364710971881029617
+    expected = [1, 1] + [3] * 18 + [big]
+    assert smith_normal_form(m, want_transforms=False).diagonal == expected
+    assert snf_diagonal(m) == expected
+    assert cokernel(m) == AbelianGroup(0, (3,) * 18 + (big,))
+
+
+@st.composite
+def large_entry_matrices(draw):
+    """Sparse 21x21 to 24x24 matrices: a small diagonal, a few small
+    off-diagonal entries, and a few entries of magnitude 2^20 to 2^40.
+
+    The large entries sit in the top-left corner next to a unit pivot, so
+    one elimination step multiplies two of them.  They are near powers of
+    two, so a wrapped int64 product can land on a small, plausible value
+    instead of tripping a magnitude check.
+    """
+    rows, cols = draw(st.integers(21, 24)), draw(st.integers(21, 24))
+    m = [[0] * cols for _ in range(rows)]
+    for k in range(min(rows, cols)):
+        m[k][k] = draw(st.integers(-4, 4))
+    cell = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    for r, c in draw(st.lists(cell, max_size=12)):
+        m[r][c] = draw(st.integers(-3, 3))
+    big = st.builds(
+        lambda sign, e, k: sign * ((1 << e) - k),
+        st.sampled_from((1, -1)),
+        st.sampled_from(range(20, 41)),
+        st.sampled_from((0, 0, 1, 3)),
+    )
+    m[0][0] = draw(st.sampled_from((1, -1)))
+    m[0][1], m[1][0] = draw(big), draw(big)
+    for r, c in draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=2)):
+        m[r][c] = draw(big)
+    return m
+
+
+@settings(max_examples=40)
+@given(large_entry_matrices())
+def test_fast_path_matches_reference_on_large_entries(m):
+    reference = smith_normal_form(m, want_transforms=False).diagonal
+    fast = _numpy_snf_diagonal(m)
+    assert fast is None or fast == reference
+    assert snf_diagonal(m) == reference
+
+
+def test_fast_path_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(31)
+    samples = [overflow_repro()]
+    for _ in range(6):
+        m = [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(22)] for _ in range(21)]
+        for _ in range(3):
+            m[rng.randrange(21)][rng.randrange(22)] = rng.randint(-(2**40), 2**40)
+        samples.append(m)
+    for m in samples:
+        d = sympy_snf(sympy.Matrix(m), domain=sympy.ZZ)
+        theirs = [abs(int(d[k, k])) for k in range(min(d.shape))]
+        nonzero = sorted(x for x in theirs if x)
+        assert snf_diagonal(m) == nonzero + [0] * (len(theirs) - len(nonzero))
 
 
 def test_group_normalization():

@@ -5,6 +5,9 @@ specs/, so they double as a format check on those files.
 """
 
 import json
+import os
+import subprocess
+import sys as _sys
 from pathlib import Path
 
 import pytest
@@ -88,6 +91,16 @@ def test_spec_payload_validation():
     }
     with pytest.raises(ValueError):
         spec_loads(json.dumps(bad_expanded))
+    for mistyped in (
+        {"kind": "dyck", "n": True},
+        {"kind": "full", "n": "3"},
+        {"kind": "markov_dyck", "matrix": [[1, 1], [1, 0.0]]},
+        {"kind": "markov_dyck", "matrix": 5},
+        {"kind": "sofic", "alphabet": ["0"], "vertices": ["u"], "edges": [["u", "0"]]},
+        {"kind": "expanded", "base": {"kind": "dyck", "n": 2}, "target": "a1", "fresh": None},
+    ):
+        with pytest.raises(ValueError):
+            spec_loads(json.dumps(mistyped))
 
 
 def test_system_roundtrip():
@@ -345,3 +358,26 @@ def test_cli_invalid_inputs(tmp_path, capsys):
     assert main(["verify"]) == 2
     assert main(["expand", "--spec", str(SPECS / "goldenmean.json"), "--expand", "7"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"kind": "sft", "alphabet": ["a", "b"], "forbidden": 5}',
+        '{"kind": "sft", "alphabet": [1, 2], "forbidden": []}',
+        '{"kind": "full", "n": null}',
+        '{"kind": "dyck", "n": 2.5}',
+    ],
+)
+def test_cli_malformed_spec_fields_exit_2(tmp_path, payload):
+    spec = tmp_path / "spec.json"
+    spec.write_text(payload, encoding="utf-8")
+    run = subprocess.run(
+        [_sys.executable, "-m", "lgk.cli", "build", "--spec", str(spec), "--depth", "2"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SPECS.parent / "src")},
+    )
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith("error: ")

@@ -30,12 +30,12 @@ from lgk import (
     transition_matrices,
     verify_all,
 )
+from lgk.invariants import connecting_map_check
 from lgk.subshift import sft_cover
 from lgk.system import (
     iota_fiber,
     iota_image,
     label_words_from,
-    matrix_compatibility_violation,
     read_down,
     verify_predecessor_separated,
 )
@@ -44,7 +44,8 @@ from lgk.system import (
 def assert_all_verifiers_pass(sys):
     for name, verdict in verify_all(sys).items():
         assert verdict.is_yes, (name, verdict)
-    assert matrix_compatibility_violation(transition_matrices(sys)) is None
+    tm = transition_matrices(sys)
+    assert all(connecting_map_check(tm, l) for l in range(len(tm.a) - 1))
 
 
 def two_loops_graph():
@@ -202,19 +203,6 @@ def test_matrix_shapes_and_column_structure():
             assert sum(tm.a[l][i]) == len(
                 [e for e in sys.edges[l] if e[0] == i]
             )
-
-
-def test_symbol_slices_sum_to_transition_matrix():
-    sys = build_cantor_horizon_dyck(2, 3)
-    tm = transition_matrices(sys)
-    for l in range(sys.depth):
-        total = [[0] * sys.sizes[l + 1] for _ in range(sys.sizes[l])]
-        for a in range(len(sys.alphabet)):
-            piece = tm.symbol_slice(l, a)
-            for i, row in enumerate(piece):
-                for j, x in enumerate(row):
-                    total[i][j] += x
-        assert [list(r) for r in tm.a[l]] == total
 
 
 def test_read_down_words():
