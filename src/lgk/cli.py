@@ -8,6 +8,7 @@ Exit codes: 0 success / checks pass, 1 a check fails, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys as _sys
@@ -278,7 +279,10 @@ def _add_io_flags(sub: argparse.ArgumentParser, system_input: bool = True) -> No
     sub.add_argument("--out", help="output file (default stdout)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing reads no state the previous call left,
+    # no action has a mutable default, and help width is read at format time.
     parser = argparse.ArgumentParser(
         prog="lgk",
         description="Leveled graph systems of subshifts: construction, verification, invariants.",

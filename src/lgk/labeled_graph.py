@@ -9,7 +9,8 @@ machinery below exact rather than approximate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .alphabet import Alphabet, Word
@@ -34,8 +35,10 @@ class LabeledGraph:
             raise ValueError("duplicate edges")
 
     # -- indexes ---------------------------------------------------------
+    # Built once per graph and kept in the instance dict, which dataclass
+    # equality and hashing never read.  Callers must not mutate them.
 
-    @property
+    @cached_property
     def out_by_vertex(self) -> dict[int, list[tuple[int, int]]]:
         """vertex -> [(label, target)]"""
         out: dict[int, list[tuple[int, int]]] = {v: [] for v in range(len(self.vertices))}
@@ -43,7 +46,7 @@ class LabeledGraph:
             out[s].append((a, t))
         return out
 
-    @property
+    @cached_property
     def in_by_vertex(self) -> dict[int, list[tuple[int, int]]]:
         """vertex -> [(label, source)]"""
         inc: dict[int, list[tuple[int, int]]] = {v: [] for v in range(len(self.vertices))}
@@ -161,6 +164,19 @@ def read_forward(g: LabeledGraph, start: set[int], word: Word) -> set[int]:
     return cur
 
 
+def backward_steps(g: LabeledGraph, vertex_set: Iterable[int]) -> list[tuple[int, frozenset[int]]]:
+    """For each label a entering `vertex_set`, the set of a-edge sources.
+
+    Pairs come in ascending label order; a label with no edge into the set
+    is left out, so every returned set is nonempty."""
+    inc = g.in_by_vertex
+    prevs: dict[int, set[int]] = {}
+    for v in vertex_set:
+        for a, s in inc[v]:
+            prevs.setdefault(a, set()).add(s)
+    return [(a, frozenset(prevs[a])) for a in sorted(prevs)]
+
+
 def read_backward(g: LabeledGraph, end: set[int], word: Word) -> set[int]:
     """Startpoints of word-labeled paths ending anywhere in `end`."""
     inc = g.in_by_vertex
@@ -198,18 +214,13 @@ def words_of_length(g: LabeledGraph, length: int, start: set[int] | None = None)
 
 def words_into(g: LabeledGraph, end: set[int], length: int) -> Iterator[Word]:
     """All words of exactly `length` labeling paths that end inside `end`."""
-    inc = g.in_by_vertex
 
     def go(cur: frozenset[int], suffix: Word) -> Iterator[Word]:
         if len(suffix) == length:
             yield suffix
             return
-        prevs: dict[int, set[int]] = {}
-        for v in cur:
-            for a, s in inc[v]:
-                prevs.setdefault(a, set()).add(s)
-        for a in sorted(prevs):
-            yield from go(frozenset(prevs[a]), (a,) + suffix)
+        for a, prev in backward_steps(g, cur):
+            yield from go(prev, (a,) + suffix)
 
     if end:
         yield from go(frozenset(end), ())
@@ -222,41 +233,61 @@ class PastClassifier:
     """Exact depth-l past-language equality for vertex sets.
 
     For a vertex set S, the depth-l past language is the set of length-l
-    words labeling paths that end inside S.  Because reading backwards by a
-    label maps sets to sets deterministically, two sets have equal depth-l
-    past languages iff their recursive backward fingerprints agree, computed
-    here with memoization.  Works for any labeled graph; exactness needs no
-    assumption beyond finiteness.
+    words labeling paths that end inside S.  Reading backwards by a label
+    maps sets to sets deterministically, so for l >= 1 the depth-l language
+    of S is the union over labels a of {w a : w in the depth-(l-1) language
+    of pred_a(S)}, and two such unions are equal exactly when the labels
+    with a nonempty part agree and so do those parts.  Works for any
+    labeled graph, including ones with sources, sinks or two equally
+    labeled in-edges at a vertex; exactness needs no assumption beyond
+    finiteness.
+
+    Fingerprints are hash-consed class ids.  The id of (S, d) is drawn from
+    a table keyed by (d, a1, id1, a2, id2, ...): the labels ai whose source
+    set pred_ai(S) has a nonempty depth-(d-1) past, in ascending order, each
+    with the id of that past.  Every nonempty set keys (0,) at depth 0, and
+    an empty past keys () at every depth, which holds the id EMPTY.  The
+    table is injective on its keys, so by induction on d two sets get equal
+    depth-d ids exactly when their depth-d past languages are equal.  Ids
+    are small ints, so comparing or hashing one costs O(1) at any depth, and
+    each (set, depth) pair is keyed once.  Ids mean nothing across
+    classifiers: compare them only within one.
     """
+
+    EMPTY = 0  # id of the empty past language, at every depth
 
     def __init__(self, g: LabeledGraph):
         self._g = g
-        self._inc = g.in_by_vertex
-        self._memo: dict[tuple[frozenset[int], int], object] = {}
+        self._memo: dict[tuple[frozenset[int], int], int] = {}
+        self._ids: dict[tuple[int, ...], int] = {(): self.EMPTY}
 
-    def _preds(self, cur: frozenset[int]) -> dict[int, frozenset[int]]:
-        prevs: dict[int, set[int]] = {}
-        for v in cur:
-            for a, s in self._inc[v]:
-                prevs.setdefault(a, set()).add(s)
-        return {a: frozenset(vs) for a, vs in prevs.items()}
-
-    def fingerprint(self, vertex_set: Iterable[int], depth: int) -> object:
-        cur = frozenset(vertex_set)
-        key = (cur, depth)
-        if key in self._memo:
-            return self._memo[key]
-        if depth == 0:
-            result: object = ()
-        else:
-            result = tuple(
-                sorted(
-                    (a, self.fingerprint(vs, depth - 1))
-                    for a, vs in self._preds(cur).items()
-                )
-            )
-        self._memo[key] = result
-        return result
+    def fingerprint(self, vertex_set: Iterable[int], depth: int) -> int:
+        # Depth-first with an explicit stack, so depth is not bounded by
+        # the interpreter's recursion limit.  A node is revisited with its
+        # backward steps once every (source set, depth - 1) below it has an id.
+        memo = self._memo
+        root = (frozenset(vertex_set), depth)
+        stack: list[tuple[tuple[frozenset[int], int], list | None]] = [(root, None)]
+        while stack:
+            node, steps = stack.pop()
+            if node in memo:
+                continue
+            cur, d = node
+            if steps is None:
+                steps = backward_steps(self._g, cur) if d else []
+                below = [((prev, d - 1), None) for _, prev in steps if (prev, d - 1) not in memo]
+                if below:
+                    stack.append((node, steps))
+                    stack.extend(below)
+                    continue
+            parts: list[int] = []
+            for a, prev in steps:
+                sub = memo[prev, d - 1]
+                if sub != self.EMPTY:  # sources without a past add no word
+                    parts += (a, sub)
+            key = (d, *parts) if parts or (d == 0 and cur) else ()
+            memo[node] = self._ids.setdefault(key, len(self._ids))
+        return memo[root]
 
     def equal_pasts(self, s1: Iterable[int], s2: Iterable[int], depth: int) -> bool:
         return self.fingerprint(s1, depth) == self.fingerprint(s2, depth)
@@ -272,14 +303,8 @@ def past_partition(g: LabeledGraph, depth: int) -> list[list[int]]:
     pc = PastClassifier(g)
     levels: list[list[int]] = []
     for l in range(depth + 1):
-        key_to_id: dict[object, int] = {}
-        ids: list[int] = []
-        for v in range(len(g.vertices)):
-            k = pc.fingerprint([v], l)
-            if k not in key_to_id:
-                key_to_id[k] = len(key_to_id)
-            ids.append(key_to_id[k])
-        levels.append(ids)
+        first: dict[int, int] = {}
+        levels.append([first.setdefault(pc.fingerprint([v], l), len(first)) for v in range(len(g.vertices))])
     return levels
 
 
@@ -289,18 +314,12 @@ def follower_source_family(g: LabeledGraph) -> set[frozenset[int]]:
     Computed as the closure of the full vertex set under label-wise
     backward steps; every member is realized by some finite word.
     """
-    inc = g.in_by_vertex
     full = frozenset(range(len(g.vertices)))
     family = {full}
     frontier = [full]
     while frontier:
         cur = frontier.pop()
-        prevs: dict[int, set[int]] = {}
-        for v in cur:
-            for a, s in inc[v]:
-                prevs.setdefault(a, set()).add(s)
-        for vs in prevs.values():
-            f = frozenset(vs)
+        for _, f in backward_steps(g, cur):
             if f not in family:
                 family.add(f)
                 frontier.append(f)

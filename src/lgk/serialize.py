@@ -153,17 +153,40 @@ def system_to_payload(sys: LambdaGraphSystem) -> dict:
     }
 
 
+def _list(value: Any, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list")
+    return value
+
+
+def _level(value: Any) -> VertexLevel:
+    if not isinstance(value, dict):
+        raise ValueError("each level must be an object with 'size' and 'tags'")
+    size = _integer(value["size"], "level size")
+    return VertexLevel(size=size, tags=tuple(_strings(value["tags"], "level tags")))
+
+
+def _edge(value: Any, alphabet: Alphabet) -> tuple[int, int, int]:
+    if not (isinstance(value, list) and len(value) == 3 and isinstance(value[1], str)):
+        raise ValueError(f"edges must be [source, label, target] triples, got {value!r}")
+    s, a, t = value
+    return (_integer(s, "edge source"), alphabet.index(a), _integer(t, "edge target"))
+
+
 def system_from_payload(payload: dict) -> LambdaGraphSystem:
-    alphabet = Alphabet(tuple(payload["alphabet"]))
-    levels = tuple(
-        VertexLevel(size=int(item["size"]), tags=tuple(item["tags"]))
-        for item in payload["levels"]
-    )
+    """System from its JSON payload; a malformed field raises ValueError."""
+    if not isinstance(payload, dict):
+        raise ValueError("system payload must be an object")
+    alphabet = Alphabet(tuple(_strings(payload["alphabet"], "alphabet")))
+    levels = tuple(_level(item) for item in _list(payload["levels"], "levels"))
     edges = tuple(
-        tuple(sorted({(int(s), alphabet.index(a), int(t)) for s, a, t in layer}))
-        for layer in payload["edges"]
+        tuple(sorted({_edge(e, alphabet) for e in _list(layer, "edge layer")}))
+        for layer in _list(payload["edges"], "edges")
     )
-    iota = tuple(tuple(int(v) for v in mapping) for mapping in payload["iota"])
+    iota = tuple(
+        tuple(_integer(v, "iota image") for v in _list(mapping, "iota layer"))
+        for mapping in _list(payload["iota"], "iota")
+    )
     return LambdaGraphSystem(alphabet=alphabet, levels=levels, edges=edges, iota=iota)
 
 

@@ -39,6 +39,7 @@ from .dyck import (
 from .labeled_graph import (
     LabeledGraph,
     PastClassifier,
+    backward_steps,
     essential_subgraph,
     follower_source_family,
     is_essential,
@@ -668,7 +669,6 @@ def _sofic_synchronizing(
 
 def _follower_family_with_words(g: LabeledGraph) -> dict[frozenset[int], Word]:
     """Each realizable follower-source set with a shortest realizing word."""
-    inc = g.in_by_vertex
     full = frozenset(range(len(g.vertices)))
     family: dict[frozenset[int], Word] = {full: ()}
     frontier = [full]
@@ -676,12 +676,7 @@ def _follower_family_with_words(g: LabeledGraph) -> dict[frozenset[int], Word]:
         nxt: list[frozenset[int]] = []
         for cur in frontier:
             word = family[cur]
-            prevs: dict[int, set[int]] = {}
-            for v in cur:
-                for a, s in inc[v]:
-                    prevs.setdefault(a, set()).add(s)
-            for a, vs in sorted(prevs.items()):
-                f = frozenset(vs)
+            for a, f in backward_steps(g, cur):
                 if f not in family:
                     family[f] = (a,) + word
                     nxt.append(f)
@@ -746,7 +741,7 @@ def synchronizing_classes(
         else:
             g = spec.graph
             length = len(g.vertices) + level  # enough to reach every class
-        seen: dict[object, Word] = {}
+        seen: dict[int, Word] = {}
         pc = PastClassifier(g)
         meter = _Meter(budget)
         for w in words_of_length(g, length):

@@ -198,3 +198,31 @@ def bracket_word_nonzero(matrix, word: tuple[int, ...]) -> bool:
         else:
             return True
     return False
+
+
+# -- past languages of labelled graphs, by path extension ----------------
+
+
+def past_language(edges, vertex_set, length: int) -> frozenset[tuple[int, ...]]:
+    """Label words of the length-`length` paths ending inside `vertex_set`.
+
+    `edges` are (source, symbol, target) triples.  Paths are grown one edge
+    at a time at their start; two paths with the same word and the same
+    start vertex extend alike, so each (word, start) pair is kept once.
+    """
+    paths = {((), v) for v in vertex_set}
+    for _ in range(length):
+        paths = {((a,) + word, s) for word, v in paths for s, a, t in edges if t == v}
+    return frozenset(word for word, _ in paths)
+
+
+def past_classes(n: int, edges, depth: int) -> list[list[int]]:
+    """For each length 0..depth, vertex -> class of its past language,
+    classes numbered in order of first appearance."""
+    levels = []
+    for length in range(depth + 1):
+        first: dict[frozenset, int] = {}
+        levels.append(
+            [first.setdefault(past_language(edges, [v], length), len(first)) for v in range(n)]
+        )
+    return levels

@@ -38,6 +38,9 @@ def _jobs() -> list[tuple[str, ...]]:
         for command in ("invariants", "verify"):
             for fmt in ("json", "text"):
                 jobs.append((command, "--spec", f"specs/{path.name}", "--depth", depth, "--format", fmt))
+        jobs.append(("build", "--spec", f"specs/{path.name}", "--depth", depth, "--format", "json"))
+    for name in ("goldenmean", "even_shift"):
+        jobs.append(("build", "--spec", f"specs/{name}.json", "--depth", "16", "--format", "json"))
     for command in ("invariants", "verify"):
         for fmt in ("json", "text"):
             jobs.append((command, "--system", "tests/non_intertwining_system.json", "--format", fmt))

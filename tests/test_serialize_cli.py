@@ -381,3 +381,57 @@ def test_cli_malformed_spec_fields_exit_2(tmp_path, payload):
     assert run.returncode == 2
     assert "Traceback" not in run.stderr
     assert run.stderr.startswith("error: ")
+
+
+def test_cli_parser_is_built_once_and_parses_each_call_afresh(capsys):
+    from lgk.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    first = _build_parser().parse_args(
+        ["verify", "--spec", "a.json", "--depth", "7", "--budget", "5", "--format", "json"]
+    )
+    second = _build_parser().parse_args(["invariants", "--system", "b.json"])
+    assert (first.command, first.spec, first.depth, first.budget, first.format) == (
+        "verify", "a.json", 7, 5, "json"
+    )
+    assert (second.command, second.spec, second.system, second.depth, second.budget, second.format) == (
+        "invariants", None, "b.json", 4, None, "text"
+    )
+    assert not hasattr(second, "expand")
+    spec = str(SPECS / "goldenmean.json")
+    assert main(["build", "--spec", spec, "--depth", "2", "--format", "json"]) == 0
+    assert system_loads(capsys.readouterr().out).depth == 2
+    assert main(["build", "--spec", spec]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "4      2"
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"alphabet": ["a"], "levels": [{"size": 1, "tags": [""]}], "edges": [], "iota": [5]}',
+        '{"alphabet": ["a"], "levels": [{"size": 1, "tags": 5}], "edges": [], "iota": []}',
+        '{"alphabet": [1], "levels": [], "edges": [], "iota": []}',
+        '{"alphabet": ["a"], "levels": [{"size": true, "tags": [""]}], "edges": [], "iota": []}',
+        '{"alphabet": ["a"], "levels": [{"size": 1.0, "tags": [""]}], "edges": [], "iota": []}',
+        '{"alphabet": ["a"], "levels": [5], "edges": [], "iota": []}',
+        '{"alphabet": ["a"], "levels": [{"size": 1, "tags": [""]}, {"size": 1, "tags": [""]}],'
+        ' "edges": [[[0, "a", 0.0]]], "iota": [[0]]}',
+        '{"alphabet": ["a"], "levels": [{"size": 1, "tags": [""]}, {"size": 1, "tags": [""]}],'
+        ' "edges": [[[0, ["a"], 0]]], "iota": [[0]]}',
+        '{"alphabet": ["a"], "levels": [{"size": 1, "tags": [""]}, {"size": 1, "tags": [""]}],'
+        ' "edges": [[[0, "a"]]], "iota": [[0]]}',
+        '[1]',
+    ],
+)
+def test_cli_malformed_system_fields_exit_2(tmp_path, payload):
+    system = tmp_path / "system.json"
+    system.write_text(payload, encoding="utf-8")
+    run = subprocess.run(
+        [_sys.executable, "-m", "lgk.cli", "invariants", "--system", str(system)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SPECS.parent / "src")},
+    )
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith("error: ")
