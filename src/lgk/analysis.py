@@ -18,10 +18,9 @@ from .alphabet import Word
 from .subshift import DEFAULT_BUDGET, Budget, BudgetExceeded, SubshiftSpec, _Meter
 from .system import (
     LambdaGraphSystem,
+    _out_symbols,
     build_lambda_synchronizing,
     iota_fiber,
-    iota_image,
-    label_words_from,
     read_down,
     step_down,
     terminal_vertices,
@@ -44,34 +43,38 @@ def _is_constant(sys: LambdaGraphSystem) -> bool:
 
 
 def _successors(sys: LambdaGraphSystem, level: int, sources: frozenset[int]) -> frozenset[int]:
-    return frozenset(t for s, _, t in sys.edges[level] if s in sources)
+    out = sys.adjacency.out[level]
+    reach: set[int] = set()
+    for s in sources:
+        if s in out:
+            for targets in out[s].values():
+                reach.update(targets)
+    return frozenset(reach)
 
 
 def _graph_reachable(sys: LambdaGraphSystem, start: int, goal: int) -> bool:
     """Reachability in the repeated graph of a constant system."""
+    out = sys.adjacency.out[0]
     seen = {start}
     frontier = [start]
     while frontier:
         v = frontier.pop()
-        for s, _, t in sys.edges[0]:
-            if s == v and t not in seen:
-                seen.add(t)
-                frontier.append(t)
+        for targets in out.get(v, {}).values():
+            for t in targets:
+                if t not in seen:
+                    seen.add(t)
+                    frontier.append(t)
     return goal in seen
 
 
 # -- condition (I): branching futures ------------------------------------
 
 
-def _out_labels(sys: LambdaGraphSystem, level: int, sources: frozenset[int]) -> set[int]:
-    return {a for s, a, _ in sys.edges[level] if s in sources}
-
-
 def _branches_within(sys: LambdaGraphSystem, level: int, vertex: int, length: int) -> bool:
     """Does the label tree from `vertex` fork within `length` steps?"""
     current = frozenset([vertex])
     for k in range(length):
-        labels = _out_labels(sys, level + k, current)
+        labels = _out_symbols(sys, level + k, current)
         if len(labels) >= 2:
             return True
         if not labels:
@@ -109,7 +112,7 @@ def check_condition_I(sys: LambdaGraphSystem, depth: int = 3) -> Verdict:
             current = frozenset([vertex])
             seen = {current}
             while True:
-                labels = _out_labels(sys, 0, current)
+                labels = _out_symbols(sys, 0, current)
                 if len(labels) >= 2:
                     break
                 if not labels:
@@ -149,11 +152,10 @@ def check_lambda_irreducible(
             for v in range(size):
                 limit = sys.depth - level if bound is None else min(bound, sys.depth - level)
                 ok = False
+                reach = frozenset([v])
                 for steps in range(1, limit + 1):
                     fiber = iota_fiber(sys, level, u, steps)
-                    reach = frozenset([v])
-                    for k in range(steps):
-                        reach = _successors(sys, level + k, reach)
+                    reach = _successors(sys, level + steps - 1, reach)
                     if fiber and fiber <= reach:
                         ok = True
                         break
@@ -190,8 +192,8 @@ def _labeled_paths(
         word, l, v = stack.pop()
         if len(word) >= max_len or l >= sys.depth:
             continue
-        for s, a, t in sys.edges[l]:
-            if s == v:
+        for a, targets in sys.adjacency.out[l].get(v, {}).items():
+            for t in targets:
                 yield word + (a,), t
                 stack.append((word + (a,), l + 1, t))
 
@@ -229,20 +231,19 @@ def check_iota_irreducible(
                         partial.add(level)
                         continue
                     found = False
+                    reach = frozenset([v])
                     for steps in range(1, min(bound, room) + 1):
-                        fiber = iota_fiber(sys, level, u, steps)
-                        reach = frozenset([v])
-                        for k in range(steps):
-                            reach = _successors(sys, level + k, reach)
-                        for shadow_start in sorted(fiber & reach):
+                        reach = _successors(sys, level + steps - 1, reach)
+                        starts = iota_fiber(sys, level, u, steps) & reach
+                        if not starts:
+                            continue
+                        # the shadow must end where the collapse maps onto `end`
+                        over_end = iota_fiber(sys, level + len(word), end, steps)
+                        for shadow_start in sorted(starts):
                             ends = read_down(
                                 sys, level + steps, frozenset([shadow_start]), word
                             )
-                            target_level = level + steps + len(word)
-                            if any(
-                                iota_image(sys, target_level, e, steps) == end
-                                for e in ends
-                            ):
+                            if ends & over_end:
                                 found = True
                                 break
                         if found:
@@ -307,11 +308,10 @@ def _unseparated_vertices(
     for length in range(1, max_len + 1):
         if not missing:
             break
-        layer = sys.edges[level + length - 1]
         next_frontier = []
         for state in frontier:
             alive = frozenset().union(*(ends for _, ends in state))
-            for a in sorted({a for s, a, _ in layer if s in alive}):
+            for a in sorted(_out_symbols(sys, level + length - 1, alive)):
                 meter.tick()
                 advanced = tuple(
                     (v, moved)
@@ -333,7 +333,6 @@ def _launching_closure_constant(sys: LambdaGraphSystem, meter: _Meter) -> Verdic
     """Exact decision for constant systems: explore the full reader-state
     closure of the repeated graph.  Finite, so exhaustion without a sole
     survivor refutes the property."""
-    layer = sys.edges[0]
     size = sys.levels[0].size
     missing = set(range(size))
     start = tuple((v, frozenset([v])) for v in range(size))
@@ -342,12 +341,12 @@ def _launching_closure_constant(sys: LambdaGraphSystem, meter: _Meter) -> Verdic
     while frontier and missing:
         state = frontier.pop()
         alive = frozenset().union(*(ends for _, ends in state))
-        for a in sorted({a for s, a, _ in layer if s in alive}):
+        for a in sorted(_out_symbols(sys, 0, alive)):
             meter.tick()
             advanced = tuple(
                 (v, moved)
                 for v, ends in state
-                if (moved := frozenset(t for s, b, t in layer if b == a and s in ends))
+                if (moved := step_down(sys, 0, ends, a))
             )
             if not advanced or advanced in visited:
                 if advanced and len(advanced) == 1:
@@ -441,9 +440,7 @@ def follower_equal(sys: LambdaGraphSystem, first: Word, second: Word) -> bool:
     ends_second = terminal_vertices(sys, second)
     if not ends_first or not ends_second:
         raise ValueError("both words must be readable in the system")
-    lifted = frozenset(
-        w for w in range(sys.levels[q].size) if iota_image(sys, q, w, q - p) in ends_first
-    )
+    lifted = frozenset().union(*(iota_fiber(sys, p, e, q - p) for e in ends_first))
     return lifted == ends_second
 
 
@@ -457,7 +454,7 @@ def _words_from_set(
     for length in range(max_len):
         next_layer = []
         for word, ends in layer:
-            for a in sorted({x for s, x, _ in sys.edges[level + length] if s in ends}):
+            for a in sorted(_out_symbols(sys, level + length, ends)):
                 moved = step_down(sys, level + length, ends, a)
                 next_layer.append((word + (a,), moved))
                 yield word + (a,)

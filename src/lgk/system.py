@@ -25,7 +25,8 @@ giving a byte-stable normal form used for isomorphism checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import cached_property
+from typing import Iterator, Optional, Sequence
 
 from .alphabet import Alphabet, Word, bracket_alphabet
 from .dyck import Matrix01, all_ones, state_words, validate_transition_matrix
@@ -79,6 +80,24 @@ Edge = tuple[int, int, int]  # (source, symbol, target)
 
 
 @dataclass(frozen=True)
+class Adjacency:
+    """Lookup tables of a system, one per edge layer and per collapse layer.
+
+    `out[l][s][a]` lists the targets of the `a`-edges leaving s in edge
+    layer l, `into[l][t]` lists the (symbol, source) pairs of the edges
+    entering t, and `fiber[l][v]` lists the level-(l+1) vertices collapsing
+    onto v.  They are read off the sorted layers, so each source lists its
+    symbols ascending with their targets ascending, and each target lists
+    its in-edges by ascending source, then symbol.  A vertex without such
+    edges (or preimages) has no entry.  Callers must not mutate them.
+    """
+
+    out: tuple[dict[int, dict[int, list[int]]], ...]
+    into: tuple[dict[int, list[tuple[int, int]]], ...]
+    fiber: tuple[dict[int, list[int]], ...]
+
+
+@dataclass(frozen=True)
 class LambdaGraphSystem:
     """Truncated leveled system; `edges[l]` joins level l to l+1.
 
@@ -123,19 +142,27 @@ class LambdaGraphSystem:
     def sizes(self) -> tuple[int, ...]:
         return tuple(level.size for level in self.levels)
 
-    def out_index(self, l: int) -> dict[int, list[tuple[int, int]]]:
-        """source -> [(symbol, target)] within edge layer l."""
-        table: dict[int, list[tuple[int, int]]] = {}
-        for s, a, t in self.edges[l]:
-            table.setdefault(s, []).append((a, t))
-        return table
-
-    def in_index(self, l: int) -> dict[int, list[tuple[int, int]]]:
-        """target -> [(symbol, source)] within edge layer l."""
-        table: dict[int, list[tuple[int, int]]] = {}
-        for s, a, t in self.edges[l]:
-            table.setdefault(t, []).append((a, s))
-        return table
+    # Built once per system and kept in the instance dict, which dataclass
+    # equality and hashing never read.  Every walker below goes through it.
+    @cached_property
+    def adjacency(self) -> Adjacency:
+        out: list[dict[int, dict[int, list[int]]]] = []
+        into: list[dict[int, list[tuple[int, int]]]] = []
+        for layer in self.edges:
+            by_source: dict[int, dict[int, list[int]]] = {}
+            by_target: dict[int, list[tuple[int, int]]] = {}
+            for s, a, t in layer:
+                by_source.setdefault(s, {}).setdefault(a, []).append(t)
+                by_target.setdefault(t, []).append((a, s))
+            out.append(by_source)
+            into.append(by_target)
+        fiber: list[dict[int, list[int]]] = []
+        for mapping in self.iota:
+            by_image: dict[int, list[int]] = {}
+            for v, image in enumerate(mapping):
+                by_image.setdefault(image, []).append(v)
+            fiber.append(by_image)
+        return Adjacency(out=tuple(out), into=tuple(into), fiber=tuple(fiber))
 
 
 # -- walking helpers -----------------------------------------------------
@@ -143,12 +170,26 @@ class LambdaGraphSystem:
 
 def step_down(sys: LambdaGraphSystem, level: int, sources: frozenset[int], symbol: int) -> frozenset[int]:
     """Targets one level below `sources` reachable by a `symbol`-edge."""
-    return frozenset(t for s, a, t in sys.edges[level] if a == symbol and s in sources)
+    if not 0 <= level < len(sys.edges):
+        raise ValueError(f"no edge layer below level {level}")
+    out = sys.adjacency.out[level]
+    targets: set[int] = set()
+    for s in sources:
+        by_symbol = out.get(s)
+        if by_symbol is not None and symbol in by_symbol:
+            targets.update(by_symbol[symbol])
+    return frozenset(targets)
+
+
+def _out_symbols(sys: LambdaGraphSystem, level: int, sources: frozenset[int]) -> set[int]:
+    """Symbols of the edges leaving `sources` at `level`."""
+    out = sys.adjacency.out[level]
+    return {a for s in sources if s in out for a in out[s]}
 
 
 def read_down(sys: LambdaGraphSystem, level: int, sources: frozenset[int], word: Word) -> frozenset[int]:
     """Vertices reached from `sources` at `level` by reading `word`."""
-    if level + len(word) > sys.depth:
+    if level < 0 or level + len(word) > sys.depth:
         raise ValueError(f"word of length {len(word)} does not fit below level {level}")
     current = sources
     for offset, symbol in enumerate(word):
@@ -165,15 +206,14 @@ def terminal_vertices(sys: LambdaGraphSystem, word: Word) -> frozenset[int]:
 
 def label_words_from(sys: LambdaGraphSystem, level: int, vertex: int, length: int) -> Iterator[Word]:
     """Distinct label words of exactly `length` readable from `vertex`."""
-    if level + length > sys.depth:
+    if level < 0 or level + length > sys.depth:
         raise ValueError("word length exceeds remaining depth")
 
     def walk(l: int, current: frozenset[int], prefix: Word) -> Iterator[Word]:
         if len(prefix) == length:
             yield prefix
             return
-        symbols = sorted({a for s, a, t in sys.edges[l] if s in current})
-        for a in symbols:
+        for a in sorted(_out_symbols(sys, l, current)):
             yield from walk(l + 1, step_down(sys, l, current, a), prefix + (a,))
 
     yield from walk(level, frozenset([vertex]), ())
@@ -181,6 +221,8 @@ def label_words_from(sys: LambdaGraphSystem, level: int, vertex: int, length: in
 
 def iota_image(sys: LambdaGraphSystem, level: int, vertex: int, steps: int) -> int:
     """Apply the collapse `steps` times to a vertex at `level`."""
+    if not 0 <= steps <= level <= sys.depth:
+        raise ValueError(f"cannot collapse {steps} steps up from level {level}")
     v = vertex
     for k in range(steps):
         v = sys.iota[level - 1 - k][v]
@@ -189,11 +231,13 @@ def iota_image(sys: LambdaGraphSystem, level: int, vertex: int, steps: int) -> i
 
 def iota_fiber(sys: LambdaGraphSystem, level: int, vertex: int, steps: int) -> frozenset[int]:
     """Vertices at `level + steps` collapsing onto `vertex` at `level`."""
-    fiber = frozenset([vertex])
+    if level < 0 or steps < 0 or level + steps > sys.depth:
+        raise ValueError(f"cannot lift {steps} steps down from level {level}")
+    fiber = [vertex]
     for k in range(steps):
-        mapping = sys.iota[level + k]
-        fiber = frozenset(v for v, image in enumerate(mapping) if image in fiber)
-    return fiber
+        below = sys.adjacency.fiber[level + k]
+        fiber = [w for v in fiber if v in below for w in below[v]]
+    return frozenset(fiber)
 
 
 # -- structural verifiers ------------------------------------------------
@@ -222,38 +266,57 @@ def verify_left_resolving(sys: LambdaGraphSystem) -> Verdict:
     return Verdict.yes()
 
 
+def _predecessor_ranks(
+    sizes: Sequence[int], edges: Sequence[Sequence[Edge]]
+) -> tuple[list[list[int]], Optional[tuple[int, int, int]]]:
+    """Rank the vertices of each level by their predecessor structure.
+
+    Every top vertex has rank 0 (the empty past).  Below, a vertex's key is
+    the sorted tuple of its distinct (symbol, rank of source) pairs, and the
+    distinct keys of a level are ranked in ascending order.  By induction
+    the ranks order the vertices as the nested keys (symbol, key of source)
+    would, without their size doubling per level.  Words partition by their
+    last symbol, so in a left-resolving system equal keys mean equal
+    predecessor-word sets; one-step source identity would be too coarse
+    (two disjoint equally-labeled loops have distinct in-edges but
+    identical pasts).  Returns the ranks of the levels done and the first
+    clash (level, earlier vertex, later vertex) with an equal key, if any.
+    """
+    ranks = [[0] * sizes[0]]
+    for l in range(1, len(sizes)):
+        pairs: list[set[tuple[int, int]]] = [set() for _ in range(sizes[l])]
+        above = ranks[-1]
+        for s, a, t in edges[l - 1]:
+            pairs[t].add((a, above[s]))
+        keys = [tuple(sorted(p)) for p in pairs]
+        seen: dict[tuple[tuple[int, int], ...], int] = {}
+        for v, key in enumerate(keys):
+            if key in seen:
+                return ranks, (l, seen[key], v)
+            seen[key] = v
+        level = [0] * sizes[l]
+        for rank, v in enumerate(sorted(range(sizes[l]), key=keys.__getitem__)):
+            level[v] = rank
+        ranks.append(level)
+    return ranks, None
+
+
 def verify_predecessor_separated(sys: LambdaGraphSystem) -> Verdict:
     """Distinct vertices at levels >= 1 have distinct predecessor-word sets.
 
-    Classes are refined level by level: a vertex's key is its set of
-    (symbol, class of source) pairs, with every top vertex in one class
-    (the empty past).  Words partition by their last symbol, so for
-    left-resolving systems key equality is exactly predecessor-word-set
-    equality; one-step source identity would be too coarse (two disjoint
-    equally-labeled loops have distinct in-edges but identical pasts).
+    Classes are refined level by level by :func:`_predecessor_ranks`.
     """
-    classes = [0] * sys.levels[0].size
-    for l in range(sys.depth):
-        groups: list[set[tuple[int, int]]] = [
-            set() for _ in range(sys.levels[l + 1].size)
-        ]
-        for s, a, t in sys.edges[l]:
-            groups[t].add((a, classes[s]))
-        seen: dict[frozenset[tuple[int, int]], int] = {}
-        for v in range(sys.levels[l + 1].size):
-            key = frozenset(groups[v])
-            if key in seen:
-                return Verdict.no(
-                    witness=(l + 1, seen[key], v),
-                    note=(
-                        f"vertices {_tag(sys, l + 1, seen[key])} and "
-                        f"{_tag(sys, l + 1, v)} at level {l + 1} have identical "
-                        f"predecessor words"
-                    ),
-                )
-            seen[key] = v
-        classes = list(range(sys.levels[l + 1].size))
-    return Verdict.yes()
+    _, clash = _predecessor_ranks(sys.sizes, sys.edges)
+    if clash is None:
+        return Verdict.yes()
+    level, first, second = clash
+    return Verdict.no(
+        witness=clash,
+        note=(
+            f"vertices {_tag(sys, level, first)} and {_tag(sys, level, second)} "
+            f"at level {level} have identical predecessor words"
+        ),
+    )
 
 
 def verify_iota_surjective(sys: LambdaGraphSystem) -> Verdict:
@@ -270,10 +333,10 @@ def verify_iota_surjective(sys: LambdaGraphSystem) -> Verdict:
 
 def _in_label_sets(sys: LambdaGraphSystem, l: int) -> dict[int, frozenset[int]]:
     """In-label set of each vertex at level l >= 1 (edge layer l-1)."""
-    table: dict[int, set[int]] = {v: set() for v in range(sys.levels[l].size)}
-    for s, a, t in sys.edges[l - 1]:
-        table[t].add(a)
-    return {v: frozenset(labels) for v, labels in table.items()}
+    into = sys.adjacency.into[l - 1]
+    return {
+        v: frozenset(a for a, _ in into.get(v, ())) for v in range(sys.levels[l].size)
+    }
 
 
 def verify_label_iota_compatible(sys: LambdaGraphSystem) -> Verdict:
@@ -304,19 +367,16 @@ def verify_local_property(sys: LambdaGraphSystem) -> Verdict:
     sources collapse to u must agree, with multiplicity, with the labels of
     edges from u into the collapse image of v.
     """
+    into = sys.adjacency.into
     for l in range(1, sys.depth):
-        down_in = sys.in_index(l)
-        up_out = sys.out_index(l - 1)
         for v in range(sys.levels[l + 1].size):
-            image = sys.iota[l][v]
             incoming: dict[int, list[int]] = {}
-            for a, s in down_in.get(v, []):
+            for a, s in into[l].get(v, ()):
                 incoming.setdefault(sys.iota[l - 1][s], []).append(a)
+            # ascending u, then symbol: the order of u's decides which failure is named
             outgoing: dict[int, list[int]] = {}
-            for u in range(sys.levels[l - 1].size):
-                labels = [a for a, t in up_out.get(u, []) if t == image]
-                if labels:
-                    outgoing[u] = labels
+            for a, u in into[l - 1].get(sys.iota[l][v], ()):
+                outgoing.setdefault(u, []).append(a)
             for u in set(incoming) | set(outgoing):
                 have = sorted(incoming.get(u, []))
                 want = sorted(outgoing.get(u, []))
@@ -620,11 +680,11 @@ def canonical_form(sys: LambdaGraphSystem) -> LambdaGraphSystem:
     Multiple top-level vertices are first merged into a single root (their
     out-edges are pooled, which preserves left-resolvedness because a
     left-resolving layer has at most one source per (symbol, target) pair).
-    Each vertex then gets a key built from the labels and keys of its
-    predecessors; key clashes mean the system is not predecessor-separated
-    and are an error.  Vertices are sorted by key and tags are cleared, so
-    two systems are level-isomorphic exactly when their canonical forms are
-    equal.
+    Each vertex is then ranked by the labels and ranks of its predecessors
+    (:func:`_predecessor_ranks`); equal keys mean the system is not
+    predecessor-separated and are an error.  Each vertex is renamed to its
+    rank and tags are cleared, so two systems are level-isomorphic exactly
+    when their canonical forms are equal.
     """
     edges = [set(layer) for layer in sys.edges]
     iota = [list(mapping) for mapping in sys.iota]
@@ -635,38 +695,29 @@ def canonical_form(sys: LambdaGraphSystem) -> LambdaGraphSystem:
             iota[0] = [0] * sizes[1]
         sizes[0] = 1
 
-    keys: list[list] = [[()] * sizes[0]]
-    for l in range(1, len(sizes)):
-        incoming: list[list[tuple[int, tuple]]] = [[] for _ in range(sizes[l])]
-        for s, a, t in edges[l - 1]:
-            incoming[t].append((a, keys[l - 1][s]))
-        level_keys = [tuple(sorted(pairs)) for pairs in incoming]
-        seen: dict[tuple, int] = {}
-        for v, key in enumerate(level_keys):
-            if key in seen:
-                raise ValueError(
-                    f"not predecessor-separated: vertices {seen[key]} and {v} "
-                    f"at level {l} have identical predecessor structure"
-                )
-            seen[key] = v
-        keys.append(level_keys)
-
-    orders = [sorted(range(sizes[l]), key=lambda v: keys[l][v]) for l in range(len(sizes))]
-    rename = [{old: new for new, old in enumerate(order)} for order in orders]
+    rename, clash = _predecessor_ranks(sizes, edges)
+    if clash is not None:
+        level, first, second = clash
+        raise ValueError(
+            f"not predecessor-separated: vertices {first} and {second} "
+            f"at level {level} have identical predecessor structure"
+        )
     new_edges = tuple(
         tuple(sorted((rename[l][s], a, rename[l + 1][t]) for s, a, t in edges[l]))
         for l in range(len(sizes) - 1)
     )
-    new_iota = tuple(
-        tuple(rename[l][iota[l][orders[l + 1][v]]] for v in range(sizes[l + 1]))
-        for l in range(len(sizes) - 1)
-    )
+    new_iota = []
+    for l in range(len(sizes) - 1):
+        mapping = [0] * sizes[l + 1]
+        for old, new in enumerate(rename[l + 1]):
+            mapping[new] = rename[l][iota[l][old]]
+        new_iota.append(tuple(mapping))
     levels = tuple(VertexLevel(size=m, tags=("",) * m) for m in sizes)
     return LambdaGraphSystem(
         alphabet=sys.alphabet,
         levels=levels,
         edges=new_edges,
-        iota=new_iota,
+        iota=tuple(new_iota),
     )
 
 

@@ -226,3 +226,129 @@ def past_classes(n: int, edges, depth: int) -> list[list[int]]:
             [first.setdefault(past_language(edges, [v], length), len(first)) for v in range(n)]
         )
     return levels
+
+
+# -- leveled systems, walked by scanning whole edge layers ---------------
+#
+# A system is given raw: `edges[l]` is the sorted list of (source, symbol,
+# target) triples from level l to level l+1, `iota[l][v]` the image at
+# level l of vertex v at level l+1, `sizes` the level sizes.  Every walker
+# rescans a whole layer on every step, as the package did before it kept
+# per-layer lookup tables.
+
+
+def scan_step_down(edges, level: int, sources, symbol: int) -> frozenset[int]:
+    return frozenset(t for s, a, t in edges[level] if a == symbol and s in sources)
+
+
+def scan_read_down(edges, level: int, sources, word) -> frozenset[int]:
+    current = frozenset(sources)
+    for offset, symbol in enumerate(word):
+        current = scan_step_down(edges, level + offset, current, symbol)
+    return current
+
+
+def scan_iota_fiber(iota, level: int, vertex: int, steps: int) -> frozenset[int]:
+    fiber = frozenset([vertex])
+    for k in range(steps):
+        fiber = frozenset(v for v, image in enumerate(iota[level + k]) if image in fiber)
+    return fiber
+
+
+def scan_label_words(edges, level: int, vertex: int, length: int) -> list[tuple[int, ...]]:
+    """Distinct label words of exactly `length` from `vertex`, depth first by
+    ascending symbol."""
+
+    def walk(l, current, prefix):
+        if len(prefix) == length:
+            yield prefix
+            return
+        for a in sorted({a for s, a, t in edges[l] if s in current}):
+            yield from walk(l + 1, scan_step_down(edges, l, current, a), prefix + (a,))
+
+    return list(walk(level, frozenset([vertex]), ()))
+
+
+def scan_labeled_paths(edges, level: int, vertex: int, max_len: int):
+    """(word, endpoint) of the paths from `vertex` of lengths 1..max_len, in
+    the order of a stack walk that pushes each layer's edges in layer order."""
+    found = []
+    stack = [((), level, vertex)]
+    while stack:
+        word, l, v = stack.pop()
+        if len(word) >= max_len or l >= len(edges):
+            continue
+        for s, a, t in edges[l]:
+            if s == v:
+                found.append((word + (a,), t))
+                stack.append((word + (a,), l + 1, t))
+    return found
+
+
+def scan_local_property(sizes, edges, iota):
+    """First failure (l, u, v, fiber in-labels, out-labels) of the local
+    property, or None.
+
+    For each v at level l+1 and u at level l-1, the sorted labels of the
+    edges into v from vertices collapsing onto u must equal the sorted
+    labels of the edges from u into the collapse image of v.  The pairs
+    (u, v) are tried in the order the package has always used: v ascending,
+    then u in the iteration order of the set of the u's met first among
+    the in-edges of v, then among the out-edges of every u (u ascending).
+    """
+    for l in range(1, len(sizes) - 1):
+        for v in range(sizes[l + 1]):
+            image = iota[l][v]
+            incoming: dict[int, list[int]] = {}
+            for s, a, t in edges[l]:
+                if t == v:
+                    incoming.setdefault(iota[l - 1][s], []).append(a)
+            outgoing: dict[int, list[int]] = {}
+            for u in range(sizes[l - 1]):
+                labels = [a for s, a, t in edges[l - 1] if s == u and t == image]
+                if labels:
+                    outgoing[u] = labels
+            for u in set(incoming) | set(outgoing):
+                have = sorted(incoming.get(u, []))
+                want = sorted(outgoing.get(u, []))
+                if have != want:
+                    return l, u, v, have, want
+    return None
+
+
+def nested_canonical_form(sizes, edges, iota):
+    """(sizes, edges, iota) renamed by nested predecessor keys, or None when
+    two vertices of a level have equal keys.
+
+    The top level is merged into one root first.  A vertex's key is the
+    sorted tuple of (symbol, key of source) over its in-edges, so keys nest
+    as deep as the level; vertices are renamed in ascending key order.
+    """
+    edges = [set(layer) for layer in edges]
+    iota = [list(mapping) for mapping in iota]
+    sizes = list(sizes)
+    if sizes[0] > 1:
+        if len(edges) >= 1:
+            edges[0] = {(0, a, t) for s, a, t in edges[0]}
+            iota[0] = [0] * sizes[1]
+        sizes[0] = 1
+    keys = [[()] * sizes[0]]
+    for l in range(1, len(sizes)):
+        incoming = [[] for _ in range(sizes[l])]
+        for s, a, t in edges[l - 1]:
+            incoming[t].append((a, keys[l - 1][s]))
+        level_keys = [tuple(sorted(pairs)) for pairs in incoming]
+        if len(set(level_keys)) < len(level_keys):
+            return None
+        keys.append(level_keys)
+    orders = [sorted(range(sizes[l]), key=lambda v: keys[l][v]) for l in range(len(sizes))]
+    rename = [{old: new for new, old in enumerate(order)} for order in orders]
+    new_edges = [
+        sorted((rename[l][s], a, rename[l + 1][t]) for s, a, t in edges[l])
+        for l in range(len(sizes) - 1)
+    ]
+    new_iota = [
+        [rename[l][iota[l][orders[l + 1][v]]] for v in range(sizes[l + 1])]
+        for l in range(len(sizes) - 1)
+    ]
+    return sizes, new_edges, new_iota

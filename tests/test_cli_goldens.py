@@ -50,6 +50,11 @@ def _jobs() -> list[tuple[str, ...]]:
         ("flowcheck", "--spec", "specs/dyck2.json", "--depth", "3", "--expand", "a1", "--format", "json"),
         ("flowcheck", "--spec", "specs/goldenmean.json", "--depth", "8", "--expand", "1", "--format", "json"),
     ]
+    # The jobs of the benchmark's `horizon` workload, whose walkers dominate.
+    for command in ("invariants", "verify"):
+        jobs.append((command, "--spec", "specs/dyck3.json", "--depth", "5", "--format", "json"))
+    jobs.append(("invariants", "--spec", "specs/markovdyck_fib.json", "--depth", "11", "--format", "json"))
+    jobs.append(("verify", "--spec", "specs/markovdyck_fib.json", "--depth", "12", "--format", "json"))
     return jobs
 
 

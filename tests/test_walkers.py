@@ -1,0 +1,247 @@
+"""System walkers and canonical form against edge-scanning oracles.
+
+Every walker reads `LambdaGraphSystem.adjacency`, one set of lookup tables
+built per system.  `oracles` redoes each walk by rescanning whole edge
+layers, and the canonical form with nested predecessor keys, on the raw
+(source, symbol, target) triples.  The drawn systems are arbitrary: not
+necessarily left-resolving, essential, predecessor-separated, or locally
+matched, and their collapse need not be surjective.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+import oracles
+from conftest import FIB, even_shift_graph, golden_mean_spec
+from lgk import (
+    Alphabet,
+    LambdaGraphSystem,
+    VertexLevel,
+    build_cantor_horizon_dyck,
+    build_cantor_horizon_markov_dyck,
+    build_from_finite_graph,
+    build_lambda_synchronizing,
+    canonical_form,
+)
+from lgk.analysis import _labeled_paths
+from lgk.serialize import spec_loads
+from lgk.subshift import Budget, FullShift
+from lgk.system import (
+    iota_fiber,
+    iota_image,
+    label_words_from,
+    read_down,
+    step_down,
+    verify_local_property,
+)
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+BRACKET = ("dyck2", "dyck3", "markovdyck_fib")
+
+
+def raw(sys: LambdaGraphSystem):
+    return list(sys.sizes), [list(layer) for layer in sys.edges], [list(m) for m in sys.iota]
+
+
+@st.composite
+def random_systems(draw) -> LambdaGraphSystem:
+    k = draw(st.integers(1, 3))
+    depth = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=depth + 1, max_size=depth + 1))
+    edges = []
+    iota = []
+    for l in range(depth):
+        triples = st.tuples(
+            st.integers(0, sizes[l] - 1), st.integers(0, k - 1), st.integers(0, sizes[l + 1] - 1)
+        )
+        edges.append(tuple(sorted(draw(st.sets(triples, max_size=2 * sizes[l] * k)))))
+        images = st.integers(0, sizes[l] - 1)
+        iota.append(tuple(draw(st.lists(images, min_size=sizes[l + 1], max_size=sizes[l + 1]))))
+    return LambdaGraphSystem(
+        alphabet=Alphabet(tuple("abc"[:k])),
+        levels=tuple(VertexLevel(size=m, tags=("",) * m) for m in sizes),
+        edges=tuple(edges),
+        iota=tuple(iota),
+    )
+
+
+BUILT = (
+    build_cantor_horizon_dyck(2, 3),
+    build_cantor_horizon_markov_dyck(FIB, 4),
+    build_lambda_synchronizing(golden_mean_spec(), 4),
+    build_from_finite_graph(even_shift_graph(), 3),
+)
+
+
+@st.composite
+def relabeled(draw, systems) -> LambdaGraphSystem:
+    """A system with the vertices of every level renamed by a drawn permutation."""
+    sys = draw(systems)
+    perms = [draw(st.permutations(range(m))) for m in sys.sizes]
+    return LambdaGraphSystem(
+        alphabet=sys.alphabet,
+        levels=tuple(VertexLevel(size=m, tags=("",) * m) for m in sys.sizes),
+        edges=tuple(
+            tuple(sorted((perms[l][s], a, perms[l + 1][t]) for s, a, t in layer))
+            for l, layer in enumerate(sys.edges)
+        ),
+        iota=tuple(
+            tuple(
+                perms[l][mapping[v]]
+                for v in sorted(range(len(mapping)), key=perms[l + 1].__getitem__)
+            )
+            for l, mapping in enumerate(sys.iota)
+        ),
+    )
+
+
+systems = st.one_of(random_systems(), st.sampled_from(BUILT), relabeled(st.sampled_from(BUILT)))
+
+
+@given(systems, st.data())
+def test_steps_and_fibers_match_layer_scans(sys, data):
+    sizes, edges, iota = raw(sys)
+    for l in range(sys.depth):
+        sources = data.draw(st.frozensets(st.integers(0, sizes[l] - 1)))
+        for a in range(len(sys.alphabet)):
+            assert step_down(sys, l, sources, a) == oracles.scan_step_down(edges, l, sources, a)
+    level = data.draw(st.integers(0, sys.depth))
+    sources = data.draw(st.frozensets(st.integers(0, sizes[level] - 1)))
+    word = tuple(
+        data.draw(st.lists(st.integers(0, len(sys.alphabet) - 1), max_size=sys.depth - level))
+    )
+    assert read_down(sys, level, sources, word) == oracles.scan_read_down(edges, level, sources, word)
+    for level in range(sys.depth + 1):
+        for v in range(sizes[level]):
+            for steps in range(sys.depth - level + 1):
+                assert iota_fiber(sys, level, v, steps) == oracles.scan_iota_fiber(iota, level, v, steps)
+                assert all(iota_image(sys, level + steps, w, steps) == v for w in iota_fiber(sys, level, v, steps))
+
+
+@given(systems)
+def test_word_walks_keep_their_order(sys):
+    _, edges, _ = raw(sys)
+    for level in range(sys.depth + 1):
+        for v in range(sys.sizes[level]):
+            for length in range(min(3, sys.depth - level) + 1):
+                assert list(label_words_from(sys, level, v, length)) == oracles.scan_label_words(
+                    edges, level, v, length
+                )
+            for max_len in (1, 2, 3):
+                assert list(_labeled_paths(sys, level, v, max_len)) == oracles.scan_labeled_paths(
+                    edges, level, v, max_len
+                )
+
+
+def assert_local_property_matches(sys):
+    verdict = verify_local_property(sys)
+    failure = oracles.scan_local_property(*raw(sys))
+    if failure is None:
+        assert verdict.is_yes
+        return
+    l, u, v, have, want = failure
+    assert verdict.is_no
+    assert verdict.witness == (l, u, v)
+    names = sys.alphabet.names
+    assert f"in-labels {[names[a] for a in have]} vs out-labels {[names[a] for a in want]}" in verdict.note
+
+
+# Vertices 1 and 9 share a slot in a small set's hash table, so which one
+# the verifier names depends on the order in which it meets them: the edges
+# from both into the collapse image of the level-2 vertex have no fiber
+# in-edges to match, and vertex 1 (the lower source) must be the witness.
+COLLIDING = LambdaGraphSystem(
+    alphabet=Alphabet(("a",)),
+    levels=(VertexLevel(10, ("",) * 10), VertexLevel(1, ("",)), VertexLevel(1, ("",))),
+    edges=(((1, 0, 0), (9, 0, 0)), ()),
+    iota=((0,), (0,)),
+)
+
+
+@given(systems)
+@example(COLLIDING)
+def test_local_property_matches_layer_scan(sys):
+    assert_local_property_matches(sys)
+    if sys is COLLIDING:
+        assert verify_local_property(sys).witness == (1, 1, 0)
+
+
+def test_local_property_verdicts_on_built_systems():
+    for sys in BUILT:
+        assert verify_local_property(sys).is_yes
+        assert_local_property_matches(sys)
+
+
+@given(systems)
+def test_adjacency_is_cached_outside_equality(sys):
+    twin = LambdaGraphSystem(sys.alphabet, sys.levels, sys.edges, sys.iota)
+    assert sys.adjacency is sys.adjacency
+    assert "adjacency" in vars(sys) and "adjacency" not in vars(twin)
+    assert sys == twin and hash(sys) == hash(twin)
+    assert twin.adjacency == sys.adjacency and twin.adjacency is not sys.adjacency
+
+
+def assert_canonical_matches(sys):
+    expected = oracles.nested_canonical_form(*raw(sys))
+    if expected is None:
+        with pytest.raises(ValueError):
+            canonical_form(sys)
+        return
+    c = canonical_form(sys)
+    assert raw(c) == expected
+    assert all(tag == "" for level in c.levels for tag in level.tags)
+
+
+@given(st.one_of(systems, relabeled(random_systems())))
+def test_canonical_form_matches_nested_keys(sys):
+    assert_canonical_matches(sys)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SPECS.glob("*.json")))
+def test_canonical_form_matches_nested_keys_on_specs(name):
+    spec = spec_loads((SPECS / f"{name}.json").read_text(encoding="utf-8"))
+    sys = build_lambda_synchronizing(spec, 4 if name in BRACKET else 8)
+    assert oracles.nested_canonical_form(*raw(sys)) is not None
+    assert_canonical_matches(sys)
+
+
+def test_canonical_form_of_a_deep_chain():
+    # Nested keys of the full 2-shift double in size per level (a depth-20
+    # key hashes 2^20 leaves); ranks keep every key two pairs long.
+    sys = build_lambda_synchronizing(FullShift(2), 1000, budget=Budget(max_depth=1000))
+    c = canonical_form(sys)
+    assert c.sizes == (1,) * 1001
+    assert c.edges == (((0, 0, 0), (0, 1, 0)),) * 1000
+
+
+# -- levels out of range -------------------------------------------------
+
+
+def test_walkers_reject_levels_outside_the_system():
+    sys = build_cantor_horizon_dyck(2, 4)
+    top = frozenset({0})
+    with pytest.raises(ValueError):
+        iota_image(sys, 0, 0, 1)  # level 0 has no collapse
+    with pytest.raises(ValueError):
+        iota_image(sys, 1, 1, 2)  # would read the last collapse layer
+    with pytest.raises(ValueError):
+        iota_image(sys, 5, 0, 1)
+    with pytest.raises(ValueError):
+        step_down(sys, -1, top, 0)  # would read the last edge layer
+    with pytest.raises(ValueError):
+        step_down(sys, 4, top, 0)
+    with pytest.raises(ValueError):
+        iota_fiber(sys, 4, 0, 1)  # past the depth
+    with pytest.raises(ValueError):
+        iota_fiber(sys, -1, 0, 1)
+    with pytest.raises(ValueError):
+        read_down(sys, -1, top, (0,))
+    with pytest.raises(ValueError):
+        list(label_words_from(sys, -1, 0, 1))
+    assert iota_image(sys, 4, 0, 4) == 0
+    assert iota_fiber(sys, 4, 0, 0) == frozenset({0})
