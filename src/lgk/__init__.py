@@ -38,7 +38,6 @@ from .linalg import (
     cokernel,
     groups_isomorphic,
     kernel_group,
-    smith_normal_form,
 )
 from .subshift import (
     Budget,

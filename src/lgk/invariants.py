@@ -15,13 +15,15 @@ share their torsion.  Kernels are free, and every free rank follows from
 the shape m(l+1) x m(l) of M_l and its rank r: k0 = m(l+1) - r,
 k1 = m(l) - r, bf0 = m(l) - r, bf1 = m(l+1) - r.
 
-A sequence is reported *stabilized* when the groups become constant and the
-connecting maps become isomorphisms over a tail window; truncations can
-certify stabilization but never refute it, so the verdict is `yes` or
-`unknown`.  :func:`compare_reports` is the flow-equivalence checker used by
-the CLI: stabilized sides are compared on their stable groups, while
-non-stabilized sides (the bracket shifts, whose free ranks grow forever)
-are compared on their constant torsion chains.
+A sequence is reported *stabilized* from level s when every gap from s on
+has the groups of the next, its connecting identity holds, and its mapping
+cone is acyclic, which makes the induced maps on k0 and k1 isomorphisms
+(:func:`_cone_acyclic`).  Truncations can certify stabilization but never
+refute it, so the verdict is `yes` or `unknown`.  :func:`compare_reports`
+is the flow-equivalence checker used by the CLI: stabilized sides are
+compared on their stable groups, while non-stabilized sides (the bracket
+shifts, whose free ranks grow forever) are compared on their constant
+torsion chains.
 """
 
 from __future__ import annotations
@@ -31,18 +33,12 @@ from typing import Optional
 
 from .linalg import (
     AbelianGroup,
-    cokernel,
     groups_isomorphic,
-    is_unimodular,
-    kernel_basis,
     mat_eq,
     mat_mul,
     mat_sub,
-    mat_vec,
     shape,
-    smith_normal_form,
     snf_diagonal,
-    solve_integer,
     transpose,
 )
 from .system import LambdaGraphSystem, TransitionMatrices, transition_matrices
@@ -101,46 +97,45 @@ def connecting_map_check(tm: TransitionMatrices, l: int) -> bool:
     return mat_eq(mat_mul(tm.a[l], tm.i[l + 1]), mat_mul(tm.i[l], tm.a[l + 1]))
 
 
-def _k0_map_surjective(tm: TransitionMatrices, l: int) -> bool:
-    """Is the induced map on k0 from level l to l+1 onto?
+def _cone_acyclic(tm: TransitionMatrices, l: int) -> bool:
+    """Are the induced k0 and k1 maps from gap l to gap l+1 isomorphisms?
 
-    The image is spanned by the pushed-forward generators together with the
-    level-(l+1) relations, so surjectivity is the triviality of the
-    cokernel of the two matrices side by side.
+    Write M_l = I_l^t - A_l^t : Z^m(l) -> Z^m(l+1).  Granted the
+    intertwining identity (:func:`connecting_map_check`), the pair
+    (I_l^t, I_{l+1}^t) is a chain map from the two-term complex
+    Z^m(l) -> Z^m(l+1) to Z^m(l+1) -> Z^m(l+2), and it induces the k1 map
+    on H_1 = ker and the k0 map on H_0 = coker.  Its mapping cone is
+
+        Z^m(l) --d2--> Z^m(l+1) ⊕ Z^m(l+1) --d1--> Z^m(l+2),
+        d2 = [-M_l ; I_l^t],  d1 = [I_{l+1}^t | M_{l+1}],
+
+    and by the long exact sequence of the cone both induced maps are
+    isomorphisms exactly when the cone is acyclic.  For a complex of free
+    groups that reads off the two Smith diagonals: ker d2 = 0 is
+    rank d2 = m(l); coker d1 = 0 is rank d1 = m(l+2) with unit divisors;
+    and im d2 = ker d1 is equal ranks, rank d1 + rank d2 = 2 m(l+1), with
+    im d2 saturated, which is unit divisors of d2.
+
+    Between gaps of the same shape, a k0 map onto is already an
+    isomorphism, since finitely generated abelian groups are Hopfian; so
+    this is the same test as "k0 map onto and k1 map unimodular".
     """
-    push = transpose(tm.i[l + 1])
-    up = _k_matrix(tm, l + 1)
-    augmented = [push[r] + up[r] for r in range(len(push))]
-    return cokernel(augmented).is_trivial
+    size, middle, top = tm.sizes[l], tm.sizes[l + 1], tm.sizes[l + 2]
+    down, up = _k_matrix(tm, l), _k_matrix(tm, l + 1)
+    d2 = [[-x for x in row] for row in down] + transpose(tm.i[l])
+    d1 = [push + rel for push, rel in zip(transpose(tm.i[l + 1]), up)]
+    lower = [d for d in snf_diagonal(d2) if d]
+    upper = [d for d in snf_diagonal(d1) if d]
+    return (
+        len(lower) == size
+        and len(upper) == top
+        and len(lower) + len(upper) == 2 * middle
+        and all(d == 1 for d in lower + upper)
+    )
 
 
-def _k1_map_unimodular(tm: TransitionMatrices, l: int) -> bool:
-    """Is the induced map on k1 from level l to l+1 an isomorphism?
-
-    k1 groups are free; the collapse transpose maps one kernel into the
-    next (granted the intertwining identity), and the map is expressed in
-    kernel bases and tested for unimodularity.
-    """
-    down = _k_matrix(tm, l)
-    up = _k_matrix(tm, l + 1)
-    basis = kernel_basis(down)
-    target_basis = kernel_basis(up)
-    if len(basis) != len(target_basis):
-        return False
-    if not basis:
-        return True
-    push = transpose(tm.i[l])
-    stacked = [[target_basis[j][r] for j in range(len(target_basis))] for r in range(len(up[0]))]
-    snf = smith_normal_form(stacked)
-    columns = []
-    for vector in basis:
-        image = mat_vec(push, vector)
-        coords = solve_integer(stacked, image, snf)
-        if coords is None:
-            return False
-        columns.append(coords)
-    matrix = [[columns[j][r] for j in range(len(columns))] for r in range(len(columns[0]))]
-    return is_unimodular(matrix)
+# The fewest consecutive levels a stable tail may have.
+_MIN_STABLE_LEVELS = 2
 
 
 @dataclass(frozen=True)
@@ -157,14 +152,15 @@ class InvariantReport:
         return None
 
 
-def invariant_report(
-    source: "LambdaGraphSystem | TransitionMatrices", window: int = 2
-) -> InvariantReport:
+def invariant_report(source: "LambdaGraphSystem | TransitionMatrices") -> InvariantReport:
     """Level groups, connecting-map checks, and a stabilization verdict.
 
-    Stabilization needs at least `window` consecutive tail levels with
-    isomorphic groups, connecting identities holding, the k0 maps onto, and
-    the k1 maps unimodular.
+    Stabilization needs a tail of at least two levels in which every gap
+    has the groups of the next, its connecting identity holds, and its
+    mapping cone is acyclic (:func:`_cone_acyclic`), so that the induced
+    k0 and k1 maps are isomorphisms.  The witness is the first level of the
+    longest such tail, found in one backward pass from the last gap; each
+    cone is computed at most once.
     """
     tm = source if isinstance(source, TransitionMatrices) else transition_matrices(source)
     count = len(tm.a)
@@ -173,25 +169,22 @@ def invariant_report(
     groups = tuple(level_groups(tm, l) for l in range(count))
     connecting = tuple(connecting_map_check(tm, l) for l in range(count - 1))
 
-    stabilized = Verdict.unknown(note="no stable tail window within the truncation")
-    if count >= window:
-        for start in range(count - window + 1):
-            tail = range(start, count)
-            if not all(groups[l].same_shape(groups[start]) for l in tail):
-                continue
-            maps_ok = all(
-                connecting[l] and _k0_map_surjective(tm, l) and _k1_map_unimodular(tm, l)
-                for l in range(start, count - 1)
-            )
-            if maps_ok:
-                stabilized = Verdict.yes(witness=start)
-                break
-        else:
-            ranks = [g.k0.free_rank for g in groups]
-            if all(ranks[i] < ranks[i + 1] for i in range(len(ranks) - 1)):
-                stabilized = Verdict.unknown(
-                    note="free rank grows level over level; no stabilization within the truncation"
-                )
+    start = count - 1
+    while start > 0 and (
+        groups[start - 1].same_shape(groups[start])
+        and connecting[start - 1]
+        and _cone_acyclic(tm, start - 1)
+    ):
+        start -= 1
+    ranks = [g.k0.free_rank for g in groups]
+    if start <= count - _MIN_STABLE_LEVELS:
+        stabilized = Verdict.yes(witness=start)
+    elif count >= _MIN_STABLE_LEVELS and all(a < b for a, b in zip(ranks, ranks[1:])):
+        stabilized = Verdict.unknown(
+            note="free rank grows level over level; no stabilization within the truncation"
+        )
+    else:
+        stabilized = Verdict.unknown(note="no stable tail window within the truncation")
     return InvariantReport(
         sizes=tm.sizes,
         groups=groups,

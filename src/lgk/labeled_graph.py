@@ -188,10 +188,6 @@ def read_backward(g: LabeledGraph, end: set[int], word: Word) -> set[int]:
     return cur
 
 
-def reads_word(g: LabeledGraph, word: Word) -> bool:
-    return bool(read_forward(g, set(range(len(g.vertices))), word))
-
-
 def words_of_length(g: LabeledGraph, length: int, start: set[int] | None = None) -> Iterator[Word]:
     """All words of exactly `length` labeling paths from `start` (default: anywhere)."""
     out = g.out_by_vertex

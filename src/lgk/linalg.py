@@ -1,11 +1,12 @@
-"""Exact integer linear algebra: Smith normal form and abelian groups.
+"""Exact integer linear algebra: Smith normal form diagonals and abelian groups.
 
-Matrices are lists of lists of Python ints (arbitrary precision).  The
-reference Smith normal form keeps full U, D, V with U·M·V = D, U and V
-unimodular, D diagonal with nonnegative entries in a divisibility chain.
-A numpy int64 fast path computes the diagonal alone for large matrices and
-falls back to the exact reference whenever entries could grow anywhere near
-overflow, so results are always exact.
+Matrices are lists of lists of Python ints (arbitrary precision).  Every
+caller needs only the diagonal of the Smith normal form: ranks, cokernels
+and kernels all read off it.  Elimination therefore runs on the matrix
+alone, with no transforms kept, and the divisibility chain is repaired on
+the diagonal by gcd/lcm steps.  A numpy int64 fast path eliminates large
+matrices and falls back to the pure-integer elimination whenever entries
+could grow anywhere near overflow, so results are always exact.
 """
 
 from __future__ import annotations
@@ -16,27 +17,8 @@ from math import gcd
 Matrix = list[list[int]]
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with s*a + t*b = g = gcd(a, b), g >= 0 for a, b >= 0."""
-    s, next_s = 1, 0
-    t, next_t = 0, 1
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        s, next_s = next_s, s - q * next_s
-        t, next_t = next_t, t - q * next_t
-    return a, s, t
-
-
 def zeros(r: int, c: int) -> Matrix:
     return [[0] * c for _ in range(r)]
-
-
-def eye(n: int) -> Matrix:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = 1
-    return m
 
 
 def shape(m: Matrix) -> tuple[int, int]:
@@ -79,58 +61,6 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
     )
 
 
-def mat_vec(m: Matrix, v: list[int]) -> list[int]:
-    r, c = shape(m)
-    if len(v) != c:
-        raise ValueError("shape mismatch")
-    return [sum(m[i][j] * v[j] for j in range(c)) for i in range(r)]
-
-
-def det_int(m: Matrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    r, c = shape(m)
-    if r != c:
-        raise ValueError("determinant needs a square matrix")
-    if r == 0:
-        return 1
-    a = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(r - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, r):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, r):
-            for j in range(k + 1, r):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[r - 1][r - 1]
-
-
-@dataclass
-class SmithDecomposition:
-    """U·M·V = D with U, V unimodular and D the Smith form of M."""
-
-    u: Matrix
-    d: Matrix
-    v: Matrix
-
-    @property
-    def diagonal(self) -> list[int]:
-        r, c = shape(self.d)
-        return [self.d[i][i] for i in range(min(r, c))]
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for x in self.diagonal if x)
-
-
 def _find_pivot(a: Matrix, t: int, rows: int, cols: int) -> tuple[int, int] | None:
     best = None
     piv = None
@@ -148,133 +78,68 @@ def _find_pivot(a: Matrix, t: int, rows: int, cols: int) -> tuple[int, int] | No
     return piv
 
 
-def smith_normal_form(m: Matrix, want_transforms: bool = True) -> SmithDecomposition:
-    """Smith normal form with certificates.
+def _divisor_chain(ds: list[int]) -> list[int]:
+    """Positive integers rearranged into a divisibility chain, ascending.
 
-    Smallest-pivot elimination; divisibility repaired by folding offending
-    entries back into the pivot position.  With want_transforms=False the
-    U and V bookkeeping is skipped and the returned u, v are empty.
+    Replacing a pair (x, y) by (gcd, lcm) keeps Z/x ⊕ Z/y up to
+    isomorphism.  Once position i has met every later position it divides
+    all of them, and later steps only take gcds and lcms of its multiples,
+    so one pass over the pairs suffices.
+    """
+    ds = list(ds)
+    for i in range(len(ds)):
+        for j in range(i + 1, len(ds)):
+            g = gcd(ds[i], ds[j])
+            if g != ds[i]:
+                ds[i], ds[j] = g, ds[i] * ds[j] // g
+    return ds
+
+
+def _exact_snf_diagonal(m: Matrix) -> list[int]:
+    """Diagonal of the Smith form by smallest-pivot elimination on Python ints.
+
+    Each pass clears row t and column t against the pivot by floor
+    division; a nonzero remainder is smaller than the pivot and becomes the
+    next one.  Once the matrix is diagonal, the chain is repaired on the
+    diagonal alone.
     """
     rows, cols = shape(m)
     a = [list(row) for row in m]
-    u = eye(rows) if want_transforms else []
-    v = eye(cols) if want_transforms else []
-
-    def row_axpy(dst: int, src: int, q: int) -> None:
-        if not q:
-            return
-        ad, asrc = a[dst], a[src]
-        for j in range(cols):
-            x = asrc[j]
-            if x:
-                ad[j] -= q * x
-        if want_transforms:
-            ud, us = u[dst], u[src]
-            for j in range(rows):
-                x = us[j]
-                if x:
-                    ud[j] -= q * x
-
-    def col_axpy(dst: int, src: int, q: int) -> None:
-        if not q:
-            return
-        for i in range(rows):
-            x = a[i][src]
-            if x:
-                a[i][dst] -= q * x
-        if want_transforms:
-            for i in range(cols):
-                x = v[i][src]
-                if x:
-                    v[i][dst] -= q * x
-
-    def row_swap(i: int, j: int) -> None:
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            if want_transforms:
-                u[i], u[j] = u[j], u[i]
-
-    def col_swap(i: int, j: int) -> None:
-        if i != j:
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-            if want_transforms:
-                for row in v:
-                    row[i], row[j] = row[j], row[i]
-
-    def row_negate(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        if want_transforms:
-            u[i] = [-x for x in u[i]]
-
-    def eliminate_at(t: int) -> None:
-        """Make a[t][t] the sole nonzero of row t and column t."""
-        while True:
-            piv = _find_pivot(a, t, rows, cols)
-            assert piv is not None
-            row_swap(t, piv[0])
-            col_swap(t, piv[1])
-            if a[t][t] < 0:
-                row_negate(t)
-            p = a[t][t]
+    divisors = []
+    for t in range(min(rows, cols)):
+        piv = _find_pivot(a, t, rows, cols)
+        if piv is None:
+            break
+        while piv is not None:
+            i0, j0 = piv
+            a[t], a[i0] = a[i0], a[t]
+            if j0 != t:
+                for row in a[t:]:
+                    row[t], row[j0] = row[j0], row[t]
+            pivot_row = a[t]
+            p = pivot_row[t]
             dirty = False
-            for i in range(t + 1, rows):
-                x = a[i][t]
+            for row in a[t + 1 :]:
+                x = row[t]
                 if x:
-                    row_axpy(i, t, x // p)
-                    if a[i][t]:
-                        dirty = True
+                    q = x // p
+                    for j in range(t, cols):
+                        y = pivot_row[j]
+                        if y:
+                            row[j] -= q * y
+                    dirty = dirty or row[t] != 0
             for j in range(t + 1, cols):
-                x = a[t][j]
+                x = pivot_row[j]
                 if x:
-                    col_axpy(j, t, x // p)
-                    if a[t][j]:
-                        dirty = True
-            if not dirty:
-                return
-
-    def rows_combine(i: int, j: int, block: tuple[tuple[int, int], tuple[int, int]]) -> None:
-        """(row_i, row_j) := block @ (row_i, row_j); block must be unimodular."""
-        (p, q), (r_, s_) = block
-        for mat, width in ((a, cols), (u, rows)) if want_transforms else ((a, cols),):
-            ri, rj = mat[i], mat[j]
-            for k in range(width):
-                x, y = ri[k], rj[k]
-                if x or y:
-                    ri[k] = p * x + q * y
-                    rj[k] = r_ * x + s_ * y
-
-    def chain_repair(i: int, j: int) -> None:
-        """Replace diag entries (d_i, d_j) by (gcd, lcm); touches only rows/cols i, j."""
-        p, q = a[i][i], a[j][j]
-        g, s, tt = _xgcd(p, q)
-        # fold column j into column i, then left-multiply the 2-row block by
-        # [[s, tt], [-q/g, p/g]] (det 1), then clear the remaining (i, j) entry
-        col_axpy(i, j, -1)
-        rows_combine(i, j, ((s, tt), (-q // g, p // g)))
-        col_axpy(j, i, a[i][j] // a[i][i])
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit and _find_pivot(a, t, rows, cols) is not None:
-        eliminate_at(t)
-        t += 1
-    rank = t
-
-    # repair the divisibility chain; on exit d_i | d_j for all i < j, which
-    # also sorts the positive diagonal ascending
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                if a[j][j] % a[i][i]:
-                    chain_repair(i, j)
-                    changed = True
-    for i in range(rank):
-        if a[i][i] < 0:
-            row_negate(i)
-    return SmithDecomposition(u, a, v)
+                    q = x // p
+                    for row in a[t:]:
+                        y = row[t]
+                        if y:
+                            row[j] -= q * y
+                    dirty = dirty or pivot_row[j] != 0
+            piv = _find_pivot(a, t, rows, cols) if dirty else None
+        divisors.append(abs(a[t][t]))
+    return _divisor_chain(divisors) + [0] * (min(rows, cols) - len(divisors))
 
 
 def _numpy_snf_diagonal(m: Matrix) -> list[int] | None:
@@ -342,17 +207,8 @@ def _numpy_snf_diagonal(m: Matrix) -> list[int] | None:
             if a[t, t] < 0:
                 a[t, :] = -a[t, :]
         t += 1
-    diag = [int(a[i, i]) for i in range(min(rows, cols))]
-    rank = sum(1 for x in diag if x)
-    ds = [abs(x) for x in diag[:rank]]
-    # repair the chain on the diagonal alone (valid once off-diagonals vanish:
-    # the multiset of elementary divisors is determined by the diagonal)
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            g = gcd(ds[i], ds[j])
-            if g != ds[i]:
-                ds[i], ds[j] = g, ds[i] * ds[j] // g
-    return ds + [0] * (min(rows, cols) - rank)
+    ds = [abs(int(a[i, i])) for i in range(t)]
+    return _divisor_chain(ds) + [0] * (min(rows, cols) - t)
 
 
 def snf_diagonal(m: Matrix) -> list[int]:
@@ -362,7 +218,7 @@ def snf_diagonal(m: Matrix) -> list[int]:
         fast = _numpy_snf_diagonal(m)
         if fast is not None:
             return fast
-    return smith_normal_form(m, want_transforms=False).diagonal
+    return _exact_snf_diagonal(m)
 
 
 # -- abelian groups ------------------------------------------------------
@@ -394,17 +250,7 @@ class AbelianGroup:
                 rank += 1
             elif d > 1:
                 ds.append(d)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(ds)):
-                for j in range(i + 1, len(ds)):
-                    g = gcd(ds[i], ds[j])
-                    if ds[j] % ds[i]:
-                        ds[i], ds[j] = g, ds[i] * ds[j] // g
-                        changed = True
-        ds = [d for d in sorted(ds) if d > 1]
-        return AbelianGroup(rank, tuple(ds))
+        return AbelianGroup(rank, tuple(d for d in _divisor_chain(ds) if d > 1))
 
     @property
     def is_trivial(self) -> bool:
@@ -436,39 +282,5 @@ def kernel_group(m: Matrix) -> AbelianGroup:
     return AbelianGroup.from_parts(cols - rank, [])
 
 
-def kernel_basis(m: Matrix) -> list[list[int]]:
-    """Columns forming a basis of ker(m) (a direct summand of Z^cols)."""
-    snf = smith_normal_form(m)
-    rank = snf.rank
-    _, cols = shape(m)
-    return [[snf.v[i][j] for i in range(cols)] for j in range(rank, cols)]
-
-
 def groups_isomorphic(g1: AbelianGroup, g2: AbelianGroup) -> bool:
     return g1 == g2
-
-
-def solve_integer(m: Matrix, x: list[int], snf: SmithDecomposition | None = None) -> list[int] | None:
-    """Some integer solution of m·s = x, or None."""
-    rows, cols = shape(m)
-    if snf is None:
-        snf = smith_normal_form(m)
-    y = mat_vec(snf.u, x)
-    diag = snf.diagonal
-    rank = snf.rank
-    z = [0] * cols
-    for i in range(rows):
-        d = diag[i] if i < len(diag) else 0
-        if i < rank:
-            if y[i] % d:
-                return None
-            if i < cols:
-                z[i] = y[i] // d
-        elif y[i]:
-            return None
-    return mat_vec(snf.v, z)
-
-
-def is_unimodular(m: Matrix) -> bool:
-    r, c = shape(m)
-    return r == c and abs(det_int(m)) == 1

@@ -29,10 +29,8 @@ from typing import Iterator, Union
 from .alphabet import Alphabet, Word, bracket_alphabet
 from .dyck import (
     BracketMachine,
-    DyckReduction,
     Matrix01,
     all_ones,
-    reduce_brackets,
     state_words,
     validate_transition_matrix,
 )
@@ -378,11 +376,6 @@ def _read(st, state, word: Word):
 def _in_alphabet(spec: SubshiftSpec, word: Word) -> bool:
     k = len(spec.alphabet)
     return all(0 <= sym < k for sym in word)
-
-
-def reduce_dyck(spec: Union[DyckN, MarkovDyck], word: Word) -> DyckReduction:
-    """Normal form of a bracket word under the spec's cancellation rules."""
-    return reduce_brackets(_bracket_matrix(spec), word)
 
 
 # -- admissibility and blocks -------------------------------------------

@@ -154,6 +154,196 @@ def four_level_groups(a: list[list[int]], i: list[list[int]]):
     return tuple(out)
 
 
+# -- Smith normal form with transforms, and what it certifies ------------
+#
+# The package computes only Smith diagonals.  The transform-carrying form
+# below, with the kernel bases, integer solutions and determinants it
+# yields, is the reference its diagonals and its mapping-cone
+# stabilization test are compared against.
+
+
+def mat_vec(m: list[list[int]], v: list[int]) -> list[int]:
+    return [sum(x * y for x, y in zip(row, v, strict=True)) for row in m]
+
+
+def transpose(m: list[list[int]]) -> list[list[int]]:
+    return [list(col) for col in zip(*m)]
+
+
+def det_int(m: list[list[int]]) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("determinant needs a square matrix")
+    if n == 0:
+        return 1
+    a = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def is_unimodular(m: list[list[int]]) -> bool:
+    return all(len(row) == len(m) for row in m) and abs(det_int(m)) == 1
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b), g >= 0 for a, b >= 0."""
+    s, next_s = 1, 0
+    t, next_t = 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s, next_s = next_s, s - q * next_s
+        t, next_t = next_t, t - q * next_t
+    return a, s, t
+
+
+def smith_normal_form(m: list[list[int]]):
+    """(U, D, V) with U·M·V = D, U and V unimodular, D the Smith form of M.
+
+    Smallest-pivot elimination that applies every row operation to U and
+    every column operation to V; the divisibility chain is repaired by
+    unimodular 2x2 blocks on rows and columns i, j.
+    """
+    rows, cols = len(m), len(m[0]) if m else 0
+    a = [list(row) for row in m]
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def pivot(t):
+        nonzero = [(abs(a[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if a[i][j]]
+        return min(nonzero)[1:] if nonzero else None
+
+    def row_axpy(dst, src, q):
+        for mat in (a, u):
+            mat[dst] = [x - q * y for x, y in zip(mat[dst], mat[src])]
+
+    def col_axpy(dst, src, q):
+        for mat in (a, v):
+            for row in mat:
+                row[dst] -= q * row[src]
+
+    def row_swap(i, j):
+        for mat in (a, u):
+            mat[i], mat[j] = mat[j], mat[i]
+
+    def col_swap(i, j):
+        for mat in (a, v):
+            for row in mat:
+                row[i], row[j] = row[j], row[i]
+
+    def row_negate(i):
+        for mat in (a, u):
+            mat[i] = [-x for x in mat[i]]
+
+    t = 0
+    while t < min(rows, cols) and pivot(t) is not None:
+        while True:
+            i0, j0 = pivot(t)
+            row_swap(t, i0)
+            col_swap(t, j0)
+            if a[t][t] < 0:
+                row_negate(t)
+            p = a[t][t]
+            for i in range(t + 1, rows):
+                row_axpy(i, t, a[i][t] // p)
+            for j in range(t + 1, cols):
+                col_axpy(j, t, a[t][j] // p)
+            if not any(a[i][t] for i in range(t + 1, rows)) and not any(a[t][t + 1 :]):
+                break
+        t += 1
+    rank = t
+    changed = True
+    while changed:
+        changed = False
+        for i in range(rank):
+            for j in range(i + 1, rank):
+                p, q = a[i][i], a[j][j]
+                if q % p:
+                    # fold column j into column i, then left-multiply rows
+                    # (i, j) by [[s, t], [-q/g, p/g]] (det 1), then clear the
+                    # remaining (i, j) entry
+                    g, s, tt = _xgcd(p, q)
+                    col_axpy(i, j, -1)
+                    for mat in (a, u):
+                        ri, rj = mat[i], mat[j]
+                        mat[i] = [s * x + tt * y for x, y in zip(ri, rj)]
+                        mat[j] = [(-q // g) * x + (p // g) * y for x, y in zip(ri, rj)]
+                    col_axpy(j, i, a[i][j] // a[i][i])
+                    changed = True
+    for i in range(rank):
+        if a[i][i] < 0:
+            row_negate(i)
+    return u, a, v
+
+
+def smith_diagonal(d: list[list[int]]) -> list[int]:
+    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+
+
+def kernel_basis(m: list[list[int]]) -> list[list[int]]:
+    """Columns forming a basis of ker(m) (a direct summand of Z^cols)."""
+    _, d, v = smith_normal_form(m)
+    rank = sum(1 for x in smith_diagonal(d) if x)
+    return [[row[j] for row in v] for j in range(rank, len(v))]
+
+
+def solve_integer(m: list[list[int]], x: list[int]) -> list[int] | None:
+    """Some integer solution of m·s = x, or None."""
+    u, d, v = smith_normal_form(m)
+    y = mat_vec(u, x)
+    diag = [e for e in smith_diagonal(d) if e]
+    if any(y[i] % e for i, e in enumerate(diag)) or any(y[len(diag) :]):
+        return None
+    z = [y[i] // e for i, e in enumerate(diag)] + [0] * (len(v) - len(diag))
+    return mat_vec(v, z)
+
+
+def maps_iso_by_kernel_bases(a, i, l: int) -> bool:
+    """Are the induced k0 and k1 maps from gap l to gap l+1 isomorphisms?
+
+    The two-map test, for raw transition matrices a and collapse matrices
+    i, granted the intertwining identity and groups of the same shape at
+    both gaps.  k0: the pushed generators and the level-(l+2) relations,
+    side by side, have a trivial cokernel.  k1: the pushed kernel basis,
+    in coordinates of the next kernel basis, is unimodular.
+    """
+
+    def relations(k):
+        return [[x - y for x, y in zip(ri, ra)] for ri, ra in zip(transpose(i[k]), transpose(a[k]))]
+
+    down, up = relations(l), relations(l + 1)
+    augmented = [push + rel for push, rel in zip(transpose(i[l + 1]), up)]
+    diag = smith_diagonal(smith_normal_form(augmented)[1])
+    if len(augmented) > len(diag) or any(x != 1 for x in diag[: len(augmented)]):
+        return False
+    basis, target = kernel_basis(down), kernel_basis(up)
+    if len(basis) != len(target):
+        return False
+    if not basis:
+        return True
+    stacked = transpose(target)
+    columns = [solve_integer(stacked, mat_vec(transpose(i[l]), vector)) for vector in basis]
+    if any(c is None for c in columns):
+        return False
+    return is_unimodular(transpose(columns))
+
+
 # -- bracket words via partial maps on state words -----------------------
 #
 # The bracket monoid of a 0/1 matrix A acts on one-sided admissible state

@@ -5,15 +5,20 @@ matrices (small Smith normal forms) before the module existed; the bracket
 family follows the closed form rank (N-1)*N^l with constant Z/N torsion.
 """
 
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
 from conftest import FIB, even_shift_spec, golden_mean_spec
+from lgk.alphabet import Alphabet
 from lgk.invariants import (
     InvariantReport,
     LevelGroups,
+    _cone_acyclic,
     compare_reports,
     connecting_map_check,
     invariant_report,
@@ -27,12 +32,10 @@ from lgk.linalg import (
     kernel_group,
     mat_mul,
     mat_sub,
-    mat_vec,
-    smith_normal_form,
-    solve_integer,
     transpose,
 )
-from lgk.subshift import DyckN, FullShift, MarkovDyck
+from lgk.serialize import spec_loads
+from lgk.subshift import DyckN, FullShift, MarkovDyck, SftForbidden
 from lgk.system import (
     TransitionMatrices,
     build_cantor_horizon_dyck,
@@ -129,9 +132,29 @@ def test_report_needs_a_level_gap():
         invariant_report(empty)
 
 
-def test_stabilization_window_must_fit():
-    report = invariant_report(build_lambda_synchronizing(golden_mean_spec(), 5), window=6)
-    assert not report.stabilized.is_yes
+@pytest.mark.parametrize(
+    "a, i, k0, stable",
+    [
+        (1, 1, Z(1, ()), True),  # k0 = k1 = Z, both maps the identity
+        (2, 2, Z(1, ()), False),  # k0 = k1 = Z, both maps x2
+        (0, 3, Z(0, (3,)), False),  # k0 = Z/3, the map x3 is zero
+        (-1, 2, Z(0, (3,)), True),  # k0 = Z/3, the map x2 is invertible
+    ],
+)
+def test_cone_verdicts_on_scalar_sequences(a, i, k0, stable):
+    """1x1 matrices, the same at both gaps: equal groups and a holding
+    identity, so the verdict rests on the induced maps alone."""
+    tm = TransitionMatrices(sizes=(1, 1, 1), a=(((a,),),) * 2, i=(((i,),),) * 2)
+    report = invariant_report(tm)
+    assert report.connecting == (True,)
+    assert report.groups[0].k0 == report.groups[1].k0 == k0
+    assert report.groups[0].same_shape(report.groups[1])
+    assert _cone_acyclic(tm, 0) == stable
+    assert report.stabilized.is_yes == stable
+    if stable:
+        assert report.stabilized.witness == 0
+    else:
+        assert report.stabilized.note == "no stable tail window within the truncation"
 
 
 # -- what the algebra implies -------------------------------------------
@@ -153,7 +176,7 @@ def small_systems():
 
 def test_intertwining_certifies_every_pushed_relation():
     """connecting_map_check is the intertwining identity alone; the lattice
-    membership it implies is checked here against solve_integer."""
+    membership it implies is checked here column by column."""
     for sys in small_systems():
         tm = transition_matrices(sys)
         for l in range(len(tm.a) - 1):
@@ -163,12 +186,9 @@ def test_intertwining_certifies_every_pushed_relation():
             push = transpose(tm.i[l + 1])
             certificate = transpose(tm.i[l])
             assert mat_mul(push, down) == mat_mul(up, certificate)
-            snf = smith_normal_form(up)
             for j in range(len(down[0])):
-                pushed = mat_vec(push, [row[j] for row in down])
-                assert mat_vec(up, [row[j] for row in certificate]) == pushed
-                solution = solve_integer(up, pushed, snf)
-                assert solution is not None and mat_vec(up, solution) == pushed
+                pushed = oracles.mat_vec(push, [row[j] for row in down])
+                assert oracles.mat_vec(up, [row[j] for row in certificate]) == pushed
 
 
 def test_one_diagonal_matches_four_smith_forms_on_built_systems():
@@ -205,6 +225,78 @@ def test_one_diagonal_matches_four_group_oracle(tm):
         g = level_groups(tm, l)
         got = tuple((x.free_rank, x.torsion) for x in (g.k0, g.k1, g.bf0, g.bf1))
         assert got == oracles.four_level_groups(tm.a[l], tm.i[l])
+
+
+# -- the cone test against the two-map test ------------------------------
+
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+
+def differential_sequences():
+    """Transition matrices that satisfy the intertwining identity.
+
+    The bundled specs (built as the CLI builds them), the Dyck-3 horizon
+    and seeded random 3-symbol SFTs; commuting pairs, with I = P and
+    A = c0 + c1 P + c2 P^2 at both gaps, whose induced maps are
+    isomorphisms about half the time; and factored gaps A_l = I_l X,
+    A_{l+1} = X I_{l+1} of random sizes, whose groups mostly differ.
+    """
+    for path in sorted(SPECS.glob("*.json")):
+        spec = spec_loads(path.read_text())
+        if isinstance(spec, DyckN):
+            yield transition_matrices(build_cantor_horizon_dyck(spec.n, 5))
+        elif isinstance(spec, MarkovDyck):
+            yield transition_matrices(build_cantor_horizon_markov_dyck(spec.matrix, 6))
+        else:
+            yield transition_matrices(build_lambda_synchronizing(spec, 8))
+    yield transition_matrices(build_cantor_horizon_dyck(3, 4))
+    rng = random.Random(2026)
+    abc = Alphabet(("a", "b", "c"))
+    for _ in range(60):
+        forbidden = set()
+        for _ in range(rng.randint(1, 4)):
+            forbidden.add(tuple(rng.randrange(3) for _ in range(rng.randint(2, 4))))
+        yield transition_matrices(build_lambda_synchronizing(SftForbidden(abc, frozenset(forbidden)), 8))
+
+    def matrix(rows, cols):
+        return [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
+
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        p = matrix(n, n)
+        p2 = mat_mul(p, p)
+        c0, c1, c2 = (rng.randint(-2, 2) for _ in range(3))
+        q = [[c0 * (r == c) + c1 * p[r][c] + c2 * p2[r][c] for c in range(n)] for r in range(n)]
+        yield TransitionMatrices(sizes=(n, n, n), a=(q, q), i=(p, p))
+    for _ in range(300):
+        sizes = tuple(rng.randint(1, 3) for _ in range(3))
+        i0, i1, x = matrix(sizes[0], sizes[1]), matrix(sizes[1], sizes[2]), matrix(sizes[1], sizes[1])
+        yield TransitionMatrices(sizes=sizes, a=(mat_mul(i0, x), mat_mul(x, i1)), i=(i0, i1))
+
+
+def test_cone_test_matches_two_map_oracle():
+    """On every gap where the identity holds.  Where gaps l and l+1 have
+    the same groups, the mapping-cone verdict equals the kernel-basis
+    verdict: k0 map onto and k1 map unimodular.  Where their groups
+    differ, no induced maps are isomorphisms, so the cone is not acyclic."""
+    verdicts = []
+    differing = 0
+    for tm in differential_sequences():
+        groups = [level_groups(tm, l) for l in range(len(tm.a))]
+        for l in range(len(tm.a) - 1):
+            if not connecting_map_check(tm, l):
+                continue
+            cone = _cone_acyclic(tm, l)
+            if groups[l].same_shape(groups[l + 1]):
+                assert cone == oracles.maps_iso_by_kernel_bases(tm.a, tm.i, l), (tm, l)
+                verdicts.append(cone)
+            else:
+                assert not cone, (tm, l)
+                differing += 1
+    assert len(verdicts) >= 500
+    assert verdicts.count(False) >= 100
+    assert differing >= 200
 
 
 # -- expansion invariance ------------------------------------------------

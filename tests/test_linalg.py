@@ -1,11 +1,13 @@
 """Exact integer linear algebra against independent oracles.
 
-Smith decompositions are certified in full (transforms multiply out,
-unimodularity, divisibility chain), and cokernels of every small 2x2
-matrix are compared against two computations that share no code with the
-package: determinantal divisors and an explicit coset census.  The int64
-fast path is compared with the reference Smith form on large-entry
-matrices, and with sympy's when it is installed.
+The package computes Smith diagonals only.  They are compared with the
+transform-carrying Smith form of the test oracles, whose decompositions
+are certified in full (transforms multiply out, unimodularity,
+divisibility chain), and cokernels of every small 2x2 matrix are compared
+against two computations that share no code with the package:
+determinantal divisors and an explicit coset census.  The int64 fast path
+is compared with the pure-integer elimination on large-entry matrices,
+and with sympy's Smith form when it is installed.
 """
 
 from __future__ import annotations
@@ -20,34 +22,30 @@ from hypothesis import strategies as st
 import oracles
 from lgk.linalg import (
     AbelianGroup,
+    _exact_snf_diagonal,
     _numpy_snf_diagonal,
     cokernel,
-    det_int,
-    eye,
-    is_unimodular,
-    kernel_basis,
     kernel_group,
     mat_eq,
     mat_mul,
-    mat_vec,
-    smith_normal_form,
     snf_diagonal,
-    solve_integer,
 )
 
 
 def assert_smith_certificate(m):
-    snf = smith_normal_form(m)
+    """Certify the oracle's U·M·V = D, then require the package's diagonal
+    to equal the certified one."""
+    u, d, v = oracles.smith_normal_form(m)
     rows, cols = len(m), len(m[0])
-    assert len(snf.u) == rows and len(snf.v) == cols
-    assert is_unimodular(snf.u)
-    assert is_unimodular(snf.v)
-    assert mat_eq(mat_mul(mat_mul(snf.u, m), snf.v), snf.d)
-    diag = snf.diagonal
+    assert len(u) == rows and len(v) == cols
+    assert oracles.is_unimodular(u)
+    assert oracles.is_unimodular(v)
+    assert mat_eq(mat_mul(mat_mul(u, m), v), d)
+    diag = oracles.smith_diagonal(d)
     for i in range(rows):
         for j in range(cols):
             if i != j:
-                assert snf.d[i][j] == 0
+                assert d[i][j] == 0
     assert all(x >= 0 for x in diag)
     nonzero = [x for x in diag if x]
     # zeros only at the tail, and each entry divides the next
@@ -55,7 +53,6 @@ def assert_smith_certificate(m):
     for a, b in zip(nonzero, nonzero[1:]):
         assert b % a == 0
     assert snf_diagonal(m) == diag
-    return snf
 
 
 @st.composite
@@ -128,17 +125,17 @@ def test_determinant_vs_oracle():
     for _ in range(200):
         n = rng.randint(1, 5)
         m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        assert det_int(m) == oracles.det_small(m)
+        assert oracles.det_int(m) == oracles.det_small(m)
 
 
 @given(int_matrices(max_dim=5, span=9))
 def test_kernel_basis_spans_and_saturates(m):
-    basis = kernel_basis(m)
+    basis = oracles.kernel_basis(m)
     group = kernel_group(m)
     assert group.torsion == ()
     assert len(basis) == group.free_rank
     for vec in basis:
-        assert mat_vec(m, vec) == [0] * len(m)
+        assert oracles.mat_vec(m, vec) == [0] * len(m)
     if basis:
         # saturation: the basis generates a direct summand, so the matrix
         # of basis columns has all invariant factors equal to 1
@@ -154,7 +151,7 @@ def in_column_span(m, y) -> bool:
     Z^rows/L maps onto Z^rows/L'.  Finitely generated abelian groups are
     Hopfian, so the two cokernels are isomorphic exactly when that
     surjection is injective, that is when L' = L.  This shares no
-    transform code with solve_integer.
+    transform code with the oracle's solve_integer.
     """
     return cokernel(m) == cokernel([row + [x] for row, x in zip(m, y)])
 
@@ -162,21 +159,21 @@ def in_column_span(m, y) -> bool:
 @given(int_matrices(max_dim=4, span=6), st.lists(st.integers(-5, 5), min_size=4, max_size=4))
 def test_solve_integer_agrees_with_membership(m, coeffs):
     cols = len(m[0])
-    x = mat_vec(m, coeffs[:cols] + [0] * max(0, cols - len(coeffs)))
+    x = oracles.mat_vec(m, coeffs[:cols] + [0] * max(0, cols - len(coeffs)))
     assert in_column_span(m, x)
-    s = solve_integer(m, x)
+    s = oracles.solve_integer(m, x)
     assert s is not None
-    assert mat_vec(m, s) == x
+    assert oracles.mat_vec(m, s) == x
 
 
 @given(int_matrices(max_dim=4, span=4), st.data())
 def test_membership_negative_cases(m, data):
     y = [data.draw(st.integers(-8, 8)) for _ in range(len(m))]
     inside = in_column_span(m, y)
-    s = solve_integer(m, y)
+    s = oracles.solve_integer(m, y)
     assert inside == (s is not None)
     if s is not None:
-        assert mat_vec(m, s) == y
+        assert oracles.mat_vec(m, s) == y
 
 
 # -- the int64 fast path -------------------------------------------------
@@ -197,7 +194,7 @@ def test_fast_path_never_wraps_around():
     big = 3 * (2**78 - 5)
     assert big == 906694364710971881029617
     expected = [1, 1] + [3] * 18 + [big]
-    assert smith_normal_form(m, want_transforms=False).diagonal == expected
+    assert _exact_snf_diagonal(m) == expected
     assert snf_diagonal(m) == expected
     assert cokernel(m) == AbelianGroup(0, (3,) * 18 + (big,))
 
@@ -235,7 +232,7 @@ def large_entry_matrices(draw):
 @settings(max_examples=40)
 @given(large_entry_matrices())
 def test_fast_path_matches_reference_on_large_entries(m):
-    reference = smith_normal_form(m, want_transforms=False).diagonal
+    reference = _exact_snf_diagonal(m)
     fast = _numpy_snf_diagonal(m)
     assert fast is None or fast == reference
     assert snf_diagonal(m) == reference
@@ -271,7 +268,7 @@ def test_group_normalization():
 
 
 def test_unimodular_detection():
-    assert is_unimodular(eye(3))
-    assert is_unimodular([[1, 5], [0, -1]])
-    assert not is_unimodular([[2, 0], [0, 1]])
-    assert not is_unimodular([[1, 0, 0], [0, 1, 0]])
+    assert oracles.is_unimodular([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert oracles.is_unimodular([[1, 5], [0, -1]])
+    assert not oracles.is_unimodular([[2, 0], [0, 1]])
+    assert not oracles.is_unimodular([[1, 0, 0], [0, 1, 0]])
