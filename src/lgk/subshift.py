@@ -12,8 +12,8 @@ wrapper for symbol-expanded bracket shifts.  Each supports:
   length-`level` past of every extension (tri-state; exact for all variants
   on their decidable cases);
 * `synchronizing_classes(spec, level)`: past-equivalence classes of
-  synchronizing words, each with a canonical representative and its
-  predecessor-set fingerprint.
+  synchronizing words, each with a canonical representative and a
+  fingerprint of its predecessor set.
 
 Enumerations honour a :class:`Budget`; exceeding it surfaces as an
 `unknown` verdict or a :class:`BudgetExceeded` error, never a wrong answer.
@@ -459,10 +459,58 @@ def blocks(
     return [w for w, _ in _stepper_words(spec, length, meter)]
 
 
+class CandidateTable:
+    """The admissible length-`level` words of a bracket spec, grouped by the
+    stepper state each one ends in.
+
+    A candidate v precedes a word w (v·w admissible) exactly when w reads on
+    from v's end state.  So w's length-`level` predecessor set is the union
+    of the groups whose end states accept w, and w's *key* is the frozenset
+    of the ids (positions in `states`) of those end states.  Every group is
+    nonempty, and the groups are pairwise disjoint because each candidate
+    ends in exactly one state; hence distinct keys give distinct unions, and
+    two words have equal predecessor sets exactly when their keys are equal.
+
+    Building draws one word per candidate from a fresh meter, as the
+    enumeration of a predecessor set does; each `key` lookup charges the
+    candidate count to a fresh meter, so a budget runs out on the same
+    lookups as it would when every lookup enumerated the candidates anew.
+    A table is built per call or per system build and is never cached.
+    """
+
+    def __init__(self, spec: SubshiftSpec, level: int, budget: Budget = DEFAULT_BUDGET):
+        self.spec = spec
+        self.level = level
+        self.budget = budget
+        self._stepper = _stepper(spec)
+        groups: dict[object, list[Word]] = {}
+        for word, state in _stepper_words(spec, level, _Meter(budget)):
+            groups.setdefault(state, []).append(word)
+        self.states = tuple(groups)
+        self.groups = tuple(groups.values())
+        self.size = sum(len(g) for g in self.groups)
+
+    def key(self, word: Word) -> frozenset[int]:
+        """Ids of the end states from which `word` reads on."""
+        _Meter(self.budget).tick(self.size)
+        if not _in_alphabet(self.spec, word):
+            return frozenset()
+        st = self._stepper
+        return frozenset(
+            i for i, state in enumerate(self.states) if _read(st, state, word) is not None
+        )
+
+    def words(self, key: frozenset[int]) -> set[Word]:
+        """The predecessor set a key stands for: the union of its groups."""
+        return {w for i in key for w in self.groups[i]}
+
+
 def predecessor_words(
     spec: SubshiftSpec, word: Word, length: int, budget: Budget = DEFAULT_BUDGET
 ) -> set[Word]:
     """Words v of the given length with v·word admissible."""
+    if length < 0:
+        raise ValueError("length must be >= 0")
     meter = _Meter(budget)
     if isinstance(spec, FullShift):
         if not is_admissible(spec, word):
@@ -485,26 +533,18 @@ def predecessor_words(
             meter.tick()
             out.add(w)
         return out
-    # bracket variants: a candidate v qualifies iff `word` reads on from
-    # v's end state; candidates sharing an end state share the answer
     if not _in_alphabet(spec, word):
         return set()
-    st = _stepper(spec)
-    reads_on: dict[object, bool] = {}
-    out = set()
-    for cand, state in _stepper_words(spec, length, meter):
-        ok = reads_on.get(state)
-        if ok is None:
-            ok = reads_on[state] = _read(st, state, word) is not None
-        if ok:
-            out.add(cand)
-    return out
+    table = CandidateTable(spec, length, budget)
+    return table.words(table.key(word))
 
 
 def follower_words(
     spec: SubshiftSpec, word: Word, length: int, budget: Budget = DEFAULT_BUDGET
 ) -> set[Word]:
     """Words w of the given length with word·w admissible."""
+    if length < 0:
+        raise ValueError("length must be >= 0")
     meter = _Meter(budget)
     if isinstance(spec, FullShift):
         if not is_admissible(spec, word):
@@ -703,25 +743,61 @@ def _set_past_witness(
 
 @dataclass(frozen=True)
 class SyncClass:
-    """A past-equivalence class of level-`level` synchronizing words."""
+    """A past-equivalence class of level-`level` synchronizing words.
+
+    `fingerprint` identifies the class among the classes of its level.  For
+    full shifts, SFTs and sofic shifts it is the exact length-`level`
+    predecessor set of the representative.  For Dyck, Markov-Dyck and
+    expanded bracket shifts it is the representative's key in the level's
+    :class:`CandidateTable`: the ids of the candidate end states from which
+    the representative reads on, which stand for the predecessor set.
+    """
 
     level: int
     representative: Word
-    fingerprint: frozenset[Word] = field(repr=False)
+    fingerprint: frozenset = field(repr=False)
+
+
+_BRACKET_KINDS = (DyckN, MarkovDyck, Expanded)
 
 
 def synchronizing_classes(
-    spec: SubshiftSpec, level: int, budget: Budget = DEFAULT_BUDGET
+    spec: SubshiftSpec,
+    level: int,
+    budget: Budget = DEFAULT_BUDGET,
+    *,
+    _table: CandidateTable | None = None,
 ) -> list[SyncClass]:
     """All past-equivalence classes of level-`level` synchronizing words.
 
-    Fingerprints are the exact length-`level` predecessor sets.  Classes are
-    ordered by (length, lexicographic) of their canonical representative.
+    Classes are ordered by (length, lexicographic) of their canonical
+    representative; see :class:`SyncClass` for what each fingerprint holds.
+    A bracket spec's census keys its representatives in a
+    :class:`CandidateTable` of length-`level` candidates; a system build
+    passes the table it also looks its edges up in as `_table`, so each
+    level's candidates are enumerated once per build.
     """
+    if level < 0:
+        raise ValueError("level must be >= 0")
     if level == 0:
         if not is_admissible(spec, ()):
             raise ValueError("subshift is empty")
-        return [SyncClass(0, (), frozenset({()}))]
+        # a bracket spec's one length-0 candidate, (), ends in the start
+        # state, id 0, from which every admissible word reads on
+        fp = frozenset({0}) if isinstance(spec, _BRACKET_KINDS) else frozenset({()})
+        return [SyncClass(0, (), fp)]
+    if isinstance(spec, _BRACKET_KINDS):
+        table = CandidateTable(spec, level, budget) if _table is None else _table
+        if isinstance(spec, Expanded):
+            keyed = _expanded_class_reps(spec, table, budget)
+        else:
+            keyed = {}
+            for x in state_words(spec.matrix, level):
+                rep = tuple(spec.n + j for j in x)
+                keyed.setdefault(table.key(rep), rep)
+        out = [SyncClass(level, rep, key) for key, rep in keyed.items()]
+        out.sort(key=lambda c: (len(c.representative), c.representative))
+        return out
     reps: list[Word] = []
     if isinstance(spec, FullShift):
         reps = [()]
@@ -746,11 +822,6 @@ def synchronizing_classes(
             if fp not in seen:
                 seen[fp] = w
         reps = sorted(seen.values(), key=lambda w: (len(w), w))
-    elif isinstance(spec, (DyckN, MarkovDyck)):
-        n = spec.n
-        reps = [tuple(n + j for j in x) for x in state_words(spec.matrix, level)]
-    elif isinstance(spec, Expanded):
-        reps = _expanded_class_reps(spec, level, budget)
     else:
         raise TypeError(f"unknown spec {type(spec).__name__}")
 
@@ -765,22 +836,23 @@ def synchronizing_classes(
     return out
 
 
-def _expanded_class_reps(spec: Expanded, level: int, budget: Budget) -> list[Word]:
-    """Candidate class representatives for an expanded bracket shift.
+def _expanded_class_reps(
+    spec: Expanded, table: CandidateTable, budget: Budget
+) -> dict[frozenset[int], Word]:
+    """Class representatives of an expanded bracket shift, by key in `table`.
 
     Every class of level-`level` synchronizing words is reached by a word
     ending at its level-th unmatched close; with each close optionally
     preceded by the fresh marker plus one optional trailing marker, length
-    2*level+1 suffices.
+    2*level+1 suffices.  Words are drawn by (length, lexicographic), so each
+    key keeps its first, canonical, representative.
     """
+    level = table.level
     meter = _Meter(budget)
     st = _stepper(spec)
-    seen: dict[frozenset[Word], Word] = {}
+    keyed: dict[frozenset[int], Word] = {}
     for length in range(1, 2 * level + 2):
         for w, state in _stepper_words(spec, length, meter):
-            if st.emitted(state) < level:
-                continue
-            fp = frozenset(predecessor_words(spec, w, level, budget))
-            if fp not in seen:
-                seen[fp] = w
-    return sorted(seen.values(), key=lambda w: (len(w), w))
+            if st.emitted(state) >= level:
+                keyed.setdefault(table.key(w), w)
+    return keyed

@@ -41,6 +41,7 @@ from .linalg import Matrix
 from .subshift import (
     DEFAULT_BUDGET,
     Budget,
+    CandidateTable,
     DyckN,
     Expanded,
     FullShift,
@@ -50,7 +51,6 @@ from .subshift import (
     SubshiftSpec,
     is_admissible,
     is_synchronizing,
-    predecessor_words,
     sft_cover,
     spec_alphabet,
     synchronizing_classes,
@@ -588,12 +588,17 @@ def _class_system(spec: SubshiftSpec, depth: int, budget: Budget) -> LambdaGraph
 
     Level-l vertices are the classes of level-l synchronizing words.  For a
     class with representative nu at level l+1 and a symbol x, the word
-    x.nu must synchronize at level l and its predecessor fingerprint must
-    name a known class; both are asserted, so an incomplete class census
-    surfaces as a construction error instead of a wrong system.
+    x.nu must synchronize at level l and its key in the level-l candidate
+    table must name a known class; both are asserted, so an incomplete
+    class census surfaces as a construction error instead of a wrong
+    system.  Each level's table serves both its census and the lookups.
     """
     alphabet = spec_alphabet(spec)
-    classes = [synchronizing_classes(spec, l, budget=budget) for l in range(depth + 1)]
+    tables = [CandidateTable(spec, l, budget) for l in range(depth + 1)]
+    classes = [
+        synchronizing_classes(spec, l, budget=budget, _table=table)
+        for l, table in enumerate(tables)
+    ]
     index = [{c.fingerprint: i for i, c in enumerate(level)} for level in classes]
     levels = tuple(
         VertexLevel(
@@ -619,16 +624,14 @@ def _class_system(spec: SubshiftSpec, depth: int, budget: Budget) -> LambdaGraph
                         f"word {alphabet.text(extended)!r} is not known to "
                         f"synchronize at level {l}: {verdict.note or verdict.kind}"
                     )
-                fp = frozenset(predecessor_words(spec, extended, l, budget=budget))
-                source = index[l].get(fp)
+                source = index[l].get(tables[l].key(extended))
                 if source is None:
                     raise ConstructionError(
                         f"predecessor class of {alphabet.text(extended)!r} at "
                         f"level {l} is not in the class census"
                     )
                 layer.add((source, symbol, j))
-            fp = frozenset(predecessor_words(spec, nu, l, budget=budget))
-            down = index[l].get(fp)
+            down = index[l].get(tables[l].key(nu))
             if down is None:
                 raise ConstructionError(
                     f"collapse image of class {alphabet.text(nu)!r} at level {l} "

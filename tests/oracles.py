@@ -390,6 +390,32 @@ def bracket_word_nonzero(matrix, word: tuple[int, ...]) -> bool:
     return False
 
 
+def expanded_word_nonzero(matrix, target: int, fresh: int, word: tuple[int, ...]) -> bool:
+    """Is `word` a factor of the expansion target -> fresh·target of the
+    bracket shift of `matrix`?
+
+    A factor of an expanded point is cut from a string in which every
+    target follows a fresh and every fresh precedes a target.  So inside
+    the word a fresh is followed by the target, unless the fresh is last
+    and its target lies past the window, and a target follows a fresh,
+    unless the target is first and its fresh lies before the window.
+    Dropping each fresh, and reading a trailing fresh as its target, gives
+    the base factor, which must be nonzero.
+    """
+    base = []
+    for i, symbol in enumerate(word):
+        if symbol == fresh:
+            if i + 1 == len(word):
+                base.append(target)
+            elif word[i + 1] != target:
+                return False
+        else:
+            if symbol == target and i > 0 and word[i - 1] != fresh:
+                return False
+            base.append(symbol)
+    return bracket_word_nonzero(matrix, tuple(base))
+
+
 # -- past languages of labelled graphs, by path extension ----------------
 
 

@@ -49,6 +49,9 @@ def _jobs() -> list[tuple[str, ...]]:
         ("flowcheck", "--spec", "specs/dyck2.json", "--depth", "3", "--expand", "b1"),
         ("flowcheck", "--spec", "specs/dyck2.json", "--depth", "3", "--expand", "a1", "--format", "json"),
         ("flowcheck", "--spec", "specs/goldenmean.json", "--depth", "8", "--expand", "1", "--format", "json"),
+        # Deeper class censuses of the expanded bracket shifts.
+        ("flowcheck", "--spec", "specs/dyck2.json", "--depth", "4", "--expand", "a1", "--format", "json"),
+        ("flowcheck", "--spec", "specs/markovdyck_fib.json", "--depth", "4", "--expand", "a1", "--format", "json"),
     ]
     # The jobs of the benchmark's `horizon` workload, whose walkers dominate.
     for command in ("invariants", "verify"):

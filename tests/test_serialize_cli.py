@@ -314,6 +314,14 @@ def test_cli_flowcheck_budget_flag(capsys):
     assert "inconclusive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget, code", [("4112", 3), ("4113", 0)])
+def test_cli_flowcheck_budget_threshold(budget, code, capsys):
+    # The expanded side's level-3 census draws 4113 words, one per
+    # admissible word of length 1 to 7; the budget runs out exactly there.
+    argv = ["flowcheck", "--spec", str(SPECS / "dyck2.json"), "--depth", "3", "--expand", "a1"]
+    assert main(argv + ["--budget", budget]) == code
+
+
 def test_cli_budget_env_and_override(monkeypatch, capsys):
     monkeypatch.setenv("LGK_BUDGET", "50")
     argv = ["flowcheck", "--spec", str(SPECS / "dyck2.json"), "--depth", "2", "--expand", "a1"]

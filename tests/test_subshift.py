@@ -34,7 +34,7 @@ from lgk import (
 )
 from lgk.dyck import all_ones
 from lgk.labeled_graph import is_essential, is_left_resolving
-from lgk.subshift import sft_cover
+from lgk.subshift import CandidateTable, sft_cover
 
 words_01 = st.lists(st.integers(0, 1), min_size=0, max_size=10).map(tuple)
 
@@ -43,14 +43,24 @@ def expanded(spec, target_name):
     return expand_spec(spec, plan_for(spec.alphabet, target_name))
 
 
-# name -> (spec factory, longest word drawn, matrix of an unexpanded bracket spec)
+def bracket_oracle(matrix, expand=None):
+    """Membership in a bracket shift, or in its expansion of symbol `expand`."""
+    if expand is None:
+        return lambda word: oracles.bracket_word_nonzero(matrix, word)
+    fresh = 2 * len(matrix)
+    return lambda word: oracles.expanded_word_nonzero(matrix, expand, fresh, word)
+
+
+# name -> (spec factory, longest word drawn, independent membership oracle of a bracket spec)
 PREDECESSOR_SPECS = {
     "gm": (golden_mean_spec, 10, None),
     "even": (even_shift_spec, 10, None),
-    "dyck2": (lambda: DyckN(2), 3, all_ones(2)),
-    "fib": (fibonacci_dyck_spec, 3, FIB),
-    "dyck2+e": (lambda: expanded(DyckN(2), "a1"), 3, None),
-    "fib+e": (lambda: expanded(fibonacci_dyck_spec(), "a1"), 3, None),
+    "dyck2": (lambda: DyckN(2), 3, bracket_oracle(all_ones(2))),
+    "fib": (fibonacci_dyck_spec, 3, bracket_oracle(FIB)),
+    "dyck2+e": (lambda: expanded(DyckN(2), "a1"), 3, bracket_oracle(all_ones(2), 0)),
+    "fib+e": (lambda: expanded(fibonacci_dyck_spec(), "a1"), 3, bracket_oracle(FIB, 0)),
+    "dyck2+b1": (lambda: expanded(DyckN(2), "b1"), 3, bracket_oracle(all_ones(2), 2)),
+    "fib+b1": (lambda: expanded(fibonacci_dyck_spec(), "b1"), 3, bracket_oracle(FIB, 2)),
 }
 
 
@@ -110,20 +120,31 @@ def test_predecessor_and_follower_exact_sets():
     assert follower_words(gm, (), 1) == {(0,), (1,)}
 
 
-@settings(max_examples=240)  # about 40 per spec
+@settings(max_examples=320)  # about 40 per spec
 @given(st.sampled_from(sorted(PREDECESSOR_SPECS)), st.integers(0, 3), st.data())
 def test_predecessors_match_bruteforce(kind, length, data):
-    make, max_len, matrix = PREDECESSOR_SPECS[kind]
+    make, max_len, oracle = PREDECESSOR_SPECS[kind]
     spec = make()
     symbols = st.integers(0, len(spec.alphabet) - 1)
-    word = data.draw(st.lists(symbols, max_size=max_len).map(tuple), label="word")
+    drawn = st.lists(symbols, max_size=max_len).map(tuple)
+    word = data.draw(drawn, label="word")
     got = predecessor_words(spec, word, length)
     candidates = blocks(spec, length)
     assert got == {v for v in candidates if is_admissible(spec, v + word)}
-    if matrix is not None:
-        assert got == {
-            v for v in candidates if oracles.bracket_word_nonzero(matrix, v + word)
-        }
+    if oracle is None:
+        return
+    every = list(product(range(len(spec.alphabet)), repeat=length))
+
+    def past(w):
+        return {v for v in every if oracle(v + w)}
+
+    assert got == past(word)
+    # A bracket spec's predecessor set is the union of the candidate groups
+    # whose end states accept the word, and keys match exactly when sets do.
+    table = CandidateTable(spec, length)
+    assert table.words(table.key(word)) == got
+    other = data.draw(drawn, label="other")
+    assert (table.key(word) == table.key(other)) == (got == past(other))
 
 
 @given(st.sampled_from(["gm", "even"]), words_01, st.integers(0, 3))
@@ -235,6 +256,17 @@ def test_alphabet_constructions_do_not_grow_with_census_depth(monkeypatch):
         build_lambda_synchronizing(expanded(DyckN(2), "a1"), depth)
         counts.append(len(built))
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("kind", ["gm", "even", "dyck2", "fib", "dyck2+e", "full3"])
+def test_negative_lengths_are_rejected(kind):
+    spec = FullShift(3) if kind == "full3" else PREDECESSOR_SPECS[kind][0]()
+    with pytest.raises(ValueError, match="length must be >= 0"):
+        predecessor_words(spec, (), -1)
+    with pytest.raises(ValueError, match="length must be >= 0"):
+        follower_words(spec, (), -1)
+    with pytest.raises(ValueError, match="level must be >= 0"):
+        synchronizing_classes(spec, -1)
 
 
 def test_sft_cover_shape():
