@@ -56,6 +56,8 @@ def _budget(args: argparse.Namespace, depth: int) -> Budget:
         words = int(env)
     if getattr(args, "budget", None) is not None:
         words = args.budget
+    if words < 0:
+        raise ValueError(f"word budget must be >= 0, got {words}")
     return Budget(max_words=words, max_depth=max(DEFAULT_BUDGET.max_depth, depth))
 
 
@@ -333,7 +335,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"inconclusive: {exc}", file=_sys.stderr)
         return INCONCLUSIVE
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=_sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes included
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=_sys.stderr)
         return INVALID
 
 

@@ -1,12 +1,12 @@
 """Exact integer linear algebra: Smith normal form diagonals and abelian groups.
 
-Matrices are lists of lists of Python ints (arbitrary precision).  Every
-caller needs only the diagonal of the Smith normal form: ranks, cokernels
-and kernels all read off it.  Elimination therefore runs on the matrix
-alone, with no transforms kept, and the divisibility chain is repaired on
-the diagonal by gcd/lcm steps.  A numpy int64 fast path eliminates large
-matrices and falls back to the pure-integer elimination whenever entries
-could grow anywhere near overflow, so results are always exact.
+Matrices are lists of lists of Python ints (arbitrary precision), so every
+result is exact for every integer input.  Every caller needs only the
+diagonal of the Smith normal form: ranks, cokernels and kernels all read
+off it.  One pure-integer elimination computes it, on the matrix alone with
+no transforms kept, and the divisibility chain is repaired on the diagonal
+by gcd/lcm steps.  The matrices of a λ-graph system are sparse, so the
+elimination and `mat_mul` both skip zero entries.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ def shape(m: Matrix) -> tuple[int, int]:
 
 
 def transpose(m: Matrix) -> Matrix:
-    r, c = shape(m)
-    return [[m[i][j] for i in range(r)] for j in range(c)]
+    return [list(col) for col in zip(*m)]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -35,30 +34,24 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     rb, cb = shape(b)
     if ca != rb:
         raise ValueError(f"shape mismatch {ra}x{ca} @ {rb}x{cb}")
+    b_nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = zeros(ra, cb)
-    for i in range(ra):
-        ai = a[i]
-        oi = out[i]
-        for k in range(ca):
-            x = ai[k]
+    for ai, oi in zip(a, out):
+        for x, bk in zip(ai, b_nonzero):
             if x:
-                bk = b[k]
-                for j in range(cb):
-                    oi[j] += x * bk[j]
+                for j, y in bk:
+                    oi[j] += x * y
     return out
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    ra, ca = shape(a)
-    if shape(b) != (ra, ca):
+    if shape(a) != shape(b):
         raise ValueError("shape mismatch")
-    return [[a[i][j] - b[i][j] for j in range(ca)] for i in range(ra)]
+    return [[x - y for x, y in zip(row_a, row_b)] for row_a, row_b in zip(a, b)]
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return shape(a) == shape(b) and all(
-        a[i][j] == b[i][j] for i in range(len(a)) for j in range(len(a[0]) if a else 0)
-    )
+    return a == b
 
 
 def _find_pivot(a: Matrix, t: int, rows: int, cols: int) -> tuple[int, int] | None:
@@ -84,23 +77,30 @@ def _divisor_chain(ds: list[int]) -> list[int]:
     Replacing a pair (x, y) by (gcd, lcm) keeps Z/x ⊕ Z/y up to
     isomorphism.  Once position i has met every later position it divides
     all of them, and later steps only take gcds and lcms of its multiples,
-    so one pass over the pairs suffices.
+    so one pass over the pairs suffices.  Units divide everything: they
+    go in front and skip the pass, which keeps it short on the mostly-unit
+    diagonals of large systems.
     """
-    ds = list(ds)
+    units = [d for d in ds if d == 1]
+    ds = [d for d in ds if d != 1]
     for i in range(len(ds)):
         for j in range(i + 1, len(ds)):
             g = gcd(ds[i], ds[j])
             if g != ds[i]:
                 ds[i], ds[j] = g, ds[i] * ds[j] // g
-    return ds
+    return units + ds
 
 
-def _exact_snf_diagonal(m: Matrix) -> list[int]:
-    """Diagonal of the Smith form by smallest-pivot elimination on Python ints.
+def snf_diagonal(m: Matrix) -> list[int]:
+    """Diagonal of the Smith form, ascending: nonzero divisors in a
+    divisibility chain, then zeros.  Exact for every integer matrix.
 
+    Smallest-pivot elimination on Python ints, with no transforms kept.
     Each pass clears row t and column t against the pivot by floor
     division; a nonzero remainder is smaller than the pivot and becomes the
-    next one.  Once the matrix is diagonal, the chain is repaired on the
+    next one.  Each pass updates only against the nonzeros of the pivot
+    row and column, which suits the sparse 0/1 matrices of a λ-graph
+    system.  Once the matrix is diagonal, the chain is repaired on the
     diagonal alone.
     """
     rows, cols = shape(m)
@@ -118,107 +118,27 @@ def _exact_snf_diagonal(m: Matrix) -> list[int]:
                     row[t], row[j0] = row[j0], row[t]
             pivot_row = a[t]
             p = pivot_row[t]
+            # The row pass leaves the pivot row as it is, and the column
+            # pass leaves column t as it is, so each pass reads its
+            # nonzeros once.  The first pivot-row nonzero is p itself.
+            pivot_nonzero = [(j, y) for j, y in enumerate(pivot_row[t:], t) if y]
             dirty = False
             for row in a[t + 1 :]:
                 x = row[t]
                 if x:
                     q = x // p
-                    for j in range(t, cols):
-                        y = pivot_row[j]
-                        if y:
-                            row[j] -= q * y
+                    for j, y in pivot_nonzero:
+                        row[j] -= q * y
                     dirty = dirty or row[t] != 0
-            for j in range(t + 1, cols):
-                x = pivot_row[j]
-                if x:
-                    q = x // p
-                    for row in a[t:]:
-                        y = row[t]
-                        if y:
-                            row[j] -= q * y
-                    dirty = dirty or pivot_row[j] != 0
+            column = [row for row in a[t:] if row[t]]
+            for j, x in pivot_nonzero[1:]:
+                q = x // p
+                for row in column:
+                    row[j] -= q * row[t]
+                dirty = dirty or pivot_row[j] != 0
             piv = _find_pivot(a, t, rows, cols) if dirty else None
         divisors.append(abs(a[t][t]))
     return _divisor_chain(divisors) + [0] * (min(rows, cols) - len(divisors))
-
-
-def _numpy_snf_diagonal(m: Matrix) -> list[int] | None:
-    """Diagonal of the Smith form via int64 numpy; None if growth risks overflow.
-
-    Every entry is checked to be below 2^31 before each row pass and each
-    column pass.  A multiplier q is an entry divided by the positive pivot,
-    so |q·x| < 2^62 and no update can wrap around.
-    """
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover
-        return None
-    rows, cols = shape(m)
-    if rows == 0 or cols == 0:
-        return []
-    limit = 1 << 31
-    if max((abs(x) for row in m for x in row), default=0) >= limit:
-        return None
-    a = np.array(m, dtype=np.int64)
-
-    def overflow_risk() -> bool:
-        return int(np.abs(a).max(initial=0)) >= limit
-
-    t = 0
-    limit_t = min(rows, cols)
-    while t < limit_t:
-        sub = a[t:, t:]
-        nz = np.nonzero(sub)
-        if nz[0].size == 0:
-            break
-        vals = np.abs(sub[nz])
-        k = int(np.argmin(vals))
-        i0, j0 = int(nz[0][k]) + t, int(nz[1][k]) + t
-        a[[t, i0], :] = a[[i0, t], :]
-        a[:, [t, j0]] = a[:, [j0, t]]
-        if a[t, t] < 0:
-            a[t, :] = -a[t, :]
-        while True:
-            if overflow_risk():
-                return None
-            p = int(a[t, t])
-            col = a[t + 1 :, t]
-            rows_nz = np.nonzero(col)[0]
-            if rows_nz.size:
-                q = col[rows_nz] // p
-                a[t + 1 + rows_nz, t:] -= q[:, None] * a[t, t:]
-                if overflow_risk():
-                    return None
-            row = a[t, t + 1 :]
-            cols_nz = np.nonzero(row)[0]
-            if cols_nz.size:
-                q = row[cols_nz] // p
-                a[:, t + 1 + cols_nz] -= a[:, t, None] * q[None, :]
-            if not a[t + 1 :, t].any() and not a[t, t + 1 :].any():
-                break
-            # remainder became the new smallest entry; reselect pivot
-            sub = a[t:, t:]
-            nz = np.nonzero(sub)
-            vals = np.abs(sub[nz])
-            k = int(np.argmin(vals))
-            i0, j0 = int(nz[0][k]) + t, int(nz[1][k]) + t
-            a[[t, i0], :] = a[[i0, t], :]
-            a[:, [t, j0]] = a[:, [j0, t]]
-            if a[t, t] < 0:
-                a[t, :] = -a[t, :]
-        t += 1
-    ds = [abs(int(a[i, i])) for i in range(t)]
-    return _divisor_chain(ds) + [0] * (min(rows, cols) - t)
-
-
-def snf_diagonal(m: Matrix) -> list[int]:
-    """Diagonal of the Smith form; exact, with a fast path for big matrices."""
-    rows, cols = shape(m)
-    if rows * cols > 400:
-        fast = _numpy_snf_diagonal(m)
-        if fast is not None:
-            return fast
-    return _exact_snf_diagonal(m)
 
 
 # -- abelian groups ------------------------------------------------------

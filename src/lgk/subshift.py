@@ -472,27 +472,25 @@ class CandidateTable:
     two words have equal predecessor sets exactly when their keys are equal.
 
     Building draws one word per candidate from a fresh meter, as the
-    enumeration of a predecessor set does; each `key` lookup charges the
-    candidate count to a fresh meter, so a budget runs out on the same
-    lookups as it would when every lookup enumerated the candidates anew.
-    A table is built per call or per system build and is never cached.
+    enumeration of a predecessor set does, so a budget too small for the
+    candidates runs out here.  A `key` lookup draws nothing: enumerating
+    the candidates anew would draw the same words from a fresh meter of
+    the same budget, which building has shown to fit.  A table is built
+    per call or per system build and is never cached.
     """
 
     def __init__(self, spec: SubshiftSpec, level: int, budget: Budget = DEFAULT_BUDGET):
         self.spec = spec
         self.level = level
-        self.budget = budget
         self._stepper = _stepper(spec)
         groups: dict[object, list[Word]] = {}
         for word, state in _stepper_words(spec, level, _Meter(budget)):
             groups.setdefault(state, []).append(word)
         self.states = tuple(groups)
         self.groups = tuple(groups.values())
-        self.size = sum(len(g) for g in self.groups)
 
     def key(self, word: Word) -> frozenset[int]:
         """Ids of the end states from which `word` reads on."""
-        _Meter(self.budget).tick(self.size)
         if not _in_alphabet(self.spec, word):
             return frozenset()
         st = self._stepper

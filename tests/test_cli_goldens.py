@@ -20,6 +20,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,6 +75,44 @@ def test_cli_output_matches_golden(job, monkeypatch):
     monkeypatch.chdir(ROOT)
     goldens = json.loads(GOLDENS.read_text(encoding="utf-8"))
     assert _run(job) == goldens[" ".join(job)]
+
+
+NUMPY_FREE = """
+import builtins
+import sys
+
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+_import = builtins.__import__
+
+
+def _report_numpy(name, *args, **kwargs):
+    if name.partition(".")[0] == "numpy":
+        sys.stderr.write("numpy import attempted\\n")
+    return _import(name, *args, **kwargs)
+
+
+builtins.__import__ = _report_numpy
+from lgk.cli import main
+sys.exit(main(["invariants", "--spec", "specs/dyck3.json", "--depth", "5", "--format", "json"]))
+"""
+
+
+def test_invariants_run_without_numpy():
+    """The package has no runtime dependencies: with numpy unimportable, a
+    horizon job with Smith forms of up to 243x81 gives its golden bytes
+    and never even tries to import numpy."""
+    job = "invariants --spec specs/dyck3.json --depth 5 --format json"
+    run = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE],
+        cwd=ROOT,
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    goldens = json.loads(GOLDENS.read_text(encoding="utf-8"))
+    assert run.returncode == 0, run.stderr.decode()
+    assert b"numpy import attempted" not in run.stderr
+    assert goldens[job] == {"exit": 0, "stdout_sha256": hashlib.sha256(run.stdout).hexdigest()}
+    assert goldens[job]["stdout_sha256"].startswith("3d96e100bd9b")
 
 
 if __name__ == "__main__":

@@ -5,9 +5,9 @@ transform-carrying Smith form of the test oracles, whose decompositions
 are certified in full (transforms multiply out, unimodularity,
 divisibility chain), and cokernels of every small 2x2 matrix are compared
 against two computations that share no code with the package:
-determinantal divisors and an explicit coset census.  The int64 fast path
-is compared with the pure-integer elimination on large-entry matrices,
-and with sympy's Smith form when it is installed.
+determinantal divisors and an explicit coset census.  Matrices with
+entries far beyond 64 bits are compared with the oracle's Smith form and
+with sympy's when it is installed, and `mat_mul` with a naive triple loop.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from hypothesis import strategies as st
 import oracles
 from lgk.linalg import (
     AbelianGroup,
-    _exact_snf_diagonal,
-    _numpy_snf_diagonal,
     cokernel,
     kernel_group,
     mat_eq,
@@ -176,25 +174,24 @@ def test_membership_negative_cases(m, data):
         assert oracles.mat_vec(m, s) == y
 
 
-# -- the int64 fast path -------------------------------------------------
+# -- large entries -------------------------------------------------------
 
 
 def overflow_repro() -> list[list[int]]:
-    """21x21, big enough for the fast path; one elimination step of the
-    2^39 entries against the unit pivot needs products near 2^78."""
+    """21x21; one elimination step of the 2^39 entries against the unit
+    pivot needs products near 2^78, far past any machine word."""
     n = 21
     m = [[3 * (r == c) for c in range(n)] for r in range(n)]
     m[0][0], m[0][1], m[1][0], m[1][1] = 1, 2**39, 2**39, 5
     return m
 
 
-def test_fast_path_never_wraps_around():
+def test_snf_never_wraps_around():
     m = overflow_repro()
     # the 2x2 corner has divisors 1 and 2^78 - 5, which is prime to 3
     big = 3 * (2**78 - 5)
     assert big == 906694364710971881029617
     expected = [1, 1] + [3] * 18 + [big]
-    assert _exact_snf_diagonal(m) == expected
     assert snf_diagonal(m) == expected
     assert cokernel(m) == AbelianGroup(0, (3,) * 18 + (big,))
 
@@ -206,8 +203,8 @@ def large_entry_matrices(draw):
 
     The large entries sit in the top-left corner next to a unit pivot, so
     one elimination step multiplies two of them.  They are near powers of
-    two, so a wrapped int64 product can land on a small, plausible value
-    instead of tripping a magnitude check.
+    two, so a product truncated to a machine word would land on a small,
+    plausible value instead of an obviously wrong one.
     """
     rows, cols = draw(st.integers(21, 24)), draw(st.integers(21, 24))
     m = [[0] * cols for _ in range(rows)]
@@ -231,14 +228,11 @@ def large_entry_matrices(draw):
 
 @settings(max_examples=40)
 @given(large_entry_matrices())
-def test_fast_path_matches_reference_on_large_entries(m):
-    reference = _exact_snf_diagonal(m)
-    fast = _numpy_snf_diagonal(m)
-    assert fast is None or fast == reference
-    assert snf_diagonal(m) == reference
+def test_snf_matches_oracle_on_large_entries(m):
+    assert_smith_certificate(m)
 
 
-def test_fast_path_matches_sympy():
+def test_snf_matches_sympy():
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
@@ -254,6 +248,44 @@ def test_fast_path_matches_sympy():
         theirs = [abs(int(d[k, k])) for k in range(min(d.shape))]
         nonzero = sorted(x for x in theirs if x)
         assert snf_diagonal(m) == nonzero + [0] * (len(theirs) - len(nonzero))
+
+
+# -- matrix product ------------------------------------------------------
+
+
+@st.composite
+def product_pairs(draw):
+    """(a, b) with a: r x k and b: k x c; some whole rows and columns are
+    zero, and entries of either sign reach 2^40."""
+    r, k, c = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.one_of(
+        st.just(0),
+        st.integers(-3, 3),
+        st.integers(-(2**40), 2**40),
+    )
+
+    def matrix(rows, cols):
+        m = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+        for i in draw(st.sets(st.integers(0, rows - 1))):
+            m[i] = [0] * cols
+        for j in draw(st.sets(st.integers(0, cols - 1))):
+            for row in m:
+                row[j] = 0
+        return m
+
+    return matrix(r, k), matrix(k, c)
+
+
+@given(product_pairs())
+def test_mat_mul_matches_triple_loop(pair):
+    a, b = pair
+    rows, inner, cols = len(a), len(b), len(b[0])
+    naive = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        for j in range(cols):
+            for k in range(inner):
+                naive[i][j] += a[i][k] * b[k][j]
+    assert mat_mul(a, b) == naive
 
 
 def test_group_normalization():

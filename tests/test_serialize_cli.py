@@ -330,6 +330,35 @@ def test_cli_budget_env_and_override(monkeypatch, capsys):
     assert main(argv + ["--budget", "2000000"]) == 0
 
 
+NEGATIVE_BUDGET_JOBS = [
+    ["verify", "--spec", str(SPECS / "goldenmean.json"), "--depth", "4"],
+    ["flowcheck", "--spec", str(SPECS / "dyck2.json"), "--depth", "2", "--expand", "a1"],
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_BUDGET_JOBS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("words", ["-5", "-1"])
+def test_cli_negative_budget_is_invalid(argv, words, monkeypatch, capsys):
+    # A negative budget is invalid input (exit 2), not an exhausted budget
+    # (exit 3); a budget of 0 stays legal.
+    assert main(argv + ["--budget", words]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    monkeypatch.setenv("LGK_BUDGET", words)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    monkeypatch.setenv("LGK_BUDGET", "0")
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("inconclusive: ")
+
+
+def test_cli_unknown_symbol_message_has_no_stray_quotes(capsys):
+    argv = ["flowcheck", "--spec", str(SPECS / "goldenmean.json"), "--depth", "2", "--expand", "z"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: symbol 'z' not in alphabet ['0', '1']\n"
+
+
 def test_cli_flowcheck_json(capsys):
     code = main(
         [
