@@ -23,22 +23,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from lgk.flow import expand_spec, plan_for
 from lgk.invariants import compare_reports, invariant_report
 from lgk.serialize import spec_loads
-from lgk.subshift import DyckN, MarkovDyck, spec_alphabet
-from lgk.system import (
-    build_cantor_horizon_dyck,
-    build_cantor_horizon_markov_dyck,
-    build_lambda_synchronizing,
-)
+from lgk.system import build_lambda_synchronizing
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
-
-
-def build(spec, depth):
-    if isinstance(spec, DyckN):
-        return build_cantor_horizon_dyck(spec.n, depth)
-    if isinstance(spec, MarkovDyck):
-        return build_cantor_horizon_markov_dyck(spec.matrix, depth)
-    return build_lambda_synchronizing(spec, depth)
 
 
 def main() -> int:
@@ -63,9 +50,9 @@ def main() -> int:
     failures = 0
     for name, symbol, depth in cases:
         spec = spec_loads((SPECS / name).read_text())
-        plan = plan_for(spec_alphabet(spec), symbol)
+        plan = plan_for(spec.alphabet, symbol)
         started = time.monotonic()
-        base = invariant_report(build(spec, depth))
+        base = invariant_report(build_lambda_synchronizing(spec, depth))
         expanded = invariant_report(
             build_lambda_synchronizing(expand_spec(spec, plan), depth)
         )

@@ -213,6 +213,14 @@ def check_iota_irreducible(
     for level in range(min(max_level, sys.depth - 2) + 1):
         size = sys.levels[level].size
         for u in range(size):
+            if not constant:
+                # Neither depends on v: the paths out of u, and the vertices
+                # collapsing onto u in each number of steps a shadow may take.
+                paths = list(_labeled_paths(sys, level, u, path_len))
+                lifts = [
+                    iota_fiber(sys, level, u, steps)
+                    for steps in range(min(bound, sys.depth - level - 1) + 1)
+                ]
             for v in range(size):
                 if u == v:
                     continue  # shadowed trivially with zero collapse steps
@@ -223,7 +231,7 @@ def check_iota_irreducible(
                         witness=(level, v, u),
                         note=f"vertex {u} is unreachable from {v}",
                     )
-                for word, end in _labeled_paths(sys, level, u, path_len):
+                for word, end in paths:
                     room = sys.depth - level - len(word)
                     if room < 1:
                         # No collapse step fits below the truncation for
@@ -234,7 +242,7 @@ def check_iota_irreducible(
                     reach = frozenset([v])
                     for steps in range(1, min(bound, room) + 1):
                         reach = _successors(sys, level + steps - 1, reach)
-                        starts = iota_fiber(sys, level, u, steps) & reach
+                        starts = lifts[steps] & reach
                         if not starts:
                             continue
                         # the shadow must end where the collapse maps onto `end`

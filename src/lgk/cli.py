@@ -34,11 +34,9 @@ from .serialize import (
     system_loads,
     verdict_payload,
 )
-from .subshift import Budget, BudgetExceeded, DEFAULT_BUDGET, DyckN, MarkovDyck, SubshiftSpec, spec_alphabet
+from .subshift import Budget, BudgetExceeded, DEFAULT_BUDGET, SubshiftSpec
 from .system import (
     LambdaGraphSystem,
-    build_cantor_horizon_dyck,
-    build_cantor_horizon_markov_dyck,
     build_lambda_synchronizing,
     transition_matrices,
     verify_all,
@@ -82,22 +80,17 @@ def _emit(text: str, out: Optional[str]) -> None:
 def _built_system(args: argparse.Namespace) -> LambdaGraphSystem:
     """System from --system file or built from --spec at --depth.
 
-    Bracket-shift specs build through the structural Cantor-horizon
-    construction, which scales to the depths the generic class census
-    cannot reach; the two coincide up to level isomorphism.
+    The word budget is validated on both paths, so a negative --budget or
+    LGK_BUDGET is invalid input whether or not anything is built.
     """
     if getattr(args, "system", None):
-        return _read_system(args.system)
+        sys = _read_system(args.system)
+        _budget(args, sys.depth)
+        return sys
     if not getattr(args, "spec", None):
         raise ValueError("provide --spec or --system")
     spec = _read_spec(args.spec)
-    depth = args.depth
-    budget = _budget(args, depth)
-    if isinstance(spec, DyckN):
-        return build_cantor_horizon_dyck(spec.n, depth)
-    if isinstance(spec, MarkovDyck):
-        return build_cantor_horizon_markov_dyck(spec.matrix, depth)
-    return build_lambda_synchronizing(spec, depth, budget=budget)
+    return build_lambda_synchronizing(spec, args.depth, budget=_budget(args, args.depth))
 
 
 def _size_table(sys: LambdaGraphSystem) -> str:
@@ -225,14 +218,14 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 def cmd_expand(args: argparse.Namespace) -> int:
     spec = _read_spec(args.spec)
-    plan = plan_for(spec_alphabet(spec), args.expand, args.fresh)
+    plan = plan_for(spec.alphabet, args.expand, args.fresh)
     _emit(spec_dumps(expand_spec(spec, plan)), args.out)
     return PASS
 
 
 def cmd_flowcheck(args: argparse.Namespace) -> int:
     spec = _read_spec(args.spec)
-    plan = plan_for(spec_alphabet(spec), args.expand, args.fresh)
+    plan = plan_for(spec.alphabet, args.expand, args.fresh)
     expanded = expand_spec(spec, plan)
     base_args = argparse.Namespace(**{**vars(args), "system": None})
     base_sys = _built_system(base_args)

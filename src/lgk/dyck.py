@@ -143,6 +143,11 @@ class BracketMachine:
             return None
         return (self.rows[j], (), emitted + 1)
 
+    @staticmethod
+    def emitted(state: tuple[frozenset[int], Word, int]) -> int:
+        """Unmatched closes read so far (the close_count of `state`)."""
+        return state[2]
+
     def run(self, word: Word) -> tuple[frozenset[int], Word, int] | None:
         state = self.start
         for sym in word:

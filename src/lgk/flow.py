@@ -23,7 +23,6 @@ from .subshift import (
     SftForbidden,
     SoficGraph,
     SubshiftSpec,
-    spec_alphabet,
 )
 
 DIRECTIONS = ("expand", "contract")
@@ -155,7 +154,7 @@ def expand_spec(spec: SubshiftSpec, plan: ExpansionPlan) -> SubshiftSpec:
     Bracket shifts get the dedicated wrapper; expanding an expansion is not
     supported.
     """
-    if plan.fresh != len(spec_alphabet(spec)):
+    if plan.fresh != len(spec.alphabet):
         raise ValueError("plan fresh index does not match the spec alphabet")
     if isinstance(spec, SftForbidden):
         return expand_sft(spec, plan)

@@ -1,8 +1,11 @@
 """Subshift specifications and their language operations.
 
-Five spec variants (shifts of finite type via forbidden words, sofic shifts
-via labeled covers, Dyck and Markov-Dyck bracket shifts, full shifts) plus a
-wrapper for symbol-expanded bracket shifts.  Each supports:
+Six spec kinds and two presentations.  Shifts of finite type (forbidden
+words), sofic shifts (labeled covers) and full shifts are presented by one
+essential left-resolving cover each, :func:`cover`, whose path language is
+B(X).  Dyck and Markov-Dyck bracket shifts and their symbol expansions are
+read by a prefix-incremental bracket stepper.  Each operation branches
+once, on the presentation:
 
 * `is_admissible(spec, word)`: membership in the factor language B(X);
 * `blocks(spec, length)`: all of B_l(X);
@@ -15,8 +18,9 @@ wrapper for symbol-expanded bracket shifts.  Each supports:
   synchronizing words, each with a canonical representative and a
   fingerprint of its predecessor set.
 
-Enumerations honour a :class:`Budget`; exceeding it surfaces as an
-`unknown` verdict or a :class:`BudgetExceeded` error, never a wrong answer.
+Enumerations honour a :class:`Budget`, drawing one word per word they
+enumerate; exceeding it surfaces as an `unknown` verdict or a
+:class:`BudgetExceeded` error, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -39,9 +43,7 @@ from .labeled_graph import (
     PastClassifier,
     backward_steps,
     essential_subgraph,
-    follower_source_family,
     is_essential,
-    is_left_resolving,
     left_resolving_violation,
     read_backward,
     read_forward,
@@ -215,13 +217,10 @@ class Expanded:
 
 
 SubshiftSpec = Union[SftForbidden, SoficGraph, DyckN, MarkovDyck, FullShift, Expanded]
+_BRACKET_KINDS = (DyckN, MarkovDyck, Expanded)
 
 
-def spec_alphabet(spec: SubshiftSpec) -> Alphabet:
-    return spec.alphabet
-
-
-# -- SFT window cover ----------------------------------------------------
+# -- covers --------------------------------------------------------------
 
 
 def sft_window(spec: SftForbidden) -> int:
@@ -240,14 +239,15 @@ def _has_forbidden_factor(word: Word, forbidden: frozenset[Word]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def sft_cover(spec: SftForbidden) -> tuple[LabeledGraph, tuple[Word, ...]]:
+def sft_cover(spec: SftForbidden) -> LabeledGraph:
     """Left-resolving cover of an SFT on its admissible memory windows.
 
     Vertices are the essential words of length `sft_window(spec)`; the edge
     u -> v labeled u[0] exists when u and v overlap progressively and their
     join avoids the forbidden words.  Reading a length-r word from vertex u
     corresponds exactly to an admissible word of length r + window, so the
-    trimmed graph presents the subshift and its path language is B(X).
+    trimmed graph presents the subshift and its path language is B(X).  It
+    has no vertices when the subshift is empty.
     """
     w = sft_window(spec)
     k = len(spec.alphabet)
@@ -264,47 +264,43 @@ def sft_cover(spec: SftForbidden) -> tuple[LabeledGraph, tuple[Word, ...]]:
             if v in pos and not _has_forbidden_factor(u + (a,), spec.forbidden):
                 edges.append((pos[u], u[0], pos[v]))
     names = tuple(spec.alphabet.text(word) for word in nodes)
-    raw = LabeledGraph(spec.alphabet, names, tuple(edges))
-    trimmed = essential_subgraph(raw)
-    by_name = {name: word for name, word in zip(names, nodes)}
-    kept = tuple(by_name[name] for name in trimmed.vertices)
-    return trimmed, kept
+    return essential_subgraph(LabeledGraph(spec.alphabet, names, tuple(edges)))
 
 
-def _sft_start_set(spec: SftForbidden, word: Word) -> set[int]:
-    """Cover vertices from which `word` is readable."""
-    cover, _ = sft_cover(spec)
-    return read_backward(cover, set(range(len(cover.vertices))), word)
+@lru_cache(maxsize=None)
+def _full_cover(spec: FullShift) -> LabeledGraph:
+    """One vertex, named "", with a loop for every symbol."""
+    return LabeledGraph(spec.alphabet, ("",), tuple((0, a, 0) for a in range(spec.n)))
 
 
-# -- bracket machinery ---------------------------------------------------
+def cover(spec: SubshiftSpec) -> LabeledGraph | None:
+    """The essential left-resolving graph whose path language is B(X).
+
+    None for the bracket kinds, which have no finite cover; their language
+    is read by :func:`_stepper` instead.
+    """
+    if isinstance(spec, SftForbidden):
+        return sft_cover(spec)
+    if isinstance(spec, SoficGraph):
+        return spec.graph
+    if isinstance(spec, FullShift):
+        return _full_cover(spec)
+    if isinstance(spec, _BRACKET_KINDS):
+        return None
+    raise TypeError(f"unknown spec {type(spec).__name__}")
 
 
-def _bracket_matrix(spec: Union[DyckN, MarkovDyck]) -> Matrix01:
-    return spec.matrix
+def _start_set(g: LabeledGraph, word: Word) -> set[int]:
+    """Vertices of `g` from which `word` is readable."""
+    return read_backward(g, set(range(len(g.vertices))), word)
+
+
+# -- bracket steppers ----------------------------------------------------
 
 
 @lru_cache(maxsize=None)
 def _machine(matrix: Matrix01) -> BracketMachine:
     return BracketMachine(matrix)
-
-
-class _BracketStepper:
-    """Prefix-incremental admissibility for Dyck-type words."""
-
-    def __init__(self, matrix: Matrix01):
-        self.machine = _machine(matrix)
-
-    @property
-    def start(self):
-        return self.machine.start
-
-    def step(self, state, symbol: int):
-        return self.machine.step(state, symbol)
-
-    @staticmethod
-    def emitted(state) -> int:
-        return state[2]
 
 
 class _ExpandedStepper:
@@ -319,7 +315,7 @@ class _ExpandedStepper:
 
     def __init__(self, spec: Expanded):
         self.spec = spec
-        self.base = _BracketStepper(_bracket_matrix(spec.base))
+        self.base = _machine(spec.base.matrix)
         self.fresh = spec.fresh
         self.target = spec.target
 
@@ -353,14 +349,14 @@ class _ExpandedStepper:
         return (nxt, False, False)
 
     def emitted(self, state) -> int:
-        return state[0][2]
+        return self.base.emitted(state[0])
 
 
 def _stepper(spec: SubshiftSpec):
-    if isinstance(spec, (DyckN, MarkovDyck)):
-        return _BracketStepper(_bracket_matrix(spec))
     if isinstance(spec, Expanded):
         return _ExpandedStepper(spec)
+    if isinstance(spec, (DyckN, MarkovDyck)):
+        return _machine(spec.matrix)
     raise TypeError(f"no stepper for {type(spec).__name__}")
 
 
@@ -383,32 +379,13 @@ def _in_alphabet(spec: SubshiftSpec, word: Word) -> bool:
 
 def is_admissible(spec: SubshiftSpec, word: Word) -> bool:
     """True iff `word` belongs to the factor language of the subshift."""
-    if isinstance(spec, FullShift):
-        return all(0 <= s < spec.n for s in word)
-    if isinstance(spec, SftForbidden):
-        if _has_forbidden_factor(word, spec.forbidden):
-            return False
-        cover, windows = sft_cover(spec)
-        if not cover.vertices:
-            return False
-        w = sft_window(spec)
-        if len(word) >= w:
-            alive = {win for win in windows}
-            return all(word[i : i + w] in alive for i in range(len(word) - w + 1))
-        return any(
-            win[i : i + len(word)] == word
-            for win in windows
-            for i in range(w - len(word) + 1)
-        )
-    if isinstance(spec, SoficGraph):
-        g = spec.graph
+    g = cover(spec)
+    if g is not None:
         return bool(read_forward(g, set(range(len(g.vertices))), word))
-    if isinstance(spec, (DyckN, MarkovDyck, Expanded)):
-        if not _in_alphabet(spec, word):
-            return False
-        st = _stepper(spec)
-        return _read(st, st.start, word) is not None
-    raise TypeError(f"unknown spec {type(spec).__name__}")
+    if not _in_alphabet(spec, word):
+        return False
+    st = _stepper(spec)
+    return _read(st, st.start, word) is not None
 
 
 def _stepper_words(
@@ -431,31 +408,25 @@ def _stepper_words(
     yield from go(st.start if prefix_state is None else prefix_state, ())
 
 
+def _metered(words: Iterator[Word], meter: _Meter) -> Iterator[Word]:
+    for w in words:
+        meter.tick()
+        yield w
+
+
 def blocks(
     spec: SubshiftSpec, length: int, budget: Budget = DEFAULT_BUDGET
 ) -> list[Word]:
-    """All admissible words of exactly `length`, lexicographic by symbol id."""
+    """All admissible words of exactly `length`, lexicographic by symbol id.
+
+    Draws one word from the budget per word enumerated.
+    """
     if length < 0:
         raise ValueError("length must be >= 0")
     meter = _Meter(budget)
-    if isinstance(spec, FullShift):
-        meter.tick(spec.n**length)
-        return [tuple(w) for w in itertools.product(range(spec.n), repeat=length)]
-    if isinstance(spec, SftForbidden):
-        cover, _ = sft_cover(spec)
-        if not cover.vertices:
-            return []
-        out = []
-        for w in words_of_length(cover, length):
-            meter.tick()
-            out.append(w)
-        return out
-    if isinstance(spec, SoficGraph):
-        out = []
-        for w in words_of_length(spec.graph, length):
-            meter.tick()
-            out.append(w)
-        return out
+    g = cover(spec)
+    if g is not None:
+        return list(_metered(words_of_length(g, length), meter))
     return [w for w, _ in _stepper_words(spec, length, meter)]
 
 
@@ -509,28 +480,9 @@ def predecessor_words(
     """Words v of the given length with v·word admissible."""
     if length < 0:
         raise ValueError("length must be >= 0")
-    meter = _Meter(budget)
-    if isinstance(spec, FullShift):
-        if not is_admissible(spec, word):
-            return set()
-        meter.tick(spec.n**length)
-        return {tuple(w) for w in itertools.product(range(spec.n), repeat=length)}
-    if isinstance(spec, SftForbidden):
-        cover, _ = sft_cover(spec)
-        start = _sft_start_set(spec, word)
-        out = set()
-        for w in words_into(cover, start, length):
-            meter.tick()
-            out.add(w)
-        return out
-    if isinstance(spec, SoficGraph):
-        g = spec.graph
-        start = read_backward(g, set(range(len(g.vertices))), word)
-        out = set()
-        for w in words_into(g, start, length):
-            meter.tick()
-            out.add(w)
-        return out
+    g = cover(spec)
+    if g is not None:
+        return set(_metered(words_into(g, _start_set(g, word), length), _Meter(budget)))
     if not _in_alphabet(spec, word):
         return set()
     table = CandidateTable(spec, length, budget)
@@ -544,22 +496,10 @@ def follower_words(
     if length < 0:
         raise ValueError("length must be >= 0")
     meter = _Meter(budget)
-    if isinstance(spec, FullShift):
-        if not is_admissible(spec, word):
-            return set()
-        meter.tick(spec.n**length)
-        return {tuple(w) for w in itertools.product(range(spec.n), repeat=length)}
-    if isinstance(spec, (SftForbidden, SoficGraph)):
-        if isinstance(spec, SftForbidden):
-            g, _ = sft_cover(spec)
-        else:
-            g = spec.graph
+    g = cover(spec)
+    if g is not None:
         ends = read_forward(g, set(range(len(g.vertices))), word)
-        out = set()
-        for w in words_of_length(g, length, start=ends):
-            meter.tick()
-            out.add(w)
-        return out
+        return set(_metered(words_of_length(g, length, start=ends), meter))
     if not _in_alphabet(spec, word):
         return set()
     st = _stepper(spec)
@@ -654,20 +594,21 @@ def is_synchronizing(
 def _sft_synchronizing(
     spec: SftForbidden, word: Word, level: int, budget: Budget
 ) -> Verdict:
-    cover, _ = sft_cover(spec)
+    g = sft_cover(spec)
     w = sft_window(spec)
     if len(word) >= w:
         return Verdict.yes(note=f"length >= memory window {w}")
     # decide exactly by comparing past fingerprints over all completions
-    pc = PastClassifier(cover)
-    base = pc.fingerprint(_sft_start_set(spec, word), level)
+    pc = PastClassifier(g)
+    start = _start_set(g, word)
+    base = pc.fingerprint(start, level)
     meter = _Meter(budget)
     for d in range(1, w - len(word) + 1):
         for omega in follower_words(spec, word, d, budget):
             meter.tick()
-            ext = _sft_start_set(spec, word + omega)
+            ext = _start_set(g, word + omega)
             if pc.fingerprint(ext, level) != base:
-                witness = _set_past_witness(cover, _sft_start_set(spec, word), ext, level, budget)
+                witness = _set_past_witness(g, start, ext, level, budget)
                 return Verdict.no(
                     witness={"follower": spec.alphabet.text(omega), "past": witness},
                     note="past set changes within the memory window",
@@ -682,7 +623,7 @@ def _sofic_synchronizing(
     if len(g.vertices) > 24:
         return Verdict.unknown(note="cover too large for exact subset analysis")
     pc = PastClassifier(g)
-    start = read_backward(g, set(range(len(g.vertices))), word)
+    start = _start_set(g, word)
     base = pc.fingerprint(start, level)
     family = _follower_family_with_words(g)
     for follower_set, omega in sorted(family.items(), key=lambda kv: (len(kv[1]), kv[1])):
@@ -721,13 +662,8 @@ def _set_past_witness(
     """A length-`level` word into one set but not the other, as text."""
     try:
         meter = _Meter(budget)
-        w1, w2 = set(), set()
-        for w in words_into(g, s1, level):
-            meter.tick()
-            w1.add(w)
-        for w in words_into(g, s2, level):
-            meter.tick()
-            w2.add(w)
+        w1 = set(_metered(words_into(g, s1, level), meter))
+        w2 = set(_metered(words_into(g, s2, level), meter))
         diff = sorted(w1.symmetric_difference(w2))
         if diff:
             return g.alphabet.text(diff[0])
@@ -754,9 +690,6 @@ class SyncClass:
     level: int
     representative: Word
     fingerprint: frozenset = field(repr=False)
-
-
-_BRACKET_KINDS = (DyckN, MarkovDyck, Expanded)
 
 
 def synchronizing_classes(
@@ -796,42 +729,33 @@ def synchronizing_classes(
         out = [SyncClass(level, rep, key) for key, rep in keyed.items()]
         out.sort(key=lambda c: (len(c.representative), c.representative))
         return out
-    reps: list[Word] = []
     if isinstance(spec, FullShift):
-        reps = [()]
-    elif isinstance(spec, (SftForbidden, SoficGraph)):
+        reps = [()]  # the empty word already pins down every past
+    else:
+        g = cover(spec)
+        if not g.vertices:
+            raise ValueError("subshift is empty")
+        # An SFT word as long as the memory window synchronizes; a sofic
+        # class is reached within |V| + level symbols.
         if isinstance(spec, SftForbidden):
-            g, windows = sft_cover(spec)
-            if not g.vertices:
-                raise ValueError("subshift is empty")
-            length = max(sft_window(spec), 1)
+            length = sft_window(spec)
         else:
-            g = spec.graph
-            length = len(g.vertices) + level  # enough to reach every class
+            length = len(g.vertices) + level
         seen: dict[int, Word] = {}
         pc = PastClassifier(g)
-        meter = _Meter(budget)
-        for w in words_of_length(g, length):
-            meter.tick()
-            v = is_synchronizing(spec, w, level, budget=budget)
-            if not v.is_yes:
-                continue
-            fp = pc.fingerprint(read_backward(g, set(range(len(g.vertices))), w), level)
-            if fp not in seen:
-                seen[fp] = w
+        for w in _metered(words_of_length(g, length), _Meter(budget)):
+            if is_synchronizing(spec, w, level, budget=budget).is_yes:
+                seen.setdefault(pc.fingerprint(_start_set(g, w), level), w)
         reps = sorted(seen.values(), key=lambda w: (len(w), w))
-    else:
-        raise TypeError(f"unknown spec {type(spec).__name__}")
-
-    out: list[SyncClass] = []
-    seen_fp: dict[frozenset[Word], Word] = {}
-    for rep in reps:
-        fp = frozenset(predecessor_words(spec, rep, level, budget))
-        if fp not in seen_fp:
-            seen_fp[fp] = rep
-            out.append(SyncClass(level, rep, fp))
-    out.sort(key=lambda c: (len(c.representative), c.representative))
-    return out
+    # The cover is essential with path language B(X), so v·w is admissible
+    # exactly when v labels a path into w's start set: the depth-`level`
+    # past of the start set is w's predecessor set.  Distinct fingerprints
+    # therefore mean distinct predecessor sets, and the representatives
+    # need no second dedupe.
+    return [
+        SyncClass(level, rep, frozenset(predecessor_words(spec, rep, level, budget)))
+        for rep in reps
+    ]
 
 
 def _expanded_class_reps(

@@ -16,7 +16,10 @@ Builders:
   realize the Cantor-horizon systems of bracket shifts, whose level-``l``
   vertices are the admissible state words of length ``l``;
 * :func:`build_lambda_synchronizing` constructs the canonical system of a
-  subshift from the past-equivalence classes of its synchronizing words.
+  subshift, dispatching once on its presentation: a cover (SFT, sofic and
+  full shifts) is collapsed by past equivalence, Dyck and Markov-Dyck
+  shifts take the Cantor-horizon builder, and expanded bracket shifts
+  take the census of past-equivalence classes of synchronizing words.
 
 :func:`canonical_form` renames every vertex by its predecessor structure,
 giving a byte-stable normal form used for isomorphism checks.
@@ -32,7 +35,6 @@ from .alphabet import Alphabet, Word, bracket_alphabet
 from .dyck import Matrix01, all_ones, state_words, validate_transition_matrix
 from .labeled_graph import (
     LabeledGraph,
-    is_essential,
     left_resolving_violation,
     past_partition,
     stranded_vertices,
@@ -43,16 +45,9 @@ from .subshift import (
     Budget,
     CandidateTable,
     DyckN,
-    Expanded,
-    FullShift,
     MarkovDyck,
-    SftForbidden,
-    SoficGraph,
     SubshiftSpec,
-    is_admissible,
-    is_synchronizing,
-    sft_cover,
-    spec_alphabet,
+    cover,
     synchronizing_classes,
 )
 from .verdict import Verdict
@@ -571,29 +566,28 @@ def _quotient_system(graph: LabeledGraph, depth: int) -> LambdaGraphSystem:
     )
 
 
-def _full_shift_chain(spec: FullShift, depth: int) -> LambdaGraphSystem:
-    alphabet = spec.alphabet
-    layer = tuple((0, a, 0) for a in range(len(alphabet)))
-    level = VertexLevel(size=1, tags=("",))
-    return LambdaGraphSystem(
-        alphabet=alphabet,
-        levels=(level,) * (depth + 1),
-        edges=(layer,) * depth,
-        iota=((0,),) * depth,
-    )
-
-
 def _class_system(spec: SubshiftSpec, depth: int, budget: Budget) -> LambdaGraphSystem:
     """Canonical system from past-equivalence classes of synchronizing words.
 
     Level-l vertices are the classes of level-l synchronizing words.  For a
-    class with representative nu at level l+1 and a symbol x, the word
-    x.nu must synchronize at level l and its key in the level-l candidate
-    table must name a known class; both are asserted, so an incomplete
-    class census surfaces as a construction error instead of a wrong
-    system.  Each level's table serves both its census and the lookups.
+    class with representative nu at level l+1 and a symbol x, the x-edge
+    into that class leaves the level-l class whose key in the level-l
+    candidate table is the key of x.nu.  Two implications make per-word
+    checks needless:
+
+    * x.nu is admissible exactly when its level-l key is nonempty: the
+      language is factorial and extendable, so an admissible word has some
+      length-l predecessor, and a word with one is a factor of an
+      admissible word;
+    * x.nu synchronizes at level l: the census picks nu with at least
+      l + 1 unmatched closes, and one symbol cancels at most one of them,
+      so emitted(x.nu) >= emitted(nu) - 1 >= l.
+
+    A key that names no known class is a construction error, so an
+    incomplete class census surfaces instead of a wrong system.  Each
+    level's table serves both its census and the lookups.
     """
-    alphabet = spec_alphabet(spec)
+    alphabet = spec.alphabet
     tables = [CandidateTable(spec, l, budget) for l in range(depth + 1)]
     classes = [
         synchronizing_classes(spec, l, budget=budget, _table=table)
@@ -616,15 +610,10 @@ def _class_system(spec: SubshiftSpec, depth: int, budget: Budget) -> LambdaGraph
             nu = cls.representative
             for symbol in range(len(alphabet)):
                 extended = (symbol,) + nu
-                if not is_admissible(spec, extended):
-                    continue
-                verdict = is_synchronizing(spec, extended, l, budget=budget)
-                if not verdict.is_yes:
-                    raise ConstructionError(
-                        f"word {alphabet.text(extended)!r} is not known to "
-                        f"synchronize at level {l}: {verdict.note or verdict.kind}"
-                    )
-                source = index[l].get(tables[l].key(extended))
+                key = tables[l].key(extended)
+                if not key:
+                    continue  # x.nu is not admissible
+                source = index[l].get(key)
                 if source is None:
                     raise ConstructionError(
                         f"predecessor class of {alphabet.text(extended)!r} at "
@@ -655,22 +644,23 @@ def build_lambda_synchronizing(
 ) -> LambdaGraphSystem:
     """Canonical system of a subshift, truncated at `depth`.
 
-    Shifts of finite type and sofic covers go through an exact quotient of
-    their cover by past equivalence; full shifts collapse to a single-vertex
-    chain; bracket shifts and their expansions use the generic class-based
-    construction.
+    A spec with a cover (shifts of finite type, sofic and full shifts) is
+    the exact quotient of its cover by past equivalence; a full shift's
+    one-vertex cover gives a one-vertex chain.  Dyck and Markov-Dyck shifts
+    build structurally as Cantor-horizon systems, which equal their class
+    census systems.  Only expanded bracket shifts take the class census,
+    so the word budget caps only that census; the other builds draw no
+    words.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if depth > budget.max_depth:
         raise ValueError(f"depth {depth} exceeds budget cap {budget.max_depth}")
-    if isinstance(spec, SftForbidden):
-        cover, _ = sft_cover(spec)
-        return _quotient_system(cover, depth)
-    if isinstance(spec, SoficGraph):
-        return _quotient_system(spec.graph, depth)
-    if isinstance(spec, FullShift):
-        return _full_shift_chain(spec, depth)
+    graph = cover(spec)
+    if graph is not None:
+        return _quotient_system(graph, depth)
+    if isinstance(spec, (DyckN, MarkovDyck)):
+        return build_cantor_horizon_markov_dyck(spec.matrix, depth)
     return _class_system(spec, depth, budget)
 
 

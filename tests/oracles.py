@@ -416,6 +416,55 @@ def expanded_word_nonzero(matrix, target: int, fresh: int, word: tuple[int, ...]
     return bracket_word_nonzero(matrix, tuple(base))
 
 
+# -- shifts of finite type, by padding with extendable windows ---------
+
+
+def sft_language(k: int, forbidden):
+    """Membership in the factor language of the SFT over symbols 0..k-1
+    avoiding the `forbidden` words (a full shift when there are none).
+
+    With m = max(1, longest forbidden length - 1), a forbidden factor of a
+    word lies inside one of its (m+1)-windows.  A window x of length m
+    extends to the right forever exactly when some symbol a keeps x·a
+    clean and moves to a window that does; the set of such windows is the
+    greatest fixpoint of that rule, found by deleting windows until none
+    fails it, and likewise to the left.  A word w is in the language
+    exactly when some padding u·w·v with |u| = |v| = m is clean, u extends
+    to the left and v to the right: any factor of length <= m+1 of the
+    glued point then lies inside u·w·v or inside an extension.
+    """
+    forbidden = [tuple(f) for f in forbidden]
+    m = max([1] + [len(f) - 1 for f in forbidden])
+
+    def clean(word) -> bool:
+        return not any(
+            word[i : i + len(f)] == f
+            for f in forbidden
+            for i in range(len(word) - len(f) + 1)
+        )
+
+    windows = [x for x in product(range(k), repeat=m) if clean(x)]
+
+    def greatest_fixpoint(step) -> set:
+        alive = set(windows)
+        while True:
+            dead = {x for x in alive if not any(step(x, a) in alive for a in range(k))}
+            if not dead:
+                return alive
+            alive -= dead
+
+    right = greatest_fixpoint(lambda x, a: x[1:] + (a,) if clean(x + (a,)) else None)
+    left = greatest_fixpoint(lambda x, a: (a,) + x[:-1] if clean((a,) + x) else None)
+
+    def member(word) -> bool:
+        word = tuple(word)
+        if any(not 0 <= s < k for s in word):
+            return False
+        return any(clean(u + word + v) for u in left for v in right)
+
+    return member
+
+
 # -- past languages of labelled graphs, by path extension ----------------
 
 

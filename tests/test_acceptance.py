@@ -31,14 +31,14 @@ from lgk.invariants import connecting_map_check, invariant_report, level_groups
 from lgk.labeled_graph import LabeledGraph, is_essential, is_irreducible
 from lgk.linalg import AbelianGroup, cokernel, kernel_group, mat_sub, transpose
 from lgk.serialize import spec_dumps, system_dumps
-from lgk.subshift import DyckN, FullShift, MarkovDyck, SoficGraph, sft_cover
+from lgk.subshift import DEFAULT_BUDGET, DyckN, FullShift, MarkovDyck, SoficGraph, sft_cover
 from lgk.system import (
+    _class_system,
     build_cantor_horizon_dyck,
     build_cantor_horizon_markov_dyck,
     build_from_finite_graph,
     build_lambda_synchronizing,
     canonical_form,
-    level_isomorphic,
     read_down,
     transition_matrices,
     verify_all,
@@ -58,7 +58,7 @@ def test_criterion_01_sofic_level_groups_match_closed_forms():
     started = time.monotonic()
     ok = True
 
-    cover, _ = sft_cover(golden_mean_spec())
+    cover = sft_cover(golden_mean_spec())
     adjacency = [[0] * len(cover.vertices) for _ in cover.vertices]
     for s, _a, t in cover.edges:
         adjacency[s][t] += 1
@@ -119,7 +119,7 @@ def test_criterion_03_dyck_k_theory_torsion():
 def test_criterion_04_canonical_form_byte_identity():
     started = time.monotonic()
     direct = canonical_form(build_lambda_synchronizing(golden_mean_spec(), 4))
-    cover, _ = sft_cover(golden_mean_spec())
+    cover = sft_cover(golden_mean_spec())
     repeated = canonical_form(build_from_finite_graph(cover, 4))
     ok = system_dumps(direct) == system_dumps(repeated)
     elapsed = time.monotonic() - started
@@ -128,12 +128,17 @@ def test_criterion_04_canonical_form_byte_identity():
 
 
 def test_criterion_05_generic_builder_matches_horizon():
+    # Bracket shifts build through the horizon construction; the class
+    # census, which builds their expansions, must give the same system,
+    # tags and vertex order included.
     started = time.monotonic()
-    generic = build_lambda_synchronizing(DyckN(2), 3)
-    horizon = build_cantor_horizon_dyck(2, 3)
-    ok = level_isomorphic(generic, horizon)
+    ok = True
+    for spec in (DyckN(2), DyckN(3), MarkovDyck(FIB)):
+        for depth in range(1, 5):
+            census = _class_system(spec, depth, DEFAULT_BUDGET)
+            ok &= census == build_cantor_horizon_markov_dyck(spec.matrix, depth)
     elapsed = time.monotonic() - started
-    _line(5, "class census and horizon construction level-isomorphic", ok, elapsed)
+    _line(5, "class census equals horizon construction, depths 1..4", ok, elapsed)
     assert ok
 
 

@@ -72,7 +72,7 @@ def test_backward_steps_group_in_edges_by_label():
 
 
 def test_deep_past_partition_stays_small():
-    cover, _ = sft_cover(golden_mean_spec())
+    cover = sft_cover(golden_mean_spec())
     assert len(cover.vertices) == 2
     depth = 200
     levels = past_partition(cover, depth)
@@ -95,7 +95,7 @@ def test_deep_past_partition_stays_small():
 
 
 def test_past_partition_depth_is_not_bounded_by_recursion_limit():
-    cover, _ = sft_cover(golden_mean_spec())
+    cover = sft_cover(golden_mean_spec())
     depth = sys.getrecursionlimit() + 100
     levels = past_partition(cover, depth)
     assert levels[-1] == levels[1]

@@ -124,7 +124,7 @@ def test_canonical_forms_serialize_to_identical_bytes():
     from lgk.subshift import SoficGraph, sft_cover
 
     direct = build_lambda_synchronizing(golden_mean_spec(), 4)
-    cover, _ = sft_cover(golden_mean_spec())
+    cover = sft_cover(golden_mean_spec())
     via_cover = build_lambda_synchronizing(SoficGraph(cover), 4)
     assert system_dumps(canonical_form(direct)) == system_dumps(canonical_form(via_cover))
 
@@ -351,6 +351,25 @@ def test_cli_negative_budget_is_invalid(argv, words, monkeypatch, capsys):
     monkeypatch.setenv("LGK_BUDGET", "0")
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith("inconclusive: ")
+
+
+@pytest.mark.parametrize("command", ["invariants", "export-dot"])
+@pytest.mark.parametrize("words", ["-5", "-1"])
+def test_cli_negative_budget_is_invalid_on_system_input(command, words, tmp_path, monkeypatch, capsys):
+    # A --system input is read, not built, so it draws no words: a budget
+    # of 0 runs to exit 0, yet a negative one is still invalid input.
+    system = tmp_path / "system.json"
+    system.write_text(system_dumps(build_lambda_synchronizing(golden_mean_spec(), 3)))
+    argv = [command, "--system", str(system)]
+    assert main(argv + ["--budget", words]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    monkeypatch.setenv("LGK_BUDGET", words)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    monkeypatch.setenv("LGK_BUDGET", "0")
+    assert main(argv) == 0
 
 
 def test_cli_unknown_symbol_message_has_no_stray_quotes(capsys):

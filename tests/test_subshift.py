@@ -147,6 +147,36 @@ def test_predecessors_match_bruteforce(kind, length, data):
     assert (table.key(word) == table.key(other)) == (got == past(other))
 
 
+@st.composite
+def covered_specs(draw):
+    """A full shift on 2-4 symbols, or an SFT on 2-3 symbols avoiding up to
+    four words of length <= 4 (possibly an empty one), with its oracle."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 4))
+        return FullShift(n), oracles.sft_language(n, ())
+    k = draw(st.integers(2, 3))
+    word = st.lists(st.integers(0, k - 1), min_size=1, max_size=4).map(tuple)
+    forbidden = draw(st.lists(word, max_size=4))
+    alphabet = Alphabet(tuple(str(i) for i in range(k)))
+    return SftForbidden(alphabet, frozenset(forbidden)), oracles.sft_language(k, forbidden)
+
+
+@settings(max_examples=150)
+@given(covered_specs(), st.integers(0, 3), st.data())
+def test_cover_language_matches_oracle(presented, length, data):
+    # Words up to 6 symbols: shorter and longer than the memory window,
+    # and with a symbol one past the alphabet now and then.
+    spec, member = presented
+    k = len(spec.alphabet)
+    for n in range(5):
+        assert blocks(spec, n) == [v for v in product(range(k), repeat=n) if member(v)]
+    word = data.draw(st.lists(st.integers(0, k), max_size=6).map(tuple), label="word")
+    every = list(product(range(k), repeat=length))
+    assert is_admissible(spec, word) == member(word)
+    assert predecessor_words(spec, word, length) == {v for v in every if member(v + word)}
+    assert follower_words(spec, word, length) == {v for v in every if member(word + v)}
+
+
 @given(st.sampled_from(["gm", "even"]), words_01, st.integers(0, 3))
 def test_followers_match_bruteforce(kind, word, length):
     spec = golden_mean_spec() if kind == "gm" else even_shift_spec()
@@ -269,10 +299,32 @@ def test_negative_lengths_are_rejected(kind):
         synchronizing_classes(spec, -1)
 
 
+@pytest.mark.parametrize("base", ["dyck2", "fib"])
+@pytest.mark.parametrize("target", ["a1", "b1"])
+def test_census_edge_implications_hold(base, target):
+    # The class system drops its per-edge checks on two implications: for
+    # a level-(l+1) representative nu and a symbol x, x.nu is admissible
+    # exactly when its level-l key is nonempty, and then it synchronizes
+    # at level l.
+    spec = expanded(DyckN(2) if base == "dyck2" else fibonacci_dyck_spec(), target)
+    checked = 0
+    for l in range(3):
+        table = CandidateTable(spec, l)
+        for cls in synchronizing_classes(spec, l + 1):
+            for x in range(len(spec.alphabet)):
+                word = (x,) + cls.representative
+                admissible = is_admissible(spec, word)
+                assert bool(table.key(word)) == admissible, word
+                if admissible:
+                    assert is_synchronizing(spec, word, l).is_yes, word
+                    checked += 1
+    assert checked > 0
+
+
 def test_sft_cover_shape():
-    cover, windows = sft_cover(golden_mean_spec())
+    cover = sft_cover(golden_mean_spec())
     assert is_left_resolving(cover)
     assert is_essential(cover)
-    assert len(cover.vertices) == 2
+    # vertices are named by their memory windows, here of length 1
+    assert cover.vertices == ("0", "1")
     assert len(cover.edges) == 3
-    assert len(windows) == len(cover.vertices)

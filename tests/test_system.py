@@ -76,7 +76,7 @@ def test_golden_mean_system():
 
 def test_sft_and_its_cover_build_the_same_system():
     gm = golden_mean_spec()
-    cover, _ = sft_cover(gm)
+    cover = sft_cover(gm)
     direct = build_lambda_synchronizing(gm, 4)
     via_sofic = build_lambda_synchronizing(SoficGraph(cover), 4)
     assert level_isomorphic(direct, via_sofic)
