@@ -8,10 +8,16 @@ found, `no` when a refutation is provable inside the truncation (possible
 for constant systems, whose levels repeat forever), and `unknown` with a
 witness otherwise.  A `no` is never issued on evidence that deeper levels
 could overturn.
+
+Each check walks its question once through the walkers of
+:mod:`lgk.system`: `step_down`, `read_down`, `iota_fiber` and `label_words`.
+On a constant system, condition (I) and the launching search read every
+layer as layer 0 with no length cap; their state sets repeat, so they end.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Iterator, Optional
 
 from .alphabet import Word
@@ -21,6 +27,7 @@ from .system import (
     _out_symbols,
     build_lambda_synchronizing,
     iota_fiber,
+    label_words,
     read_down,
     step_down,
     terminal_vertices,
@@ -53,34 +60,42 @@ def _successors(sys: LambdaGraphSystem, level: int, sources: frozenset[int]) -> 
 
 
 def _graph_reachable(sys: LambdaGraphSystem, start: int, goal: int) -> bool:
-    """Reachability in the repeated graph of a constant system."""
-    out = sys.adjacency.out[0]
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        v = frontier.pop()
-        for targets in out.get(v, {}).values():
-            for t in targets:
-                if t not in seen:
-                    seen.add(t)
-                    frontier.append(t)
-    return goal in seen
+    """Reachability in the repeated graph of a constant system: the
+    fixpoint of `_successors` on layer 0, from `start` itself."""
+    seen = frozenset([start])
+    while goal not in seen:
+        grown = seen | _successors(sys, 0, seen)
+        if grown == seen:
+            return False
+        seen = grown
+    return True
 
 
 # -- condition (I): branching futures ------------------------------------
 
 
-def _branches_within(sys: LambdaGraphSystem, level: int, vertex: int, length: int) -> bool:
-    """Does the label tree from `vertex` fork within `length` steps?"""
+def _unique_future(
+    sys: LambdaGraphSystem, level: int, vertex: int, length: int, constant: bool
+) -> Optional[str]:
+    """Why the label tree from `vertex` does not fork (None if it does):
+    "dies" when no label is left, "depth" after `length` steps, or, in a
+    constant system (layer 0 throughout, no cap), "cycles" when a state set
+    repeats.  The walk is deterministic, so a cycle never forks later."""
     current = frozenset([vertex])
-    for k in range(length):
-        labels = _out_symbols(sys, level + k, current)
+    seen = {current}
+    for k in count() if constant else range(length):
+        layer = 0 if constant else level + k
+        labels = _out_symbols(sys, layer, current)
         if len(labels) >= 2:
-            return True
+            return None
         if not labels:
-            return False
-        current = step_down(sys, level + k, current, labels.pop())
-    return False
+            return "dies"
+        current = step_down(sys, layer, current, labels.pop())
+        if constant:
+            if current in seen:
+                return "cycles"
+            seen.add(current)
+    return "depth"
 
 
 def check_condition_I(sys: LambdaGraphSystem, depth: int = 3) -> Verdict:
@@ -88,48 +103,35 @@ def check_condition_I(sys: LambdaGraphSystem, depth: int = 3) -> Verdict:
 
     Levels 0..L-depth are inspected, so the words stay inside the
     truncation.  A single forking anywhere along the unique prefix
-    certifies the vertex.  For constant systems a non-forking vertex is
-    followed until its deterministic state set cycles, which refutes the
-    property outright; otherwise an unbranched vertex is only `unknown`.
+    certifies the vertex.  In a constant system the walk of
+    `_unique_future` runs until its state set dies or cycles, either of
+    which refutes the property outright; a cycle cannot fork later, so
+    refuting on its first repeat is exact.  Otherwise an unbranched vertex
+    is only `unknown`.
     """
     if not (1 <= depth <= sys.depth):
         raise ValueError(f"depth must be between 1 and {sys.depth}")
     constant = _is_constant(sys)
     for level in range(sys.depth - depth + 1):
         for vertex in range(sys.levels[level].size):
-            if _branches_within(sys, level, vertex, depth):
+            reason = _unique_future(sys, level, vertex, depth, constant)
+            if reason is None:
                 continue
+            where = f"vertex {vertex} at level {level}"
             if not constant:
                 return Verdict.unknown(
                     witness=(level, vertex),
                     note=(
-                        f"vertex {vertex} at level {level} shows a single label "
-                        f"word of length {depth}; deeper levels undecided"
+                        f"{where} shows a single label word of length {depth}; "
+                        f"deeper levels undecided"
                     ),
                 )
-            # Constant system: follow the deterministic word until the
-            # state set repeats; a cycle without forking is a refutation.
-            current = frozenset([vertex])
-            seen = {current}
-            while True:
-                labels = _out_symbols(sys, 0, current)
-                if len(labels) >= 2:
-                    break
-                if not labels:
-                    return Verdict.no(
-                        witness=(level, vertex),
-                        note=f"vertex {vertex} at level {level} emits no label word",
-                    )
-                current = step_down(sys, 0, current, labels.pop())
-                if current in seen:
-                    return Verdict.no(
-                        witness=(level, vertex),
-                        note=(
-                            f"vertex {vertex} at level {level} has a unique "
-                            f"label future (deterministic cycle)"
-                        ),
-                    )
-                seen.add(current)
+            if reason == "dies":
+                return Verdict.no(witness=(level, vertex), note=f"{where} emits no label word")
+            return Verdict.no(
+                witness=(level, vertex),
+                note=f"{where} has a unique label future (deterministic cycle)",
+            )
     return Verdict.yes()
 
 
@@ -207,20 +209,30 @@ def check_iota_irreducible(
     """Any labeled path from u should be shadowed, compatibly with the
     collapse, by a path starting from any other vertex v of the same level:
     v reaches some u' collapsing onto u, from which the same label word runs
-    to a vertex collapsing onto the original endpoint."""
+    to a vertex collapsing onto the original endpoint.
+
+    The shadow starts for one step count form a set, and one `read_down`
+    reads the word from all of them: the union of their endpoints meets
+    the fiber over the endpoint exactly when one start's endpoints do."""
     constant = _is_constant(sys)
     partial: set[int] = set()
     for level in range(min(max_level, sys.depth - 2) + 1):
         size = sys.levels[level].size
+        # Words are nonempty, so no shadow takes more steps than this.
+        most = min(bound, sys.depth - level - 1)
+        # reaches[v][steps]: the vertices v reaches in exactly `steps` steps
+        reaches = []
+        for v in range(size):
+            reach = [frozenset([v])]
+            for l in range(level, level + most):
+                reach.append(_successors(sys, l, reach[-1]))
+            reaches.append(reach)
         for u in range(size):
             if not constant:
                 # Neither depends on v: the paths out of u, and the vertices
                 # collapsing onto u in each number of steps a shadow may take.
                 paths = list(_labeled_paths(sys, level, u, path_len))
-                lifts = [
-                    iota_fiber(sys, level, u, steps)
-                    for steps in range(min(bound, sys.depth - level - 1) + 1)
-                ]
+                lifts = [iota_fiber(sys, level, u, steps) for steps in range(most + 1)]
             for v in range(size):
                 if u == v:
                     continue  # shadowed trivially with zero collapse steps
@@ -239,22 +251,14 @@ def check_iota_irreducible(
                         partial.add(level)
                         continue
                     found = False
-                    reach = frozenset([v])
                     for steps in range(1, min(bound, room) + 1):
-                        reach = _successors(sys, level + steps - 1, reach)
-                        starts = lifts[steps] & reach
+                        starts = lifts[steps] & reaches[v][steps]
                         if not starts:
                             continue
                         # the shadow must end where the collapse maps onto `end`
                         over_end = iota_fiber(sys, level + len(word), end, steps)
-                        for shadow_start in sorted(starts):
-                            ends = read_down(
-                                sys, level + steps, frozenset([shadow_start]), word
-                            )
-                            if ends & over_end:
-                                found = True
-                                break
-                        if found:
+                        if read_down(sys, level + steps, starts, word) & over_end:
+                            found = True
                             break
                     if not found:
                         if room < bound:
@@ -301,30 +305,34 @@ def launching_vertex(sys: LambdaGraphSystem, word: Word, level: int) -> Optional
 
 
 def _unseparated_vertices(
-    sys: LambdaGraphSystem, level: int, max_len: int, meter: _Meter
+    sys: LambdaGraphSystem, level: int, max_len: Optional[int], meter: _Meter
 ) -> set[int]:
     """Vertices at `level` with no launching word of length <= max_len.
 
-    Walks the determinized reader: a state maps each still-alive origin
-    vertex to where its reading currently stands; an origin left as sole
-    survivor has been launched by the word read so far.
+    Walks the determinized reader breadth first: a state maps each
+    still-alive origin vertex to where its reading currently stands; an
+    origin left as sole survivor has been launched by the word read so far.
+    With `max_len` None (a constant system) every layer is layer 0 and
+    there is no length cap: the walk runs until no new state appears, which
+    the `visited` set makes finite, or until every vertex is launched.
     """
     size = sys.levels[level].size
     missing = set(range(size))
     frontier = [tuple((v, frozenset([v])) for v in range(size))]
     visited = set(frontier)
-    for length in range(1, max_len + 1):
-        if not missing:
+    for length in count() if max_len is None else range(max_len):
+        if not (frontier and missing):
             break
+        layer = 0 if max_len is None else level + length
         next_frontier = []
         for state in frontier:
             alive = frozenset().union(*(ends for _, ends in state))
-            for a in sorted(_out_symbols(sys, level + length - 1, alive)):
+            for a in sorted(_out_symbols(sys, layer, alive)):
                 meter.tick()
                 advanced = tuple(
                     (v, moved)
                     for v, ends in state
-                    if (moved := step_down(sys, level + length - 1, ends, a))
+                    if (moved := step_down(sys, layer, ends, a))
                 )
                 if not advanced:
                     continue
@@ -335,45 +343,6 @@ def _unseparated_vertices(
                     next_frontier.append(advanced)
         frontier = next_frontier
     return missing
-
-
-def _launching_closure_constant(sys: LambdaGraphSystem, meter: _Meter) -> Verdict:
-    """Exact decision for constant systems: explore the full reader-state
-    closure of the repeated graph.  Finite, so exhaustion without a sole
-    survivor refutes the property."""
-    size = sys.levels[0].size
-    missing = set(range(size))
-    start = tuple((v, frozenset([v])) for v in range(size))
-    visited = {start}
-    frontier = [start]
-    while frontier and missing:
-        state = frontier.pop()
-        alive = frozenset().union(*(ends for _, ends in state))
-        for a in sorted(_out_symbols(sys, 0, alive)):
-            meter.tick()
-            advanced = tuple(
-                (v, moved)
-                for v, ends in state
-                if (moved := step_down(sys, 0, ends, a))
-            )
-            if not advanced or advanced in visited:
-                if advanced and len(advanced) == 1:
-                    missing.discard(advanced[0][0])
-                continue
-            if len(advanced) == 1:
-                missing.discard(advanced[0][0])
-            visited.add(advanced)
-            frontier.append(advanced)
-    if missing:
-        vertex = min(missing)
-        return Verdict.no(
-            witness=(0, vertex),
-            note=(
-                f"vertex {vertex} (every level) is never the unique reader of "
-                f"any word; reader-state closure exhausted"
-            ),
-        )
-    return Verdict.yes()
 
 
 def is_lambda_synchronizing_system(
@@ -391,13 +360,23 @@ def is_lambda_synchronizing_system(
     below, and the candidate lengths fit the search.  Misses on deeper
     levels are reported in the note rather than degrading the verdict,
     since their launching words may simply not fit the truncation.
-    Constant systems are decided exactly by exhausting the reader-state
-    closure.
+    Constant systems are decided exactly: the uncapped walk exhausts the
+    reader-state closure of the repeated graph.
     """
     meter = _Meter(budget)
     try:
         if _is_constant(sys):
-            return _launching_closure_constant(sys, meter)
+            missing = _unseparated_vertices(sys, 0, None, meter)
+            if not missing:
+                return Verdict.yes()
+            vertex = min(missing)
+            return Verdict.no(
+                witness=(0, vertex),
+                note=(
+                    f"vertex {vertex} (every level) is never the unique reader of "
+                    f"any word; reader-state closure exhausted"
+                ),
+            )
         if depth is None:
             depth = max(1, sys.depth // 2)
         unverified: list[tuple[int, int]] = []
@@ -432,6 +411,11 @@ def is_lambda_synchronizing_system(
 # -- succession relation and transitivity --------------------------------
 
 
+def _lift(sys: LambdaGraphSystem, level: int, vertices: frozenset[int], steps: int) -> frozenset[int]:
+    """Vertices at `level + steps` collapsing onto any of `vertices`."""
+    return frozenset().union(*(iota_fiber(sys, level, v, steps) for v in vertices))
+
+
 def follower_equal(sys: LambdaGraphSystem, first: Word, second: Word) -> bool:
     """Do two admissible words share their follower set in the system?
 
@@ -448,25 +432,7 @@ def follower_equal(sys: LambdaGraphSystem, first: Word, second: Word) -> bool:
     ends_second = terminal_vertices(sys, second)
     if not ends_first or not ends_second:
         raise ValueError("both words must be readable in the system")
-    lifted = frozenset().union(*(iota_fiber(sys, p, e, q - p) for e in ends_first))
-    return lifted == ends_second
-
-
-def _words_from_set(
-    sys: LambdaGraphSystem, level: int, sources: frozenset[int], max_len: int
-) -> Iterator[Word]:
-    """Distinct label words of length 0..max_len readable from `sources`,
-    in (length, lexicographic) order."""
-    layer = [((), sources)]
-    yield ()
-    for length in range(max_len):
-        next_layer = []
-        for word, ends in layer:
-            for a in sorted(_out_symbols(sys, level + length, ends)):
-                moved = step_down(sys, level + length, ends, a)
-                next_layer.append((word + (a,), moved))
-                yield word + (a,)
-        layer = next_layer
+    return _lift(sys, p, ends_first, q - p) == ends_second
 
 
 def succ_relation(
@@ -478,21 +444,23 @@ def succ_relation(
 ) -> Verdict:
     """Search for a bridge word making `second` follower-equivalent to
     first + bridge + second.  `yes` carries the bridge as witness; absence
-    within `bound` is `unknown` (a longer bridge may exist)."""
+    within `bound` is `unknown` (a longer bridge may exist).
+
+    Bridges are read on from the endpoints of `first`, only as long as
+    `second` still fits below them, and `second` is read on from each
+    bridge's endpoints; the follower test of :func:`follower_equal` then
+    compares those endpoints with the lifted endpoints of `second`."""
     meter = _Meter(budget)
     ends_first = terminal_vertices(sys, first)
-    if not ends_first or not terminal_vertices(sys, second):
+    ends_second = terminal_vertices(sys, second)
+    if not ends_first or not ends_second:
         raise ValueError("both words must be readable in the system")
-    level = len(first)
-    for bridge in _words_from_set(sys, level, ends_first, bound):
-        total = len(first) + len(bridge) + len(second)
-        if total > sys.depth:
-            continue
+    room = min(bound, sys.depth - len(first) - len(second))
+    for bridge, ends_bridge in label_words(sys, len(first), ends_first, room):
         meter.tick()
-        combined = first + bridge + second
-        if not terminal_vertices(sys, combined):
-            continue
-        if follower_equal(sys, second, combined):
+        below = len(first) + len(bridge)
+        ends = read_down(sys, below, ends_bridge, second)
+        if ends and _lift(sys, len(second), ends_second, below) == ends:
             return Verdict.yes(
                 witness=bridge,
                 note=f"bridge {sys.alphabet.text(bridge)!r}",
@@ -518,7 +486,7 @@ def check_synchronizingly_transitive(
     if 2 * word_len + bound > sys.depth:
         raise ValueError("truncation too shallow for the requested word length")
     top = frozenset(range(sys.levels[0].size))
-    words = [w for w in _words_from_set(sys, 0, top, word_len) if w]
+    words = [w for w, _ in label_words(sys, 0, top, word_len) if w]
     for first in words:
         for second in words:
             verdict = succ_relation(sys, first, second, bound=bound, budget=budget)

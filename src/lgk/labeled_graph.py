@@ -54,9 +54,6 @@ class LabeledGraph:
             inc[t].append((a, s))
         return inc
 
-    def vertex_index(self, name: str) -> int:
-        return self.vertices.index(name)
-
 
 def from_names(
     alphabet: Alphabet,
@@ -303,20 +300,3 @@ def past_partition(g: LabeledGraph, depth: int) -> list[list[int]]:
         levels.append([first.setdefault(pc.fingerprint([v], l), len(first)) for v in range(len(g.vertices))])
     return levels
 
-
-def follower_source_family(g: LabeledGraph) -> set[frozenset[int]]:
-    """All nonempty sets of the form {v : word readable from v}, over all words.
-
-    Computed as the closure of the full vertex set under label-wise
-    backward steps; every member is realized by some finite word.
-    """
-    full = frozenset(range(len(g.vertices)))
-    family = {full}
-    frontier = [full]
-    while frontier:
-        cur = frontier.pop()
-        for _, f in backward_steps(g, cur):
-            if f not in family:
-                family.add(f)
-                frontier.append(f)
-    return family

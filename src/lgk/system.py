@@ -199,19 +199,26 @@ def terminal_vertices(sys: LambdaGraphSystem, word: Word) -> frozenset[int]:
     return read_down(sys, 0, start, word)
 
 
-def label_words_from(sys: LambdaGraphSystem, level: int, vertex: int, length: int) -> Iterator[Word]:
-    """Distinct label words of exactly `length` readable from `vertex`."""
-    if level < 0 or level + length > sys.depth:
+def label_words(
+    sys: LambdaGraphSystem, level: int, sources: frozenset[int], max_len: int
+) -> Iterator[tuple[Word, frozenset[int]]]:
+    """Distinct label words of length 0..max_len readable from `sources` at
+    `level`, each with its endpoints, in (length, lexicographic) order and
+    one at a time; a negative `max_len` gives none."""
+    if level < 0 or level + max_len > sys.depth:
         raise ValueError("word length exceeds remaining depth")
-
-    def walk(l: int, current: frozenset[int], prefix: Word) -> Iterator[Word]:
-        if len(prefix) == length:
-            yield prefix
-            return
-        for a in sorted(_out_symbols(sys, l, current)):
-            yield from walk(l + 1, step_down(sys, l, current, a), prefix + (a,))
-
-    yield from walk(level, frozenset([vertex]), ())
+    if max_len < 0:
+        return
+    layer = [((), sources)]
+    yield layer[0]
+    for l in range(level, level + max_len):
+        next_layer = []
+        for word, ends in layer:
+            for a in sorted(_out_symbols(sys, l, ends)):
+                entry = (word + (a,), step_down(sys, l, ends, a))
+                next_layer.append(entry)
+                yield entry
+        layer = next_layer
 
 
 def iota_image(sys: LambdaGraphSystem, level: int, vertex: int, steps: int) -> int:

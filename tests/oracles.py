@@ -520,18 +520,22 @@ def scan_iota_fiber(iota, level: int, vertex: int, steps: int) -> frozenset[int]
     return fiber
 
 
-def scan_label_words(edges, level: int, vertex: int, length: int) -> list[tuple[int, ...]]:
-    """Distinct label words of exactly `length` from `vertex`, depth first by
-    ascending symbol."""
+def scan_out_symbols(edges, level: int, sources) -> set[int]:
+    return {a for s, a, t in edges[level] if s in sources}
+
+
+def scan_label_words(edges, level: int, sources, length: int) -> list[tuple[int, ...]]:
+    """Distinct label words of exactly `length` readable from the set
+    `sources`, depth first by ascending symbol."""
 
     def walk(l, current, prefix):
         if len(prefix) == length:
             yield prefix
             return
-        for a in sorted({a for s, a, t in edges[l] if s in current}):
+        for a in sorted(scan_out_symbols(edges, l, current)):
             yield from walk(l + 1, scan_step_down(edges, l, current, a), prefix + (a,))
 
-    return list(walk(level, frozenset([vertex]), ()))
+    return list(walk(level, frozenset(sources), ()))
 
 
 def scan_labeled_paths(edges, level: int, vertex: int, max_len: int):
@@ -617,3 +621,269 @@ def nested_canonical_form(sizes, edges, iota):
         for l in range(len(sizes) - 1)
     ]
     return sizes, new_edges, new_iota
+
+
+# -- dynamical checks, as the package first wrote them -------------------
+#
+# Earlier versions of `lgk.analysis` ran separate walks for constant
+# systems (the reader-state closure of the launching search, the cycle
+# loop of condition (I)) and read every succession candidate whole from
+# the top.  They are kept here on raw systems as references.  A verdict is
+# a (kind, witness, note) triple; `names` are the symbol names.
+
+
+def _text(names, word) -> str:
+    return " ".join(names[a] for a in word)
+
+
+def scan_is_constant(sizes, edges, iota) -> bool:
+    return (
+        len(set(sizes)) == 1
+        and all(layer == edges[0] for layer in edges)
+        and all(list(m) == list(range(sizes[0])) for m in iota)
+    )
+
+
+def reference_condition_I(sizes, edges, iota, depth: int):
+    """Condition (I): every vertex of levels 0..L-depth forks within
+    `depth` steps; constant systems follow a non-forking vertex until its
+    state set dies or cycles."""
+    L = len(sizes) - 1
+    constant = scan_is_constant(sizes, edges, iota)
+
+    def branches_within(level, vertex):
+        current = frozenset([vertex])
+        for k in range(depth):
+            labels = scan_out_symbols(edges, level + k, current)
+            if len(labels) >= 2:
+                return True
+            if not labels:
+                return False
+            current = scan_step_down(edges, level + k, current, labels.pop())
+        return False
+
+    for level in range(L - depth + 1):
+        for vertex in range(sizes[level]):
+            if branches_within(level, vertex):
+                continue
+            if not constant:
+                return (
+                    "unknown",
+                    (level, vertex),
+                    f"vertex {vertex} at level {level} shows a single label "
+                    f"word of length {depth}; deeper levels undecided",
+                )
+            current = frozenset([vertex])
+            seen = {current}
+            while True:
+                labels = scan_out_symbols(edges, 0, current)
+                if len(labels) >= 2:
+                    break
+                if not labels:
+                    return ("no", (level, vertex), f"vertex {vertex} at level {level} emits no label word")
+                current = scan_step_down(edges, 0, current, labels.pop())
+                if current in seen:
+                    return (
+                        "no",
+                        (level, vertex),
+                        f"vertex {vertex} at level {level} has a unique "
+                        f"label future (deterministic cycle)",
+                    )
+                seen.add(current)
+    return ("yes", None, "")
+
+
+def _advance(edges, layer: int, state, a):
+    return tuple(
+        (v, moved) for v, ends in state if (moved := scan_step_down(edges, layer, ends, a))
+    )
+
+
+def _alive(state) -> frozenset[int]:
+    return frozenset().union(*(ends for _, ends in state))
+
+
+def reference_launching(sizes, edges, iota, depth=None):
+    """Does every vertex launch a word?  Non-constant systems search word
+    lengths up to `depth` level by level with the determinized reader;
+    constant systems exhaust the reader-state closure depth first."""
+    L = len(sizes) - 1
+    if scan_is_constant(sizes, edges, iota):
+        missing = set(range(sizes[0]))
+        start = tuple((v, frozenset([v])) for v in range(sizes[0]))
+        visited = {start}
+        frontier = [start]
+        while frontier and missing:
+            state = frontier.pop()
+            for a in sorted(scan_out_symbols(edges, 0, _alive(state))):
+                advanced = _advance(edges, 0, state, a)
+                if len(advanced) == 1:
+                    missing.discard(advanced[0][0])
+                if advanced and advanced not in visited:
+                    visited.add(advanced)
+                    frontier.append(advanced)
+        if missing:
+            vertex = min(missing)
+            return (
+                "no",
+                (0, vertex),
+                f"vertex {vertex} (every level) is never the unique reader of "
+                f"any word; reader-state closure exhausted",
+            )
+        return ("yes", None, "")
+
+    def unseparated(level, max_len):
+        missing = set(range(sizes[level]))
+        frontier = [tuple((v, frozenset([v])) for v in range(sizes[level]))]
+        visited = set(frontier)
+        for length in range(1, max_len + 1):
+            if not missing:
+                break
+            layer = level + length - 1
+            next_frontier = []
+            for state in frontier:
+                for a in sorted(scan_out_symbols(edges, layer, _alive(state))):
+                    advanced = _advance(edges, layer, state, a)
+                    if len(advanced) == 1:
+                        missing.discard(advanced[0][0])
+                    if advanced and advanced not in visited:
+                        visited.add(advanced)
+                        next_frontier.append(advanced)
+            frontier = next_frontier
+        return missing
+
+    if depth is None:
+        depth = max(1, L // 2)
+    unverified = []
+    for level in range(L):
+        room = L - level
+        missing = unseparated(level, min(depth, room))
+        if not missing:
+            continue
+        vertex = min(missing)
+        if level <= min(depth, L - depth):
+            return (
+                "unknown",
+                (level, vertex),
+                f"no word of length <= {min(depth, room)} is readable "
+                f"from vertex {vertex} at level {level} alone",
+            )
+        unverified.append((level, vertex))
+    if unverified:
+        levels = sorted({l for l, _ in unverified})
+        return (
+            "yes",
+            None,
+            f"levels {levels} only partially verified: their launching "
+            f"words may exceed the remaining truncation room",
+        )
+    return ("yes", None, "")
+
+
+def reference_succ_relation(sizes, edges, iota, names, first, second, bound: int):
+    """Search the bridges from the endpoints of `first` breadth first by
+    ascending symbol, skipping those too long for the truncation, and read
+    each `first + bridge + second` from the top.  Like the package before
+    it capped the walk, this raises IndexError when the bridge walk runs
+    past the last edge layer."""
+    L = len(sizes) - 1
+    top = frozenset(range(sizes[0]))
+    ends_first = scan_read_down(edges, 0, top, first)
+    ends_second = scan_read_down(edges, 0, top, second)
+    if not ends_first or not ends_second:
+        raise ValueError("both words must be readable in the system")
+
+    def bridges():
+        layer = [((), ends_first)]
+        yield ()
+        for length in range(bound):
+            next_layer = []
+            for word, ends in layer:
+                for a in sorted(scan_out_symbols(edges, len(first) + length, ends)):
+                    next_layer.append((word + (a,), scan_step_down(edges, len(first) + length, ends, a)))
+                    yield word + (a,)
+            layer = next_layer
+
+    for bridge in bridges():
+        combined = first + bridge + second
+        if len(combined) > L:
+            continue
+        ends_combined = scan_read_down(edges, 0, top, combined)
+        if not ends_combined:
+            continue
+        lifted = frozenset().union(
+            *(scan_iota_fiber(iota, len(second), e, len(combined) - len(second)) for e in ends_second)
+        )
+        if lifted == ends_combined:
+            return ("yes", bridge, f"bridge {_text(names, bridge)!r}")
+    return ("unknown", None, f"no bridge of length <= {bound} found within the truncation")
+
+
+def scan_reachable(edges, start: int, goal: int) -> bool:
+    """Path reachability (length 0 included) in the first edge layer."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        v = frontier.pop()
+        for s, a, t in edges[0]:
+            if s == v and t not in seen:
+                seen.add(t)
+                frontier.append(t)
+    return goal in seen
+
+
+def reference_iota_irreducible(sizes, edges, iota, names, bound=3, max_level=2, path_len=2):
+    """Shadowing of the labeled paths out of u from every other vertex v,
+    trying the candidate shadow starts one at a time and walking v's reach
+    afresh for every word."""
+    L = len(sizes) - 1
+    if scan_is_constant(sizes, edges, iota):
+        for level in range(min(max_level, L - 2) + 1):
+            for u in range(sizes[level]):
+                for v in range(sizes[level]):
+                    if u != v and not scan_reachable(edges, v, u):
+                        return ("no", (level, v, u), f"vertex {u} is unreachable from {v}")
+        return ("yes", None, "")
+    partial = set()
+    for level in range(min(max_level, L - 2) + 1):
+        for u in range(sizes[level]):
+            paths = scan_labeled_paths(edges, level, u, path_len)
+            for v in range(sizes[level]):
+                if u == v:
+                    continue
+                for word, end in paths:
+                    room = L - level - len(word)
+                    if room < 1:
+                        partial.add(level)
+                        continue
+                    found = False
+                    reach = frozenset([v])
+                    for steps in range(1, min(bound, room) + 1):
+                        reach = frozenset(t for s, a, t in edges[level + steps - 1] if s in reach)
+                        starts = scan_iota_fiber(iota, level, u, steps) & reach
+                        over_end = scan_iota_fiber(iota, level + len(word), end, steps)
+                        for start in sorted(starts):
+                            if scan_read_down(edges, level + steps, [start], word) & over_end:
+                                found = True
+                                break
+                        if found:
+                            break
+                    if found:
+                        continue
+                    if room < bound:
+                        partial.add(level)
+                        continue
+                    return (
+                        "unknown",
+                        (level, v, u, word),
+                        f"within {bound} collapse steps, no path from "
+                        f"vertex {v} shadows the word {_text(names, word)!r} "
+                        f"out of vertex {u} at level {level}",
+                    )
+    if partial:
+        return (
+            "yes",
+            None,
+            f"levels {sorted(partial)} verified only for the word lengths that fit the truncation",
+        )
+    return ("yes", None, "")

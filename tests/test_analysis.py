@@ -8,8 +8,12 @@ systems where launching words are the closing words themselves.
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+import oracles
 from conftest import FIB, even_shift_spec, golden_mean_spec
+from test_walkers import BUILT, random_systems, raw
 from lgk import (
     Alphabet,
     Budget,
@@ -31,6 +35,7 @@ from lgk import (
     succ_relation,
 )
 from lgk.dyck import state_words
+from lgk.labeled_graph import LabeledGraph, essential_subgraph
 from lgk.verdict import Verdict
 
 
@@ -135,6 +140,15 @@ def test_succession_bridge():
     assert succ_relation(even, (1,), (0,)).is_unknown
 
 
+def test_succession_skips_bridges_below_the_truncation():
+    # Bridges of length 2 and 3 after '1' leave no room for '0' at depth 3;
+    # the search must skip them, not walk past the last edge layer.
+    even = build_lambda_synchronizing(even_shift_spec(), 3)
+    verdict = succ_relation(even, (1,), (0,), bound=3)
+    assert verdict.is_unknown
+    assert verdict.note == "no bridge of length <= 3 found within the truncation"
+
+
 def test_transitivity_verdicts():
     assert check_synchronizingly_transitive(golden_mean_spec(), word_len=2).is_yes
     assert check_synchronizingly_transitive(FullShift(2), word_len=2).is_yes
@@ -161,3 +175,56 @@ def test_simplicity_prediction_table():
     assert simplicity_prediction(unknown, yes).is_unknown
     assert simplicity_prediction(yes, unknown).is_unknown
     assert simplicity_prediction(no, unknown).is_no
+
+
+# -- the folded walks against the references in `oracles` -----------------
+
+
+@st.composite
+def constant_systems(draw):
+    """The repeated system of a random essential left-resolving cover."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 2))
+    # at most one source per (target, symbol) keeps the cover left-resolving
+    edges = set()
+    for t in range(n):
+        for a in range(k):
+            s = draw(st.none() | st.integers(0, n - 1))
+            if s is not None:
+                edges.add((s, a, t))
+    graph = LabeledGraph(Alphabet(("x", "y")[:k]), tuple("uvw"[:n]), tuple(sorted(edges)))
+    cover = essential_subgraph(graph)
+    assume(cover.vertices)
+    return build_from_finite_graph(cover, draw(st.integers(1, 5)))
+
+
+def triple(verdict: Verdict):
+    return verdict.kind, verdict.witness, verdict.note
+
+
+@given(st.one_of(random_systems(), constant_systems(), st.sampled_from(BUILT)), st.data())
+def test_dynamical_checks_match_references(sys, data):
+    sizes, edges, iota = raw(sys)
+    names = sys.alphabet.names
+    depth = data.draw(st.integers(1, sys.depth))
+    assert triple(check_condition_I(sys, depth)) == oracles.reference_condition_I(
+        sizes, edges, iota, depth
+    )
+    search = data.draw(st.none() | st.integers(1, sys.depth))
+    assert triple(is_lambda_synchronizing_system(sys, search)) == oracles.reference_launching(
+        sizes, edges, iota, search
+    )
+    assert triple(check_iota_irreducible(sys)) == oracles.reference_iota_irreducible(
+        sizes, edges, iota, names
+    )
+    top = range(sizes[0])
+    words = [w for n in range(sys.depth + 1) for w in oracles.scan_label_words(edges, 0, top, n)]
+    first = data.draw(st.sampled_from(words))
+    second = data.draw(st.sampled_from(words))
+    bound = data.draw(st.integers(0, 3))
+    try:
+        expected = oracles.reference_succ_relation(sizes, edges, iota, names, first, second, bound)
+    except IndexError:
+        # the reference walks past the last edge layer; no bridge that fits succeeded
+        expected = ("unknown", None, f"no bridge of length <= {bound} found within the truncation")
+    assert triple(succ_relation(sys, first, second, bound=bound)) == expected

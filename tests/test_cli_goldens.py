@@ -5,7 +5,10 @@ compared by exit code and the sha256 of its stdout against
 tests/cli_goldens.json.  Besides the specs, the jobs read
 tests/non_intertwining_system.json, a small system whose matrices fail
 the intertwining identity between levels 1 and 2, so the failing branch
-of `verify` and the BROKEN connecting map of `invariants` are pinned too.
+of `verify` and the BROKEN connecting map of `invariants` are pinned too,
+and tests/two_loops_system.json, a constant system (two disjoint loops
+read as x, one also as y) on which condition (I), both irreducibilities
+and the synchronizing-system property are refuted outright.
 A change that alters any output byte of these jobs fails here, so
 simplifications and speed-ups can be checked for identical output.  To
 re-record after a deliberate output change:
@@ -46,6 +49,9 @@ def _jobs() -> list[tuple[str, ...]]:
     for command in ("invariants", "verify"):
         for fmt in ("json", "text"):
             jobs.append((command, "--system", "tests/non_intertwining_system.json", "--format", fmt))
+    # A constant system whose four decidable checks all say `no`.
+    for fmt in ("json", "text"):
+        jobs.append(("verify", "--system", "tests/two_loops_system.json", "--format", fmt))
     jobs += [
         ("flowcheck", "--spec", "specs/markovdyck_fib.json", "--depth", "3", "--expand", "a1"),
         ("flowcheck", "--spec", "specs/dyck2.json", "--depth", "3", "--expand", "b1"),

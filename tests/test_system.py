@@ -35,7 +35,7 @@ from lgk.subshift import sft_cover
 from lgk.system import (
     iota_fiber,
     iota_image,
-    label_words_from,
+    label_words,
     read_down,
     verify_predecessor_separated,
 )
@@ -70,7 +70,7 @@ def test_golden_mean_system():
     tm = transition_matrices(canonical_form(sys))
     assert tm.a[1] == ((0, 1), (1, 1))
     assert sum(tm.a[0][0]) == 3
-    words = set(label_words_from(sys, 0, 0, 3))
+    words = {w for w, _ in label_words(sys, 0, frozenset({0}), 3) if len(w) == 3}
     assert words == set(blocks(golden_mean_spec(), 3))
 
 

@@ -34,7 +34,7 @@ from lgk.subshift import Budget, FullShift
 from lgk.system import (
     iota_fiber,
     iota_image,
-    label_words_from,
+    label_words,
     read_down,
     step_down,
     verify_local_property,
@@ -129,13 +129,28 @@ def test_word_walks_keep_their_order(sys):
     for level in range(sys.depth + 1):
         for v in range(sys.sizes[level]):
             for length in range(min(3, sys.depth - level) + 1):
-                assert list(label_words_from(sys, level, v, length)) == oracles.scan_label_words(
-                    edges, level, v, length
+                words = label_words(sys, level, frozenset([v]), length)
+                assert [w for w, _ in words if len(w) == length] == oracles.scan_label_words(
+                    edges, level, {v}, length
                 )
             for max_len in (1, 2, 3):
                 assert list(_labeled_paths(sys, level, v, max_len)) == oracles.scan_labeled_paths(
                     edges, level, v, max_len
                 )
+
+
+@given(systems, st.data())
+def test_label_words_match_layer_scans_on_source_sets(sys, data):
+    _, edges, _ = raw(sys)
+    level = data.draw(st.integers(0, sys.depth))
+    sources = data.draw(st.frozensets(st.integers(0, sys.sizes[level] - 1)))
+    max_len = data.draw(st.integers(0, sys.depth - level))
+    expected = [
+        (word, oracles.scan_read_down(edges, level, sources, word))
+        for length in range(max_len + 1)
+        for word in oracles.scan_label_words(edges, level, sources, length)
+    ]
+    assert list(label_words(sys, level, sources, max_len)) == expected
 
 
 def assert_local_property_matches(sys):
@@ -242,6 +257,6 @@ def test_walkers_reject_levels_outside_the_system():
     with pytest.raises(ValueError):
         read_down(sys, -1, top, (0,))
     with pytest.raises(ValueError):
-        list(label_words_from(sys, -1, 0, 1))
+        list(label_words(sys, -1, top, 1))
     assert iota_image(sys, 4, 0, 4) == 0
     assert iota_fiber(sys, 4, 0, 0) == frozenset({0})
