@@ -53,7 +53,6 @@ from .subshift import (
     blocks,
     follower_words,
     is_admissible,
-    is_synchronizing,
     predecessor_words,
     synchronizing_classes,
 )

@@ -85,10 +85,6 @@ def left_resolving_violation(g: LabeledGraph) -> tuple[int, int] | None:
     return None
 
 
-def is_left_resolving(g: LabeledGraph) -> bool:
-    return left_resolving_violation(g) is None
-
-
 def stranded_vertices(g: LabeledGraph) -> set[int]:
     """Vertices lacking an outgoing or an incoming edge."""
     has_out = {s for s, _, _ in g.edges}
@@ -120,31 +116,6 @@ def essential_subgraph(g: LabeledGraph) -> LabeledGraph:
         tuple(g.vertices[v] for v in order),
         tuple(sorted((pos[s], a, pos[t]) for s, a, t in edges)),
     )
-
-
-def is_irreducible(g: LabeledGraph) -> bool:
-    """Strong connectivity of the underlying digraph (labels ignored)."""
-    n = len(g.vertices)
-    if n == 0:
-        return False
-    succ: dict[int, set[int]] = {v: set() for v in range(n)}
-    pred: dict[int, set[int]] = {v: set() for v in range(n)}
-    for s, _, t in g.edges:
-        succ[s].add(t)
-        pred[t].add(s)
-
-    def reach(start: int, nbrs: dict[int, set[int]]) -> set[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in nbrs[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
-    return len(reach(0, succ)) == n and len(reach(0, pred)) == n
 
 
 # -- word reading --------------------------------------------------------

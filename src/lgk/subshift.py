@@ -4,23 +4,23 @@ Six spec kinds and two presentations.  Shifts of finite type (forbidden
 words), sofic shifts (labeled covers) and full shifts are presented by one
 essential left-resolving cover each, :func:`cover`, whose path language is
 B(X).  Dyck and Markov-Dyck bracket shifts and their symbol expansions are
-read by a prefix-incremental bracket stepper.  Each operation branches
-once, on the presentation:
+read by a prefix-incremental bracket stepper.  Each language operation
+branches once, on the presentation:
 
 * `is_admissible(spec, word)`: membership in the factor language B(X);
 * `blocks(spec, length)`: all of B_l(X);
 * `predecessor_words` / `follower_words`: words that may precede / follow a
-  given word at a given length;
-* `is_synchronizing(spec, word, level)`: whether the word pins down the
-  length-`level` past of every extension (tri-state; exact for all variants
-  on their decidable cases);
-* `synchronizing_classes(spec, level)`: past-equivalence classes of
-  synchronizing words, each with a canonical representative and a
-  fingerprint of its predecessor set.
+  given word at a given length.
+
+`synchronizing_classes(spec, level)` is the census of a bracket spec: the
+past-equivalence classes of its level-`level` synchronizing words, each
+with a canonical representative and a fingerprint of its predecessor set.
+A spec with a cover needs no census; its λ-synchronizing system is the
+past-equivalence quotient of the cover (see :mod:`lgk.system`).
 
 Enumerations honour a :class:`Budget`, drawing one word per word they
-enumerate; exceeding it surfaces as an `unknown` verdict or a
-:class:`BudgetExceeded` error, never a wrong answer.
+enumerate; exceeding it raises :class:`BudgetExceeded`, never a wrong
+answer.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ from .dyck import (
 )
 from .labeled_graph import (
     LabeledGraph,
-    PastClassifier,
-    backward_steps,
     essential_subgraph,
     is_essential,
     left_resolving_violation,
@@ -50,7 +48,6 @@ from .labeled_graph import (
     words_into,
     words_of_length,
 )
-from .verdict import Verdict
 
 
 @dataclass(frozen=True)
@@ -509,182 +506,18 @@ def follower_words(
     return {w for w, _ in _stepper_words(spec, length, meter, prefix_state=state)}
 
 
-# -- synchronization -----------------------------------------------------
-
-
-def _bracket_emitted(spec: SubshiftSpec, word: Word) -> int | None:
-    """Unmatched-close count of `word` (None if inadmissible).
-
-    Reading `word` after any admissible past of length l, the word's
-    unmatched closes absorb the past's pending opens (at most l of them,
-    one per close while any remain); once all are consumed the machine
-    state no longer depends on the past.  Hence emitted >= level certifies
-    level-synchronization for every bracket variant, including expansions,
-    where fresh symbols lengthen words but never touch the bracket state.
-    """
-    st = _stepper(spec)
-    state = _read(st, st.start, word)
-    return None if state is None else st.emitted(state)
-
-
-def _sync_no_search(
-    spec: SubshiftSpec, word: Word, level: int, depth: int, budget: Budget
-) -> Verdict | None:
-    """Bounded search for a follower that changes the length-`level` past."""
-    base = predecessor_words(spec, word, level, budget)
-    meter = _Meter(budget)
-    alphabet = spec.alphabet
-    for d in range(1, depth + 1):
-        for omega in follower_words(spec, word, d, budget):
-            meter.tick()
-            other = predecessor_words(spec, word + omega, level, budget)
-            if other != base:
-                diff = sorted(base.symmetric_difference(other))[0]
-                return Verdict.no(
-                    witness={
-                        "follower": alphabet.text(omega),
-                        "past": alphabet.text(diff),
-                    },
-                    note=f"past set changes after follower at depth {d}",
-                )
-    return None
-
-
-def is_synchronizing(
-    spec: SubshiftSpec,
-    word: Word,
-    level: int,
-    depth: int | None = None,
-    budget: Budget = DEFAULT_BUDGET,
-) -> Verdict:
-    """Does `word` have the same length-`level` predecessor set as all its
-    extensions?  Exact for full shifts, SFTs, sofic covers, and for bracket
-    shifts via the unmatched-close criterion; otherwise falls back to a
-    bounded refutation search.
-    """
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    if not is_admissible(spec, word):
-        raise ValueError("word is not admissible")
-    if depth is None:
-        depth = budget.max_depth
-    if level == 0:
-        return Verdict.yes(note="length-0 pasts are trivial")
-    if isinstance(spec, FullShift):
-        return Verdict.yes(note="full shifts have no constraints")
-    if isinstance(spec, SftForbidden):
-        return _sft_synchronizing(spec, word, level, budget)
-    if isinstance(spec, SoficGraph):
-        return _sofic_synchronizing(spec, word, level, budget)
-    emitted = _bracket_emitted(spec, word)
-    assert emitted is not None
-    if emitted >= level:
-        return Verdict.yes(note=f"{emitted} unmatched closes absorb any length-{level} past")
-    try:
-        no = _sync_no_search(spec, word, level, depth, budget)
-    except BudgetExceeded:
-        return Verdict.unknown(note="budget exhausted during refutation search")
-    if no is not None:
-        return no
-    return Verdict.unknown(
-        note=f"only {emitted} unmatched closes; no refuting follower within depth {depth}"
-    )
-
-
-def _sft_synchronizing(
-    spec: SftForbidden, word: Word, level: int, budget: Budget
-) -> Verdict:
-    g = sft_cover(spec)
-    w = sft_window(spec)
-    if len(word) >= w:
-        return Verdict.yes(note=f"length >= memory window {w}")
-    # decide exactly by comparing past fingerprints over all completions
-    pc = PastClassifier(g)
-    start = _start_set(g, word)
-    base = pc.fingerprint(start, level)
-    meter = _Meter(budget)
-    for d in range(1, w - len(word) + 1):
-        for omega in follower_words(spec, word, d, budget):
-            meter.tick()
-            ext = _start_set(g, word + omega)
-            if pc.fingerprint(ext, level) != base:
-                witness = _set_past_witness(g, start, ext, level, budget)
-                return Verdict.no(
-                    witness={"follower": spec.alphabet.text(omega), "past": witness},
-                    note="past set changes within the memory window",
-                )
-    return Verdict.yes(note="all extensions to the memory window agree")
-
-
-def _sofic_synchronizing(
-    spec: SoficGraph, word: Word, level: int, budget: Budget
-) -> Verdict:
-    g = spec.graph
-    if len(g.vertices) > 24:
-        return Verdict.unknown(note="cover too large for exact subset analysis")
-    pc = PastClassifier(g)
-    start = _start_set(g, word)
-    base = pc.fingerprint(start, level)
-    family = _follower_family_with_words(g)
-    for follower_set, omega in sorted(family.items(), key=lambda kv: (len(kv[1]), kv[1])):
-        restricted = read_backward(g, set(follower_set), word)
-        if not restricted:
-            continue  # no follower realizing this set extends the word
-        if pc.fingerprint(restricted, level) != base:
-            witness = _set_past_witness(g, start, restricted, level, budget)
-            return Verdict.no(
-                witness={"follower": spec.alphabet.text(omega), "past": witness},
-                note="a follower shrinks the past set",
-            )
-    return Verdict.yes(note="all realizable follower sets leave the past fixed")
-
-
-def _follower_family_with_words(g: LabeledGraph) -> dict[frozenset[int], Word]:
-    """Each realizable follower-source set with a shortest realizing word."""
-    full = frozenset(range(len(g.vertices)))
-    family: dict[frozenset[int], Word] = {full: ()}
-    frontier = [full]
-    while frontier:
-        nxt: list[frozenset[int]] = []
-        for cur in frontier:
-            word = family[cur]
-            for a, f in backward_steps(g, cur):
-                if f not in family:
-                    family[f] = (a,) + word
-                    nxt.append(f)
-        frontier = nxt
-    return family
-
-
-def _set_past_witness(
-    g: LabeledGraph, s1: set[int], s2: set[int], level: int, budget: Budget
-) -> str | None:
-    """A length-`level` word into one set but not the other, as text."""
-    try:
-        meter = _Meter(budget)
-        w1 = set(_metered(words_into(g, s1, level), meter))
-        w2 = set(_metered(words_into(g, s2, level), meter))
-        diff = sorted(w1.symmetric_difference(w2))
-        if diff:
-            return g.alphabet.text(diff[0])
-    except BudgetExceeded:
-        pass
-    return None
-
-
 # -- synchronizing classes ----------------------------------------------
 
 
 @dataclass(frozen=True)
 class SyncClass:
-    """A past-equivalence class of level-`level` synchronizing words.
+    """A past-equivalence class of level-`level` synchronizing words of a
+    bracket spec.
 
-    `fingerprint` identifies the class among the classes of its level.  For
-    full shifts, SFTs and sofic shifts it is the exact length-`level`
-    predecessor set of the representative.  For Dyck, Markov-Dyck and
-    expanded bracket shifts it is the representative's key in the level's
+    `fingerprint` is the representative's key in the level's
     :class:`CandidateTable`: the ids of the candidate end states from which
-    the representative reads on, which stand for the predecessor set.
+    the representative reads on, which stand for its predecessor set and
+    identify the class among the classes of its level.
     """
 
     level: int
@@ -699,63 +532,33 @@ def synchronizing_classes(
     *,
     _table: CandidateTable | None = None,
 ) -> list[SyncClass]:
-    """All past-equivalence classes of level-`level` synchronizing words.
+    """All past-equivalence classes of level-`level` synchronizing words of
+    a Dyck, Markov-Dyck or expanded bracket spec.
 
     Classes are ordered by (length, lexicographic) of their canonical
-    representative; see :class:`SyncClass` for what each fingerprint holds.
-    A bracket spec's census keys its representatives in a
-    :class:`CandidateTable` of length-`level` candidates; a system build
-    passes the table it also looks its edges up in as `_table`, so each
-    level's candidates are enumerated once per build.
+    representative and keyed in a :class:`CandidateTable` of length-`level`
+    candidates; a system build passes the table it also looks its edges up
+    in as `_table`, so each level's candidates are enumerated once per
+    build.  A spec with a cover has no census (its system is the past
+    quotient of the cover) and raises TypeError.
     """
     if level < 0:
         raise ValueError("level must be >= 0")
+    table = CandidateTable(spec, level, budget) if _table is None else _table
     if level == 0:
-        if not is_admissible(spec, ()):
-            raise ValueError("subshift is empty")
-        # a bracket spec's one length-0 candidate, (), ends in the start
-        # state, id 0, from which every admissible word reads on
-        fp = frozenset({0}) if isinstance(spec, _BRACKET_KINDS) else frozenset({()})
-        return [SyncClass(0, (), fp)]
-    if isinstance(spec, _BRACKET_KINDS):
-        table = CandidateTable(spec, level, budget) if _table is None else _table
-        if isinstance(spec, Expanded):
-            keyed = _expanded_class_reps(spec, table, budget)
-        else:
-            keyed = {}
-            for x in state_words(spec.matrix, level):
-                rep = tuple(spec.n + j for j in x)
-                keyed.setdefault(table.key(rep), rep)
-        out = [SyncClass(level, rep, key) for key, rep in keyed.items()]
-        out.sort(key=lambda c: (len(c.representative), c.representative))
-        return out
-    if isinstance(spec, FullShift):
-        reps = [()]  # the empty word already pins down every past
+        # the one length-0 candidate, (), ends in the start state, id 0,
+        # from which every admissible word reads on
+        return [SyncClass(0, (), frozenset({0}))]
+    if isinstance(spec, Expanded):
+        keyed = _expanded_class_reps(spec, table, budget)
     else:
-        g = cover(spec)
-        if not g.vertices:
-            raise ValueError("subshift is empty")
-        # An SFT word as long as the memory window synchronizes; a sofic
-        # class is reached within |V| + level symbols.
-        if isinstance(spec, SftForbidden):
-            length = sft_window(spec)
-        else:
-            length = len(g.vertices) + level
-        seen: dict[int, Word] = {}
-        pc = PastClassifier(g)
-        for w in _metered(words_of_length(g, length), _Meter(budget)):
-            if is_synchronizing(spec, w, level, budget=budget).is_yes:
-                seen.setdefault(pc.fingerprint(_start_set(g, w), level), w)
-        reps = sorted(seen.values(), key=lambda w: (len(w), w))
-    # The cover is essential with path language B(X), so v·w is admissible
-    # exactly when v labels a path into w's start set: the depth-`level`
-    # past of the start set is w's predecessor set.  Distinct fingerprints
-    # therefore mean distinct predecessor sets, and the representatives
-    # need no second dedupe.
-    return [
-        SyncClass(level, rep, frozenset(predecessor_words(spec, rep, level, budget)))
-        for rep in reps
-    ]
+        keyed = {}
+        for x in state_words(spec.matrix, level):
+            rep = tuple(spec.n + j for j in x)
+            keyed.setdefault(table.key(rep), rep)
+    out = [SyncClass(level, rep, key) for key, rep in keyed.items()]
+    out.sort(key=lambda c: (len(c.representative), c.representative))
+    return out
 
 
 def _expanded_class_reps(

@@ -221,16 +221,6 @@ def label_words(
         layer = next_layer
 
 
-def iota_image(sys: LambdaGraphSystem, level: int, vertex: int, steps: int) -> int:
-    """Apply the collapse `steps` times to a vertex at `level`."""
-    if not 0 <= steps <= level <= sys.depth:
-        raise ValueError(f"cannot collapse {steps} steps up from level {level}")
-    v = vertex
-    for k in range(steps):
-        v = sys.iota[level - 1 - k][v]
-    return v
-
-
 def iota_fiber(sys: LambdaGraphSystem, level: int, vertex: int, steps: int) -> frozenset[int]:
     """Vertices at `level + steps` collapsing onto `vertex` at `level`."""
     if level < 0 or steps < 0 or level + steps > sys.depth:

@@ -10,6 +10,7 @@ a reduction calculus.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
 
@@ -493,6 +494,77 @@ def past_classes(n: int, edges, depth: int) -> list[list[int]]:
     return levels
 
 
+# -- strong connectivity, by transitive closure --------------------------
+
+
+def strongly_connected(n: int, edges) -> bool:
+    """Does every vertex of 0..n-1 reach every other along the (source,
+    symbol, target) `edges`, labels ignored?  False with no vertices.
+
+    Reachability is Warshall's transitive closure of the edge relation.
+    """
+    if n == 0:
+        return False
+    reach = [[v == w for w in range(n)] for v in range(n)]
+    for s, _, t in edges:
+        reach[s][t] = True
+    for m in range(n):
+        for v in range(n):
+            if reach[v][m]:
+                reach[v] = [r or via for r, via in zip(reach[v], reach[m])]
+    return all(all(row) for row in reach)
+
+
+# -- the λ-synchronizing system, from its definition ----------------------
+
+
+def census_system(k: int, member, sync_len: int, depth: int, keep=None):
+    """Raw (sizes, edges, iota) of the λ-synchronizing system of the shift
+    whose factor language `member` decides, up to `depth`.
+
+    The candidates are the words of length `sync_len` over 0..k-1 that
+    `member` admits (and `keep` accepts, when given).  The caller picks
+    them so that every candidate is λ-synchronizing at every level and
+    every class is met.  A word's level-l class is its predecessor set, the
+    length-l words v with v·w admissible.  The level-l vertices are the
+    distinct classes of the candidates, numbered as the candidates first
+    meet them in lexicographic order.  The x-edge into the class of a
+    candidate μ at level l+1 leaves the level-l class of x·μ, and ι sends
+    μ's class at level l+1 to μ's class at level l.  A class of some x·μ
+    that no candidate meets raises KeyError: the candidates missed one.
+    """
+    admits = lru_cache(maxsize=None)(member)
+
+    def past(l: int, word) -> frozenset[tuple[int, ...]]:
+        return frozenset(v for v in product(range(k), repeat=l) if admits(v + word))
+
+    candidates = [
+        w
+        for w in product(range(k), repeat=sync_len)
+        if admits(w) and (keep is None or keep(w))
+    ]
+    index = []
+    for l in range(depth + 1):
+        ids: dict[frozenset, int] = {}
+        for w in candidates:
+            ids.setdefault(past(l, w), len(ids))
+        index.append(ids)
+    sizes = [len(ids) for ids in index]
+    edges, iota = [], []
+    for l in range(depth):
+        layer = set()
+        image = [0] * sizes[l + 1]
+        for mu in candidates:
+            j = index[l + 1][past(l + 1, mu)]
+            image[j] = index[l][past(l, mu)]
+            for x in range(k):
+                if admits((x,) + mu):
+                    layer.add((index[l][past(l, (x,) + mu)], x, j))
+        edges.append(sorted(layer))
+        iota.append(image)
+    return sizes, edges, iota
+
+
 # -- leveled systems, walked by scanning whole edge layers ---------------
 #
 # A system is given raw: `edges[l]` is the sorted list of (source, symbol,
@@ -518,6 +590,13 @@ def scan_iota_fiber(iota, level: int, vertex: int, steps: int) -> frozenset[int]
     for k in range(steps):
         fiber = frozenset(v for v, image in enumerate(iota[level + k]) if image in fiber)
     return fiber
+
+
+def scan_iota_image(iota, level: int, vertex: int, steps: int) -> int:
+    """Collapse `vertex` at `level` by ι, `steps` times."""
+    for l in range(level - 1, level - 1 - steps, -1):
+        vertex = iota[l][vertex]
+    return vertex
 
 
 def scan_out_symbols(edges, level: int, sources) -> set[int]:

@@ -28,7 +28,7 @@ from lgk.cli import main
 from lgk.dyck import BracketMachine, reduce_brackets
 from lgk.flow import expand_spec, plan_for
 from lgk.invariants import connecting_map_check, invariant_report, level_groups
-from lgk.labeled_graph import LabeledGraph, is_essential, is_irreducible
+from lgk.labeled_graph import LabeledGraph, is_essential
 from lgk.linalg import AbelianGroup, cokernel, kernel_group, mat_sub, transpose
 from lgk.serialize import spec_dumps, system_dumps
 from lgk.subshift import DEFAULT_BUDGET, DyckN, FullShift, MarkovDyck, SoficGraph, sft_cover
@@ -156,7 +156,7 @@ def _random_cover(seed: int) -> LabeledGraph | None:
     )
     if {a for _, a, _ in graph.edges} != {0, 1}:
         return None
-    if not is_essential(graph) or not is_irreducible(graph):
+    if not is_essential(graph) or not oracles.strongly_connected(n, graph.edges):
         return None
     return graph
 

@@ -10,6 +10,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from conftest import even_shift_graph, even_shift_spec, golden_mean_spec
 from lgk.alphabet import Alphabet
 from lgk.flow import (
@@ -22,12 +23,7 @@ from lgk.flow import (
     expand_word,
     plan_for,
 )
-from lgk.labeled_graph import (
-    from_names,
-    is_essential,
-    is_irreducible,
-    is_left_resolving,
-)
+from lgk.labeled_graph import from_names, is_essential, left_resolving_violation
 from lgk.subshift import (
     DyckN,
     Expanded,
@@ -141,9 +137,9 @@ def test_expand_even_shift_graph_structure():
     g = expand_labeled_graph(even_shift_graph(), plan)
     assert g.vertices == ("u", "w", "e:u>w", "e:w>u")
     assert g.edges == ((0, 1, 0), (0, 2, 2), (1, 2, 3), (2, 0, 1), (3, 0, 0))
-    assert is_left_resolving(g)
+    assert left_resolving_violation(g) is None
     assert is_essential(g)
-    assert is_irreducible(g)
+    assert oracles.strongly_connected(len(g.vertices), g.edges)
 
 
 def test_expansion_reflects_admissibility_sofic():

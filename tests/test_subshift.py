@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -27,14 +27,14 @@ from lgk import (
     expand_spec,
     follower_words,
     is_admissible,
-    is_synchronizing,
     plan_for,
     predecessor_words,
     synchronizing_classes,
 )
 from lgk.dyck import all_ones
-from lgk.labeled_graph import is_essential, is_left_resolving
-from lgk.subshift import CandidateTable, sft_cover
+from lgk.labeled_graph import is_essential, left_resolving_violation
+from lgk.subshift import CandidateTable, _read, _stepper, sft_cover
+from test_walkers import raw
 
 words_01 = st.lists(st.integers(0, 1), min_size=0, max_size=10).map(tuple)
 
@@ -187,46 +187,59 @@ def test_followers_match_bruteforce(kind, word, length):
     assert got == want
 
 
-def test_golden_mean_every_word_synchronizes():
-    gm = golden_mean_spec()
-    for word in [(0,), (1,), (0, 1), (1, 0), (0, 0, 1)]:
-        for level in (1, 2, 3):
-            assert is_synchronizing(gm, word, level).is_yes
+@settings(max_examples=150)
+@given(covered_specs(), st.integers(1, 3))
+@example((golden_mean_spec(), oracles.sft_language(2, [(1, 1)])), 3)
+@example((FullShift(4), oracles.sft_language(4, ())), 2)
+def test_past_quotient_matches_definitional_census(presented, depth):
+    """The past quotient of an SFT's or a full shift's cover is the census
+    system of its synchronizing words.
+
+    With m the memory window (one less than the longest forbidden word, at
+    least 1), a word of length >= m synchronizes at every level: if u·w
+    and w·v are admissible and |w| >= m, so is u·w·v.  Any synchronizing
+    word has the class of an admissible extension of length >= m, hence of
+    that extension's first m symbols, so the length-m words meet every
+    class, and x·μ has the class of its first m symbols.
+    """
+    spec, member = presented
+    assume(member(()))
+    k = len(spec.alphabet)
+    sync_len = max([1] + [len(f) - 1 for f in getattr(spec, "forbidden", ())])
+    census = oracles.nested_canonical_form(*oracles.census_system(k, member, sync_len, depth))
+    quotient = oracles.nested_canonical_form(*raw(build_lambda_synchronizing(spec, depth)))
+    assert census is not None and quotient is not None
+    assert census == quotient
 
 
-def test_even_shift_synchronization():
-    even = even_shift_spec()
-    # a 1 pins the run parity; bare zeros do not
-    assert is_synchronizing(even, (1,), 2).is_yes
-    assert is_synchronizing(even, (1, 0), 2).is_yes
-    assert is_synchronizing(even, (0, 1), 2).is_yes
-    v = is_synchronizing(even, (0,), 2)
-    assert v.is_no
-    assert v.witness is not None
-    assert is_synchronizing(even, (0, 0), 2).is_no
+def test_even_shift_quotient_matches_definitional_census():
+    """The past quotient of the even shift's Fischer cover is the census
+    system of its synchronizing words.
+
+    A word containing a 1 synchronizes at every level: reading a 1 forgets
+    the past, so the class is fixed by the parity of the run of 0s before
+    the first 1.  The candidates of length 2 that contain a 1 (01, 10, 11)
+    meet both parities, and x·μ contains a 1 again, so they reach every
+    class.  A bare run of 0s does not synchronize: a 1 after it fixes a
+    parity the run left open.
+    """
+    for depth in range(1, 5):
+        raw_census = oracles.census_system(
+            2, even_runs_between_ones, 2, depth, keep=lambda word: 1 in word
+        )
+        census = oracles.nested_canonical_form(*raw_census)
+        quotient = oracles.nested_canonical_form(*raw(build_lambda_synchronizing(even_shift_spec(), depth)))
+        assert quotient is not None
+        assert census == quotient, depth
 
 
-def test_synchronizing_inadmissible_word_rejected():
-    with pytest.raises(ValueError):
-        is_synchronizing(golden_mean_spec(), (1, 1), 1)
-
-
-def test_level_zero_is_trivially_synchronizing():
-    assert is_synchronizing(even_shift_spec(), (0,), 0).is_yes
-
-
-def test_synchronizing_class_counts():
-    gm = golden_mean_spec()
-    for level in (1, 2, 3):
-        classes = synchronizing_classes(gm, level)
-        assert len(classes) == 2
-        assert len({c.fingerprint for c in classes}) == 2
-    even = even_shift_spec()
-    for level in (1, 2, 3):
-        assert len(synchronizing_classes(even, level)) == 2
-    full = FullShift(4)
-    for level in (1, 2):
-        assert len(synchronizing_classes(full, level)) == 1
+@pytest.mark.parametrize("make", [golden_mean_spec, even_shift_spec, lambda: FullShift(3)])
+def test_census_rejects_specs_with_a_cover(make):
+    # their systems are past quotients of their covers; the census is the
+    # bracket specs' alone
+    for level in (0, 1, 2):
+        with pytest.raises(TypeError):
+            synchronizing_classes(make(), level)
 
 
 def test_budget_exhaustion_raises():
@@ -304,9 +317,10 @@ def test_negative_lengths_are_rejected(kind):
 def test_census_edge_implications_hold(base, target):
     # The class system drops its per-edge checks on two implications: for
     # a level-(l+1) representative nu and a symbol x, x.nu is admissible
-    # exactly when its level-l key is nonempty, and then it synchronizes
-    # at level l.
+    # exactly when its level-l key is nonempty, and then x.nu has at least
+    # l unmatched closes, so it synchronizes at level l.
     spec = expanded(DyckN(2) if base == "dyck2" else fibonacci_dyck_spec(), target)
+    stepper = _stepper(spec)
     checked = 0
     for l in range(3):
         table = CandidateTable(spec, l)
@@ -316,14 +330,14 @@ def test_census_edge_implications_hold(base, target):
                 admissible = is_admissible(spec, word)
                 assert bool(table.key(word)) == admissible, word
                 if admissible:
-                    assert is_synchronizing(spec, word, l).is_yes, word
+                    assert stepper.emitted(_read(stepper, stepper.start, word)) >= l, word
                     checked += 1
     assert checked > 0
 
 
 def test_sft_cover_shape():
     cover = sft_cover(golden_mean_spec())
-    assert is_left_resolving(cover)
+    assert left_resolving_violation(cover) is None
     assert is_essential(cover)
     # vertices are named by their memory windows, here of length 1
     assert cover.vertices == ("0", "1")

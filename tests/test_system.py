@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+import oracles
 from conftest import FIB, even_shift_graph, even_shift_spec, golden_mean_spec
 from lgk import (
     Alphabet,
@@ -34,7 +35,6 @@ from lgk.invariants import connecting_map_check
 from lgk.subshift import sft_cover
 from lgk.system import (
     iota_fiber,
-    iota_image,
     label_words,
     read_down,
     verify_predecessor_separated,
@@ -118,8 +118,8 @@ def test_fibonacci_horizon_shape():
 def test_horizon_iota_drops_newest_index():
     sys = build_cantor_horizon_dyck(2, 4)
     # vertex words are in lexicographic order, so indices read as binary
-    assert iota_image(sys, 3, 0b010, 1) == 0b01
-    assert iota_image(sys, 3, 0b110, 2) == 0b1
+    assert oracles.scan_iota_image(sys.iota, 3, 0b010, 1) == 0b01
+    assert oracles.scan_iota_image(sys.iota, 3, 0b110, 2) == 0b1
     assert iota_fiber(sys, 2, 0b01, 1) == frozenset({0b010, 0b011})
 
 
