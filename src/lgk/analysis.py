@@ -10,14 +10,20 @@ witness otherwise.  A `no` is never issued on evidence that deeper levels
 could overturn.
 
 Each check walks its question once through the walkers of
-:mod:`lgk.system`: `step_down`, `read_down`, `iota_fiber` and `label_words`.
+:mod:`lgk.system`: `step_down`, `read_down`, `read_up`, `iota_fiber` and
+`label_words`.  Work that does not depend on the loop variable is done
+outside it: ι-irreducibility reads each path's word backward with
+`read_up`, once per path and step count rather than once per other
+vertex, and the transitivity check shares one table of bridges per first
+word and of lifted endpoints per second word across all its word pairs.
 On a constant system, condition (I) and the launching search read every
 layer as layer 0 with no length cap; their state sets repeat, so they end.
 """
 
 from __future__ import annotations
 
-from itertools import count
+from copy import copy
+from itertools import count, tee
 from typing import Iterator, Optional
 
 from .alphabet import Word
@@ -29,6 +35,7 @@ from .system import (
     iota_fiber,
     label_words,
     read_down,
+    read_up,
     step_down,
     terminal_vertices,
 )
@@ -211,9 +218,12 @@ def check_iota_irreducible(
     v reaches some u' collapsing onto u, from which the same label word runs
     to a vertex collapsing onto the original endpoint.
 
-    The shadow starts for one step count form a set, and one `read_down`
-    reads the word from all of them: the union of their endpoints meets
-    the fiber over the endpoint exactly when one start's endpoints do."""
+    Whether a start u' works does not depend on v.  So for each path out of
+    u and each step count, one `read_up` reads the word backward from the
+    fiber over its endpoint, and the starts it finds in the fiber over u
+    are kept; `read_down` distributes over unions of sources, so v has a
+    shadow exactly when that set meets the vertices v reaches in as many
+    steps.  The set is computed the first time some v needs it."""
     constant = _is_constant(sys)
     partial: set[int] = set()
     for level in range(min(max_level, sys.depth - 2) + 1):
@@ -229,10 +239,13 @@ def check_iota_irreducible(
             reaches.append(reach)
         for u in range(size):
             if not constant:
-                # Neither depends on v: the paths out of u, and the vertices
-                # collapsing onto u in each number of steps a shadow may take.
+                # None of these depends on v: the paths out of u, the vertices
+                # collapsing onto u in each number of steps a shadow may take,
+                # and starts[index, steps], those of lifts[steps] from which
+                # the word of paths[index] ends over its endpoint.
                 paths = list(_labeled_paths(sys, level, u, path_len))
                 lifts = [iota_fiber(sys, level, u, steps) for steps in range(most + 1)]
+                starts: dict[tuple[int, int], frozenset[int]] = {}
             for v in range(size):
                 if u == v:
                     continue  # shadowed trivially with zero collapse steps
@@ -243,7 +256,7 @@ def check_iota_irreducible(
                         witness=(level, v, u),
                         note=f"vertex {u} is unreachable from {v}",
                     )
-                for word, end in paths:
+                for index, (word, end) in enumerate(paths):
                     room = sys.depth - level - len(word)
                     if room < 1:
                         # No collapse step fits below the truncation for
@@ -252,12 +265,13 @@ def check_iota_irreducible(
                         continue
                     found = False
                     for steps in range(1, min(bound, room) + 1):
-                        starts = lifts[steps] & reaches[v][steps]
-                        if not starts:
-                            continue
-                        # the shadow must end where the collapse maps onto `end`
-                        over_end = iota_fiber(sys, level + len(word), end, steps)
-                        if read_down(sys, level + steps, starts, word) & over_end:
+                        if (index, steps) not in starts:
+                            # the shadow must end where the collapse maps onto `end`
+                            over_end = iota_fiber(sys, level + len(word), end, steps)
+                            starts[index, steps] = lifts[steps] & read_up(
+                                sys, level + steps, over_end, word
+                            )
+                        if starts[index, steps] & reaches[v][steps]:
                             found = True
                             break
                     if not found:
@@ -435,6 +449,51 @@ def follower_equal(sys: LambdaGraphSystem, first: Word, second: Word) -> bool:
     return _lift(sys, p, ends_first, q - p) == ends_second
 
 
+class _Succession:
+    """The bridge search of :func:`succ_relation` on one system with one
+    bound, for any number of word pairs.
+
+    The bridges read on from a first word (for each room left below it) and
+    the lifted endpoints of a second word (for each level it is lifted to)
+    depend on one word of the pair only, so each is read once and shared by
+    every pair searched here.  Bridges are drawn lazily, as the meter
+    allows: a never-advanced `tee` keeps those drawn so far, and its copies
+    replay them.
+    """
+
+    def __init__(self, sys: LambdaGraphSystem, bound: int):
+        self.sys = sys
+        self.bound = bound
+        self._bridges: dict[tuple[Word, int], Iterator[tuple[Word, frozenset[int]]]] = {}
+        self._lifted: dict[tuple[Word, int], frozenset[int]] = {}
+
+    def bridge(
+        self,
+        first: Word,
+        ends_first: frozenset[int],
+        second: Word,
+        ends_second: frozenset[int],
+        meter: _Meter,
+    ) -> Optional[Word]:
+        """The first bridge that works for the pair, ticking `meter` once per
+        bridge tried, or None.  The endpoints are the words' `terminal_vertices`."""
+        sys = self.sys
+        room = min(self.bound, sys.depth - len(first) - len(second))
+        if (first, room) not in self._bridges:
+            self._bridges[first, room] = tee(label_words(sys, len(first), ends_first, room), 1)[0]
+        for bridge, ends_bridge in copy(self._bridges[first, room]):
+            meter.tick()
+            below = len(first) + len(bridge)
+            ends = read_down(sys, below, ends_bridge, second)
+            if not ends:
+                continue
+            if (second, below) not in self._lifted:
+                self._lifted[second, below] = _lift(sys, len(second), ends_second, below)
+            if self._lifted[second, below] == ends:
+                return bridge
+        return None
+
+
 def succ_relation(
     sys: LambdaGraphSystem,
     first: Word,
@@ -449,25 +508,21 @@ def succ_relation(
     Bridges are read on from the endpoints of `first`, only as long as
     `second` still fits below them, and `second` is read on from each
     bridge's endpoints; the follower test of :func:`follower_equal` then
-    compares those endpoints with the lifted endpoints of `second`."""
-    meter = _Meter(budget)
+    compares those endpoints with the lifted endpoints of `second`.  This
+    is the one bridge search, :class:`_Succession`, that
+    `check_synchronizingly_transitive` runs for all its word pairs with
+    shared tables of bridges and lifted endpoints."""
     ends_first = terminal_vertices(sys, first)
     ends_second = terminal_vertices(sys, second)
     if not ends_first or not ends_second:
         raise ValueError("both words must be readable in the system")
-    room = min(bound, sys.depth - len(first) - len(second))
-    for bridge, ends_bridge in label_words(sys, len(first), ends_first, room):
-        meter.tick()
-        below = len(first) + len(bridge)
-        ends = read_down(sys, below, ends_bridge, second)
-        if ends and _lift(sys, len(second), ends_second, below) == ends:
-            return Verdict.yes(
-                witness=bridge,
-                note=f"bridge {sys.alphabet.text(bridge)!r}",
-            )
-    return Verdict.unknown(
-        note=f"no bridge of length <= {bound} found within the truncation"
-    )
+    search = _Succession(sys, bound)
+    bridge = search.bridge(first, ends_first, second, ends_second, _Meter(budget))
+    if bridge is None:
+        return Verdict.unknown(
+            note=f"no bridge of length <= {bound} found within the truncation"
+        )
+    return Verdict.yes(witness=bridge, note=f"bridge {sys.alphabet.text(bridge)!r}")
 
 
 def check_synchronizingly_transitive(
@@ -478,7 +533,13 @@ def check_synchronizingly_transitive(
 ) -> Verdict:
     """Succession must hold both ways between every pair of admissible words
     up to `word_len`.  Accepts a subshift spec (its canonical system is
-    built at depth 2*word_len + bound) or a prebuilt system."""
+    built at depth 2*word_len + bound) or a prebuilt system.
+
+    The words come from one `label_words` walk from the top, which also
+    gives their endpoints.  Every pair runs through one :class:`_Succession`,
+    so the bridges read on from a first word and the lifted endpoints of a
+    second word are shared across pairs; each pair still draws on a fresh
+    meter of `budget`, as one `succ_relation` call would."""
     if isinstance(target, LambdaGraphSystem):
         sys = target
     else:
@@ -486,11 +547,11 @@ def check_synchronizingly_transitive(
     if 2 * word_len + bound > sys.depth:
         raise ValueError("truncation too shallow for the requested word length")
     top = frozenset(range(sys.levels[0].size))
-    words = [w for w, _ in label_words(sys, 0, top, word_len) if w]
-    for first in words:
-        for second in words:
-            verdict = succ_relation(sys, first, second, bound=bound, budget=budget)
-            if not verdict.is_yes:
+    words = [(w, ends) for w, ends in label_words(sys, 0, top, word_len) if w]
+    search = _Succession(sys, bound)
+    for first, ends_first in words:
+        for second, ends_second in words:
+            if search.bridge(first, ends_first, second, ends_second, _Meter(budget)) is None:
                 return Verdict.unknown(
                     witness=(first, second),
                     note=(

@@ -193,6 +193,23 @@ def read_down(sys: LambdaGraphSystem, level: int, sources: frozenset[int], word:
             break
     return current
 
+
+def read_up(sys: LambdaGraphSystem, level: int, targets: frozenset[int], word: Word) -> frozenset[int]:
+    """Vertices at `level` from which `word` reaches some vertex of
+    `targets` at level `level + len(word)`: `word` read backward through
+    the in-edges.  `read_down` distributes over unions of sources, so
+    read_down(S, word) meets `targets` exactly when S meets this set."""
+    if level < 0 or level + len(word) > sys.depth:
+        raise ValueError(f"word of length {len(word)} does not fit below level {level}")
+    current = targets
+    for offset in range(len(word) - 1, -1, -1):
+        into, symbol = sys.adjacency.into[level + offset], word[offset]
+        current = frozenset(s for t in current for a, s in into.get(t, ()) if a == symbol)
+        if not current:
+            break
+    return current
+
+
 def terminal_vertices(sys: LambdaGraphSystem, word: Word) -> frozenset[int]:
     """Endpoints at level `len(word)` of every `word`-labeled path from the top."""
     start = frozenset(range(sys.levels[0].size))

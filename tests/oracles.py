@@ -585,6 +585,13 @@ def scan_read_down(edges, level: int, sources, word) -> frozenset[int]:
     return current
 
 
+def scan_read_up(sizes, edges, level: int, targets, word) -> frozenset[int]:
+    """The vertices at `level` whose own forward read of `word` meets `targets`."""
+    return frozenset(
+        v for v in range(sizes[level]) if scan_read_down(edges, level, [v], word) & set(targets)
+    )
+
+
 def scan_iota_fiber(iota, level: int, vertex: int, steps: int) -> frozenset[int]:
     fiber = frozenset([vertex])
     for k in range(steps):
@@ -896,6 +903,31 @@ def reference_succ_relation(sizes, edges, iota, names, first, second, bound: int
         if lifted == ends_combined:
             return ("yes", bridge, f"bridge {_text(names, bridge)!r}")
     return ("unknown", None, f"no bridge of length <= {bound} found within the truncation")
+
+
+def reference_transitivity(sizes, edges, iota, names, word_len: int, bound: int):
+    """Run every ordered pair of the words of length 1..word_len readable
+    from the top, shortest first and lexicographic within a length, through
+    `reference_succ_relation`; the first pair without a bridge is the
+    witness.  A walk past the last edge layer counts as no bridge."""
+    if 2 * word_len + bound > len(sizes) - 1:
+        raise ValueError("truncation too shallow for the requested word length")
+    top = range(sizes[0])
+    words = [w for n in range(1, word_len + 1) for w in scan_label_words(edges, 0, top, n)]
+    for first in words:
+        for second in words:
+            try:
+                kind = reference_succ_relation(sizes, edges, iota, names, first, second, bound)[0]
+            except IndexError:
+                kind = "unknown"
+            if kind != "yes":
+                return (
+                    "unknown",
+                    (first, second),
+                    f"no bridge from {_text(names, first)!r} to "
+                    f"{_text(names, second)!r} within bound {bound}",
+                )
+    return ("yes", None, "")
 
 
 def scan_reachable(edges, start: int, goal: int) -> bool:

@@ -17,6 +17,7 @@ from test_walkers import BUILT, random_systems, raw
 from lgk import (
     Alphabet,
     Budget,
+    BudgetExceeded,
     DyckN,
     FullShift,
     build_cantor_horizon_dyck,
@@ -214,9 +215,12 @@ def test_dynamical_checks_match_references(sys, data):
     assert triple(is_lambda_synchronizing_system(sys, search)) == oracles.reference_launching(
         sizes, edges, iota, search
     )
-    assert triple(check_iota_irreducible(sys)) == oracles.reference_iota_irreducible(
-        sizes, edges, iota, names
-    )
+    bound = data.draw(st.integers(1, 4))
+    max_level = data.draw(st.integers(0, 3))
+    path_len = data.draw(st.integers(1, 3))
+    assert triple(
+        check_iota_irreducible(sys, bound=bound, max_level=max_level, path_len=path_len)
+    ) == oracles.reference_iota_irreducible(sizes, edges, iota, names, bound, max_level, path_len)
     top = range(sizes[0])
     words = [w for n in range(sys.depth + 1) for w in oracles.scan_label_words(edges, 0, top, n)]
     first = data.draw(st.sampled_from(words))
@@ -228,3 +232,28 @@ def test_dynamical_checks_match_references(sys, data):
         # the reference walks past the last edge layer; no bridge that fits succeeded
         expected = ("unknown", None, f"no bridge of length <= {bound} found within the truncation")
     assert triple(succ_relation(sys, first, second, bound=bound)) == expected
+
+
+@given(st.one_of(random_systems(), constant_systems(), st.sampled_from(BUILT)), st.data())
+def test_transitivity_matches_reference(sys, data):
+    sizes, edges, iota = raw(sys)
+    word_len = data.draw(st.integers(1, 2))
+    bound = data.draw(st.integers(0, 3))
+    if 2 * word_len + bound > sys.depth:
+        with pytest.raises(ValueError):
+            check_synchronizingly_transitive(sys, word_len=word_len, bound=bound)
+        return
+    expected = oracles.reference_transitivity(sizes, edges, iota, sys.alphabet.names, word_len, bound)
+    assert triple(check_synchronizingly_transitive(sys, word_len=word_len, bound=bound)) == expected
+
+
+def test_transitivity_meters_each_pair_alone():
+    # Words of length <= 2 after '1' in the even shift: '', '0', '1', '00',
+    # '10', '11'.  None bridges '1' to '0', so that pair tries all six, and
+    # no pair before it tries more; the pairs together try many more.
+    even = build_lambda_synchronizing(even_shift_spec(), 6)
+    with pytest.raises(BudgetExceeded):
+        check_synchronizingly_transitive(even, word_len=2, bound=2, budget=Budget(max_words=5))
+    verdict = check_synchronizingly_transitive(even, word_len=2, bound=2, budget=Budget(max_words=6))
+    assert verdict.is_unknown
+    assert verdict.witness == ((1,), (0,))

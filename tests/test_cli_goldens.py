@@ -66,6 +66,8 @@ def _jobs() -> list[tuple[str, ...]]:
         jobs.append((command, "--spec", "specs/dyck3.json", "--depth", "5", "--format", "json"))
     jobs.append(("invariants", "--spec", "specs/markovdyck_fib.json", "--depth", "11", "--format", "json"))
     jobs.append(("verify", "--spec", "specs/markovdyck_fib.json", "--depth", "12", "--format", "json"))
+    # The depth at which the dynamical checks' per-start reads cost most.
+    jobs.append(("verify", "--spec", "specs/dyck3.json", "--depth", "6", "--format", "json"))
     return jobs
 
 

@@ -35,6 +35,7 @@ from lgk.system import (
     iota_fiber,
     label_words,
     read_down,
+    read_up,
     step_down,
     verify_local_property,
 )
@@ -121,6 +122,21 @@ def test_steps_and_fibers_match_layer_scans(sys, data):
                 assert iota_fiber(sys, level, v, steps) == oracles.scan_iota_fiber(iota, level, v, steps)
                 fiber = iota_fiber(sys, level, v, steps)
                 assert all(oracles.scan_iota_image(iota, level + steps, w, steps) == v for w in fiber)
+
+
+@given(systems, st.data())
+def test_read_up_matches_per_vertex_reads(sys, data):
+    sizes, edges, _ = raw(sys)
+    level = data.draw(st.integers(0, sys.depth))
+    # the empty word only where no symbol fits
+    length = data.draw(st.integers(min(1, sys.depth - level), sys.depth - level))
+    symbols = st.integers(0, len(sys.alphabet) - 1)
+    words = st.lists(symbols, min_size=length, max_size=length).map(tuple)
+    readable = oracles.scan_label_words(edges, level, range(sizes[level]), length)
+    word = data.draw(words | st.sampled_from(readable) if readable else words)
+    targets = data.draw(st.frozensets(st.integers(0, sizes[level + length] - 1), min_size=1))
+    expected = oracles.scan_read_up(sizes, edges, level, targets, word)
+    assert read_up(sys, level, targets, word) == expected
 
 
 @given(systems)
@@ -250,6 +266,14 @@ def test_walkers_reject_levels_outside_the_system():
         iota_fiber(sys, -1, 0, 1)
     with pytest.raises(ValueError):
         read_down(sys, -1, top, (0,))
+    with pytest.raises(ValueError):
+        read_down(sys, 4, top, (0,))
+    with pytest.raises(ValueError):
+        read_up(sys, -1, top, (0,))
+    with pytest.raises(ValueError):
+        read_up(sys, 4, top, (0,))
+    with pytest.raises(ValueError):
+        read_up(sys, 2, top, (0, 0, 0))  # would end past the depth
     with pytest.raises(ValueError):
         list(label_words(sys, -1, top, 1))
     assert iota_fiber(sys, 4, 0, 0) == frozenset({0})
