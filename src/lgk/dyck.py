@@ -148,6 +148,23 @@ class BracketMachine:
         """Unmatched closes read so far (the close_count of `state`)."""
         return state[2]
 
+    @staticmethod
+    def clip(
+        state: tuple[frozenset[int], Word, int], cap: int
+    ) -> tuple[frozenset[int], Word, int]:
+        """`state` with its close_count lowered to at most `cap`.
+
+        `step` only copies or increments close_count and never branches on
+        it.  So for every word u, reading u from `state` and from its clip
+        dies at the same symbol, and otherwise ends in states that differ
+        only in close_count; and emitted(state·u) = emitted(state) + f(u),
+        where f(u) depends on the support and opens alone.  Hence
+        min(emitted, cap) commutes with `step`:
+        clip(step(clip(s, cap), x), cap) = clip(step(s, x), cap).
+        """
+        support, opens, emitted = state
+        return state if emitted <= cap else (support, opens, cap)
+
     def run(self, word: Word) -> tuple[frozenset[int], Word, int] | None:
         state = self.start
         for sym in word:

@@ -18,9 +18,11 @@ with a canonical representative and a fingerprint of its predecessor set.
 A spec with a cover needs no census; its λ-synchronizing system is the
 past-equivalence quotient of the cover (see :mod:`lgk.system`).
 
-Enumerations honour a :class:`Budget`, drawing one word per word they
-enumerate; exceeding it raises :class:`BudgetExceeded`, never a wrong
-answer.
+Enumerations honour a :class:`Budget`, drawing one unit per word they
+enumerate.  The census of an expanded bracket shift enumerates no words
+of its own: it walks product states of the bracket stepper and draws one
+unit per product state it visits (:func:`_expanded_class_reps`).
+Exceeding the budget raises :class:`BudgetExceeded`, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -52,7 +54,12 @@ from .labeled_graph import (
 
 @dataclass(frozen=True)
 class Budget:
-    """Caps for enumerative searches."""
+    """Caps for enumerative searches.
+
+    `max_words` caps the units one enumeration draws: one per word
+    enumerated, except in the class census of an expanded bracket shift,
+    which draws one per product state its walk visits.
+    """
 
     max_words: int = 1_000_000
     max_depth: int = 12
@@ -348,6 +355,17 @@ class _ExpandedStepper:
     def emitted(self, state) -> int:
         return self.base.emitted(state[0])
 
+    def clip(self, state, cap: int):
+        """`state` with the base close count lowered to at most `cap`.
+
+        `step` hands the count to the base machine and branches only on the
+        other components, so :meth:`BracketMachine.clip`'s lemma holds
+        here too: a read from the clip dies exactly when the read from
+        `state` does, and min(emitted, cap) commutes with `step`.
+        """
+        base_state, expecting, at_start = state
+        return (self.base.clip(base_state, cap), expecting, at_start)
+
 
 def _stepper(spec: SubshiftSpec):
     if isinstance(spec, Expanded):
@@ -561,6 +579,43 @@ def synchronizing_classes(
     return out
 
 
+class _ClippedStates:
+    """Stepper states clipped to `cap` unmatched closes, interned to ints.
+
+    Each id's transition row is filled lazily, with one `step` call per
+    (state, symbol); -1 stands for a read that dies.  Clipping after every
+    step is exact by the clip lemma (:meth:`BracketMachine.clip`).
+    """
+
+    _UNSET = -2
+
+    def __init__(self, st, cap: int, k: int):
+        self._st = st
+        self._cap = cap
+        self._k = k
+        self._ids: dict[object, int] = {}
+        self.states: list = []
+        self._next: list[int] = []  # id i's row is _next[i*k : (i+1)*k]
+        self._unset_row = [self._UNSET] * k
+
+    def intern(self, state) -> int:
+        state = self._st.clip(state, self._cap)
+        i = self._ids.get(state)
+        if i is None:
+            i = self._ids[state] = len(self.states)
+            self.states.append(state)
+            self._next += self._unset_row
+        return i
+
+    def step(self, i: int, symbol: int) -> int:
+        at = i * self._k + symbol
+        j = self._next[at]
+        if j == self._UNSET:
+            nxt = self._st.step(self.states[i], symbol)
+            j = self._next[at] = -1 if nxt is None else self.intern(nxt)
+        return j
+
+
 def _expanded_class_reps(
     spec: Expanded, table: CandidateTable, budget: Budget
 ) -> dict[frozenset[int], Word]:
@@ -569,15 +624,58 @@ def _expanded_class_reps(
     Every class of level-`level` synchronizing words is reached by a word
     ending at its level-th unmatched close; with each close optionally
     preceded by the fresh marker plus one optional trailing marker, length
-    2*level+1 suffices.  Words are drawn by (length, lexicographic), so each
-    key keeps its first, canonical, representative.
+    2*level+1 suffices.  Each key keeps its (length, lexicographic) least
+    word, the canonical representative, and keys are inserted in the order
+    of those words.
+
+    The walk runs over *product states*, not words.  A word's product state
+    is its stepper state from the start, with the close count clipped to
+    `level`, together with the state it reaches from each end state in
+    `table.states`, clipped to count 0 (-1 once that read dies).  By the
+    clip lemma the word's key (the end states whose reads live) and whether
+    it synchronizes (emitted >= level) are functions of its product state,
+    and so is the product state of every extension.
+
+    Breadth first by length, each product state is visited once, with the
+    first word that reaches it.  Parents are expanded in the order they
+    were reached and symbols in increasing order, so new words come in
+    (length, lexicographic) order.  The first word is the least: let u·a
+    be the least word of its product state Q and u' the least word of u's
+    product state P.  Then u'·a reaches Q too and is no greater, so
+    u' = u; P was visited with u, and its expansion reached Q first
+    through u·a.  Two words with one product state have the same key and
+    extensions, so dropping the later word loses no class.  Hence the dict
+    equals that of keying every word of length 1..2*level+1 in (length,
+    lexicographic) order, keys and insertion order included.
+
+    Draws one unit from the budget per product state visited.
     """
     level = table.level
     meter = _Meter(budget)
     st = _stepper(spec)
+    k = len(spec.alphabet)
+    heads = _ClippedStates(st, level, k)
+    reads = _ClippedStates(st, 0, k)
+    root = (heads.intern(st.start), tuple(reads.intern(s) for s in table.states))
+    seen = {root}
+    frontier = [(root, ())]
     keyed: dict[frozenset[int], Word] = {}
-    for length in range(1, 2 * level + 2):
-        for w, state in _stepper_words(spec, length, meter):
-            if st.emitted(state) >= level:
-                keyed.setdefault(table.key(w), w)
+    for _ in range(2 * level + 1):
+        reached = []
+        for (head, ends), word in frontier:
+            for sym in range(k):
+                nxt = heads.step(head, sym)
+                if nxt < 0:
+                    continue
+                product = (nxt, tuple(r if r < 0 else reads.step(r, sym) for r in ends))
+                if product in seen:
+                    continue
+                meter.tick()
+                seen.add(product)
+                w = word + (sym,)
+                reached.append((product, w))
+                if st.emitted(heads.states[nxt]) >= level:
+                    key = frozenset(i for i, r in enumerate(product[1]) if r >= 0)
+                    keyed.setdefault(key, w)
+        frontier = reached
     return keyed

@@ -998,3 +998,40 @@ def reference_iota_irreducible(sizes, edges, iota, names, bound=3, max_level=2, 
             f"levels {sorted(partial)} verified only for the word lengths that fit the truncation",
         )
     return ("yes", None, "")
+
+
+# -- the word census of expanded bracket shifts --------------------------
+
+
+def _stepper_words(stepper, k: int, length: int):
+    """Admissible words of `length` with the stepper state each ends in."""
+
+    def go(state, word):
+        if len(word) == length:
+            yield word, state
+            return
+        for sym in range(k):
+            nxt = stepper.step(state, sym)
+            if nxt is not None:
+                yield from go(nxt, word + (sym,))
+
+    yield from go(stepper.start, ())
+
+
+def word_census_class_reps(stepper, k: int, table) -> dict:
+    """Key -> representative of the level-`table.level` classes of an
+    expanded bracket shift, by enumerating every admissible word of each
+    length 1..2*level+1 anew and keying it in `table`.
+
+    This is the word census the package ran before it walked product
+    states, kept as it was; the stepper (`start`, `step`, `emitted`), the
+    alphabet size and the candidate table (`level`, `key`) are passed in,
+    so nothing is imported from the package.
+    """
+    level = table.level
+    keyed = {}
+    for length in range(1, 2 * level + 2):
+        for w, state in _stepper_words(stepper, k, length):
+            if stepper.emitted(state) >= level:
+                keyed.setdefault(table.key(w), w)
+    return keyed

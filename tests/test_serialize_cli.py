@@ -314,10 +314,11 @@ def test_cli_flowcheck_budget_flag(capsys):
     assert "inconclusive" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("budget, code", [("4112", 3), ("4113", 0)])
+@pytest.mark.parametrize("budget, code", [("578", 3), ("579", 0)])
 def test_cli_flowcheck_budget_threshold(budget, code, capsys):
-    # The expanded side's level-3 census draws 4113 words, one per
-    # admissible word of length 1 to 7; the budget runs out exactly there.
+    # The expanded side's level-3 census draws 579 units, one per product
+    # state its walk visits (a stepper state from the start with the state
+    # read from each candidate end state); the budget runs out exactly there.
     argv = ["flowcheck", "--spec", str(SPECS / "dyck2.json"), "--depth", "3", "--expand", "a1"]
     assert main(argv + ["--budget", budget]) == code
 

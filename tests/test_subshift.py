@@ -33,7 +33,7 @@ from lgk import (
 )
 from lgk.dyck import all_ones
 from lgk.labeled_graph import is_essential, left_resolving_violation
-from lgk.subshift import CandidateTable, _read, _stepper, sft_cover
+from lgk.subshift import CandidateTable, _expanded_class_reps, _read, _stepper, sft_cover
 from test_walkers import raw
 
 words_01 = st.lists(st.integers(0, 1), min_size=0, max_size=10).map(tuple)
@@ -333,6 +333,62 @@ def test_census_edge_implications_hold(base, target):
                     assert stepper.emitted(_read(stepper, stepper.start, word)) >= l, word
                     checked += 1
     assert checked > 0
+
+
+# base spec -> highest level whose census is compared with the word census
+WORD_CENSUS_BASES = {"dyck2": (lambda: DyckN(2), 4), "fib": (fibonacci_dyck_spec, 4), "dyck3": (lambda: DyckN(3), 3)}
+WORD_CENSUS_EXPANSIONS = [
+    (base, name)
+    for base, (make, _) in WORD_CENSUS_BASES.items()
+    for name in make().alphabet.names
+]
+
+
+@pytest.mark.parametrize(
+    "base, target", WORD_CENSUS_EXPANSIONS, ids=[f"{b}+{t}" for b, t in WORD_CENSUS_EXPANSIONS]
+)
+def test_product_state_walk_matches_word_census(base, target):
+    # The walk over product states keeps each key's shortlex-least word and
+    # the order in which the word census first meets the keys.
+    make, top = WORD_CENSUS_BASES[base]
+    spec = expanded(make(), target)
+    stepper = _stepper(spec)
+    for level in range(1, top + 1):
+        table = CandidateTable(spec, level)
+        walked = _expanded_class_reps(spec, table, Budget())
+        census = oracles.word_census_class_reps(stepper, len(spec.alphabet), table)
+        assert list(walked.items()) == list(census.items()), level
+
+
+CLIP_SPECS = ["dyck2+e", "fib+e", "dyck2+b1", "fib+b1"]
+
+
+@given(st.sampled_from(CLIP_SPECS), st.integers(0, 4), st.data())
+def test_clipping_the_close_count_keeps_reads_and_commutes_with_step(kind, cap, data):
+    spec = PREDECESSOR_SPECS[kind][0]()
+    stepper = _stepper(spec)
+    words = st.lists(st.integers(0, len(spec.alphabet) - 1), max_size=8).map(tuple)
+    u = data.draw(words, label="u")
+    state = stepper.start
+    for x in u:  # u's longest admissible prefix
+        nxt = stepper.step(state, x)
+        if nxt is None:
+            break
+        state = nxt
+    w = data.draw(words, label="w")
+    # a read's liveness does not depend on the close count
+    assert (_read(stepper, stepper.clip(state, 0), w) is None) == (_read(stepper, state, w) is None)
+    # min(emitted, cap) commutes with step, symbol by symbol along w
+    clipped = stepper.clip(state, cap)
+    assert stepper.emitted(clipped) == min(stepper.emitted(state), cap)
+    for x in w:
+        state, clipped = stepper.step(state, x), stepper.step(clipped, x)
+        assert (clipped is None) == (state is None)
+        if state is None:
+            break
+        clipped = stepper.clip(clipped, cap)
+        assert clipped == stepper.clip(state, cap)
+        assert stepper.emitted(clipped) == min(stepper.emitted(state), cap)
 
 
 def test_sft_cover_shape():
