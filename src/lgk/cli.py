@@ -2,7 +2,7 @@
 
 Subcommands: build, verify, invariants, expand, flowcheck, export-dot.
 Exit codes: 0 success / checks pass, 1 a check fails, 2 invalid input,
-3 inconclusive within the configured depth or budget.
+3 inconclusive within the configured depth or budget, or out of memory.
 """
 
 from __future__ import annotations
@@ -326,6 +326,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"inconclusive: {exc}", file=_sys.stderr)
+        return INCONCLUSIVE
+    except MemoryError:
+        print("inconclusive: out of memory at this depth or budget", file=_sys.stderr)
         return INCONCLUSIVE
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         # str() of a KeyError is the repr of its message, quotes included

@@ -3,8 +3,10 @@
 A labeled graph presents a sofic shift: points are label sequences of
 bi-infinite edge paths.  Throughout, "left-resolving" means no vertex has two
 incoming edges with the same label, so reading a word backwards from a vertex
-is deterministic.  That determinism is what makes the past-equivalence
-machinery below exact rather than approximate.
+is deterministic.  On an essential left-resolving cover, past equivalence of
+vertices is therefore a level-by-level refinement, which the quotient builder
+in :mod:`lgk.system` computes; this module holds the graphs themselves, their
+structural checks and forward and backward word reading.
 """
 
 from __future__ import annotations
@@ -188,86 +190,4 @@ def words_into(g: LabeledGraph, end: set[int], length: int) -> Iterator[Word]:
 
     if end:
         yield from go(frozenset(end), ())
-
-
-# -- past equivalence ----------------------------------------------------
-
-
-class PastClassifier:
-    """Exact depth-l past-language equality for vertex sets.
-
-    For a vertex set S, the depth-l past language is the set of length-l
-    words labeling paths that end inside S.  Reading backwards by a label
-    maps sets to sets deterministically, so for l >= 1 the depth-l language
-    of S is the union over labels a of {w a : w in the depth-(l-1) language
-    of pred_a(S)}, and two such unions are equal exactly when the labels
-    with a nonempty part agree and so do those parts.  Works for any
-    labeled graph, including ones with sources, sinks or two equally
-    labeled in-edges at a vertex; exactness needs no assumption beyond
-    finiteness.
-
-    Fingerprints are hash-consed class ids.  The id of (S, d) is drawn from
-    a table keyed by (d, a1, id1, a2, id2, ...): the labels ai whose source
-    set pred_ai(S) has a nonempty depth-(d-1) past, in ascending order, each
-    with the id of that past.  Every nonempty set keys (0,) at depth 0, and
-    an empty past keys () at every depth, which holds the id EMPTY.  The
-    table is injective on its keys, so by induction on d two sets get equal
-    depth-d ids exactly when their depth-d past languages are equal.  Ids
-    are small ints, so comparing or hashing one costs O(1) at any depth, and
-    each (set, depth) pair is keyed once.  Ids mean nothing across
-    classifiers: compare them only within one.
-    """
-
-    EMPTY = 0  # id of the empty past language, at every depth
-
-    def __init__(self, g: LabeledGraph):
-        self._g = g
-        self._memo: dict[tuple[frozenset[int], int], int] = {}
-        self._ids: dict[tuple[int, ...], int] = {(): self.EMPTY}
-
-    def fingerprint(self, vertex_set: Iterable[int], depth: int) -> int:
-        # Depth-first with an explicit stack, so depth is not bounded by
-        # the interpreter's recursion limit.  A node is revisited with its
-        # backward steps once every (source set, depth - 1) below it has an id.
-        memo = self._memo
-        root = (frozenset(vertex_set), depth)
-        stack: list[tuple[tuple[frozenset[int], int], list | None]] = [(root, None)]
-        while stack:
-            node, steps = stack.pop()
-            if node in memo:
-                continue
-            cur, d = node
-            if steps is None:
-                steps = backward_steps(self._g, cur) if d else []
-                below = [((prev, d - 1), None) for _, prev in steps if (prev, d - 1) not in memo]
-                if below:
-                    stack.append((node, steps))
-                    stack.extend(below)
-                    continue
-            parts: list[int] = []
-            for a, prev in steps:
-                sub = memo[prev, d - 1]
-                if sub != self.EMPTY:  # sources without a past add no word
-                    parts += (a, sub)
-            key = (d, *parts) if parts or (d == 0 and cur) else ()
-            memo[node] = self._ids.setdefault(key, len(self._ids))
-        return memo[root]
-
-    def equal_pasts(self, s1: Iterable[int], s2: Iterable[int], depth: int) -> bool:
-        return self.fingerprint(s1, depth) == self.fingerprint(s2, depth)
-
-
-def past_partition(g: LabeledGraph, depth: int) -> list[list[int]]:
-    """Partition single vertices by depth-`depth` past language.
-
-    Returns, for each refinement level 0..depth, a list mapping vertex ->
-    class id.  Class ids are consecutive integers in order of first
-    appearance when scanning vertices in index order.
-    """
-    pc = PastClassifier(g)
-    levels: list[list[int]] = []
-    for l in range(depth + 1):
-        first: dict[int, int] = {}
-        levels.append([first.setdefault(pc.fingerprint([v], l), len(first)) for v in range(len(g.vertices))])
-    return levels
 

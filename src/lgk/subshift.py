@@ -81,7 +81,7 @@ class _Meter:
         self.left -= n
         self.used += n
         if self.left < 0:
-            raise BudgetExceeded(f"word budget exhausted after {self.used} words")
+            raise BudgetExceeded(f"budget exhausted after {self.used} units")
 
 
 # -- spec variants -------------------------------------------------------

@@ -36,7 +36,6 @@ from .dyck import Matrix01, all_ones, state_words, validate_transition_matrix
 from .labeled_graph import (
     LabeledGraph,
     left_resolving_violation,
-    past_partition,
     stranded_vertices,
 )
 from .linalg import Matrix
@@ -278,36 +277,40 @@ def verify_left_resolving(sys: LambdaGraphSystem) -> Verdict:
 def _predecessor_ranks(
     sizes: Sequence[int], edges: Sequence[Sequence[Edge]]
 ) -> tuple[list[list[int]], Optional[tuple[int, int, int]]]:
-    """Rank the vertices of each level by their predecessor structure.
+    """Refine each level's vertices by their predecessor structure.
 
     Every top vertex has rank 0 (the empty past).  Below, a vertex's key is
     the sorted tuple of its distinct (symbol, rank of source) pairs, and the
-    distinct keys of a level are ranked in ascending order.  By induction
-    the ranks order the vertices as the nested keys (symbol, key of source)
-    would, without their size doubling per level.  Words partition by their
-    last symbol, so in a left-resolving system equal keys mean equal
-    predecessor-word sets; one-step source identity would be too coarse
-    (two disjoint equally-labeled loops have distinct in-edges but
-    identical pasts).  Returns the ranks of the levels done and the first
-    clash (level, earlier vertex, later vertex) with an equal key, if any.
+    distinct keys of a level are ranked in ascending order, equal keys
+    sharing a rank.  By induction the ranks order the vertices as the
+    nested keys (symbol, key of source) would, without their size doubling
+    per level.
+
+    In a left-resolving system whose vertices all have a past of every
+    length (an essential system), equal keys are exactly equal
+    predecessor-word sets: a vertex's words of length l are, for each
+    in-symbol a, the words of length l - 1 into its one a-source followed
+    by a, and words partition by their last symbol.  One-step source
+    identity would be too coarse (two disjoint equally-labeled loops have
+    distinct in-edges but identical pasts).  Returns the ranks of every
+    level and the first clash (level, earlier vertex, later vertex) of two
+    vertices with an equal key, lowest level first, if any.
     """
     ranks = [[0] * sizes[0]]
+    clash: Optional[tuple[int, int, int]] = None
     for l in range(1, len(sizes)):
         pairs: list[set[tuple[int, int]]] = [set() for _ in range(sizes[l])]
         above = ranks[-1]
         for s, a, t in edges[l - 1]:
             pairs[t].add((a, above[s]))
         keys = [tuple(sorted(p)) for p in pairs]
-        seen: dict[tuple[tuple[int, int], ...], int] = {}
-        for v, key in enumerate(keys):
-            if key in seen:
-                return ranks, (l, seen[key], v)
-            seen[key] = v
-        level = [0] * sizes[l]
-        for rank, v in enumerate(sorted(range(sizes[l]), key=keys.__getitem__)):
-            level[v] = rank
-        ranks.append(level)
-    return ranks, None
+        rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+        if clash is None and len(rank) < sizes[l]:
+            first: dict[tuple[tuple[int, int], ...], int] = {}
+            v = next(v for v, key in enumerate(keys) if first.setdefault(key, v) != v)
+            clash = (l, first[keys[v]], v)
+        ranks.append([rank[key] for key in keys])
+    return ranks, clash
 
 
 def verify_predecessor_separated(sys: LambdaGraphSystem) -> Verdict:
@@ -552,23 +555,35 @@ def build_cantor_horizon_dyck(n: int, depth: int) -> LambdaGraphSystem:
 
 
 def _quotient_system(graph: LabeledGraph, depth: int) -> LambdaGraphSystem:
-    """Collapse a cover by depth-l past equivalence at each level l."""
-    partition = past_partition(graph, depth)
-    counts = [max(ids) + 1 for ids in partition]
-    levels = []
-    for l, ids in enumerate(partition):
-        members: dict[int, list[str]] = {}
-        for v, c in enumerate(ids):
-            members.setdefault(c, []).append(graph.vertices[v])
-        tags = tuple("|".join(sorted(members[c])) for c in range(counts[l]))
-        levels.append(VertexLevel(size=counts[l], tags=tags))
+    """Collapse a cover by depth-l past equivalence at each level l.
+
+    The cover must be essential and left-resolving, as every spec's cover
+    is: then each vertex has a past of every length and one source per
+    in-symbol, so :func:`_predecessor_ranks` over ``depth`` copies of the
+    cover's edges ranks level l's vertices exactly by their length-l pasts.
+    Each level's classes are numbered in order of first appearance over the
+    cover's vertices.
+    """
+    n = len(graph.vertices)
+    if n == 0:
+        raise ValueError("the shift is empty: its cover has no vertices")
+    ranks, _ = _predecessor_ranks([n] * (depth + 1), [graph.edges] * depth)
+    partition, levels = [], []
+    for level in ranks:
+        members: dict[int, list[str]] = {}  # rank -> names, in first-appearance order
+        for v, r in enumerate(level):
+            members.setdefault(r, []).append(graph.vertices[v])
+        number = {r: c for c, r in enumerate(members)}
+        partition.append([number[r] for r in level])
+        tags = tuple("|".join(sorted(names)) for names in members.values())
+        levels.append(VertexLevel(size=len(tags), tags=tags))
     edges: list[tuple[Edge, ...]] = []
     iota: list[tuple[int, ...]] = []
     for l in range(depth):
         low, high = partition[l], partition[l + 1]
         layer = {(low[s], a, high[t]) for s, a, t in graph.edges}
         edges.append(tuple(sorted(layer)))
-        image = [0] * counts[l + 1]
+        image = [0] * levels[l + 1].size
         for v, c in enumerate(high):
             image[c] = low[v]
         iota.append(tuple(image))

@@ -1,68 +1,61 @@
-"""Past equivalence on labelled graphs against a path-enumerating oracle.
+"""Past equivalence on labelled covers against a path-enumerating oracle.
 
-`past_partition` and `PastClassifier` decide equality of past languages
-from hash-consed fingerprints; `oracles.past_language` lists the languages
-themselves.  The graphs are arbitrary: not necessarily left-resolving,
-essential or connected.
+`_quotient_system` collapses an essential left-resolving cover level by
+level through the predecessor-rank refinement; `oracles.past_language`
+lists the past languages themselves.
 """
 
 from __future__ import annotations
 
 import sys
+from itertools import product
 
-from hypothesis import example, given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import oracles
 from conftest import golden_mean_spec
 from lgk.alphabet import Alphabet
-from lgk.labeled_graph import LabeledGraph, PastClassifier, backward_steps, past_partition
+from lgk.labeled_graph import LabeledGraph, backward_steps, essential_subgraph
 from lgk.subshift import sft_cover
+from lgk.system import _quotient_system
 
 DEPTH = 5
 
 
 @st.composite
-def small_graphs(draw) -> LabeledGraph:
-    n = draw(st.integers(1, 5))
+def essential_left_resolving_covers(draw) -> LabeledGraph:
+    n = draw(st.integers(1, 6))
     k = draw(st.integers(1, 3))
-    triples = st.tuples(st.integers(0, n - 1), st.integers(0, k - 1), st.integers(0, n - 1))
-    edges = draw(st.sets(triples, max_size=3 * n * k))
-    return LabeledGraph(Alphabet(tuple("abc"[:k])), tuple(f"v{i}" for i in range(n)), tuple(sorted(edges)))
+    # At most one source per (target, symbol), so the graph is left-resolving
+    # and so is its essential part.
+    sources = draw(st.lists(st.none() | st.integers(0, n - 1), min_size=n * k, max_size=n * k))
+    edges = [(s, a, t) for (t, a), s in zip(product(range(n), range(k)), sources) if s is not None]
+    names = tuple(f"v{i}" for i in range(n))
+    g = essential_subgraph(LabeledGraph(Alphabet(tuple("abc"[:k])), names, tuple(edges)))
+    assume(g.vertices)
+    return g
+
+
+@given(essential_left_resolving_covers())
+def test_quotient_levels_are_past_classes(g):
+    # Each level's tags list its classes' member names; classes come in
+    # order of first appearance, as the oracle numbers them.
+    quotient = _quotient_system(g, DEPTH)
+    index = {name: v for v, name in enumerate(g.vertices)}
+    expected = oracles.past_classes(len(g.vertices), g.edges, DEPTH)
+    for level, ids in zip(quotient.levels, expected, strict=True):
+        classes = [{index[name] for name in tag.split("|")} for tag in level.tags]
+        assert classes == [{v for v, c in enumerate(ids) if c == i} for i in range(max(ids) + 1)]
 
 
 # Not left-resolving (two a-edges into v1), with a source v0 and sinks v3
-# and v4; v4 is entered only from the source, so its past is empty from
-# length 2 on.
+# and v4.
 FORKED = LabeledGraph(
     Alphabet(("a", "b")),
     ("v0", "v1", "v2", "v3", "v4"),
     ((0, 0, 1), (0, 1, 4), (1, 1, 2), (2, 0, 1), (2, 1, 2), (2, 0, 3)),
 )
-
-
-@given(small_graphs())
-@example(FORKED)
-def test_past_partition_matches_oracle(g):
-    assert past_partition(g, DEPTH) == oracles.past_classes(len(g.vertices), g.edges, DEPTH)
-
-
-def assert_equal_pasts_match(g, pairs):
-    pc = PastClassifier(g)
-    for s1, s2 in pairs:
-        for depth in range(DEPTH + 1):
-            expected = oracles.past_language(g.edges, s1, depth) == oracles.past_language(g.edges, s2, depth)
-            assert pc.equal_pasts(s1, s2, depth) == expected, (s1, s2, depth)
-
-
-@given(small_graphs(), st.data())
-def test_equal_pasts_matches_oracle(g, data):
-    subsets = st.frozensets(st.integers(0, len(g.vertices) - 1))
-    assert_equal_pasts_match(g, data.draw(st.lists(st.tuples(subsets, subsets), min_size=1, max_size=6)))
-
-
-def test_equal_pasts_on_a_graph_with_a_source_and_a_sink():
-    assert_equal_pasts_match(FORKED, [({1}, {1, 2}), ({0, 3}, {0}), ({1, 3}, {1}), ({4}, {0}), ({4}, set()), (set(), {3})])
 
 
 def test_backward_steps_group_in_edges_by_label():
@@ -71,31 +64,17 @@ def test_backward_steps_group_in_edges_by_label():
     assert backward_steps(FORKED, {0}) == []
 
 
-def test_deep_past_partition_stays_small():
+def test_deep_quotient_stays_small():
     cover = sft_cover(golden_mean_spec())
     assert len(cover.vertices) == 2
     depth = 200
-    levels = past_partition(cover, depth)
-    assert len(levels) == depth + 1
-    assert all(max(ids) + 1 == 2 for ids in levels[1:])
-    # Every fingerprinted (set, depth) pair has a set reachable from a single
-    # vertex by backward steps, so the id table is linear in the depth.
-    reachable = {frozenset({v}) for v in range(len(cover.vertices))}
-    frontier = list(reachable)
-    while frontier:
-        for _, prev in backward_steps(cover, frontier.pop()):
-            if prev not in reachable:
-                reachable.add(prev)
-                frontier.append(prev)
-    pc = PastClassifier(cover)
-    for l in range(depth + 1):
-        for v in range(len(cover.vertices)):
-            pc.fingerprint([v], l)
-    assert len(pc._ids) <= len(reachable) * (depth + 1)
+    quotient = _quotient_system(cover, depth)
+    assert quotient.sizes == (1,) + (2,) * depth
+    assert set(quotient.edges[1:]) == {quotient.edges[1]}
 
 
-def test_past_partition_depth_is_not_bounded_by_recursion_limit():
+def test_quotient_depth_is_not_bounded_by_recursion_limit():
     cover = sft_cover(golden_mean_spec())
     depth = sys.getrecursionlimit() + 100
-    levels = past_partition(cover, depth)
-    assert levels[-1] == levels[1]
+    quotient = _quotient_system(cover, depth)
+    assert quotient.levels[-1] == quotient.levels[1]

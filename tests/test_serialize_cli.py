@@ -321,6 +321,8 @@ def test_cli_flowcheck_budget_threshold(budget, code, capsys):
     # read from each candidate end state); the budget runs out exactly there.
     argv = ["flowcheck", "--spec", str(SPECS / "dyck2.json"), "--depth", "3", "--expand", "a1"]
     assert main(argv + ["--budget", budget]) == code
+    err = capsys.readouterr().err
+    assert err == ("inconclusive: budget exhausted after 579 units\n" if code == 3 else "")
 
 
 def test_cli_budget_env_and_override(monkeypatch, capsys):
@@ -371,6 +373,33 @@ def test_cli_negative_budget_is_invalid_on_system_input(command, words, tmp_path
     assert err.startswith("error: ") and "Traceback" not in err
     monkeypatch.setenv("LGK_BUDGET", "0")
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--depth", "3"],
+        ["invariants", "--depth", "3"],
+        ["flowcheck", "--depth", "3", "--expand", "0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_empty_shift_is_invalid_input(argv, tmp_path, capsys):
+    # Forbidding every symbol leaves no point, so the cover has no vertices.
+    spec = tmp_path / "empty.json"
+    spec.write_text('{"kind": "sft", "alphabet": ["0", "1"], "forbidden": ["0", "1"]}\n')
+    assert main(argv + ["--spec", str(spec)]) == 2
+    assert capsys.readouterr().err == "error: the shift is empty: its cover has no vertices\n"
+
+
+def test_cli_memory_exhaustion_is_inconclusive(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("lgk.cli.build_lambda_synchronizing", exhausted)
+    assert main(["build", "--spec", str(SPECS / "goldenmean.json"), "--depth", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("inconclusive: ") and "Traceback" not in err
 
 
 def test_cli_unknown_symbol_message_has_no_stray_quotes(capsys):

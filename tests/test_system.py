@@ -146,7 +146,8 @@ def test_build_from_finite_graph_rejects_bad_covers():
 
 def test_unseparated_cover_detected():
     sys = build_from_finite_graph(two_loops_graph(), 3)
-    assert verify_predecessor_separated(sys).is_no
+    # Every level clashes; the witness is the first clash, at level 1.
+    assert verify_predecessor_separated(sys).witness == (1, 0, 1)
     with pytest.raises(ValueError):
         canonical_form(sys)
 
