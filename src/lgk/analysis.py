@@ -18,6 +18,16 @@ vertex, and the transitivity check shares one table of bridges per first
 word and of lifted endpoints per second word across all its word pairs.
 On a constant system, condition (I) and the launching search read every
 layer as layer 0 with no length cap; their state sets repeat, so they end.
+
+The window lemma of :mod:`lgk.system`: a computation that reads only gaps
+l .. l + k - 1 gives at l what it gave at l - 1 when each of those gaps
+repeats the gap above it (`LambdaGraphSystem.repeats`).  The walks of
+condition (I) and of the launching search from level l with length k read
+exactly those gaps, so where the window repeats and k is unchanged they
+are not walked again: condition (I) skips the level, whose walks passed
+one level up, and the launching search reuses the vertices left
+unlaunched and draws the same budget units again, so the meter raises
+after the same unit as a fresh walk would.
 """
 
 from __future__ import annotations
@@ -38,6 +48,7 @@ from .system import (
     read_up,
     step_down,
     terminal_vertices,
+    window_repeats,
 )
 from .verdict import Verdict
 
@@ -120,6 +131,8 @@ def check_condition_I(sys: LambdaGraphSystem, depth: int = 3) -> Verdict:
         raise ValueError(f"depth must be between 1 and {sys.depth}")
     constant = _is_constant(sys)
     for level in range(sys.depth - depth + 1):
+        if window_repeats(sys.repeats, level, depth):
+            continue  # the walks from the level above read the same gaps and passed
         for vertex in range(sys.levels[level].size):
             reason = _unique_future(sys, level, vertex, depth, constant)
             if reason is None:
@@ -375,8 +388,11 @@ def is_lambda_synchronizing_system(
     levels are reported in the note rather than degrading the verdict,
     since their launching words may simply not fit the truncation.
     Constant systems are decided exactly: the uncapped walk exhausts the
-    reader-state closure of the repeated graph.
+    reader-state closure of the repeated graph.  A `depth` outside
+    1 .. L is a ValueError: no level would have to pass.
     """
+    if depth is not None and not (1 <= depth <= sys.depth):
+        raise ValueError(f"depth must be between 1 and {sys.depth}")
     meter = _Meter(budget)
     try:
         if _is_constant(sys):
@@ -394,9 +410,17 @@ def is_lambda_synchronizing_system(
         if depth is None:
             depth = max(1, sys.depth // 2)
         unverified: list[tuple[int, int]] = []
+        walked: Optional[tuple[int, set[int], int]] = None  # length, missing, units
         for level in range(sys.depth):
             room = sys.depth - level
-            missing = _unseparated_vertices(sys, level, min(depth, room), meter)
+            length = min(depth, room)
+            if walked is not None and walked[0] == length and window_repeats(sys.repeats, level, length):
+                _, missing, units = walked
+                meter.tick(units)
+            else:
+                before = meter.used
+                missing = _unseparated_vertices(sys, level, length, meter)
+                walked = (length, missing, meter.used - before)
             if not missing:
                 continue
             vertex = min(missing)
@@ -404,7 +428,7 @@ def is_lambda_synchronizing_system(
                 return Verdict.unknown(
                     witness=(level, vertex),
                     note=(
-                        f"no word of length <= {min(depth, room)} is readable "
+                        f"no word of length <= {length} is readable "
                         f"from vertex {vertex} at level {level} alone"
                     ),
                 )

@@ -22,7 +22,7 @@ from .analysis import (
     is_lambda_synchronizing_system,
     simplicity_prediction,
 )
-from .invariants import compare_reports, connecting_map_check, invariant_report
+from .invariants import compare_reports, connecting_checks, invariant_report
 from .serialize import (
     dumps,
     export_dot,
@@ -118,8 +118,8 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def _verify_checks(sys: LambdaGraphSystem, budget: Budget) -> dict[str, Verdict]:
     checks = dict(verify_all(sys))
-    tm = transition_matrices(sys)
-    bad_level = next((l for l in range(len(tm.a) - 1) if not connecting_map_check(tm, l)), None)
+    connecting = connecting_checks(transition_matrices(sys))
+    bad_level = next((l for l, ok in enumerate(connecting) if not ok), None)
     checks["matrix compatibility"] = (
         Verdict.yes()
         if bad_level is None

@@ -24,12 +24,21 @@ is the flow-equivalence checker used by the CLI: stabilized sides are
 compared on their stable groups, while non-stabilized sides (the bracket
 shifts, whose free ranks grow forever) are compared on their constant
 torsion chains.
+
+Every per-gap computation runs once per distinct window of gaps, by the
+window lemma of :mod:`lgk.system`: a computation that reads only gaps
+l .. l + w - 1 gives at l what it gave at l - 1 when each of those gaps
+repeats the gap above it (``TransitionMatrices.repeats``).  The groups of
+gap l read gap l, and the intertwining check at l reads gaps l and l + 1,
+so both reuse the answer at l - 1; the mapping cone at l reads gaps l and
+l + 1 too, and the backward pass reuses cone l + 1 when gaps l + 1 and
+l + 2 repeat.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Iterator, Optional
 
 from .linalg import (
     AbelianGroup,
@@ -41,7 +50,7 @@ from .linalg import (
     snf_diagonal,
     transpose,
 )
-from .system import LambdaGraphSystem, TransitionMatrices, transition_matrices
+from .system import LambdaGraphSystem, TransitionMatrices, transition_matrices, window_repeats
 from .verdict import Verdict
 
 
@@ -97,6 +106,15 @@ def connecting_map_check(tm: TransitionMatrices, l: int) -> bool:
     return mat_eq(mat_mul(tm.a[l], tm.i[l + 1]), mat_mul(tm.i[l], tm.a[l + 1]))
 
 
+def connecting_checks(tm: TransitionMatrices) -> tuple[bool, ...]:
+    """:func:`connecting_map_check` at every gap but the last, once per
+    distinct window: the check at l reads gaps l and l + 1 only."""
+    checks: list[bool] = []
+    for l in range(len(tm.a) - 1):
+        checks.append(checks[-1] if window_repeats(tm.repeats, l, 2) else connecting_map_check(tm, l))
+    return tuple(checks)
+
+
 def _cone_acyclic(tm: TransitionMatrices, l: int) -> bool:
     """Are the induced k0 and k1 maps from gap l to gap l+1 isomorphisms?
 
@@ -134,6 +152,18 @@ def _cone_acyclic(tm: TransitionMatrices, l: int) -> bool:
     )
 
 
+def _cone_checks(tm: TransitionMatrices) -> Iterator[bool]:
+    """:func:`_cone_acyclic` at gaps count - 2, count - 3, ..., 0 in turn, as
+    the backward pass of :func:`invariant_report` asks for them.  Cone l
+    reads gaps l and l + 1, so it is cone l + 1 again where gaps l + 1 and
+    l + 2 repeat the gaps above them."""
+    acyclic = False
+    for l in range(len(tm.a) - 2, -1, -1):
+        if not window_repeats(tm.repeats, l + 1, 2):
+            acyclic = _cone_acyclic(tm, l)
+        yield acyclic
+
+
 # The fewest consecutive levels a stable tail may have.
 _MIN_STABLE_LEVELS = 2
 
@@ -160,20 +190,24 @@ def invariant_report(source: "LambdaGraphSystem | TransitionMatrices") -> Invari
     mapping cone is acyclic (:func:`_cone_acyclic`), so that the induced
     k0 and k1 maps are isomorphisms.  The witness is the first level of the
     longest such tail, found in one backward pass from the last gap; each
-    cone is computed at most once.
+    cone is computed at most once per distinct window (:func:`_cone_checks`),
+    and the groups of a repeated gap are those of the gap above.
     """
     tm = source if isinstance(source, TransitionMatrices) else transition_matrices(source)
     count = len(tm.a)
     if count == 0:
         raise ValueError("need at least one level gap")
-    groups = tuple(level_groups(tm, l) for l in range(count))
-    connecting = tuple(connecting_map_check(tm, l) for l in range(count - 1))
+    groups: list[LevelGroups] = []
+    for l in range(count):
+        groups.append(replace(groups[-1], level=l) if tm.repeats[l] else level_groups(tm, l))
+    connecting = connecting_checks(tm)
 
     start = count - 1
+    cones = _cone_checks(tm)
     while start > 0 and (
         groups[start - 1].same_shape(groups[start])
         and connecting[start - 1]
-        and _cone_acyclic(tm, start - 1)
+        and next(cones)
     ):
         start -= 1
     ranks = [g.k0.free_rank for g in groups]
@@ -187,7 +221,7 @@ def invariant_report(source: "LambdaGraphSystem | TransitionMatrices") -> Invari
         stabilized = Verdict.unknown(note="no stable tail window within the truncation")
     return InvariantReport(
         sizes=tm.sizes,
-        groups=groups,
+        groups=tuple(groups),
         connecting=connecting,
         stabilized=stabilized,
     )

@@ -12,7 +12,7 @@ levels with tags, per-layer labeled edges, and the collapse arrays.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Callable
 
 from .alphabet import Alphabet, Word
 from .labeled_graph import LabeledGraph, from_names
@@ -173,19 +173,39 @@ def _edge(value: Any, alphabet: Alphabet) -> tuple[int, int, int]:
     return (_integer(s, "edge source"), alphabet.index(a), _integer(t, "edge target"))
 
 
+def _shared_runs(items: list, parse: Callable[[Any], Any], plain: Callable[[Any], bool]) -> tuple:
+    """`parse` each item, except that an item equal to the one before it
+    gets that item's parsed object, so a repeated gap shares its level,
+    edge layer and collapse.  `plain(item)` must hold as well: Python
+    equates JSON true and 1.0 with 1, which are not counts."""
+    parsed: list = []
+    for k, item in enumerate(items):
+        if k and item == items[k - 1] and plain(item):
+            parsed.append(parsed[-1])
+        else:
+            parsed.append(parse(item))
+    return tuple(parsed)
+
+
 def system_from_payload(payload: dict) -> LambdaGraphSystem:
     """System from its JSON payload; a malformed field raises ValueError."""
     if not isinstance(payload, dict):
         raise ValueError("system payload must be an object")
     alphabet = Alphabet(tuple(_strings(payload["alphabet"], "alphabet")))
-    levels = tuple(_level(item) for item in _list(payload["levels"], "levels"))
-    edges = tuple(
-        tuple(sorted({_edge(e, alphabet) for e in _list(layer, "edge layer")}))
-        for layer in _list(payload["edges"], "edges")
+    levels = _shared_runs(
+        _list(payload["levels"], "levels"),
+        _level,
+        lambda level: type(level["size"]) is int,
     )
-    iota = tuple(
-        tuple(_integer(v, "iota image") for v in _list(mapping, "iota layer"))
-        for mapping in _list(payload["iota"], "iota")
+    edges = _shared_runs(
+        _list(payload["edges"], "edges"),
+        lambda layer: tuple(sorted({_edge(e, alphabet) for e in _list(layer, "edge layer")})),
+        lambda layer: all(type(s) is int and type(t) is int for s, _, t in layer),
+    )
+    iota = _shared_runs(
+        _list(payload["iota"], "iota"),
+        lambda mapping: tuple(_integer(v, "iota image") for v in _list(mapping, "iota layer")),
+        lambda mapping: all(type(v) is int for v in mapping),
     )
     return LambdaGraphSystem(alphabet=alphabet, levels=levels, edges=edges, iota=iota)
 

@@ -78,8 +78,10 @@ class _Meter:
         self.used = 0
 
     def tick(self, n: int = 1) -> None:
-        self.left -= n
-        self.used += n
+        """Draw `n` units, raising at the unit that `n` single ticks would."""
+        drawn = n if n <= self.left else self.left + 1
+        self.left -= drawn
+        self.used += drawn
         if self.left < 0:
             raise BudgetExceeded(f"budget exhausted after {self.used} units")
 

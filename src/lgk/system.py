@@ -23,13 +23,26 @@ Builders:
 
 :func:`canonical_form` renames every vertex by its predecessor structure,
 giving a byte-stable normal form used for isomorphism checks.
+
+Gap l is edge layer l with collapse l, joining levels l and l + 1.
+``repeats[l]`` (on systems and on :class:`TransitionMatrices`) holds when
+gap l repeats gap l - 1: levels l - 1, l and l + 1 have one size and the
+two gaps have equal edge layers and collapses.  The *window lemma*: a
+computation that reads only gaps l .. l + w - 1 and the levels they join
+gives at l what it gave at l - 1 whenever each gap of its window repeats
+(:func:`window_repeats`), since the two windows are the same data one
+level apart.  So every per-gap computation runs once per distinct window:
+the verifiers below skip a window that repeats one they passed, and the
+quotient build, the loader, :attr:`LambdaGraphSystem.adjacency` and
+:func:`transition_matrices` hand a repeated gap the objects of the gap
+above, which makes ``repeats`` a walk over shared pointers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .alphabet import Alphabet, Word, bracket_alphabet
 from .dyck import Matrix01, all_ones, state_words, validate_transition_matrix
@@ -73,6 +86,23 @@ class VertexLevel:
 Edge = tuple[int, int, int]  # (source, symbol, target)
 
 
+def _repeats(sizes: Sequence[int], *gaps: Sequence) -> tuple[bool, ...]:
+    """`repeats[l]` of a level-size sequence and per-gap sequences."""
+    return tuple(
+        l > 0
+        and sizes[l - 1] == sizes[l] == sizes[l + 1]
+        and all(gap[l] == gap[l - 1] for gap in gaps)
+        for l in range(len(sizes) - 1)
+    )
+
+
+def window_repeats(repeats: Sequence[bool], first: int, width: int) -> bool:
+    """Does each gap of the window first .. first + width - 1 repeat the gap
+    above it?  Then, by the window lemma, a computation that reads only that
+    window gives at `first` what it gave at `first - 1`."""
+    return 0 < first and first + width <= len(repeats) and all(repeats[first : first + width])
+
+
 @dataclass(frozen=True)
 class Adjacency:
     """Lookup tables of a system, one per edge layer and per collapse layer.
@@ -96,8 +126,8 @@ class LambdaGraphSystem:
     """Truncated leveled system; `edges[l]` joins level l to l+1.
 
     `iota[l]` maps each level-(l+1) vertex to its level-l image.  Only
-    shape constraints are enforced here; the structural axioms are the
-    business of the `verify_*` functions.
+    shape constraints are enforced here, once per distinct gap; the
+    structural axioms are the business of the `verify_*` functions.
     """
 
     alphabet: Alphabet
@@ -112,6 +142,8 @@ class LambdaGraphSystem:
         if len(self.edges) != depth or len(self.iota) != depth:
             raise ValueError("edges and iota must have one layer per level gap")
         for l, layer in enumerate(self.edges):
+            if self.repeats[l]:
+                continue
             if list(layer) != sorted(set(layer)):
                 raise ValueError(f"edge layer {l} must be sorted and duplicate-free")
             for s, a, t in layer:
@@ -122,6 +154,8 @@ class LambdaGraphSystem:
                 if not (0 <= a < len(self.alphabet)):
                     raise ValueError(f"edge symbol {a} out of alphabet range")
         for l, mapping in enumerate(self.iota):
+            if self.repeats[l]:
+                continue
             if len(mapping) != self.levels[l + 1].size:
                 raise ValueError(f"iota layer {l} must cover level {l + 1}")
             for v, image in enumerate(mapping):
@@ -137,24 +171,35 @@ class LambdaGraphSystem:
         return tuple(level.size for level in self.levels)
 
     # Built once per system and kept in the instance dict, which dataclass
-    # equality and hashing never read.  Every walker below goes through it.
+    # equality and hashing never read.
+    @cached_property
+    def repeats(self) -> tuple[bool, ...]:
+        """`repeats[l]`: gap l repeats gap l - 1 (see the module docstring)."""
+        return _repeats(self.sizes, self.edges, self.iota)
+
+    # Every walker below goes through these tables; a repeated gap shares
+    # the tables of the gap above.
     @cached_property
     def adjacency(self) -> Adjacency:
         out: list[dict[int, dict[int, list[int]]]] = []
         into: list[dict[int, list[tuple[int, int]]]] = []
-        for layer in self.edges:
+        fiber: list[dict[int, list[int]]] = []
+        for l, (layer, mapping) in enumerate(zip(self.edges, self.iota)):
+            if self.repeats[l]:
+                out.append(out[-1])
+                into.append(into[-1])
+                fiber.append(fiber[-1])
+                continue
             by_source: dict[int, dict[int, list[int]]] = {}
             by_target: dict[int, list[tuple[int, int]]] = {}
             for s, a, t in layer:
                 by_source.setdefault(s, {}).setdefault(a, []).append(t)
                 by_target.setdefault(t, []).append((a, s))
-            out.append(by_source)
-            into.append(by_target)
-        fiber: list[dict[int, list[int]]] = []
-        for mapping in self.iota:
             by_image: dict[int, list[int]] = {}
             for v, image in enumerate(mapping):
                 by_image.setdefault(image, []).append(v)
+            out.append(by_source)
+            into.append(by_target)
             fiber.append(by_image)
         return Adjacency(out=tuple(out), into=tuple(into), fiber=tuple(fiber))
 
@@ -249,6 +294,10 @@ def iota_fiber(sys: LambdaGraphSystem, level: int, vertex: int, steps: int) -> f
 
 
 # -- structural verifiers ------------------------------------------------
+#
+# Each verifier scans its windows from the top and stops at the first
+# failure, so a window that repeats the one above it (the window lemma) has
+# already passed and is skipped.
 
 
 def _tag(sys: LambdaGraphSystem, level: int, vertex: int) -> str:
@@ -259,6 +308,8 @@ def _tag(sys: LambdaGraphSystem, level: int, vertex: int) -> str:
 def verify_left_resolving(sys: LambdaGraphSystem) -> Verdict:
     """Each vertex has at most one in-edge per symbol."""
     for l, layer in enumerate(sys.edges):
+        if sys.repeats[l]:
+            continue
         seen: dict[tuple[int, int], int] = {}
         for s, a, t in layer:
             if (t, a) in seen:
@@ -275,9 +326,10 @@ def verify_left_resolving(sys: LambdaGraphSystem) -> Verdict:
 
 
 def _predecessor_ranks(
-    sizes: Sequence[int], edges: Sequence[Sequence[Edge]]
-) -> tuple[list[list[int]], Optional[tuple[int, int, int]]]:
-    """Refine each level's vertices by their predecessor structure.
+    sizes: Sequence[int], edges: Sequence[Iterable[Edge]]
+) -> Iterator[list[int]]:
+    """Refine each level's vertices by their predecessor structure, yielding
+    the ranks of one level at a time, so a caller may stop early.
 
     Every top vertex has rank 0 (the empty past).  Below, a vertex's key is
     the sorted tuple of its distinct (symbol, rank of source) pairs, and the
@@ -292,33 +344,42 @@ def _predecessor_ranks(
     in-symbol a, the words of length l - 1 into its one a-source followed
     by a, and words partition by their last symbol.  One-step source
     identity would be too coarse (two disjoint equally-labeled loops have
-    distinct in-edges but identical pasts).  Returns the ranks of every
-    level and the first clash (level, earlier vertex, later vertex) of two
-    vertices with an equal key, lowest level first, if any.
+    distinct in-edges but identical pasts).  A level's ranks are 0 .. k - 1
+    for its k distinct keys, and each level's ranks refine those above: a
+    key maps onto the key one level up by renaming the ranks of sources.
     """
-    ranks = [[0] * sizes[0]]
-    clash: Optional[tuple[int, int, int]] = None
+    ranks = [0] * sizes[0]
+    yield ranks
     for l in range(1, len(sizes)):
         pairs: list[set[tuple[int, int]]] = [set() for _ in range(sizes[l])]
-        above = ranks[-1]
         for s, a, t in edges[l - 1]:
-            pairs[t].add((a, above[s]))
+            pairs[t].add((a, ranks[s]))
         keys = [tuple(sorted(p)) for p in pairs]
         rank = {key: r for r, key in enumerate(sorted(set(keys)))}
-        if clash is None and len(rank) < sizes[l]:
-            first: dict[tuple[tuple[int, int], ...], int] = {}
-            v = next(v for v, key in enumerate(keys) if first.setdefault(key, v) != v)
-            clash = (l, first[keys[v]], v)
-        ranks.append([rank[key] for key in keys])
-    return ranks, clash
+        ranks = [rank[key] for key in keys]
+        yield ranks
+
+
+def _first_clash(ranks: Iterable[list[int]]) -> Optional[tuple[int, int, int]]:
+    """The first (level, earlier vertex, later vertex) of two vertices of
+    one level >= 1 with equal ranks, lowest level first, if any."""
+    levels = iter(ranks)
+    next(levels, None)  # the top vertices all have the empty past
+    for l, level in enumerate(levels, start=1):
+        first: dict[int, int] = {}
+        for v, r in enumerate(level):
+            if first.setdefault(r, v) != v:
+                return l, first[r], v
+    return None
 
 
 def verify_predecessor_separated(sys: LambdaGraphSystem) -> Verdict:
     """Distinct vertices at levels >= 1 have distinct predecessor-word sets.
 
-    Classes are refined level by level by :func:`_predecessor_ranks`.
+    Classes are refined level by level by :func:`_predecessor_ranks`, up to
+    the first clash.
     """
-    _, clash = _predecessor_ranks(sys.sizes, sys.edges)
+    clash = _first_clash(_predecessor_ranks(sys.sizes, sys.edges))
     if clash is None:
         return Verdict.yes()
     level, first, second = clash
@@ -333,6 +394,8 @@ def verify_predecessor_separated(sys: LambdaGraphSystem) -> Verdict:
 
 def verify_iota_surjective(sys: LambdaGraphSystem) -> Verdict:
     for l, mapping in enumerate(sys.iota):
+        if sys.repeats[l]:
+            continue
         missing = set(range(sys.levels[l].size)) - set(mapping)
         if missing:
             v = min(missing)
@@ -352,8 +415,13 @@ def _in_label_sets(sys: LambdaGraphSystem, l: int) -> dict[int, frozenset[int]]:
 
 
 def verify_label_iota_compatible(sys: LambdaGraphSystem) -> Verdict:
-    """In-label sets are preserved by the collapse (checkable below level 1)."""
+    """In-label sets are preserved by the collapse (checkable below level 1).
+
+    Level l reads gaps l - 1 and l.
+    """
     for l in range(1, sys.depth):
+        if window_repeats(sys.repeats, l - 1, 2):
+            continue
         lower = _in_label_sets(sys, l)
         upper = _in_label_sets(sys, l + 1)
         for v in range(sys.levels[l + 1].size):
@@ -377,10 +445,13 @@ def verify_local_property(sys: LambdaGraphSystem) -> Verdict:
 
     For u two levels above v's level, the labels of edges into v whose
     sources collapse to u must agree, with multiplicity, with the labels of
-    edges from u into the collapse image of v.
+    edges from u into the collapse image of v.  Level l reads gaps l - 1
+    and l.
     """
     into = sys.adjacency.into
     for l in range(1, sys.depth):
+        if window_repeats(sys.repeats, l - 1, 2):
+            continue
         for v in range(sys.levels[l + 1].size):
             incoming: dict[int, list[int]] = {}
             for a, s in into[l].get(v, ()):
@@ -408,6 +479,8 @@ def verify_local_property(sys: LambdaGraphSystem) -> Verdict:
 def verify_essential(sys: LambdaGraphSystem) -> Verdict:
     """Every vertex emits an edge (below the last level) and receives one (above the first)."""
     for l, layer in enumerate(sys.edges):
+        if sys.repeats[l]:
+            continue
         sources = {s for s, a, t in layer}
         targets = {t for s, a, t in layer}
         for v in range(sys.levels[l].size):
@@ -454,11 +527,21 @@ class TransitionMatrices:
     a: tuple[Matrix, ...]
     i: tuple[Matrix, ...]
 
+    @cached_property
+    def repeats(self) -> tuple[bool, ...]:
+        """`repeats[l]`: gap l has the matrices and sizes of gap l - 1."""
+        return _repeats(self.sizes, self.a, self.i)
+
 
 def transition_matrices(sys: LambdaGraphSystem) -> TransitionMatrices:
+    """The matrices of each gap; a repeated gap shares those of the gap above."""
     a_list: list[Matrix] = []
     i_list: list[Matrix] = []
     for l in range(sys.depth):
+        if sys.repeats[l]:
+            a_list.append(a_list[-1])
+            i_list.append(i_list[-1])
+            continue
         rows, cols = sys.levels[l].size, sys.levels[l + 1].size
         total = [[0] * cols for _ in range(rows)]
         for s, _, t in sys.edges[l]:
@@ -563,35 +646,46 @@ def _quotient_system(graph: LabeledGraph, depth: int) -> LambdaGraphSystem:
     cover's edges ranks level l's vertices exactly by their length-l pasts.
     Each level's classes are numbered in order of first appearance over the
     cover's vertices.
+
+    Each level's partition refines the one above and is a function of it
+    (a Moore refinement), so the first level L with as many classes as
+    level L - 1 has the partition of level L - 1, and so has every level
+    below it.  The refinement stops there; levels L .. depth share the
+    object of level L - 1, and gaps L - 1 .. depth - 1 share one edge layer
+    and one identity collapse, so ``repeats[l]`` holds from L on.
     """
     n = len(graph.vertices)
     if n == 0:
         raise ValueError("the shift is empty: its cover has no vertices")
-    ranks, _ = _predecessor_ranks([n] * (depth + 1), [graph.edges] * depth)
     partition, levels = [], []
-    for level in ranks:
+    for level in _predecessor_ranks([n] * (depth + 1), [graph.edges] * depth):
         members: dict[int, list[str]] = {}  # rank -> names, in first-appearance order
         for v, r in enumerate(level):
             members.setdefault(r, []).append(graph.vertices[v])
+        if levels and len(members) == levels[-1].size:
+            break
         number = {r: c for c, r in enumerate(members)}
         partition.append([number[r] for r in level])
         tags = tuple("|".join(sorted(names)) for names in members.values())
         levels.append(VertexLevel(size=len(tags), tags=tags))
+    stable = len(levels) - 1  # the last refined level; the levels below repeat it
     edges: list[tuple[Edge, ...]] = []
     iota: list[tuple[int, ...]] = []
-    for l in range(depth):
-        low, high = partition[l], partition[l + 1]
+    for l in range(min(depth, stable + 1)):
+        below = min(l + 1, stable)
+        low, high = partition[l], partition[below]
         layer = {(low[s], a, high[t]) for s, a, t in graph.edges}
         edges.append(tuple(sorted(layer)))
-        image = [0] * levels[l + 1].size
+        image = [0] * levels[below].size
         for v, c in enumerate(high):
             image[c] = low[v]
         iota.append(tuple(image))
+    tail = depth - len(edges)
     return LambdaGraphSystem(
         alphabet=graph.alphabet,
-        levels=tuple(levels),
-        edges=tuple(edges),
-        iota=tuple(iota),
+        levels=tuple(levels) + (levels[stable],) * (depth - stable),
+        edges=tuple(edges) + (edges[-1],) * tail,
+        iota=tuple(iota) + (iota[-1],) * tail,
     )
 
 
@@ -717,7 +811,8 @@ def canonical_form(sys: LambdaGraphSystem) -> LambdaGraphSystem:
             iota[0] = [0] * sizes[1]
         sizes[0] = 1
 
-    rename, clash = _predecessor_ranks(sizes, edges)
+    rename = list(_predecessor_ranks(sizes, edges))
+    clash = _first_clash(rename)
     if clash is not None:
         level, first, second = clash
         raise ValueError(

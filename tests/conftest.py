@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 from hypothesis import HealthCheck, settings
 
 from lgk import (
     Alphabet,
     LabeledGraph,
+    LambdaGraphSystem,
     MarkovDyck,
     SftForbidden,
     SoficGraph,
+    TransitionMatrices,
     from_names,
 )
 
@@ -24,6 +28,16 @@ settings.register_profile(
 settings.load_profile("suite")
 
 FIB = ((1, 1), (1, 0))
+
+
+@contextlib.contextmanager
+def unshared():
+    """Inside, no gap repeats the one above it, so every per-gap computation
+    runs at every gap, as it would without the window lemma."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LambdaGraphSystem, "repeats", property(lambda sys: (False,) * sys.depth))
+        patch.setattr(TransitionMatrices, "repeats", property(lambda tm: (False,) * len(tm.a)))
+        yield
 
 
 def golden_mean_spec() -> SftForbidden:

@@ -494,6 +494,29 @@ def past_classes(n: int, edges, depth: int) -> list[list[int]]:
     return levels
 
 
+def refined_quotient(names, edges, depth: int):
+    """(tags, edge layers, collapses) of a cover's quotient by past classes,
+    refined at every level 0..depth with no stop.
+
+    A vertex's class at level l + 1 is keyed by the set of its (symbol,
+    class of source at level l) pairs; classes are numbered in order of
+    first appearance and tagged by their sorted member names joined by '|'.
+    """
+    n = len(names)
+    classes = [[0] * n]
+    for _ in range(depth):
+        keys = [frozenset((a, classes[-1][s]) for s, a, t in edges if t == v) for v in range(n)]
+        first: dict[frozenset, int] = {}
+        classes.append([first.setdefault(key, len(first)) for key in keys])
+    tags = [
+        ["|".join(sorted(names[v] for v in range(n) if ids[v] == c)) for c in range(max(ids) + 1)]
+        for ids in classes
+    ]
+    layers = [sorted({(low[s], a, high[t]) for s, a, t in edges}) for low, high in zip(classes, classes[1:])]
+    collapses = [[low[high.index(c)] for c in range(max(high) + 1)] for low, high in zip(classes, classes[1:])]
+    return tags, layers, collapses
+
+
 # -- strong connectivity, by transitive closure --------------------------
 
 

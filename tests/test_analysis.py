@@ -12,14 +12,17 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import FIB, even_shift_spec, golden_mean_spec
-from test_walkers import BUILT, random_systems, raw
+from conftest import FIB, even_shift_spec, golden_mean_spec, unshared
+from test_walkers import BUILT, gap_run_systems, random_systems, raw
 from lgk import (
     Alphabet,
     Budget,
     BudgetExceeded,
     DyckN,
     FullShift,
+    LambdaGraphSystem,
+    SftForbidden,
+    VertexLevel,
     build_cantor_horizon_dyck,
     build_cantor_horizon_markov_dyck,
     build_from_finite_graph,
@@ -123,6 +126,53 @@ def test_synchronizing_system_budget_exhaustion_is_unknown():
     assert verdict.is_unknown
 
 
+def test_synchronizing_system_rejects_a_search_deeper_than_the_system():
+    # Two a-loops whose collapse swaps them: no vertex ever launches a word.
+    # A search longer than the system would leave no level that must pass.
+    two = VertexLevel(size=2, tags=("u", "v"))
+    sys = LambdaGraphSystem(
+        alphabet=Alphabet(("a",)),
+        levels=(two,) * 5,
+        edges=(((0, 0, 0), (1, 0, 1)),) * 4,
+        iota=((1, 0),) * 4,
+    )
+    stuck = is_lambda_synchronizing_system(sys, depth=4)
+    assert stuck.is_unknown and stuck.witness == (0, 0)
+    for depth in (0, 5, 9):
+        with pytest.raises(ValueError, match="depth must be between 1 and 4"):
+            is_lambda_synchronizing_system(sys, depth=depth)
+
+
+def test_launching_search_replays_the_budget_of_a_shared_tail():
+    # Gaps repeat from gap 4 on, so the length-9 walks from levels 4 .. 9
+    # repeat the walk from level 3 and are not walked again; each reuse
+    # must draw that walk's units once more.  With u the units the whole
+    # search uses, the budgets u and u - 1 and others below them give what
+    # a walk at every level gives, note included.
+    spec = SftForbidden(Alphabet(("a", "b", "c")), frozenset({(0, 1, 1, 0)}))
+    sys = build_lambda_synchronizing(spec, 18, budget=Budget(max_depth=18))
+    assert sys.repeats == (False,) * 4 + (True,) * 14
+
+    def search(units: int):
+        return triple(is_lambda_synchronizing_system(sys, budget=Budget(max_words=units)))
+
+    low, high = 0, 100_000
+    while low < high:
+        mid = (low + high) // 2
+        if "budget" in search(mid)[2]:
+            low = mid + 1
+        else:
+            high = mid
+    used = low
+    assert search(used)[0] == "yes"
+    assert search(used - 1) == ("unknown", None, f"budget exhausted after {used} units")
+    budgets = sorted({used, used - 1, *range(0, used, max(1, used // 40))})
+    shared = [search(u) for u in budgets]
+    with unshared():
+        sys = build_lambda_synchronizing(spec, 18, budget=Budget(max_depth=18))
+        assert [search(u) for u in budgets] == shared
+
+
 def test_follower_equivalence():
     sys = build_lambda_synchronizing(golden_mean_spec(), 4)
     assert follower_equal(sys, (0,), (0, 0))
@@ -203,7 +253,10 @@ def triple(verdict: Verdict):
     return verdict.kind, verdict.witness, verdict.note
 
 
-@given(st.one_of(random_systems(), constant_systems(), st.sampled_from(BUILT)), st.data())
+@given(
+    st.one_of(random_systems(), gap_run_systems(), constant_systems(), st.sampled_from(BUILT)),
+    st.data(),
+)
 def test_dynamical_checks_match_references(sys, data):
     sizes, edges, iota = raw(sys)
     names = sys.alphabet.names
@@ -232,6 +285,29 @@ def test_dynamical_checks_match_references(sys, data):
         # the reference walks past the last edge layer; no bridge that fits succeeded
         expected = ("unknown", None, f"no bridge of length <= {bound} found within the truncation")
     assert triple(succ_relation(sys, first, second, bound=bound)) == expected
+
+
+def test_walks_whose_window_leaves_a_run_are_walked_again():
+    # Three equal gaps, then a dead gap into one vertex: each window that
+    # reaches the dead gap differs from the window above it, though its
+    # first gaps repeat.
+    two, one = VertexLevel(2, ("", "")), VertexLevel(1, ("",))
+    run = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    sys = LambdaGraphSystem(
+        alphabet=Alphabet(("a", "b")),
+        levels=(two,) * 4 + (one,),
+        edges=(run,) * 3 + ((),),
+        iota=((0, 0),) * 3 + ((0,),),
+    )
+    sizes, edges, iota = raw(sys)
+    for depth in range(1, sys.depth + 1):
+        assert triple(check_condition_I(sys, depth)) == oracles.reference_condition_I(
+            sizes, edges, iota, depth
+        )
+    for search in (None, *range(1, sys.depth + 1)):
+        assert triple(is_lambda_synchronizing_system(sys, search)) == oracles.reference_launching(
+            sizes, edges, iota, search
+        )
 
 
 @given(st.one_of(random_systems(), constant_systems(), st.sampled_from(BUILT)), st.data())

@@ -9,17 +9,19 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import FIB, even_shift_spec, golden_mean_spec
+from conftest import FIB, even_shift_spec, golden_mean_spec, unshared
 from lgk.alphabet import Alphabet
 from lgk.invariants import (
     InvariantReport,
     LevelGroups,
     _cone_acyclic,
+    _cone_checks,
     compare_reports,
+    connecting_checks,
     connecting_map_check,
     invariant_report,
     level_groups,
@@ -225,6 +227,66 @@ def test_one_diagonal_matches_four_group_oracle(tm):
         g = level_groups(tm, l)
         got = tuple((x.free_rank, x.torsion) for x in (g.k0, g.k1, g.bf0, g.bf1))
         assert got == oracles.four_level_groups(tm.a[l], tm.i[l])
+
+
+# -- gaps repeated in runs -------------------------------------------------
+
+# 2 x 2 gaps (A, I).  X's cones are acyclic.  Y's collapse and transition
+# matrices share a kernel vector mod 2, so every cone into Y or out of Y
+# fails: cone X X is acyclic but cone X Y is not, and a cone that reused
+# the one below it on the wrong window would be caught on X X X Y.
+GAPS = {
+    "X": (((1, 1), (1, 0)), ((1, 0), (0, 1))),
+    "Y": (((0, 0), (0, 1)), ((2, 0), (0, 1))),
+}
+
+
+def gap_runs(pattern: str) -> TransitionMatrices:
+    return TransitionMatrices(
+        sizes=(2,) * (len(pattern) + 1),
+        a=tuple(GAPS[g][0] for g in pattern),
+        i=tuple(GAPS[g][1] for g in pattern),
+    )
+
+
+@st.composite
+def gap_run_matrices(draw) -> TransitionMatrices:
+    """2 x 2 gaps from a pool of three random ones, in runs."""
+    entries = st.integers(-2, 2)
+    matrix = st.tuples(*[st.tuples(entries, entries)] * 2)
+    pool = draw(st.lists(st.tuples(matrix, matrix), min_size=3, max_size=3))
+    picks = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 3)), min_size=1, max_size=4))
+    gaps = [pool[k] for k, length in picks for _ in range(length)]
+    return TransitionMatrices(
+        sizes=(2,) * (len(gaps) + 1),
+        a=tuple(a for a, _ in gaps),
+        i=tuple(i for _, i in gaps),
+    )
+
+
+@given(gap_run_matrices())
+@example(gap_runs("XXXY"))
+@example(gap_runs("XYYXX"))
+@example(gap_runs("XXXXX"))
+@example(gap_runs("YXXX"))
+def test_shared_gaps_match_per_gap_answers(tm):
+    count = len(tm.a)
+    report = invariant_report(tm)
+    assert report.groups == tuple(level_groups(tm, l) for l in range(count))
+    assert report.connecting == connecting_checks(tm)
+    assert report.connecting == tuple(connecting_map_check(tm, l) for l in range(count - 1))
+    assert list(_cone_checks(tm)) == [_cone_acyclic(tm, l) for l in reversed(range(count - 1))]
+    with unshared():
+        assert invariant_report(tm) == report
+
+
+def test_gap_run_examples():
+    # What the examples above are there for: X X X Y has cones that differ
+    # inside a run, and the backward pass reuses cones in Y X X X.
+    assert gap_runs("XXXY").repeats == (False, True, True, False)
+    assert list(_cone_checks(gap_runs("XXXY"))) == [False, True, True]
+    assert invariant_report(gap_runs("XXXXX")).stabilized.witness == 0
+    assert invariant_report(gap_runs("YXXX")).stabilized.witness == 1
 
 
 # -- the cone test against the two-map test ------------------------------

@@ -49,6 +49,18 @@ def test_quotient_levels_are_past_classes(g):
         assert classes == [{v for v, c in enumerate(ids) if c == i} for i in range(max(ids) + 1)]
 
 
+@given(essential_left_resolving_covers())
+def test_quotient_matches_a_full_refinement(g):
+    # The build stops refining at the first level whose class count repeats
+    # and shares the tail; refining every level gives the same system.
+    tags, layers, collapses = oracles.refined_quotient(g.vertices, g.edges, 40)
+    for depth in range(1, 41):
+        quotient = _quotient_system(g, depth)
+        assert [list(level.tags) for level in quotient.levels] == tags[: depth + 1]
+        assert [list(layer) for layer in quotient.edges] == layers[:depth]
+        assert [list(mapping) for mapping in quotient.iota] == collapses[:depth]
+
+
 # Not left-resolving (two a-edges into v1), with a source v0 and sinks v3
 # and v4.
 FORKED = LabeledGraph(
@@ -65,12 +77,18 @@ def test_backward_steps_group_in_edges_by_label():
 
 
 def test_deep_quotient_stays_small():
+    # Level 2 is the first with as many classes as the level above, so the
+    # build shares one level, edge layer and collapse from there on.
     cover = sft_cover(golden_mean_spec())
     assert len(cover.vertices) == 2
-    depth = 200
+    depth = 1000
     quotient = _quotient_system(cover, depth)
     assert quotient.sizes == (1,) + (2,) * depth
-    assert set(quotient.edges[1:]) == {quotient.edges[1]}
+    assert all(level is quotient.levels[2] for level in quotient.levels[2:])
+    assert all(layer is quotient.edges[1] for layer in quotient.edges[1:])
+    assert all(mapping is quotient.iota[1] for mapping in quotient.iota[1:])
+    assert quotient.iota[1] == (0, 1)
+    assert quotient.repeats == (False, False) + (True,) * (depth - 2)
 
 
 def test_quotient_depth_is_not_bounded_by_recursion_limit():

@@ -120,6 +120,27 @@ def test_system_loads_sorts_and_dedups_edges():
     assert system_loads(json.dumps(payload)) == sys
 
 
+def test_system_loads_shares_repeated_gaps():
+    sys = build_lambda_synchronizing(golden_mean_spec(), 5)
+    text = system_dumps(sys)
+    loaded = system_loads(text)
+    assert loaded == sys and loaded.repeats == sys.repeats == (False, False, True, True, True)
+    for l in (2, 3, 4):
+        assert loaded.levels[l + 1] is loaded.levels[l]
+        assert loaded.edges[l] is loaded.edges[l - 1] and loaded.iota[l] is loaded.iota[l - 1]
+    # Python equates JSON true and 1.0 with 1, but a repeated item holding
+    # them is no more a count than the first such item would be.
+    for field, lookalike in (
+        ("levels", lambda level: {**level, "size": float(level["size"])}),
+        ("edges", lambda layer: [[s, a, float(t)] for s, a, t in layer]),
+        ("iota", lambda mapping: [bool(v) for v in mapping]),
+    ):
+        payload = json.loads(text)
+        payload[field][4] = lookalike(payload[field][4])
+        with pytest.raises(ValueError, match="must be an integer"):
+            system_loads(json.dumps(payload))
+
+
 def test_canonical_forms_serialize_to_identical_bytes():
     from lgk.subshift import SoficGraph, sft_cover
 

@@ -17,7 +17,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import FIB, even_shift_graph, golden_mean_spec
+from conftest import FIB, even_shift_graph, golden_mean_spec, unshared
 from lgk import (
     Alphabet,
     LambdaGraphSystem,
@@ -27,6 +27,7 @@ from lgk import (
     build_from_finite_graph,
     build_lambda_synchronizing,
     canonical_form,
+    verify_all,
 )
 from lgk.analysis import _labeled_paths
 from lgk.serialize import spec_loads
@@ -70,6 +71,37 @@ def random_systems(draw) -> LambdaGraphSystem:
     )
 
 
+@st.composite
+def gap_run_systems(draw) -> LambdaGraphSystem:
+    """A random system whose gaps repeat in runs.
+
+    Each run repeats one drawn gap (edge layer and collapse) one to three
+    times as the same objects, and a run of two or more keeps one level
+    size, so the gap repeats the one above it.  Runs end anywhere, before
+    the last gap too, and a gap may also equal the run before it.
+    """
+    k = draw(st.integers(1, 2))
+    sizes = [draw(st.integers(1, 3))]
+    edges: list = []
+    iota: list = []
+    for _ in range(draw(st.integers(1, 3))):
+        length = draw(st.integers(1, 3))
+        source = sizes[-1]
+        target = source if length > 1 else draw(st.integers(1, 3))
+        triples = st.tuples(st.integers(0, source - 1), st.integers(0, k - 1), st.integers(0, target - 1))
+        layer = tuple(sorted(draw(st.sets(triples, max_size=2 * source * k))))
+        mapping = tuple(draw(st.lists(st.integers(0, source - 1), min_size=target, max_size=target)))
+        edges += [layer] * length
+        iota += [mapping] * length
+        sizes += [target] * length
+    return LambdaGraphSystem(
+        alphabet=Alphabet(tuple("ab"[:k])),
+        levels=tuple(VertexLevel(size=m, tags=("",) * m) for m in sizes),
+        edges=tuple(edges),
+        iota=tuple(iota),
+    )
+
+
 BUILT = (
     build_cantor_horizon_dyck(2, 3),
     build_cantor_horizon_markov_dyck(FIB, 4),
@@ -100,7 +132,12 @@ def relabeled(draw, systems) -> LambdaGraphSystem:
     )
 
 
-systems = st.one_of(random_systems(), st.sampled_from(BUILT), relabeled(st.sampled_from(BUILT)))
+systems = st.one_of(
+    random_systems(),
+    gap_run_systems(),
+    st.sampled_from(BUILT),
+    relabeled(st.sampled_from(BUILT)),
+)
 
 
 @given(systems, st.data())
@@ -206,6 +243,23 @@ def test_local_property_verdicts_on_built_systems():
     for sys in BUILT:
         assert verify_local_property(sys).is_yes
         assert_local_property_matches(sys)
+
+
+@given(systems)
+def test_verifiers_skip_only_repeated_windows(sys):
+    # `repeats` is the definition, and skipping the windows it marks leaves
+    # every structural verdict (kind, witness and note) as a scan of every
+    # window gives it.
+    sizes, edges, iota = raw(sys)
+    assert sys.repeats == tuple(
+        l > 0
+        and sizes[l - 1] == sizes[l] == sizes[l + 1]
+        and (edges[l], iota[l]) == (edges[l - 1], iota[l - 1])
+        for l in range(sys.depth)
+    )
+    shared = verify_all(sys)
+    with unshared():
+        assert verify_all(LambdaGraphSystem(sys.alphabet, sys.levels, sys.edges, sys.iota)) == shared
 
 
 @given(systems)
