@@ -2,22 +2,17 @@
 
 __version__ = "0.1.0"
 
-from .alphabet import Alphabet, Word, ascii_alphabet, bracket_alphabet
+from .alphabet import Alphabet, Word, bracket_alphabet
 from .analysis import (
     check_condition_I,
     check_iota_irreducible,
     check_lambda_irreducible,
     check_synchronizingly_transitive,
-    follower_equal,
     is_lambda_synchronizing_system,
-    launching_vertex,
     simplicity_prediction,
-    succ_relation,
 )
 from .flow import (
     ExpansionPlan,
-    apply_plan,
-    contract_word,
     expand_labeled_graph,
     expand_sft,
     expand_spec,
@@ -37,7 +32,6 @@ from .labeled_graph import LabeledGraph, from_names
 from .linalg import (
     AbelianGroup,
     cokernel,
-    groups_isomorphic,
     kernel_group,
 )
 from .subshift import (
@@ -51,10 +45,7 @@ from .subshift import (
     SftForbidden,
     SoficGraph,
     SubshiftSpec,
-    blocks,
-    follower_words,
     is_admissible,
-    predecessor_words,
     synchronizing_classes,
 )
 from .system import (
@@ -64,7 +55,6 @@ from .system import (
     VertexLevel,
     build_cantor_horizon_dyck,
     build_cantor_horizon_markov_dyck,
-    build_from_finite_graph,
     build_lambda_synchronizing,
     canonical_form,
     level_isomorphic,

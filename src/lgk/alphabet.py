@@ -13,8 +13,6 @@ from typing import Iterable
 
 Word = tuple[int, ...]
 
-EMPTY: Word = ()
-
 
 @dataclass(frozen=True)
 class Alphabet:
@@ -71,10 +69,6 @@ class Alphabet:
     def extend(self, name: str) -> "Alphabet":
         """A new alphabet with one extra symbol appended."""
         return Alphabet(self.names + (name,))
-
-
-def ascii_alphabet(names: Iterable[str]) -> Alphabet:
-    return Alphabet(tuple(names))
 
 
 def bracket_alphabet(n: int) -> Alphabet:

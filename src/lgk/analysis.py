@@ -1,5 +1,5 @@
 """Dynamical checks on leveled systems: branching, irreducibility,
-synchronization, and the word-succession relation.
+launching words, and synchronizing transitivity.
 
 These properties quantify over all levels of the untruncated system, so on a
 depth-L truncation most of them are only semi-decidable.  Every check here
@@ -47,7 +47,6 @@ from .system import (
     read_down,
     read_up,
     step_down,
-    terminal_vertices,
     window_repeats,
 )
 from .verdict import Verdict
@@ -56,8 +55,9 @@ from .verdict import Verdict
 def _is_constant(sys: LambdaGraphSystem) -> bool:
     """All levels repeat the same graph with the identity collapse.
 
-    Such systems (the output of the finite-cover builder) extend uniquely to
-    every depth, so searches that stabilize in them are conclusive.
+    Such systems (a cover repeated at every level, as in the one-vertex
+    chain of a full shift) extend uniquely to every depth, so searches that
+    stabilize in them are conclusive.
     """
     first = sys.levels[0].size
     if any(level.size != first for level in sys.levels):
@@ -315,22 +315,6 @@ def check_iota_irreducible(
 # -- launching words and synchronization ---------------------------------
 
 
-def launching_vertex(sys: LambdaGraphSystem, word: Word, level: int) -> Optional[int]:
-    """The unique vertex at `level` that can read `word`, if unique."""
-    if len(word) == 0:
-        raise ValueError("launching words must be nonempty")
-    if level + len(word) > sys.depth:
-        raise ValueError("word does not fit below the level")
-    starters = [
-        v
-        for v in range(sys.levels[level].size)
-        if read_down(sys, level, frozenset([v]), word)
-    ]
-    if len(starters) == 1:
-        return starters[0]
-    return None
-
-
 def _unseparated_vertices(
     sys: LambdaGraphSystem, level: int, max_len: Optional[int], meter: _Meter
 ) -> set[int]:
@@ -446,7 +430,7 @@ def is_lambda_synchronizing_system(
     return Verdict.yes()
 
 
-# -- succession relation and transitivity --------------------------------
+# -- synchronizing transitivity ------------------------------------------
 
 
 def _lift(sys: LambdaGraphSystem, level: int, vertices: frozenset[int], steps: int) -> frozenset[int]:
@@ -454,41 +438,27 @@ def _lift(sys: LambdaGraphSystem, level: int, vertices: frozenset[int], steps: i
     return frozenset().union(*(iota_fiber(sys, level, v, steps) for v in vertices))
 
 
-def follower_equal(sys: LambdaGraphSystem, first: Word, second: Word) -> bool:
-    """Do two admissible words share their follower set in the system?
-
-    With p <= q the words' path-endpoint sets live at levels p and q; the
-    shorter word's endpoints are lifted through the collapse to level q and
-    compared there.  Exact for systems built from synchronization classes.
-    """
-    if len(first) > len(second):
-        first, second = second, first
-    p, q = len(first), len(second)
-    if q > sys.depth:
-        raise ValueError("word exceeds the truncated depth")
-    ends_first = terminal_vertices(sys, first)
-    ends_second = terminal_vertices(sys, second)
-    if not ends_first or not ends_second:
-        raise ValueError("both words must be readable in the system")
-    return _lift(sys, p, ends_first, q - p) == ends_second
-
-
 class _Succession:
-    """The bridge search of :func:`succ_relation` on one system with one
-    bound, for any number of word pairs.
+    """The bridge search of :func:`check_synchronizingly_transitive` on one
+    system with one bound, for any number of word pairs.
 
-    The bridges read on from a first word (for each room left below it) and
-    the lifted endpoints of a second word (for each level it is lifted to)
-    depend on one word of the pair only, so each is read once and shared by
-    every pair searched here.  Bridges are drawn lazily, as the meter
-    allows: a never-advanced `tee` keeps those drawn so far, and its copies
-    replay them.
+    A bridge for (first, second) is a word making `second` follower-equal to
+    first + bridge + second.  Bridges are read on from the endpoints of
+    `first`, and `second` is read on from each bridge's endpoints; those
+    endpoints must equal the endpoints of `second` lifted through the
+    collapse to their level.
+
+    The bridges read on from a first word and the lifted endpoints of a
+    second word (for each level it is lifted to) depend on one word of the
+    pair only, so each is read once and shared by every pair searched here.
+    Bridges are drawn lazily, as the meter allows: a never-advanced `tee`
+    keeps those drawn so far, and its copies replay them.
     """
 
     def __init__(self, sys: LambdaGraphSystem, bound: int):
         self.sys = sys
         self.bound = bound
-        self._bridges: dict[tuple[Word, int], Iterator[tuple[Word, frozenset[int]]]] = {}
+        self._bridges: dict[Word, Iterator[tuple[Word, frozenset[int]]]] = {}
         self._lifted: dict[tuple[Word, int], frozenset[int]] = {}
 
     def bridge(
@@ -500,12 +470,17 @@ class _Succession:
         meter: _Meter,
     ) -> Optional[Word]:
         """The first bridge that works for the pair, ticking `meter` once per
-        bridge tried, or None.  The endpoints are the words' `terminal_vertices`."""
+        bridge tried, or None.  The endpoints are those of the words' paths
+        from the top level.
+
+        Every bridge up to `bound` fits below `first` with room for
+        `second`: the caller's guard 2 * word_len + bound <= depth, with
+        both words of length <= word_len, gives
+        depth - len(first) - len(second) >= bound."""
         sys = self.sys
-        room = min(self.bound, sys.depth - len(first) - len(second))
-        if (first, room) not in self._bridges:
-            self._bridges[first, room] = tee(label_words(sys, len(first), ends_first, room), 1)[0]
-        for bridge, ends_bridge in copy(self._bridges[first, room]):
+        if first not in self._bridges:
+            self._bridges[first] = tee(label_words(sys, len(first), ends_first, self.bound), 1)[0]
+        for bridge, ends_bridge in copy(self._bridges[first]):
             meter.tick()
             below = len(first) + len(bridge)
             ends = read_down(sys, below, ends_bridge, second)
@@ -516,37 +491,6 @@ class _Succession:
             if self._lifted[second, below] == ends:
                 return bridge
         return None
-
-
-def succ_relation(
-    sys: LambdaGraphSystem,
-    first: Word,
-    second: Word,
-    bound: int = 2,
-    budget: Budget = DEFAULT_BUDGET,
-) -> Verdict:
-    """Search for a bridge word making `second` follower-equivalent to
-    first + bridge + second.  `yes` carries the bridge as witness; absence
-    within `bound` is `unknown` (a longer bridge may exist).
-
-    Bridges are read on from the endpoints of `first`, only as long as
-    `second` still fits below them, and `second` is read on from each
-    bridge's endpoints; the follower test of :func:`follower_equal` then
-    compares those endpoints with the lifted endpoints of `second`.  This
-    is the one bridge search, :class:`_Succession`, that
-    `check_synchronizingly_transitive` runs for all its word pairs with
-    shared tables of bridges and lifted endpoints."""
-    ends_first = terminal_vertices(sys, first)
-    ends_second = terminal_vertices(sys, second)
-    if not ends_first or not ends_second:
-        raise ValueError("both words must be readable in the system")
-    search = _Succession(sys, bound)
-    bridge = search.bridge(first, ends_first, second, ends_second, _Meter(budget))
-    if bridge is None:
-        return Verdict.unknown(
-            note=f"no bridge of length <= {bound} found within the truncation"
-        )
-    return Verdict.yes(witness=bridge, note=f"bridge {sys.alphabet.text(bridge)!r}")
 
 
 def check_synchronizingly_transitive(
@@ -562,8 +506,9 @@ def check_synchronizingly_transitive(
     The words come from one `label_words` walk from the top, which also
     gives their endpoints.  Every pair runs through one :class:`_Succession`,
     so the bridges read on from a first word and the lifted endpoints of a
-    second word are shared across pairs; each pair still draws on a fresh
-    meter of `budget`, as one `succ_relation` call would."""
+    second word are shared across pairs; each pair draws on a fresh meter
+    of `budget`.  A pair with no bridge up to `bound` is `unknown`: a
+    longer bridge may exist."""
     if isinstance(target, LambdaGraphSystem):
         sys = target
     else:

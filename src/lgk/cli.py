@@ -117,6 +117,8 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def _verify_checks(sys: LambdaGraphSystem, budget: Budget) -> dict[str, Verdict]:
+    if sys.depth == 0:
+        raise ValueError("need at least one level gap")
     checks = dict(verify_all(sys))
     connecting = connecting_checks(transition_matrices(sys))
     bad_level = next((l for l, ok in enumerate(connecting) if not ok), None)

@@ -1,12 +1,13 @@
-"""Reduction calculus for Dyck and Markov-Dyck shifts.
+"""The bracket machine of Dyck and Markov-Dyck shifts.
 
 Alphabet convention: a bracket alphabet over n pairs has opening symbols
 a1..an (ids 0..n-1) followed by closing symbols b1..bn (ids n..2n-1).
 Reading left to right, a_i opens a bracket that a later b_i must close;
 an adjacent pair a_i b_j cancels when i = j and kills the word when i != j.
 
-Words reduce to the normal form (unmatched closes)(unmatched opens).  In the
-Markov case a 0/1 transition matrix A constrains three things:
+Words reduce to the normal form (unmatched closes)(unmatched opens), which
+:class:`BracketMachine` reads incrementally.  In the Markov case a 0/1
+transition matrix A constrains three things:
 
 * consecutive unmatched closes b_i b_j need A(i,j) = 1;
 * an open pushed on top of a pending open a_i a_j needs A(j,i) = 1
@@ -24,8 +25,6 @@ needs a state reachable from both 1 and 2 and dies).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .alphabet import Word
 
@@ -57,38 +56,6 @@ def validate_transition_matrix(matrix: Matrix01) -> None:
             raise ValueError(f"zero row {i} in transition matrix")
         if not any(matrix[j][i] for j in range(n)):
             raise ValueError(f"zero column {i} in transition matrix")
-
-
-@dataclass(frozen=True)
-class DyckReduction:
-    """Normal form of a bracket word, or Zero.
-
-    `closes`: bracket indices (0-based) of the unmatched closing symbols, in
-    reading order; these form the inert left part of the reduced word.
-    `opens`: bracket indices of the pending opening symbols, in reading
-    order; the last entry is the innermost (most recently opened).
-    `support`: states allowed to start whatever is read next at nesting
-    depth zero; None for Zero.
-    """
-
-    is_zero: bool
-    closes: Word = ()
-    opens: Word = ()
-    support: frozenset[int] | None = None
-
-    @staticmethod
-    def zero() -> "DyckReduction":
-        return DyckReduction(True)
-
-    def reduced_word(self, n: int) -> Word:
-        """The reduced word over the 2n-symbol bracket alphabet."""
-        if self.is_zero:
-            raise ValueError("zero has no reduced word")
-        return tuple(n + j for j in self.closes) + tuple(self.opens)
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.is_zero and not self.closes and not self.opens
 
 
 class BracketMachine:
@@ -172,49 +139,6 @@ class BracketMachine:
             if state is None:
                 return None
         return state
-
-
-def reduce_brackets(matrix: Matrix01, word: Word) -> DyckReduction:
-    """Reduce a bracket word; exact zero-detection for the Markov case.
-
-    Tracks the full unmatched-close sequence (the machine itself only
-    counts them).
-    """
-    machine = BracketMachine(matrix)
-    support = machine.full
-    closes: list[int] = []
-    opens: list[int] = []
-    n = machine.n
-    for sym in word:
-        if sym < n:
-            i = sym
-            if opens:
-                if not matrix[i][opens[-1]]:
-                    return DyckReduction.zero()
-                opens.append(i)
-            else:
-                s = support & machine.rows[i]
-                if not s:
-                    return DyckReduction.zero()
-                support = s
-                opens.append(i)
-        else:
-            j = sym - n
-            if opens:
-                if opens[-1] != j:
-                    return DyckReduction.zero()
-                opens.pop()
-                if not opens:
-                    s = support & machine.rows[j]
-                    if not s:
-                        return DyckReduction.zero()
-                    support = s
-            else:
-                if j not in support:
-                    return DyckReduction.zero()
-                closes.append(j)
-                support = machine.rows[j]
-    return DyckReduction(False, tuple(closes), tuple(opens), support)
 
 
 def state_words(matrix: Matrix01, length: int) -> list[Word]:

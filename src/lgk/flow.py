@@ -2,10 +2,10 @@
 
 Expanding a subshift this way changes the shift itself but is known to
 preserve the stable invariants computed in :mod:`lgk.invariants`; the
-`flowcheck` command exercises exactly that.  This module carries the word
-rewriting, the compiled expansions of finite-type, sofic, and full shifts,
-and the spec-level dispatch (bracket shifts keep a wrapper spec because
-their expansions leave the sofic world).
+`flowcheck` command exercises exactly that.  This module carries the plan
+and its one-way word rewriting, the compiled expansions of finite-type,
+sofic, and full shifts, and the spec-level dispatch (bracket shifts keep a
+wrapper spec because their expansions leave the sofic world).
 """
 
 from __future__ import annotations
@@ -25,12 +25,10 @@ from .subshift import (
     SubshiftSpec,
 )
 
-DIRECTIONS = ("expand", "contract")
-
 
 @dataclass(frozen=True)
 class ExpansionPlan:
-    """Rewrite `target` to fresh·target (or back).
+    """Rewrite `target` to fresh·target.
 
     `target` is a symbol of the base alphabet; `fresh` is its expansion
     companion, always the next index after the base alphabet, so a plan
@@ -40,13 +38,10 @@ class ExpansionPlan:
     target: int
     fresh: int
     fresh_name: str
-    direction: str = "expand"
 
     def __post_init__(self) -> None:
         if not (0 <= self.target < self.fresh):
             raise ValueError("target must be a base symbol below the fresh index")
-        if self.direction not in DIRECTIONS:
-            raise ValueError(f"direction must be one of {DIRECTIONS}")
 
 
 def plan_for(
@@ -76,34 +71,6 @@ def expand_word(word: Word, plan: ExpansionPlan) -> Word:
             out.append(plan.fresh)
         out.append(s)
     return tuple(out)
-
-
-def contract_word(word: Word, plan: ExpansionPlan) -> Word:
-    """Exact inverse of expansion: drop each fresh symbol.
-
-    A fresh symbol not immediately followed by the target cannot come from
-    an expansion and is an error.
-    """
-    out: list[int] = []
-    i = 0
-    while i < len(word):
-        s = word[i]
-        if s == plan.fresh:
-            if i + 1 >= len(word) or word[i + 1] != plan.target:
-                raise ValueError(
-                    f"symbol {plan.fresh_name!r} at position {i} is not followed "
-                    f"by its expansion target; word is not an expansion image"
-                )
-            out.append(plan.target)
-            i += 2
-        else:
-            out.append(s)
-            i += 1
-    return tuple(out)
-
-
-def apply_plan(word: Word, plan: ExpansionPlan) -> Word:
-    return expand_word(word, plan) if plan.direction == "expand" else contract_word(word, plan)
 
 
 def expand_sft(spec: SftForbidden, plan: ExpansionPlan) -> SftForbidden:

@@ -42,8 +42,6 @@ from typing import Iterator, Optional
 
 from .linalg import (
     AbelianGroup,
-    groups_isomorphic,
-    mat_eq,
     mat_mul,
     mat_sub,
     shape,
@@ -63,12 +61,9 @@ class LevelGroups:
     bf1: AbelianGroup
 
     def same_shape(self, other: "LevelGroups") -> bool:
-        return (
-            groups_isomorphic(self.k0, other.k0)
-            and groups_isomorphic(self.k1, other.k1)
-            and groups_isomorphic(self.bf0, other.bf0)
-            and groups_isomorphic(self.bf1, other.bf1)
-        )
+        """Isomorphic groups, whatever the level: an :class:`AbelianGroup` is
+        normalized, so equality is isomorphism."""
+        return (self.k0, self.k1, self.bf0, self.bf1) == (other.k0, other.k1, other.bf0, other.bf1)
 
 
 def _k_matrix(tm: TransitionMatrices, l: int) -> list[list[int]]:
@@ -103,7 +98,7 @@ def connecting_map_check(tm: TransitionMatrices, l: int) -> bool:
     factor) into the relation lattice of level l+1, with the integer
     certificate the matching column of I_l^t.
     """
-    return mat_eq(mat_mul(tm.a[l], tm.i[l + 1]), mat_mul(tm.i[l], tm.a[l + 1]))
+    return mat_mul(tm.a[l], tm.i[l + 1]) == mat_mul(tm.i[l], tm.a[l + 1])
 
 
 def connecting_checks(tm: TransitionMatrices) -> tuple[bool, ...]:
@@ -256,7 +251,7 @@ def compare_reports(base: InvariantReport, other: InvariantReport) -> tuple[str,
         if mine.same_shape(theirs):
             return "pass", "both stabilized with isomorphic groups"
         for name in ("k0", "k1", "bf0", "bf1"):
-            if not groups_isomorphic(getattr(mine, name), getattr(theirs, name)):
+            if getattr(mine, name) != getattr(theirs, name):
                 return "fail", (
                     f"stable {name} differs: {getattr(mine, name)} vs {getattr(theirs, name)}"
                 )

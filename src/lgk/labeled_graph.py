@@ -6,14 +6,15 @@ incoming edges with the same label, so reading a word backwards from a vertex
 is deterministic.  On an essential left-resolving cover, past equivalence of
 vertices is therefore a level-by-level refinement, which the quotient builder
 in :mod:`lgk.system` computes; this module holds the graphs themselves, their
-structural checks and forward and backward word reading.
+structural checks and forward word reading (:func:`read_forward`, behind
+:func:`lgk.subshift.is_admissible`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .alphabet import Alphabet, Word
 
@@ -36,10 +37,8 @@ class LabeledGraph:
         if len(set(self.edges)) != len(self.edges):
             raise ValueError("duplicate edges")
 
-    # -- indexes ---------------------------------------------------------
     # Built once per graph and kept in the instance dict, which dataclass
-    # equality and hashing never read.  Callers must not mutate them.
-
+    # equality and hashing never read.  Callers must not mutate it.
     @cached_property
     def out_by_vertex(self) -> dict[int, list[tuple[int, int]]]:
         """vertex -> [(label, target)]"""
@@ -47,14 +46,6 @@ class LabeledGraph:
         for s, a, t in self.edges:
             out[s].append((a, t))
         return out
-
-    @cached_property
-    def in_by_vertex(self) -> dict[int, list[tuple[int, int]]]:
-        """vertex -> [(label, source)]"""
-        inc: dict[int, list[tuple[int, int]]] = {v: [] for v in range(len(self.vertices))}
-        for s, a, t in self.edges:
-            inc[t].append((a, s))
-        return inc
 
 
 def from_names(
@@ -132,62 +123,3 @@ def read_forward(g: LabeledGraph, start: set[int], word: Word) -> set[int]:
         if not cur:
             break
     return cur
-
-
-def backward_steps(g: LabeledGraph, vertex_set: Iterable[int]) -> list[tuple[int, frozenset[int]]]:
-    """For each label a entering `vertex_set`, the set of a-edge sources.
-
-    Pairs come in ascending label order; a label with no edge into the set
-    is left out, so every returned set is nonempty."""
-    inc = g.in_by_vertex
-    prevs: dict[int, set[int]] = {}
-    for v in vertex_set:
-        for a, s in inc[v]:
-            prevs.setdefault(a, set()).add(s)
-    return [(a, frozenset(prevs[a])) for a in sorted(prevs)]
-
-
-def read_backward(g: LabeledGraph, end: set[int], word: Word) -> set[int]:
-    """Startpoints of word-labeled paths ending anywhere in `end`."""
-    inc = g.in_by_vertex
-    cur = set(end)
-    for a in reversed(word):
-        cur = {s for v in cur for b, s in inc[v] if b == a}
-        if not cur:
-            break
-    return cur
-
-
-def words_of_length(g: LabeledGraph, length: int, start: set[int] | None = None) -> Iterator[Word]:
-    """All words of exactly `length` labeling paths from `start` (default: anywhere)."""
-    out = g.out_by_vertex
-    init = set(range(len(g.vertices))) if start is None else set(start)
-
-    def go(cur: frozenset[int], prefix: Word) -> Iterator[Word]:
-        if len(prefix) == length:
-            yield prefix
-            return
-        nexts: dict[int, set[int]] = {}
-        for v in cur:
-            for a, t in out[v]:
-                nexts.setdefault(a, set()).add(t)
-        for a in sorted(nexts):
-            yield from go(frozenset(nexts[a]), prefix + (a,))
-
-    if init:
-        yield from go(frozenset(init), ())
-
-
-def words_into(g: LabeledGraph, end: set[int], length: int) -> Iterator[Word]:
-    """All words of exactly `length` labeling paths that end inside `end`."""
-
-    def go(cur: frozenset[int], suffix: Word) -> Iterator[Word]:
-        if len(suffix) == length:
-            yield suffix
-            return
-        for a, prev in backward_steps(g, cur):
-            yield from go(prev, (a,) + suffix)
-
-    if end:
-        yield from go(frozenset(end), ())
-

@@ -50,10 +50,6 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return [[x - y for x, y in zip(row_a, row_b)] for row_a, row_b in zip(a, b)]
 
 
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return a == b
-
-
 def _find_pivot(a: Matrix, t: int, rows: int, cols: int) -> tuple[int, int] | None:
     best = None
     piv = None
@@ -200,7 +196,3 @@ def kernel_group(m: Matrix) -> AbelianGroup:
     diag = snf_diagonal(m)
     rank = sum(1 for x in diag if x)
     return AbelianGroup.from_parts(cols - rank, [])
-
-
-def groups_isomorphic(g1: AbelianGroup, g2: AbelianGroup) -> bool:
-    return g1 == g2

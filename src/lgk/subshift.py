@@ -1,16 +1,11 @@
-"""Subshift specifications and their language operations.
+"""Subshift specifications, their language and the class census.
 
 Six spec kinds and two presentations.  Shifts of finite type (forbidden
 words), sofic shifts (labeled covers) and full shifts are presented by one
 essential left-resolving cover each, :func:`cover`, whose path language is
 B(X).  Dyck and Markov-Dyck bracket shifts and their symbol expansions are
-read by a prefix-incremental bracket stepper.  Each language operation
-branches once, on the presentation:
-
-* `is_admissible(spec, word)`: membership in the factor language B(X);
-* `blocks(spec, length)`: all of B_l(X);
-* `predecessor_words` / `follower_words`: words that may precede / follow a
-  given word at a given length.
+read by a prefix-incremental bracket stepper.  `is_admissible(spec, word)`,
+membership in the factor language B(X), branches once on the presentation.
 
 `synchronizing_classes(spec, level)` is the census of a bracket spec: the
 past-equivalence classes of its level-`level` synchronizing words, each
@@ -18,11 +13,11 @@ with a canonical representative and a fingerprint of its predecessor set.
 A spec with a cover needs no census; its λ-synchronizing system is the
 past-equivalence quotient of the cover (see :mod:`lgk.system`).
 
-Enumerations honour a :class:`Budget`, drawing one unit per word they
-enumerate.  The census of an expanded bracket shift enumerates no words
-of its own: it walks product states of the bracket stepper and draws one
-unit per product state it visits (:func:`_expanded_class_reps`).
-Exceeding the budget raises :class:`BudgetExceeded`, never a wrong answer.
+The census honours a :class:`Budget`.  Its :class:`CandidateTable` draws
+one unit per candidate word it enumerates, and the census of an expanded
+bracket shift draws one unit per product state its walk visits
+(:func:`_expanded_class_reps`).  Exceeding the budget raises
+:class:`BudgetExceeded`, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -45,10 +40,7 @@ from .labeled_graph import (
     essential_subgraph,
     is_essential,
     left_resolving_violation,
-    read_backward,
     read_forward,
-    words_into,
-    words_of_length,
 )
 
 
@@ -56,9 +48,11 @@ from .labeled_graph import (
 class Budget:
     """Caps for enumerative searches.
 
-    `max_words` caps the units one enumeration draws: one per word
-    enumerated, except in the class census of an expanded bracket shift,
-    which draws one per product state its walk visits.
+    `max_words` caps the units one search draws: one per candidate word a
+    :class:`CandidateTable` enumerates, one per product state the census
+    of an expanded bracket shift visits, and, in :mod:`lgk.analysis`, one
+    per symbol the launching search reads from a reader state and one per
+    bridge the transitivity search tries for a word pair.
     """
 
     max_words: int = 1_000_000
@@ -212,6 +206,7 @@ class Expanded:
             raise ValueError("expansion target out of alphabet range")
         if self.fresh_name in self.base.alphabet:
             raise ValueError(f"fresh symbol {self.fresh_name!r} already in alphabet")
+        self.alphabet  # built now, so a fresh name that is no symbol name fails here
 
     @cached_property
     def alphabet(self) -> Alphabet:
@@ -294,11 +289,6 @@ def cover(spec: SubshiftSpec) -> LabeledGraph | None:
     if isinstance(spec, _BRACKET_KINDS):
         return None
     raise TypeError(f"unknown spec {type(spec).__name__}")
-
-
-def _start_set(g: LabeledGraph, word: Word) -> set[int]:
-    """Vertices of `g` from which `word` is readable."""
-    return read_backward(g, set(range(len(g.vertices))), word)
 
 
 # -- bracket steppers ----------------------------------------------------
@@ -391,7 +381,7 @@ def _in_alphabet(spec: SubshiftSpec, word: Word) -> bool:
     return all(0 <= sym < k for sym in word)
 
 
-# -- admissibility and blocks -------------------------------------------
+# -- admissibility and candidate tables ---------------------------------
 
 
 def is_admissible(spec: SubshiftSpec, word: Word) -> bool:
@@ -405,9 +395,7 @@ def is_admissible(spec: SubshiftSpec, word: Word) -> bool:
     return _read(st, st.start, word) is not None
 
 
-def _stepper_words(
-    spec: SubshiftSpec, length: int, meter: _Meter, prefix_state=None
-) -> Iterator[tuple[Word, object]]:
+def _stepper_words(spec: SubshiftSpec, length: int, meter: _Meter) -> Iterator[tuple[Word, object]]:
     """Admissible words of `length` with the stepper state each ends in."""
     st = _stepper(spec)
     k = len(spec.alphabet)
@@ -422,29 +410,7 @@ def _stepper_words(
             if nxt is not None:
                 yield from go(nxt, word + (sym,))
 
-    yield from go(st.start if prefix_state is None else prefix_state, ())
-
-
-def _metered(words: Iterator[Word], meter: _Meter) -> Iterator[Word]:
-    for w in words:
-        meter.tick()
-        yield w
-
-
-def blocks(
-    spec: SubshiftSpec, length: int, budget: Budget = DEFAULT_BUDGET
-) -> list[Word]:
-    """All admissible words of exactly `length`, lexicographic by symbol id.
-
-    Draws one word from the budget per word enumerated.
-    """
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    meter = _Meter(budget)
-    g = cover(spec)
-    if g is not None:
-        return list(_metered(words_of_length(g, length), meter))
-    return [w for w, _ in _stepper_words(spec, length, meter)]
+    yield from go(st.start, ())
 
 
 class CandidateTable:
@@ -459,12 +425,10 @@ class CandidateTable:
     ends in exactly one state; hence distinct keys give distinct unions, and
     two words have equal predecessor sets exactly when their keys are equal.
 
-    Building draws one word per candidate from a fresh meter, as the
-    enumeration of a predecessor set does, so a budget too small for the
-    candidates runs out here.  A `key` lookup draws nothing: enumerating
-    the candidates anew would draw the same words from a fresh meter of
-    the same budget, which building has shown to fit.  A table is built
-    per call or per system build and is never cached.
+    Building draws one unit per candidate from a fresh meter, so a budget
+    too small for the candidates runs out here.  A `key` lookup draws
+    nothing.  A table is built per census or per system build and is never
+    cached.
     """
 
     def __init__(self, spec: SubshiftSpec, level: int, budget: Budget = DEFAULT_BUDGET):
@@ -485,46 +449,6 @@ class CandidateTable:
         return frozenset(
             i for i, state in enumerate(self.states) if _read(st, state, word) is not None
         )
-
-    def words(self, key: frozenset[int]) -> set[Word]:
-        """The predecessor set a key stands for: the union of its groups."""
-        return {w for i in key for w in self.groups[i]}
-
-
-def predecessor_words(
-    spec: SubshiftSpec, word: Word, length: int, budget: Budget = DEFAULT_BUDGET
-) -> set[Word]:
-    """Words v of the given length with v·word admissible."""
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    g = cover(spec)
-    if g is not None:
-        return set(_metered(words_into(g, _start_set(g, word), length), _Meter(budget)))
-    if not _in_alphabet(spec, word):
-        return set()
-    table = CandidateTable(spec, length, budget)
-    return table.words(table.key(word))
-
-
-def follower_words(
-    spec: SubshiftSpec, word: Word, length: int, budget: Budget = DEFAULT_BUDGET
-) -> set[Word]:
-    """Words w of the given length with word·w admissible."""
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    meter = _Meter(budget)
-    g = cover(spec)
-    if g is not None:
-        ends = read_forward(g, set(range(len(g.vertices))), word)
-        return set(_metered(words_of_length(g, length, start=ends), meter))
-    if not _in_alphabet(spec, word):
-        return set()
-    st = _stepper(spec)
-    state = _read(st, st.start, word)
-    if state is None:
-        return set()
-    return {w for w, _ in _stepper_words(spec, length, meter, prefix_state=state)}
-
 
 # -- synchronizing classes ----------------------------------------------
 

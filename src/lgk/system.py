@@ -10,8 +10,6 @@ witnesses rather than booleans.
 
 Builders:
 
-* :func:`build_from_finite_graph` repeats a left-resolving cover at every
-  level with the identity collapse;
 * :func:`build_cantor_horizon_dyck` / :func:`build_cantor_horizon_markov_dyck`
   realize the Cantor-horizon systems of bracket shifts, whose level-``l``
   vertices are the admissible state words of length ``l``;
@@ -46,11 +44,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .alphabet import Alphabet, Word, bracket_alphabet
 from .dyck import Matrix01, all_ones, state_words, validate_transition_matrix
-from .labeled_graph import (
-    LabeledGraph,
-    left_resolving_violation,
-    stranded_vertices,
-)
+from .labeled_graph import LabeledGraph
 from .linalg import Matrix
 from .subshift import (
     DEFAULT_BUDGET,
@@ -252,12 +246,6 @@ def read_up(sys: LambdaGraphSystem, level: int, targets: frozenset[int], word: W
         if not current:
             break
     return current
-
-
-def terminal_vertices(sys: LambdaGraphSystem, word: Word) -> frozenset[int]:
-    """Endpoints at level `len(word)` of every `word`-labeled path from the top."""
-    start = frozenset(range(sys.levels[0].size))
-    return read_down(sys, 0, start, word)
 
 
 def label_words(
@@ -555,37 +543,6 @@ def transition_matrices(sys: LambdaGraphSystem) -> TransitionMatrices:
 
 
 # -- builders ------------------------------------------------------------
-
-
-def build_from_finite_graph(graph: LabeledGraph, depth: int) -> LambdaGraphSystem:
-    """Repeat a left-resolving essential cover at every level, identity collapse."""
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    bad = left_resolving_violation(graph)
-    if bad is not None:
-        v, a = bad
-        offenders = [
-            (graph.vertices[s], graph.alphabet.names[sym], graph.vertices[t])
-            for s, sym, t in graph.edges
-            if t == v and sym == a
-        ]
-        raise ConstructionError(
-            f"cover is not left-resolving: edges {offenders} share label and target"
-        )
-    stranded = stranded_vertices(graph)
-    if stranded:
-        names = [graph.vertices[v] for v in sorted(stranded)]
-        raise ConstructionError(f"cover is not essential: stranded vertices {names}")
-    n = len(graph.vertices)
-    layer = tuple(sorted(graph.edges))
-    level = VertexLevel(size=n, tags=tuple(graph.vertices))
-    identity = tuple(range(n))
-    return LambdaGraphSystem(
-        alphabet=graph.alphabet,
-        levels=(level,) * (depth + 1),
-        edges=(layer,) * depth,
-        iota=(identity,) * depth,
-    )
 
 
 def build_cantor_horizon_markov_dyck(matrix: Matrix01, depth: int) -> LambdaGraphSystem:

@@ -13,6 +13,7 @@ from lgk import (
     SftForbidden,
     SoficGraph,
     TransitionMatrices,
+    VertexLevel,
     from_names,
 )
 
@@ -38,6 +39,18 @@ def unshared():
         patch.setattr(LambdaGraphSystem, "repeats", property(lambda sys: (False,) * sys.depth))
         patch.setattr(TransitionMatrices, "repeats", property(lambda tm: (False,) * len(tm.a)))
         yield
+
+
+def constant_system(graph: LabeledGraph, depth: int) -> LambdaGraphSystem:
+    """`graph` repeated at every level of a depth-`depth` system, with the
+    identity collapse."""
+    level = VertexLevel(size=len(graph.vertices), tags=graph.vertices)
+    return LambdaGraphSystem(
+        alphabet=graph.alphabet,
+        levels=(level,) * (depth + 1),
+        edges=(tuple(sorted(graph.edges)),) * depth,
+        iota=(tuple(range(level.size)),) * depth,
+    )
 
 
 def golden_mean_spec() -> SftForbidden:

@@ -5,11 +5,14 @@ package under test, so that agreement between the two codebases is evidence
 rather than a tautology.  The implementations favour the most naive correct
 method available: determinantal divisors instead of elimination, explicit
 coset enumeration instead of normal forms, partial maps on words instead of
-a reduction calculus.
+a reduction calculus.  The one reduction calculus here, `reduce_brackets`,
+is a semantics of its own: the bracket tests hold it, the package's
+machine and the partial maps against each other.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
@@ -415,6 +418,102 @@ def expanded_word_nonzero(matrix, target: int, fresh: int, word: tuple[int, ...]
                 return False
             base.append(symbol)
     return bracket_word_nonzero(matrix, tuple(base))
+
+
+# -- the bracket reduction calculus, kept as a second semantics ----------
+
+
+@dataclass(frozen=True)
+class DyckReduction:
+    """Normal form of a bracket word, or Zero.
+
+    `closes`: bracket indices (0-based) of the unmatched closing symbols, in
+    reading order; these form the inert left part of the reduced word.
+    `opens`: bracket indices of the pending opening symbols, in reading
+    order; the last entry is the innermost (most recently opened).
+    `support`: states allowed to start whatever is read next at nesting
+    depth zero; None for Zero.
+    """
+
+    is_zero: bool
+    closes: tuple[int, ...] = ()
+    opens: tuple[int, ...] = ()
+    support: frozenset[int] | None = None
+
+    def reduced_word(self, n: int) -> tuple[int, ...]:
+        """The reduced word over the 2n-symbol bracket alphabet."""
+        if self.is_zero:
+            raise ValueError("zero has no reduced word")
+        return tuple(n + j for j in self.closes) + tuple(self.opens)
+
+    @property
+    def is_trivial(self) -> bool:
+        return not self.is_zero and not self.closes and not self.opens
+
+
+def reduce_brackets(matrix, word: tuple[int, ...]) -> DyckReduction:
+    """Reduce a bracket word to (unmatched closes)(unmatched opens), with
+    exact zero-detection for the Markov case.
+
+    A pending open a_j may only be nested inside a_i when A(j, i) = 1.  A
+    cancelled pair a_i b_i, or an unmatched close b_i, leaves a one-step
+    constraint: whatever comes next at nesting depth zero must start in a
+    state j with A(i, j) = 1.  The support set is the intersection of those
+    constraints, and an open on an empty stack or an unmatched close must
+    start inside it.  Unlike the package's machine, which only counts the
+    unmatched closes, this keeps their sequence.
+    """
+    n = len(matrix)
+    rows = [frozenset(j for j in range(n) if matrix[i][j]) for i in range(n)]
+    support = frozenset(range(n))
+    closes: list[int] = []
+    opens: list[int] = []
+    for sym in word:
+        if sym < n:
+            if opens:
+                if not matrix[sym][opens[-1]]:
+                    return DyckReduction(True)
+            else:
+                support &= rows[sym]
+                if not support:
+                    return DyckReduction(True)
+            opens.append(sym)
+            continue
+        j = sym - n
+        if opens:
+            if opens.pop() != j:
+                return DyckReduction(True)
+            if not opens:
+                support &= rows[j]
+                if not support:
+                    return DyckReduction(True)
+        else:
+            if j not in support:
+                return DyckReduction(True)
+            closes.append(j)
+            support = rows[j]
+    return DyckReduction(False, tuple(closes), tuple(opens), support)
+
+
+# -- symbol expansion, undone --------------------------------------------
+
+
+def contract_word(word: tuple[int, ...], target: int, fresh: int) -> tuple[int, ...]:
+    """Exact inverse of the expansion target -> fresh·target: drop each
+    fresh.  A fresh not immediately followed by the target cannot come from
+    an expansion and raises ValueError."""
+    out: list[int] = []
+    i = 0
+    while i < len(word):
+        if word[i] == fresh:
+            if i + 1 >= len(word) or word[i + 1] != target:
+                raise ValueError(f"fresh symbol at position {i} is not followed by its target")
+            out.append(target)
+            i += 2
+        else:
+            out.append(word[i])
+            i += 1
+    return tuple(out)
 
 
 # -- shifts of finite type, by padding with extendable windows ---------

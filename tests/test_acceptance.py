@@ -15,7 +15,7 @@ from collections import Counter
 from pathlib import Path
 
 import oracles
-from conftest import FIB, even_shift_spec, golden_mean_spec
+from conftest import FIB, constant_system, even_shift_spec, golden_mean_spec
 from test_linalg import assert_smith_certificate
 
 from lgk.alphabet import Alphabet
@@ -25,7 +25,7 @@ from lgk.analysis import (
     simplicity_prediction,
 )
 from lgk.cli import main
-from lgk.dyck import BracketMachine, reduce_brackets
+from lgk.dyck import BracketMachine
 from lgk.flow import expand_spec, plan_for
 from lgk.invariants import connecting_map_check, invariant_report, level_groups
 from lgk.labeled_graph import LabeledGraph, is_essential
@@ -36,7 +36,6 @@ from lgk.system import (
     _class_system,
     build_cantor_horizon_dyck,
     build_cantor_horizon_markov_dyck,
-    build_from_finite_graph,
     build_lambda_synchronizing,
     canonical_form,
     read_down,
@@ -120,7 +119,7 @@ def test_criterion_04_canonical_form_byte_identity():
     started = time.monotonic()
     direct = canonical_form(build_lambda_synchronizing(golden_mean_spec(), 4))
     cover = sft_cover(golden_mean_spec())
-    repeated = canonical_form(build_from_finite_graph(cover, 4))
+    repeated = canonical_form(constant_system(cover, 4))
     ok = system_dumps(direct) == system_dumps(repeated)
     elapsed = time.monotonic() - started
     _line(4, "canonical forms byte-identical across constructions", ok, elapsed)
@@ -222,7 +221,7 @@ def test_criterion_07_structural_suite_over_all_builders():
         build_cantor_horizon_dyck(2, 6),
         build_cantor_horizon_dyck(3, 4),
         build_cantor_horizon_markov_dyck(FIB, 6),
-        build_from_finite_graph(even.graph, 4),
+        constant_system(even.graph, 4),
     ]
     ok = True
     for sys in systems:
@@ -268,7 +267,7 @@ def test_criterion_09_bracket_oracle_three_way_agreement():
     for k in range(9):
         for word in itertools.product(range(4), repeat=k):
             alive = machine.run(word) is not None
-            ok &= alive == (not reduce_brackets(FIB, word).is_zero)
+            ok &= alive == (not oracles.reduce_brackets(FIB, word).is_zero)
             exists = any(read_down(sys, s, full[s], word) for s in range(9 - k))
             ok &= exists == alive
         if not ok:

@@ -1,4 +1,4 @@
-"""Dynamical checks: branching, irreducibility, launching words, succession.
+"""Dynamical checks: branching, irreducibility, launching words, transitivity.
 
 Expected verdicts were worked out by hand on small systems where the
 property is decidable outright (constant systems), and on the bracket
@@ -12,7 +12,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import FIB, even_shift_spec, golden_mean_spec, unshared
+from conftest import FIB, constant_system, even_shift_spec, golden_mean_spec, unshared
 from test_walkers import BUILT, gap_run_systems, random_systems, raw
 from lgk import (
     Alphabet,
@@ -25,21 +25,18 @@ from lgk import (
     VertexLevel,
     build_cantor_horizon_dyck,
     build_cantor_horizon_markov_dyck,
-    build_from_finite_graph,
     build_lambda_synchronizing,
     check_condition_I,
     check_iota_irreducible,
     check_lambda_irreducible,
     check_synchronizingly_transitive,
-    follower_equal,
     from_names,
     is_lambda_synchronizing_system,
-    launching_vertex,
     simplicity_prediction,
-    succ_relation,
 )
 from lgk.dyck import state_words
 from lgk.labeled_graph import LabeledGraph, essential_subgraph
+from lgk.system import read_down
 from lgk.verdict import Verdict
 
 
@@ -48,7 +45,7 @@ def two_loops_system(depth=4):
     g = from_names(
         ab, ("u", "v"), [("u", "x", "u"), ("v", "x", "v"), ("v", "y", "v")]
     )
-    return build_from_finite_graph(g, depth)
+    return constant_system(g, depth)
 
 
 def test_branching_verdicts():
@@ -79,30 +76,17 @@ def test_iota_irreducibility():
     assert check_iota_irreducible(two_loops_system()).is_no
 
 
-def test_launching_vertices():
-    sys = build_lambda_synchronizing(golden_mean_spec(), 4)
-    # each vertex buffers its own next symbol, so the first letter of a
-    # word already pins the unique reader
-    assert launching_vertex(sys, (0,), 1) == 0
-    assert launching_vertex(sys, (1,), 1) == 1
-    assert launching_vertex(sys, (1, 0), 1) == 1
-    d2 = build_cantor_horizon_dyck(2, 4)
-    # every vertex reads every opening symbol: no unique reader
-    assert launching_vertex(d2, (0,), 1) is None
-    # only the vertex whose pending close matches reads a closing symbol
-    assert launching_vertex(d2, (2,), 1) == 0
-    assert launching_vertex(d2, (3,), 1) == 1
-    with pytest.raises(ValueError):
-        launching_vertex(d2, (0,) * 5, 1)
-
-
 def test_closing_words_launch_horizon_vertices():
+    # the closing word of state word i is readable from vertex i alone
     sys = build_cantor_horizon_markov_dyck(FIB, 6)
     n = len(FIB)
     for level in (1, 2, 3):
         for i, word in enumerate(state_words(FIB, level)):
             closing = tuple(n + s for s in word)
-            assert launching_vertex(sys, closing, level) == i
+            readers = [
+                v for v in range(sys.levels[level].size) if read_down(sys, level, frozenset([v]), closing)
+            ]
+            assert readers == [i]
 
 
 def test_synchronizing_system_verdicts():
@@ -173,33 +157,6 @@ def test_launching_search_replays_the_budget_of_a_shared_tail():
         assert [search(u) for u in budgets] == shared
 
 
-def test_follower_equivalence():
-    sys = build_lambda_synchronizing(golden_mean_spec(), 4)
-    assert follower_equal(sys, (0,), (0, 0))
-    assert follower_equal(sys, (1,), (0, 1))
-    assert not follower_equal(sys, (0,), (1,))
-    with pytest.raises(ValueError):
-        follower_equal(sys, (1, 1), (0,))
-
-
-def test_succession_bridge():
-    sys = build_lambda_synchronizing(golden_mean_spec(), 5)
-    v = succ_relation(sys, (1,), (1,))
-    assert v.is_yes
-    assert v.witness == (0,)
-    even = build_lambda_synchronizing(even_shift_spec(), 5)
-    assert succ_relation(even, (1,), (0,)).is_unknown
-
-
-def test_succession_skips_bridges_below_the_truncation():
-    # Bridges of length 2 and 3 after '1' leave no room for '0' at depth 3;
-    # the search must skip them, not walk past the last edge layer.
-    even = build_lambda_synchronizing(even_shift_spec(), 3)
-    verdict = succ_relation(even, (1,), (0,), bound=3)
-    assert verdict.is_unknown
-    assert verdict.note == "no bridge of length <= 3 found within the truncation"
-
-
 def test_transitivity_verdicts():
     assert check_synchronizingly_transitive(golden_mean_spec(), word_len=2).is_yes
     assert check_synchronizingly_transitive(FullShift(2), word_len=2).is_yes
@@ -246,7 +203,7 @@ def constant_systems(draw):
     graph = LabeledGraph(Alphabet(("x", "y")[:k]), tuple("uvw"[:n]), tuple(sorted(edges)))
     cover = essential_subgraph(graph)
     assume(cover.vertices)
-    return build_from_finite_graph(cover, draw(st.integers(1, 5)))
+    return constant_system(cover, draw(st.integers(1, 5)))
 
 
 def triple(verdict: Verdict):
@@ -274,17 +231,6 @@ def test_dynamical_checks_match_references(sys, data):
     assert triple(
         check_iota_irreducible(sys, bound=bound, max_level=max_level, path_len=path_len)
     ) == oracles.reference_iota_irreducible(sizes, edges, iota, names, bound, max_level, path_len)
-    top = range(sizes[0])
-    words = [w for n in range(sys.depth + 1) for w in oracles.scan_label_words(edges, 0, top, n)]
-    first = data.draw(st.sampled_from(words))
-    second = data.draw(st.sampled_from(words))
-    bound = data.draw(st.integers(0, 3))
-    try:
-        expected = oracles.reference_succ_relation(sizes, edges, iota, names, first, second, bound)
-    except IndexError:
-        # the reference walks past the last edge layer; no bridge that fits succeeded
-        expected = ("unknown", None, f"no bridge of length <= {bound} found within the truncation")
-    assert triple(succ_relation(sys, first, second, bound=bound)) == expected
 
 
 def test_walks_whose_window_leaves_a_run_are_walked_again():

@@ -1,10 +1,10 @@
-"""Bracket-word reduction against the partial-map oracle.
+"""The bracket machine against the reduction calculus and the partial-map oracle.
 
-Three independent computations must agree on which bracket words are
-nonzero: the incremental machine / reduction calculus, the partial-map
-oracle in oracles.py, and path existence in the constructed vertex-level
-systems (tested here for the Fibonacci matrix, and again in the
-acceptance suite).
+Independent computations must agree on which bracket words are nonzero:
+the package's incremental machine, the reduction calculus and the
+partial-map oracle in oracles.py, which share no code with it, and path
+existence in the constructed vertex-level systems (tested here for the
+Fibonacci matrix, and again in the acceptance suite).
 """
 
 from __future__ import annotations
@@ -17,13 +17,7 @@ import pytest
 import oracles
 from conftest import FIB
 from lgk import DyckN, MarkovDyck, is_admissible
-from lgk.dyck import (
-    BracketMachine,
-    all_ones,
-    reduce_brackets,
-    state_words,
-    validate_transition_matrix,
-)
+from lgk.dyck import BracketMachine, all_ones, state_words, validate_transition_matrix
 from lgk.system import build_cantor_horizon_markov_dyck, read_down
 
 SWAP = ((0, 1), (1, 0))  # the docstring example: state i only follows 3-i
@@ -31,22 +25,22 @@ SWAP = ((0, 1), (1, 0))  # the docstring example: state i only follows 3-i
 
 def test_reduction_known_values():
     ones = all_ones(2)
-    r = reduce_brackets(ones, (0, 2))  # matched pair cancels
+    r = oracles.reduce_brackets(ones, (0, 2))  # matched pair cancels
     assert not r.is_zero and r.closes == () and r.opens == ()
     assert r.is_trivial
-    assert reduce_brackets(ones, (0, 3)).is_zero  # mismatched pair
-    r = reduce_brackets(ones, (2, 0))  # close then open: already reduced
+    assert oracles.reduce_brackets(ones, (0, 3)).is_zero  # mismatched pair
+    r = oracles.reduce_brackets(ones, (2, 0))  # close then open: already reduced
     assert r.closes == (0,) and r.opens == (0,)
     assert r.reduced_word(2) == (2, 0)
     # Fibonacci: state 1 cannot follow itself
-    assert reduce_brackets(FIB, (1, 1)).is_zero  # a2 a2 nests 1 on 1
-    assert not reduce_brackets(FIB, (0, 1, 3, 2)).is_zero  # a1 a2 b2 b1
-    assert reduce_brackets(FIB, (3, 3)).is_zero  # b2 b2 chains 1 -> 1
-    assert not reduce_brackets(FIB, (2, 2)).is_zero  # b1 b1 allowed
-    assert reduce_brackets(FIB, (1, 3)).support == frozenset({0})
+    assert oracles.reduce_brackets(FIB, (1, 1)).is_zero  # a2 a2 nests 1 on 1
+    assert not oracles.reduce_brackets(FIB, (0, 1, 3, 2)).is_zero  # a1 a2 b2 b1
+    assert oracles.reduce_brackets(FIB, (3, 3)).is_zero  # b2 b2 chains 1 -> 1
+    assert not oracles.reduce_brackets(FIB, (2, 2)).is_zero  # b1 b1 allowed
+    assert oracles.reduce_brackets(FIB, (1, 3)).support == frozenset({0})
     # support constraints survive a full cancellation
-    assert not reduce_brackets(SWAP, (0, 2, 0)).is_zero
-    assert reduce_brackets(SWAP, (0, 2, 1)).is_zero
+    assert not oracles.reduce_brackets(SWAP, (0, 2, 0)).is_zero
+    assert oracles.reduce_brackets(SWAP, (0, 2, 1)).is_zero
 
 
 def test_machine_agrees_with_reducer():
@@ -55,7 +49,7 @@ def test_machine_agrees_with_reducer():
         for n in range(7):
             for word in product(range(4), repeat=n):
                 state = machine.run(word)
-                r = reduce_brackets(matrix, word)
+                r = oracles.reduce_brackets(matrix, word)
                 assert (state is None) == r.is_zero, word
                 if state is not None:
                     support, opens, emitted = state

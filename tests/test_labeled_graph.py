@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import golden_mean_spec
 from lgk.alphabet import Alphabet
-from lgk.labeled_graph import LabeledGraph, backward_steps, essential_subgraph
+from lgk.labeled_graph import LabeledGraph, essential_subgraph
 from lgk.subshift import sft_cover
 from lgk.system import _quotient_system
 
@@ -59,21 +59,6 @@ def test_quotient_matches_a_full_refinement(g):
         assert [list(level.tags) for level in quotient.levels] == tags[: depth + 1]
         assert [list(layer) for layer in quotient.edges] == layers[:depth]
         assert [list(mapping) for mapping in quotient.iota] == collapses[:depth]
-
-
-# Not left-resolving (two a-edges into v1), with a source v0 and sinks v3
-# and v4.
-FORKED = LabeledGraph(
-    Alphabet(("a", "b")),
-    ("v0", "v1", "v2", "v3", "v4"),
-    ((0, 0, 1), (0, 1, 4), (1, 1, 2), (2, 0, 1), (2, 1, 2), (2, 0, 3)),
-)
-
-
-def test_backward_steps_group_in_edges_by_label():
-    assert backward_steps(FORKED, {1, 3}) == [(0, frozenset({0, 2}))]
-    assert backward_steps(FORKED, {2}) == [(1, frozenset({1, 2}))]
-    assert backward_steps(FORKED, {0}) == []
 
 
 def test_deep_quotient_stays_small():

@@ -305,6 +305,28 @@ def test_cli_expand_fresh_name(capsys):
     }
 
 
+@pytest.mark.parametrize("fresh", ["e f", ""])
+def test_cli_expand_rejects_a_bad_fresh_name(fresh, capsys):
+    # A bracket spec keeps the fresh name in a wrapper spec; that name must
+    # be checked as a symbol name at once, as the SFT expansion does.
+    argv = ["expand", "--spec", str(SPECS / "dyck2.json"), "--expand", "a1", "--fresh", fresh]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad symbol name {fresh!r}\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "invariants"])
+def test_cli_system_without_a_level_gap_is_invalid(command, tmp_path, capsys):
+    flat = tmp_path / "flat.json"
+    level = VertexLevel(size=1, tags=("",))
+    flat.write_text(system_dumps(LambdaGraphSystem(Alphabet(("a",)), (level,), (), ())))
+    assert main([command, "--system", str(flat)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need at least one level gap\n"
+
+
 def test_cli_flowcheck_pass(capsys):
     code = main(
         ["flowcheck", "--spec", str(SPECS / "goldenmean.json"), "--depth", "5", "--expand", "1"]

@@ -1,4 +1,4 @@
-"""Subshift specs: admissibility, block enumeration, synchronization.
+"""Subshift specs: admissibility, candidate tables, the class census.
 
 Admissibility is cross-checked against direct definitions (forbidden-factor
 scan for the SFT, run-length parity for the even shift) rather than against
@@ -22,13 +22,10 @@ from lgk import (
     DyckN,
     FullShift,
     SftForbidden,
-    blocks,
     build_lambda_synchronizing,
     expand_spec,
-    follower_words,
     is_admissible,
     plan_for,
-    predecessor_words,
     synchronizing_classes,
 )
 from lgk.dyck import all_ones
@@ -51,10 +48,8 @@ def bracket_oracle(matrix, expand=None):
     return lambda word: oracles.expanded_word_nonzero(matrix, expand, fresh, word)
 
 
-# name -> (spec factory, longest word drawn, independent membership oracle of a bracket spec)
+# name -> (spec factory, longest word drawn, independent membership oracle)
 PREDECESSOR_SPECS = {
-    "gm": (golden_mean_spec, 10, None),
-    "even": (even_shift_spec, 10, None),
     "dyck2": (lambda: DyckN(2), 3, bracket_oracle(all_ones(2))),
     "fib": (fibonacci_dyck_spec, 3, bracket_oracle(FIB)),
     "dyck2+e": (lambda: expanded(DyckN(2), "a1"), 3, bracket_oracle(all_ones(2), 0)),
@@ -92,59 +87,26 @@ def test_even_shift_admissibility_is_run_parity():
             assert is_admissible(spec, word) == even_runs_between_ones(word), word
 
 
-def test_block_counts():
-    gm = golden_mean_spec()
-    # golden mean block counts follow the Fibonacci recurrence
-    expected = [1, 2, 3, 5, 8, 13, 21, 34]
-    assert [len(blocks(gm, n)) for n in range(8)] == expected
-    full = FullShift(3)
-    assert [len(blocks(full, n)) for n in range(5)] == [1, 3, 9, 27, 81]
-    even = even_shift_spec()
-    for n in range(7):
-        want = [w for w in product(range(2), repeat=n) if even_runs_between_ones(w)]
-        assert blocks(even, n) == sorted(want)
-
-
-def test_blocks_sorted_and_admissible():
-    gm = golden_mean_spec()
-    out = blocks(gm, 5)
-    assert out == sorted(out)
-    assert all(is_admissible(gm, w) for w in out)
-
-
-def test_predecessor_and_follower_exact_sets():
-    gm = golden_mean_spec()
-    assert predecessor_words(gm, (1,), 2) == {(0, 0), (1, 0)}
-    assert follower_words(gm, (1,), 2) == {(0, 0), (0, 1)}
-    assert predecessor_words(gm, (1, 1), 2) == set()
-    assert follower_words(gm, (), 1) == {(0,), (1,)}
-
-
-@settings(max_examples=320)  # about 40 per spec
+@settings(max_examples=320)  # about 50 per spec
 @given(st.sampled_from(sorted(PREDECESSOR_SPECS)), st.integers(0, 3), st.data())
 def test_predecessors_match_bruteforce(kind, length, data):
+    # The census key lemma: a bracket spec's predecessor set is the union of
+    # the candidate groups whose end states accept the word, and keys match
+    # exactly when predecessor sets do.
     make, max_len, oracle = PREDECESSOR_SPECS[kind]
     spec = make()
     symbols = st.integers(0, len(spec.alphabet) - 1)
     drawn = st.lists(symbols, max_size=max_len).map(tuple)
     word = data.draw(drawn, label="word")
-    got = predecessor_words(spec, word, length)
-    candidates = blocks(spec, length)
-    assert got == {v for v in candidates if is_admissible(spec, v + word)}
-    if oracle is None:
-        return
     every = list(product(range(len(spec.alphabet)), repeat=length))
 
     def past(w):
         return {v for v in every if oracle(v + w)}
 
-    assert got == past(word)
-    # A bracket spec's predecessor set is the union of the candidate groups
-    # whose end states accept the word, and keys match exactly when sets do.
     table = CandidateTable(spec, length)
-    assert table.words(table.key(word)) == got
+    assert {v for i in table.key(word) for v in table.groups[i]} == past(word)
     other = data.draw(drawn, label="other")
-    assert (table.key(word) == table.key(other)) == (got == past(other))
+    assert (table.key(word) == table.key(other)) == (past(word) == past(other))
 
 
 @st.composite
@@ -162,29 +124,18 @@ def covered_specs(draw):
 
 
 @settings(max_examples=150)
-@given(covered_specs(), st.integers(0, 3), st.data())
-def test_cover_language_matches_oracle(presented, length, data):
-    # Words up to 6 symbols: shorter and longer than the memory window,
-    # and with a symbol one past the alphabet now and then.
+@given(covered_specs(), st.data())
+def test_cover_language_matches_oracle(presented, data):
+    # Every word up to 4 symbols, then a drawn word of up to 6: shorter and
+    # longer than the memory window, and with a symbol one past the
+    # alphabet now and then.
     spec, member = presented
     k = len(spec.alphabet)
     for n in range(5):
-        assert blocks(spec, n) == [v for v in product(range(k), repeat=n) if member(v)]
+        for v in product(range(k), repeat=n):
+            assert is_admissible(spec, v) == member(v), v
     word = data.draw(st.lists(st.integers(0, k), max_size=6).map(tuple), label="word")
-    every = list(product(range(k), repeat=length))
     assert is_admissible(spec, word) == member(word)
-    assert predecessor_words(spec, word, length) == {v for v in every if member(v + word)}
-    assert follower_words(spec, word, length) == {v for v in every if member(word + v)}
-
-
-@given(st.sampled_from(["gm", "even"]), words_01, st.integers(0, 3))
-def test_followers_match_bruteforce(kind, word, length):
-    spec = golden_mean_spec() if kind == "gm" else even_shift_spec()
-    if not is_admissible(spec, word):
-        return
-    got = follower_words(spec, word, length)
-    want = {v for v in blocks(spec, length) if is_admissible(spec, word + v)}
-    assert got == want
 
 
 @settings(max_examples=150)
@@ -242,17 +193,12 @@ def test_census_rejects_specs_with_a_cover(make):
             synchronizing_classes(make(), level)
 
 
-def test_budget_exhaustion_raises():
-    with pytest.raises(BudgetExceeded):
-        blocks(golden_mean_spec(), 9, budget=Budget(max_words=10))
-
-
 def test_bracket_predecessors_draw_one_word_per_candidate():
-    # Dyck-2 has 48 blocks of length 3; each candidate costs exactly one word
-    assert len(blocks(DyckN(2), 3)) == 48
+    # Dyck-2 has 48 admissible words of length 3; each candidate costs one unit
     with pytest.raises(BudgetExceeded):
-        predecessor_words(DyckN(2), (), 3, Budget(max_words=47))
-    assert len(predecessor_words(DyckN(2), (), 3, Budget(max_words=48))) == 48
+        CandidateTable(DyckN(2), 3, Budget(max_words=47))
+    table = CandidateTable(DyckN(2), 3, Budget(max_words=48))
+    assert sum(len(group) for group in table.groups) == 48
 
 
 @pytest.mark.parametrize("kind", ["dyck2", "fib", "dyck2+e"])
@@ -262,8 +208,7 @@ def test_bracket_specs_reject_out_of_range_symbols(kind):
     for bad in (-1, k):
         for word in ((bad,), (1, bad), (bad, k - 1)):
             assert not is_admissible(spec, word), word
-            assert follower_words(spec, word, 1) == set(), word
-            assert predecessor_words(spec, word, 1) == set(), word
+            assert CandidateTable(spec, 1).key(word) == frozenset(), word
 
 
 @pytest.mark.parametrize(
@@ -301,15 +246,19 @@ def test_alphabet_constructions_do_not_grow_with_census_depth(monkeypatch):
     assert counts[0] == counts[1]
 
 
-@pytest.mark.parametrize("kind", ["gm", "even", "dyck2", "fib", "dyck2+e", "full3"])
-def test_negative_lengths_are_rejected(kind):
-    spec = FullShift(3) if kind == "full3" else PREDECESSOR_SPECS[kind][0]()
-    with pytest.raises(ValueError, match="length must be >= 0"):
-        predecessor_words(spec, (), -1)
-    with pytest.raises(ValueError, match="length must be >= 0"):
-        follower_words(spec, (), -1)
+@pytest.mark.parametrize(
+    "make",
+    [
+        golden_mean_spec,
+        even_shift_spec,
+        *(PREDECESSOR_SPECS[k][0] for k in ("dyck2", "fib", "dyck2+e")),
+        lambda: FullShift(3),
+    ],
+    ids=["gm", "even", "dyck2", "fib", "dyck2+e", "full3"],
+)
+def test_negative_lengths_are_rejected(make):
     with pytest.raises(ValueError, match="level must be >= 0"):
-        synchronizing_classes(spec, -1)
+        synchronizing_classes(make(), -1)
 
 
 @pytest.mark.parametrize("base", ["dyck2", "fib"])

@@ -7,23 +7,22 @@ cross-checked against the word-level oracles in test_dyck.py.
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 import oracles
-from conftest import FIB, even_shift_graph, even_shift_spec, golden_mean_spec
+from conftest import FIB, constant_system, even_shift_graph, even_shift_spec, golden_mean_spec
 from lgk import (
     Alphabet,
-    ConstructionError,
     DyckN,
     FullShift,
     LambdaGraphSystem,
     MarkovDyck,
     SoficGraph,
     VertexLevel,
-    blocks,
     build_cantor_horizon_dyck,
     build_cantor_horizon_markov_dyck,
-    build_from_finite_graph,
     build_lambda_synchronizing,
     canonical_form,
     from_names,
@@ -71,7 +70,7 @@ def test_golden_mean_system():
     assert tm.a[1] == ((0, 1), (1, 1))
     assert sum(tm.a[0][0]) == 3
     words = {w for w, _ in label_words(sys, 0, frozenset({0}), 3) if len(w) == 3}
-    assert words == set(blocks(golden_mean_spec(), 3))
+    assert words == set(filter(oracles.sft_language(2, [(1, 1)]), product(range(2), repeat=3)))
 
 
 def test_sft_and_its_cover_build_the_same_system():
@@ -123,29 +122,12 @@ def test_horizon_iota_drops_newest_index():
     assert iota_fiber(sys, 2, 0b01, 1) == frozenset({0b010, 0b011})
 
 
-def test_build_from_finite_graph_repeats_cover():
-    g = even_shift_graph()
-    sys = build_from_finite_graph(g, 3)
-    assert sys.sizes == (2, 2, 2, 2)
-    assert sys.iota == ((0, 1),) * 3
-    assert set(sys.edges) == {sys.edges[0]}
-    assert_all_verifiers_pass(sys)
-
-
-def test_build_from_finite_graph_rejects_bad_covers():
-    ab = Alphabet(("0", "1"))
-    not_left_resolving = from_names(
-        ab, ("u", "v"), [("u", "0", "v"), ("v", "0", "v"), ("v", "1", "u")]
-    )
-    with pytest.raises(ConstructionError):
-        build_from_finite_graph(not_left_resolving, 2)
-    stranded = from_names(ab, ("u", "v"), [("u", "0", "u"), ("u", "1", "v")])
-    with pytest.raises(ConstructionError):
-        build_from_finite_graph(stranded, 2)
+def test_repeated_cover_passes_every_verifier():
+    assert_all_verifiers_pass(constant_system(even_shift_graph(), 3))
 
 
 def test_unseparated_cover_detected():
-    sys = build_from_finite_graph(two_loops_graph(), 3)
+    sys = constant_system(two_loops_graph(), 3)
     # Every level clashes; the witness is the first clash, at level 1.
     assert verify_predecessor_separated(sys).witness == (1, 0, 1)
     with pytest.raises(ValueError):

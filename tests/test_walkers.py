@@ -17,14 +17,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import FIB, even_shift_graph, golden_mean_spec, unshared
+from conftest import FIB, constant_system, even_shift_graph, golden_mean_spec, unshared
 from lgk import (
     Alphabet,
     LambdaGraphSystem,
     VertexLevel,
     build_cantor_horizon_dyck,
     build_cantor_horizon_markov_dyck,
-    build_from_finite_graph,
     build_lambda_synchronizing,
     canonical_form,
     verify_all,
@@ -106,7 +105,7 @@ BUILT = (
     build_cantor_horizon_dyck(2, 3),
     build_cantor_horizon_markov_dyck(FIB, 4),
     build_lambda_synchronizing(golden_mean_spec(), 4),
-    build_from_finite_graph(even_shift_graph(), 3),
+    constant_system(even_shift_graph(), 3),
 )
 
 
