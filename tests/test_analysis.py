@@ -7,6 +7,8 @@ systems where launching words are the closing words themselves.
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -34,9 +36,11 @@ from lgk import (
     is_lambda_synchronizing_system,
     simplicity_prediction,
 )
+from lgk.analysis import _Succession
 from lgk.dyck import state_words
 from lgk.labeled_graph import LabeledGraph, essential_subgraph
-from lgk.system import read_down
+from lgk.subshift import DEFAULT_BUDGET, _Meter
+from lgk.system import label_words, read_down
 from lgk.verdict import Verdict
 
 
@@ -76,6 +80,28 @@ def test_iota_irreducibility():
     assert check_iota_irreducible(two_loops_system()).is_no
 
 
+def readers(sys, word, level):
+    """The vertices at `level` from which `word` is readable."""
+    return [v for v in range(sys.levels[level].size) if read_down(sys, level, frozenset([v]), word)]
+
+
+def test_launching_vertices():
+    sys = build_lambda_synchronizing(golden_mean_spec(), 4)
+    # each vertex buffers its own next symbol, so the first letter of a
+    # word already pins the unique reader
+    assert readers(sys, (0,), 1) == [0]
+    assert readers(sys, (1,), 1) == [1]
+    assert readers(sys, (1, 0), 1) == [1]
+    d2 = build_cantor_horizon_dyck(2, 4)
+    # every vertex reads every opening symbol: no unique reader
+    assert readers(d2, (0,), 1) == [0, 1]
+    # only the vertex whose pending close matches reads a closing symbol
+    assert readers(d2, (2,), 1) == [0]
+    assert readers(d2, (3,), 1) == [1]
+    with pytest.raises(ValueError):
+        readers(d2, (0,) * 5, 1)
+
+
 def test_closing_words_launch_horizon_vertices():
     # the closing word of state word i is readable from vertex i alone
     sys = build_cantor_horizon_markov_dyck(FIB, 6)
@@ -83,10 +109,7 @@ def test_closing_words_launch_horizon_vertices():
     for level in (1, 2, 3):
         for i, word in enumerate(state_words(FIB, level)):
             closing = tuple(n + s for s in word)
-            readers = [
-                v for v in range(sys.levels[level].size) if read_down(sys, level, frozenset([v]), closing)
-            ]
-            assert readers == [i]
+            assert readers(sys, closing, level) == [i]
 
 
 def test_synchronizing_system_verdicts():
@@ -155,6 +178,40 @@ def test_launching_search_replays_the_budget_of_a_shared_tail():
     with unshared():
         sys = build_lambda_synchronizing(spec, 18, budget=Budget(max_depth=18))
         assert [search(u) for u in budgets] == shared
+
+
+def bridge(sys, first, second, bound):
+    """The first bridge from `first` to `second` up to `bound`, or None."""
+    top = frozenset(range(sys.levels[0].size))
+    ends_first = read_down(sys, 0, top, first)
+    ends_second = read_down(sys, 0, top, second)
+    return _Succession(sys, bound).bridge(first, ends_first, second, ends_second, _Meter(DEFAULT_BUDGET))
+
+
+def test_succession_bridge():
+    sys = build_lambda_synchronizing(golden_mean_spec(), 5)
+    assert bridge(sys, (1,), (1,), 2) == (0,)
+    even = build_lambda_synchronizing(even_shift_spec(), 5)
+    assert bridge(even, (1,), (0,), 2) is None
+
+
+def test_succession_skips_bridges_below_the_truncation():
+    # At the shallowest depth the transitivity guard allows, every bridge up
+    # to `bound` still leaves room for the second word: each pair finds the
+    # bridge the reference finds, which skips bridges too long to fit, and
+    # no read walks past the last edge layer.
+    cases = [(1, 1), (1, 2), (2, 1), (1, 3)]
+    for (word_len, bound), spec in product(cases, (golden_mean_spec(), even_shift_spec())):
+        sys = build_lambda_synchronizing(spec, 2 * word_len + bound)
+        sizes, edges, iota = raw(sys)
+        top = frozenset(range(sys.levels[0].size))
+        words = [w for w, _ in label_words(sys, 0, top, word_len) if w]
+        for first in words:
+            for second in words:
+                expected = oracles.reference_succ_relation(
+                    sizes, edges, iota, sys.alphabet.names, first, second, bound
+                )[1]
+                assert bridge(sys, first, second, bound) == expected, (first, second)
 
 
 def test_transitivity_verdicts():

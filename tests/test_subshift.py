@@ -31,6 +31,7 @@ from lgk import (
 from lgk.dyck import all_ones
 from lgk.labeled_graph import is_essential, left_resolving_violation
 from lgk.subshift import CandidateTable, _expanded_class_reps, _read, _stepper, sft_cover
+from lgk.system import label_words, read_down
 from test_walkers import raw
 
 words_01 = st.lists(st.integers(0, 1), min_size=0, max_size=10).map(tuple)
@@ -87,6 +88,53 @@ def test_even_shift_admissibility_is_run_parity():
             assert is_admissible(spec, word) == even_runs_between_ones(word), word
 
 
+def admissible_words(spec, n):
+    return [w for w in product(range(len(spec.alphabet)), repeat=n) if is_admissible(spec, w)]
+
+
+def test_block_counts():
+    # golden mean block counts follow the Fibonacci recurrence
+    gm = golden_mean_spec()
+    assert [len(admissible_words(gm, n)) for n in range(8)] == [1, 2, 3, 5, 8, 13, 21, 34]
+    assert [len(admissible_words(FullShift(3), n)) for n in range(5)] == [1, 3, 9, 27, 81]
+
+
+def test_blocks_sorted_and_admissible():
+    # the words read from the top of a canonical system come in
+    # lexicographic order within a length, and are the admissible ones
+    gm = golden_mean_spec()
+    sys = build_lambda_synchronizing(gm, 5)
+    top = frozenset(range(sys.levels[0].size))
+    out = [w for w, _ in label_words(sys, 0, top, 5) if len(w) == 5]
+    assert out == sorted(out)
+    assert all(is_admissible(gm, w) for w in out)
+    assert out == admissible_words(gm, 5)
+
+
+def followers(sys, word, length):
+    """Words of `length` readable after `word` from the top of `sys`."""
+    ends = read_down(sys, 0, frozenset(range(sys.levels[0].size)), word)
+    return {w for w, _ in label_words(sys, len(word), ends, length) if len(w) == length}
+
+
+def predecessors(sys, word, length):
+    """Words of `length` from the top of `sys` that `word` reads on from."""
+    top = frozenset(range(sys.levels[0].size))
+    return {
+        w
+        for w, ends in label_words(sys, 0, top, length)
+        if len(w) == length and read_down(sys, length, ends, word)
+    }
+
+
+def test_predecessor_and_follower_exact_sets():
+    sys = build_lambda_synchronizing(golden_mean_spec(), 4)
+    assert predecessors(sys, (1,), 2) == {(0, 0), (1, 0)}
+    assert followers(sys, (1,), 2) == {(0, 0), (0, 1)}
+    assert predecessors(sys, (1, 1), 2) == set()
+    assert followers(sys, (), 1) == {(0,), (1,)}
+
+
 @settings(max_examples=320)  # about 50 per spec
 @given(st.sampled_from(sorted(PREDECESSOR_SPECS)), st.integers(0, 3), st.data())
 def test_predecessors_match_bruteforce(kind, length, data):
@@ -136,6 +184,21 @@ def test_cover_language_matches_oracle(presented, data):
             assert is_admissible(spec, v) == member(v), v
     word = data.draw(st.lists(st.integers(0, k), max_size=6).map(tuple), label="word")
     assert is_admissible(spec, word) == member(word)
+
+
+FOLLOWER_SYSTEMS = {
+    kind: build_lambda_synchronizing(make(), 13, Budget(max_depth=13))
+    for kind, make in (("gm", golden_mean_spec), ("even", even_shift_spec))
+}
+
+
+@given(st.sampled_from(sorted(FOLLOWER_SYSTEMS)), words_01, st.integers(0, 3))
+def test_followers_match_bruteforce(kind, word, length):
+    spec = golden_mean_spec() if kind == "gm" else even_shift_spec()
+    if not is_admissible(spec, word):
+        return
+    want = {v for v in product(range(2), repeat=length) if is_admissible(spec, word + v)}
+    assert followers(FOLLOWER_SYSTEMS[kind], word, length) == want
 
 
 @settings(max_examples=150)
@@ -191,6 +254,16 @@ def test_census_rejects_specs_with_a_cover(make):
     for level in (0, 1, 2):
         with pytest.raises(TypeError):
             synchronizing_classes(make(), level)
+
+
+def test_budget_exhaustion_raises():
+    # an expanded bracket shift builds by its class census, which the word
+    # budget caps
+    spec = expanded(DyckN(2), "a1")
+    with pytest.raises(BudgetExceeded):
+        synchronizing_classes(spec, 3, Budget(max_words=10))
+    with pytest.raises(BudgetExceeded):
+        build_lambda_synchronizing(spec, 3, Budget(max_words=10))
 
 
 def test_bracket_predecessors_draw_one_word_per_candidate():

@@ -123,7 +123,11 @@ def test_horizon_iota_drops_newest_index():
 
 
 def test_repeated_cover_passes_every_verifier():
-    assert_all_verifiers_pass(constant_system(even_shift_graph(), 3))
+    sys = constant_system(even_shift_graph(), 3)
+    assert sys.sizes == (2, 2, 2, 2)
+    assert sys.iota == ((0, 1),) * 3
+    assert set(sys.edges) == {sys.edges[0]}
+    assert_all_verifiers_pass(sys)
 
 
 def test_unseparated_cover_detected():
