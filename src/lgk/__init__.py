@@ -51,14 +51,12 @@ from .subshift import (
 from .system import (
     ConstructionError,
     LambdaGraphSystem,
-    TransitionMatrices,
     VertexLevel,
     build_cantor_horizon_dyck,
     build_cantor_horizon_markov_dyck,
     build_lambda_synchronizing,
     canonical_form,
     level_isomorphic,
-    transition_matrices,
     verify_all,
 )
 from .serialize import export_dot, spec_dumps, spec_loads, system_dumps, system_loads

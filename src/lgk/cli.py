@@ -35,12 +35,7 @@ from .serialize import (
     verdict_payload,
 )
 from .subshift import Budget, BudgetExceeded, DEFAULT_BUDGET, SubshiftSpec
-from .system import (
-    LambdaGraphSystem,
-    build_lambda_synchronizing,
-    transition_matrices,
-    verify_all,
-)
+from .system import LambdaGraphSystem, build_lambda_synchronizing, verify_all
 from .flow import expand_spec, plan_for
 from .verdict import Verdict
 
@@ -120,8 +115,7 @@ def _verify_checks(sys: LambdaGraphSystem, budget: Budget) -> dict[str, Verdict]
     if sys.depth == 0:
         raise ValueError("need at least one level gap")
     checks = dict(verify_all(sys))
-    connecting = connecting_checks(transition_matrices(sys))
-    bad_level = next((l for l, ok in enumerate(connecting) if not ok), None)
+    bad_level = next((l for l, ok in enumerate(connecting_checks(sys)) if not ok), None)
     checks["matrix compatibility"] = (
         Verdict.yes()
         if bad_level is None

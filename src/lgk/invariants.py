@@ -1,7 +1,8 @@
-"""Integer invariants of a leveled system's transition-matrix sequence.
+"""Integer invariants of a λ-graph system, read off its edges and collapses.
 
-Each level gap contributes four finitely generated abelian groups, computed
-exactly over the integers from one Smith normal form diagonal:
+Gap l carries the pair (A_l, I_l): A_l counts the edges of layer l and I_l
+is the matrix of the collapse iota_l.  Each gap contributes four groups,
+computed exactly from one Smith diagonal:
 
 * ``k0``: cokernel of M_l = I_l^t - A_l^t, with the collapse matrices
   inducing maps between consecutive levels;
@@ -28,7 +29,7 @@ torsion chains.
 Every per-gap computation runs once per distinct window of gaps, by the
 window lemma of :mod:`lgk.system`: a computation that reads only gaps
 l .. l + w - 1 gives at l what it gave at l - 1 when each of those gaps
-repeats the gap above it (``TransitionMatrices.repeats``).  The groups of
+repeats the gap above it (``LambdaGraphSystem.repeats``).  The groups of
 gap l read gap l, and the intertwining check at l reads gaps l and l + 1,
 so both reuse the answer at l - 1; the mapping cone at l reads gaps l and
 l + 1 too, and the backward pass reuses cone l + 1 when gaps l + 1 and
@@ -40,15 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
-from .linalg import (
-    AbelianGroup,
-    mat_mul,
-    mat_sub,
-    shape,
-    snf_diagonal,
-    transpose,
-)
-from .system import LambdaGraphSystem, TransitionMatrices, transition_matrices, window_repeats
+from .linalg import AbelianGroup, Matrix, snf_diagonal
+from .system import LambdaGraphSystem, local_tallies, window_repeats
 from .verdict import Verdict
 
 
@@ -66,15 +60,24 @@ class LevelGroups:
         return (self.k0, self.k1, self.bf0, self.bf1) == (other.k0, other.k1, other.bf0, other.bf1)
 
 
-def _k_matrix(tm: TransitionMatrices, l: int) -> list[list[int]]:
+def _collapse_rows(sys: LambdaGraphSystem, l: int) -> Matrix:
+    """I_l^t: row v of level l + 1 has a 1 at iota_l(v)."""
+    zero = [0] * sys.sizes[l]
+    return [zero[:image] + [1] + zero[image + 1 :] for image in sys.iota[l]]
+
+
+def _k_matrix(sys: LambdaGraphSystem, l: int) -> Matrix:
     """I_l^t - A_l^t, mapping Z^m(l) -> Z^m(l+1)."""
-    return mat_sub(transpose(tm.i[l]), transpose(tm.a[l]))
+    rows = _collapse_rows(sys, l)
+    for s, _, t in sys.edges[l]:
+        rows[t][s] -= 1
+    return rows
 
 
-def level_groups(tm: TransitionMatrices, l: int) -> LevelGroups:
+def level_groups(sys: LambdaGraphSystem, l: int) -> LevelGroups:
     """The four groups of gap l from the one diagonal of I_l^t - A_l^t."""
-    size, next_size = shape(tm.a[l])
-    divisors = [d for d in snf_diagonal(_k_matrix(tm, l)) if d]
+    size, next_size = sys.sizes[l], sys.sizes[l + 1]
+    divisors = [d for d in snf_diagonal(_k_matrix(sys, l)) if d]
     rank = len(divisors)
     return LevelGroups(
         level=l,
@@ -85,7 +88,7 @@ def level_groups(tm: TransitionMatrices, l: int) -> LevelGroups:
     )
 
 
-def connecting_map_check(tm: TransitionMatrices, l: int) -> bool:
+def connecting_map_check(sys: LambdaGraphSystem, l: int) -> bool:
     """Do the matrices intertwine between levels l and l+1?
 
     This is the identity A_l I_{l+1} = I_l A_{l+1} and nothing more: it
@@ -97,20 +100,28 @@ def connecting_map_check(tm: TransitionMatrices, l: int) -> bool:
     so I_{l+1}^t pushes each relation of level l (a column of the left
     factor) into the relation lattice of level l+1, with the integer
     certificate the matching column of I_l^t.
+
+    Entry [s][u] of the left side counts the layer-l edges from s into
+    iota_{l+1}(u), and of the right the layer-(l+1) edges into u whose source
+    collapses to s: the sizes of the :func:`lgk.system.local_tallies` at u.
+    The local property compares their labels, so it implies this identity.
     """
-    return mat_mul(tm.a[l], tm.i[l + 1]) == mat_mul(tm.i[l], tm.a[l + 1])
+    return all(
+        {s: len(a) for s, a in incoming.items()} == {s: len(a) for s, a in outgoing.items()}
+        for _, incoming, outgoing in local_tallies(sys, l + 1)
+    )
 
 
-def connecting_checks(tm: TransitionMatrices) -> tuple[bool, ...]:
+def connecting_checks(sys: LambdaGraphSystem) -> tuple[bool, ...]:
     """:func:`connecting_map_check` at every gap but the last, once per
     distinct window: the check at l reads gaps l and l + 1 only."""
     checks: list[bool] = []
-    for l in range(len(tm.a) - 1):
-        checks.append(checks[-1] if window_repeats(tm.repeats, l, 2) else connecting_map_check(tm, l))
+    for l in range(sys.depth - 1):
+        checks.append(checks[-1] if window_repeats(sys.repeats, l, 2) else connecting_map_check(sys, l))
     return tuple(checks)
 
 
-def _cone_acyclic(tm: TransitionMatrices, l: int) -> bool:
+def _cone_acyclic(sys: LambdaGraphSystem, l: int) -> bool:
     """Are the induced k0 and k1 maps from gap l to gap l+1 isomorphisms?
 
     Write M_l = I_l^t - A_l^t : Z^m(l) -> Z^m(l+1).  Granted the
@@ -133,10 +144,9 @@ def _cone_acyclic(tm: TransitionMatrices, l: int) -> bool:
     isomorphism, since finitely generated abelian groups are Hopfian; so
     this is the same test as "k0 map onto and k1 map unimodular".
     """
-    size, middle, top = tm.sizes[l], tm.sizes[l + 1], tm.sizes[l + 2]
-    down, up = _k_matrix(tm, l), _k_matrix(tm, l + 1)
-    d2 = [[-x for x in row] for row in down] + transpose(tm.i[l])
-    d1 = [push + rel for push, rel in zip(transpose(tm.i[l + 1]), up)]
+    size, middle, top = sys.sizes[l], sys.sizes[l + 1], sys.sizes[l + 2]
+    d2 = [[-x for x in row] for row in _k_matrix(sys, l)] + _collapse_rows(sys, l)
+    d1 = [push + rel for push, rel in zip(_collapse_rows(sys, l + 1), _k_matrix(sys, l + 1))]
     lower = [d for d in snf_diagonal(d2) if d]
     upper = [d for d in snf_diagonal(d1) if d]
     return (
@@ -147,15 +157,15 @@ def _cone_acyclic(tm: TransitionMatrices, l: int) -> bool:
     )
 
 
-def _cone_checks(tm: TransitionMatrices) -> Iterator[bool]:
+def _cone_checks(sys: LambdaGraphSystem) -> Iterator[bool]:
     """:func:`_cone_acyclic` at gaps count - 2, count - 3, ..., 0 in turn, as
     the backward pass of :func:`invariant_report` asks for them.  Cone l
     reads gaps l and l + 1, so it is cone l + 1 again where gaps l + 1 and
     l + 2 repeat the gaps above them."""
     acyclic = False
-    for l in range(len(tm.a) - 2, -1, -1):
-        if not window_repeats(tm.repeats, l + 1, 2):
-            acyclic = _cone_acyclic(tm, l)
+    for l in range(sys.depth - 2, -1, -1):
+        if not window_repeats(sys.repeats, l + 1, 2):
+            acyclic = _cone_acyclic(sys, l)
         yield acyclic
 
 
@@ -177,7 +187,7 @@ class InvariantReport:
         return None
 
 
-def invariant_report(source: "LambdaGraphSystem | TransitionMatrices") -> InvariantReport:
+def invariant_report(sys: LambdaGraphSystem) -> InvariantReport:
     """Level groups, connecting-map checks, and a stabilization verdict.
 
     Stabilization needs a tail of at least two levels in which every gap
@@ -188,17 +198,16 @@ def invariant_report(source: "LambdaGraphSystem | TransitionMatrices") -> Invari
     cone is computed at most once per distinct window (:func:`_cone_checks`),
     and the groups of a repeated gap are those of the gap above.
     """
-    tm = source if isinstance(source, TransitionMatrices) else transition_matrices(source)
-    count = len(tm.a)
+    count = sys.depth
     if count == 0:
         raise ValueError("need at least one level gap")
     groups: list[LevelGroups] = []
     for l in range(count):
-        groups.append(replace(groups[-1], level=l) if tm.repeats[l] else level_groups(tm, l))
-    connecting = connecting_checks(tm)
+        groups.append(replace(groups[-1], level=l) if sys.repeats[l] else level_groups(sys, l))
+    connecting = connecting_checks(sys)
 
     start = count - 1
-    cones = _cone_checks(tm)
+    cones = _cone_checks(sys)
     while start > 0 and (
         groups[start - 1].same_shape(groups[start])
         and connecting[start - 1]
@@ -215,7 +224,7 @@ def invariant_report(source: "LambdaGraphSystem | TransitionMatrices") -> Invari
     else:
         stabilized = Verdict.unknown(note="no stable tail window within the truncation")
     return InvariantReport(
-        sizes=tm.sizes,
+        sizes=sys.sizes,
         groups=tuple(groups),
         connecting=connecting,
         stabilized=stabilized,

@@ -6,7 +6,7 @@ diagonal of the Smith normal form: ranks, cokernels and kernels all read
 off it.  One pure-integer elimination computes it, on the matrix alone with
 no transforms kept, and the divisibility chain is repaired on the diagonal
 by gcd/lcm steps.  The matrices of a λ-graph system are sparse, so the
-elimination and `mat_mul` both skip zero entries.
+elimination skips zero entries.
 """
 
 from __future__ import annotations
@@ -17,37 +17,8 @@ from math import gcd
 Matrix = list[list[int]]
 
 
-def zeros(r: int, c: int) -> Matrix:
-    return [[0] * c for _ in range(r)]
-
-
 def shape(m: Matrix) -> tuple[int, int]:
     return (len(m), len(m[0]) if m else 0)
-
-
-def transpose(m: Matrix) -> Matrix:
-    return [list(col) for col in zip(*m)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    if ca != rb:
-        raise ValueError(f"shape mismatch {ra}x{ca} @ {rb}x{cb}")
-    b_nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    out = zeros(ra, cb)
-    for ai, oi in zip(a, out):
-        for x, bk in zip(ai, b_nonzero):
-            if x:
-                for j, y in bk:
-                    oi[j] += x * y
-    return out
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    if shape(a) != shape(b):
-        raise ValueError("shape mismatch")
-    return [[x - y for x, y in zip(row_a, row_b)] for row_a, row_b in zip(a, b)]
 
 
 def _find_pivot(a: Matrix, t: int, rows: int, cols: int) -> tuple[int, int] | None:

@@ -14,8 +14,8 @@ from __future__ import annotations
 import json
 from typing import Any, Callable
 
-from .alphabet import Alphabet, Word
-from .labeled_graph import LabeledGraph, from_names
+from .alphabet import Alphabet
+from .labeled_graph import from_names
 from .subshift import (
     DyckN,
     Expanded,

@@ -22,18 +22,18 @@ Builders:
 :func:`canonical_form` renames every vertex by its predecessor structure,
 giving a byte-stable normal form used for isomorphism checks.
 
-Gap l is edge layer l with collapse l, joining levels l and l + 1.
-``repeats[l]`` (on systems and on :class:`TransitionMatrices`) holds when
-gap l repeats gap l - 1: levels l - 1, l and l + 1 have one size and the
-two gaps have equal edge layers and collapses.  The *window lemma*: a
-computation that reads only gaps l .. l + w - 1 and the levels they join
-gives at l what it gave at l - 1 whenever each gap of its window repeats
-(:func:`window_repeats`), since the two windows are the same data one
-level apart.  So every per-gap computation runs once per distinct window:
-the verifiers below skip a window that repeats one they passed, and the
-quotient build, the loader, :attr:`LambdaGraphSystem.adjacency` and
-:func:`transition_matrices` hand a repeated gap the objects of the gap
-above, which makes ``repeats`` a walk over shared pointers.
+Gap l is edge layer l with collapse l, joining levels l and l + 1; it is
+the pair (A_l, I_l) of the paper, with no other representation.
+``repeats[l]`` holds when gap l repeats gap l - 1: levels l - 1, l and
+l + 1 have one size and the two gaps have equal edge layers and
+collapses.  The *window lemma*: a computation that reads only gaps
+l .. l + w - 1 and the levels they join gives at l what it gave at l - 1
+whenever each gap of its window repeats (:func:`window_repeats`), since
+the two windows are the same data one level apart.  So every per-gap
+computation runs once per distinct window: the verifiers below skip a
+window that repeats one they passed, and the quotient build, the loader
+and :attr:`LambdaGraphSystem.adjacency` hand a repeated gap the objects
+of the gap above, which makes ``repeats`` a walk over shared pointers.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .alphabet import Alphabet, Word, bracket_alphabet
 from .dyck import Matrix01, all_ones, state_words, validate_transition_matrix
 from .labeled_graph import LabeledGraph
-from .linalg import Matrix
 from .subshift import (
     DEFAULT_BUDGET,
     Budget,
@@ -78,16 +77,6 @@ class VertexLevel:
 
 
 Edge = tuple[int, int, int]  # (source, symbol, target)
-
-
-def _repeats(sizes: Sequence[int], *gaps: Sequence) -> tuple[bool, ...]:
-    """`repeats[l]` of a level-size sequence and per-gap sequences."""
-    return tuple(
-        l > 0
-        and sizes[l - 1] == sizes[l] == sizes[l + 1]
-        and all(gap[l] == gap[l - 1] for gap in gaps)
-        for l in range(len(sizes) - 1)
-    )
 
 
 def window_repeats(repeats: Sequence[bool], first: int, width: int) -> bool:
@@ -169,7 +158,14 @@ class LambdaGraphSystem:
     @cached_property
     def repeats(self) -> tuple[bool, ...]:
         """`repeats[l]`: gap l repeats gap l - 1 (see the module docstring)."""
-        return _repeats(self.sizes, self.edges, self.iota)
+        sizes = self.sizes
+        return tuple(
+            l > 0
+            and sizes[l - 1] == sizes[l] == sizes[l + 1]
+            and self.edges[l] == self.edges[l - 1]
+            and self.iota[l] == self.iota[l - 1]
+            for l in range(self.depth)
+        )
 
     # Every walker below goes through these tables; a repeated gap shares
     # the tables of the gap above.
@@ -428,26 +424,34 @@ def verify_label_iota_compatible(sys: LambdaGraphSystem) -> Verdict:
     return Verdict.yes()
 
 
+def local_tallies(sys: LambdaGraphSystem, l: int) -> Iterator[tuple[int, dict, dict]]:
+    """Each vertex v of level l + 1 (1 <= l < depth) with the labels of the
+    layer-l edges into v by the collapse of their source, and of the
+    layer-(l - 1) edges into iota_l(v) by source; ascending source, then symbol."""
+    into, iota = sys.adjacency.into, sys.iota
+    for v in range(sys.levels[l + 1].size):
+        incoming: dict[int, list[int]] = {}
+        for a, s in into[l].get(v, ()):
+            incoming.setdefault(iota[l - 1][s], []).append(a)
+        # ascending u, then symbol: the order of u's decides which failure is named
+        outgoing: dict[int, list[int]] = {}
+        for a, u in into[l - 1].get(iota[l][v], ()):
+            outgoing.setdefault(u, []).append(a)
+        yield v, incoming, outgoing
+
+
 def verify_local_property(sys: LambdaGraphSystem) -> Verdict:
     """In-edges of v from the fiber over u match out-edges of u into iota(v).
 
     For u two levels above v's level, the labels of edges into v whose
     sources collapse to u must agree, with multiplicity, with the labels of
-    edges from u into the collapse image of v.  Level l reads gaps l - 1
-    and l.
+    edges from u into the collapse image of v (:func:`local_tallies`).
+    Level l reads gaps l - 1 and l.
     """
-    into = sys.adjacency.into
     for l in range(1, sys.depth):
         if window_repeats(sys.repeats, l - 1, 2):
             continue
-        for v in range(sys.levels[l + 1].size):
-            incoming: dict[int, list[int]] = {}
-            for a, s in into[l].get(v, ()):
-                incoming.setdefault(sys.iota[l - 1][s], []).append(a)
-            # ascending u, then symbol: the order of u's decides which failure is named
-            outgoing: dict[int, list[int]] = {}
-            for a, u in into[l - 1].get(sys.iota[l][v], ()):
-                outgoing.setdefault(u, []).append(a)
+        for v, incoming, outgoing in local_tallies(sys, l):
             for u in set(incoming) | set(outgoing):
                 have = sorted(incoming.get(u, []))
                 want = sorted(outgoing.get(u, []))
@@ -498,48 +502,6 @@ VERIFIER_ORDER = (
 
 def verify_all(sys: LambdaGraphSystem) -> dict[str, Verdict]:
     return {name: check(sys) for name, check in VERIFIER_ORDER}
-
-
-# -- transition matrices -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TransitionMatrices:
-    """Per-level transition and collapse matrices of a system.
-
-    `a[l][i][j]` counts edges from vertex i at level l to vertex j at level
-    l+1; `i[l][i][j]` is 1 exactly when vertex j collapses onto vertex i.
-    """
-
-    sizes: tuple[int, ...]
-    a: tuple[Matrix, ...]
-    i: tuple[Matrix, ...]
-
-    @cached_property
-    def repeats(self) -> tuple[bool, ...]:
-        """`repeats[l]`: gap l has the matrices and sizes of gap l - 1."""
-        return _repeats(self.sizes, self.a, self.i)
-
-
-def transition_matrices(sys: LambdaGraphSystem) -> TransitionMatrices:
-    """The matrices of each gap; a repeated gap shares those of the gap above."""
-    a_list: list[Matrix] = []
-    i_list: list[Matrix] = []
-    for l in range(sys.depth):
-        if sys.repeats[l]:
-            a_list.append(a_list[-1])
-            i_list.append(i_list[-1])
-            continue
-        rows, cols = sys.levels[l].size, sys.levels[l + 1].size
-        total = [[0] * cols for _ in range(rows)]
-        for s, _, t in sys.edges[l]:
-            total[s][t] += 1
-        collapse = [[0] * cols for _ in range(rows)]
-        for v, image in enumerate(sys.iota[l]):
-            collapse[image][v] = 1
-        a_list.append(tuple(tuple(r) for r in total))
-        i_list.append(tuple(tuple(r) for r in collapse))
-    return TransitionMatrices(sizes=sys.sizes, a=tuple(a_list), i=tuple(i_list))
 
 
 # -- builders ------------------------------------------------------------

@@ -12,7 +12,6 @@ from lgk import (
     MarkovDyck,
     SftForbidden,
     SoficGraph,
-    TransitionMatrices,
     VertexLevel,
     from_names,
 )
@@ -37,7 +36,6 @@ def unshared():
     runs at every gap, as it would without the window lemma."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(LambdaGraphSystem, "repeats", property(lambda sys: (False,) * sys.depth))
-        patch.setattr(TransitionMatrices, "repeats", property(lambda tm: (False,) * len(tm.a)))
         yield
 
 
@@ -50,6 +48,23 @@ def constant_system(graph: LabeledGraph, depth: int) -> LambdaGraphSystem:
         levels=(level,) * (depth + 1),
         edges=(tuple(sorted(graph.edges)),) * depth,
         iota=(tuple(range(level.size)),) * depth,
+    )
+
+
+def counted_system(sizes, counts, iota) -> LambdaGraphSystem:
+    """The shape-only system on level sizes `sizes` with `counts[l][s][t]`
+    edges s -> t in layer l, labeled 0 .. counts[l][s][t] - 1, and collapse
+    functions `iota`.  Its gaps need not satisfy any axiom."""
+    symbols = max((x for layer in counts for row in layer for x in row), default=0)
+    layers = [
+        [(s, a, t) for s, row in enumerate(layer) for t, x in enumerate(row) for a in range(x)]
+        for layer in counts
+    ]
+    return LambdaGraphSystem(
+        alphabet=Alphabet(tuple(f"a{k}" for k in range(max(symbols, 1)))),
+        levels=tuple(VertexLevel(size=m, tags=("",) * m) for m in sizes),
+        edges=tuple(tuple(sorted(layer)) for layer in layers),
+        iota=tuple(tuple(mapping) for mapping in iota),
     )
 
 

@@ -174,6 +174,31 @@ def transpose(m: list[list[int]]) -> list[list[int]]:
     return [list(col) for col in zip(*m)]
 
 
+def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """The product of an r x k and a k x c matrix, by the definition."""
+    if len(a[0]) != len(b):
+        raise ValueError("inner dimensions differ")
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def gap_matrices(sizes, edges, iota):
+    """The dense pairs (A_l, I_l) of a leveled system, as two lists.
+
+    A_l[s][t] counts the edges s -> t of layer l, whatever their labels;
+    I_l[i][v] is 1 exactly when iota_l maps vertex v of level l + 1 to
+    vertex i of level l.  Edges are (source, symbol, target) triples.
+    """
+    a, i = [], []
+    for l in range(len(sizes) - 1):
+        counts = [[0] * sizes[l + 1] for _ in range(sizes[l])]
+        for s, _, t in edges[l]:
+            counts[s][t] += 1
+        collapse = [[int(iota[l][v] == r) for v in range(sizes[l + 1])] for r in range(sizes[l])]
+        a.append(counts)
+        i.append(collapse)
+    return a, i
+
+
 def det_int(m: list[list[int]]) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = len(m)

@@ -7,7 +7,7 @@ divisibility chain), and cokernels of every small 2x2 matrix are compared
 against two computations that share no code with the package:
 determinantal divisors and an explicit coset census.  Matrices with
 entries far beyond 64 bits are compared with the oracle's Smith form and
-with sympy's when it is installed, and `mat_mul` with a naive triple loop.
+with sympy's when it is installed.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from lgk.linalg import (
     AbelianGroup,
     cokernel,
     kernel_group,
-    mat_mul,
     snf_diagonal,
 )
 
@@ -37,7 +36,7 @@ def assert_smith_certificate(m):
     assert len(u) == rows and len(v) == cols
     assert oracles.is_unimodular(u)
     assert oracles.is_unimodular(v)
-    assert mat_mul(mat_mul(u, m), v) == d
+    assert oracles.mat_mul(oracles.mat_mul(u, m), v) == d
     diag = oracles.smith_diagonal(d)
     for i in range(rows):
         for j in range(cols):
@@ -247,44 +246,6 @@ def test_snf_matches_sympy():
         theirs = [abs(int(d[k, k])) for k in range(min(d.shape))]
         nonzero = sorted(x for x in theirs if x)
         assert snf_diagonal(m) == nonzero + [0] * (len(theirs) - len(nonzero))
-
-
-# -- matrix product ------------------------------------------------------
-
-
-@st.composite
-def product_pairs(draw):
-    """(a, b) with a: r x k and b: k x c; some whole rows and columns are
-    zero, and entries of either sign reach 2^40."""
-    r, k, c = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    entry = st.one_of(
-        st.just(0),
-        st.integers(-3, 3),
-        st.integers(-(2**40), 2**40),
-    )
-
-    def matrix(rows, cols):
-        m = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
-        for i in draw(st.sets(st.integers(0, rows - 1))):
-            m[i] = [0] * cols
-        for j in draw(st.sets(st.integers(0, cols - 1))):
-            for row in m:
-                row[j] = 0
-        return m
-
-    return matrix(r, k), matrix(k, c)
-
-
-@given(product_pairs())
-def test_mat_mul_matches_triple_loop(pair):
-    a, b = pair
-    rows, inner, cols = len(a), len(b), len(b[0])
-    naive = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        for j in range(cols):
-            for k in range(inner):
-                naive[i][j] += a[i][k] * b[k][j]
-    assert mat_mul(a, b) == naive
 
 
 def test_group_normalization():

@@ -27,10 +27,9 @@ from lgk import (
     canonical_form,
     from_names,
     level_isomorphic,
-    transition_matrices,
     verify_all,
 )
-from lgk.invariants import connecting_map_check
+from lgk.invariants import connecting_checks
 from lgk.subshift import sft_cover
 from lgk.system import (
     iota_fiber,
@@ -43,8 +42,7 @@ from lgk.system import (
 def assert_all_verifiers_pass(sys):
     for name, verdict in verify_all(sys).items():
         assert verdict.is_yes, (name, verdict)
-    tm = transition_matrices(sys)
-    assert all(connecting_map_check(tm, l) for l in range(len(tm.a) - 1))
+    assert all(connecting_checks(sys))
 
 
 def two_loops_graph():
@@ -66,9 +64,10 @@ def test_golden_mean_system():
     sys = build_lambda_synchronizing(golden_mean_spec(), 4)
     assert sys.sizes == (1, 2, 2, 2, 2)
     assert_all_verifiers_pass(sys)
-    tm = transition_matrices(canonical_form(sys))
-    assert tm.a[1] == ((0, 1), (1, 1))
-    assert sum(tm.a[0][0]) == 3
+    canonical = canonical_form(sys)
+    a, _ = oracles.gap_matrices(canonical.sizes, canonical.edges, canonical.iota)
+    assert a[1] == [[0, 1], [1, 1]]
+    assert sum(a[0][0]) == 3
     words = {w for w, _ in label_words(sys, 0, frozenset({0}), 3) if len(w) == 3}
     assert words == set(filter(oracles.sft_language(2, [(1, 1)]), product(range(2), repeat=3)))
 
@@ -91,10 +90,10 @@ def test_dyck2_horizon_shape_and_matrices():
     sys = build_cantor_horizon_dyck(2, 5)
     assert sys.sizes == (1, 2, 4, 8, 16, 32)
     assert_all_verifiers_pass(sys)
-    tm = transition_matrices(sys)
-    assert tm.a[0] == ((3, 3),)
-    assert tm.a[1] == ((2, 1, 2, 1), (1, 2, 1, 2))
-    assert tm.i[1] == ((1, 1, 0, 0), (0, 0, 1, 1))
+    a, i = oracles.gap_matrices(sys.sizes, sys.edges, sys.iota)
+    assert a[0] == [[3, 3]]
+    assert a[1] == [[2, 1, 2, 1], [1, 2, 1, 2]]
+    assert i[1] == [[1, 1, 0, 0], [0, 0, 1, 1]]
 
 
 def test_dyck3_horizon_shape():
@@ -107,8 +106,8 @@ def test_fibonacci_horizon_shape():
     sys = build_cantor_horizon_markov_dyck(FIB, 4)
     assert sys.sizes == (1, 2, 3, 5, 8)
     assert_all_verifiers_pass(sys)
-    tm = transition_matrices(sys)
-    assert tm.a[0] == ((3, 2),)
+    a, _ = oracles.gap_matrices(sys.sizes, sys.edges, sys.iota)
+    assert a[0] == [[3, 2]]
     # tags spell the closing word attached to each state word
     assert sys.levels[1].tags == ("b1", "b2")
     assert sys.levels[2].tags == ("b1 b1", "b1 b2", "b2 b1")
@@ -175,21 +174,16 @@ def test_canonical_form_forgets_vertex_order():
     assert level_isomorphic(permuted, sys)
 
 
-def test_matrix_shapes_and_column_structure():
+def test_gap_shapes_and_collapse_functions():
+    """Each gap joins its two levels: edges run from level l to level l + 1,
+    and iota_l maps every vertex of level l + 1 to one of level l."""
     sys = build_cantor_horizon_markov_dyck(FIB, 4)
-    tm = transition_matrices(sys)
     for l in range(sys.depth):
         rows = sys.sizes[l]
         cols = sys.sizes[l + 1]
-        assert len(tm.a[l]) == rows and all(len(r) == cols for r in tm.a[l])
-        assert len(tm.i[l]) == rows and all(len(r) == cols for r in tm.i[l])
-        for j in range(cols):
-            column = [tm.i[l][i][j] for i in range(rows)]
-            assert sum(column) == 1 and set(column) <= {0, 1}
-        for i in range(rows):
-            assert sum(tm.a[l][i]) == len(
-                [e for e in sys.edges[l] if e[0] == i]
-            )
+        assert len(sys.iota[l]) == cols
+        assert all(0 <= image < rows for image in sys.iota[l])
+        assert all(0 <= s < rows and 0 <= t < cols for s, _, t in sys.edges[l])
 
 
 def test_read_down_words():
