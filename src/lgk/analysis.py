@@ -1,4 +1,4 @@
-"""Dynamical checks on leveled systems: branching, irreducibility,
+"""Dynamical checks on built leveled systems: branching, irreducibility,
 launching words, and synchronizing transitivity.
 
 These properties quantify over all levels of the untruncated system, so on a
@@ -37,11 +37,10 @@ from itertools import count, tee
 from typing import Iterator, Optional
 
 from .alphabet import Word
-from .subshift import DEFAULT_BUDGET, Budget, BudgetExceeded, SubshiftSpec, _Meter
+from .subshift import DEFAULT_BUDGET, Budget, BudgetExceeded, _Meter
 from .system import (
     LambdaGraphSystem,
     _out_symbols,
-    build_lambda_synchronizing,
     iota_fiber,
     label_words,
     read_down,
@@ -57,14 +56,11 @@ def _is_constant(sys: LambdaGraphSystem) -> bool:
 
     Such systems (a cover repeated at every level, as in the one-vertex
     chain of a full shift) extend uniquely to every depth, so searches that
-    stabilize in them are conclusive.
+    stabilize in them are conclusive.  Every gap below the first repeats
+    the one above it, so all gaps equal gap 0, whose collapse must be the
+    identity; that also makes level 1 as large as level 0.
     """
-    first = sys.levels[0].size
-    if any(level.size != first for level in sys.levels):
-        return False
-    if any(layer != sys.edges[0] for layer in sys.edges[1:]):
-        return False
-    return all(mapping == tuple(range(first)) for mapping in sys.iota)
+    return all(sys.repeats[1:]) and all(m == tuple(range(sys.sizes[0])) for m in sys.iota[:1])
 
 
 def _successors(sys: LambdaGraphSystem, level: int, sources: frozenset[int]) -> frozenset[int]:
@@ -433,11 +429,6 @@ def is_lambda_synchronizing_system(
 # -- synchronizing transitivity ------------------------------------------
 
 
-def _lift(sys: LambdaGraphSystem, level: int, vertices: frozenset[int], steps: int) -> frozenset[int]:
-    """Vertices at `level + steps` collapsing onto any of `vertices`."""
-    return frozenset().union(*(iota_fiber(sys, level, v, steps) for v in vertices))
-
-
 class _Succession:
     """The bridge search of :func:`check_synchronizingly_transitive` on one
     system with one bound, for any number of word pairs.
@@ -487,21 +478,22 @@ class _Succession:
             if not ends:
                 continue
             if (second, below) not in self._lifted:
-                self._lifted[second, below] = _lift(sys, len(second), ends_second, below)
+                self._lifted[second, below] = frozenset().union(
+                    *(iota_fiber(sys, len(second), v, below) for v in ends_second)
+                )
             if self._lifted[second, below] == ends:
                 return bridge
         return None
 
 
 def check_synchronizingly_transitive(
-    target: "SubshiftSpec | LambdaGraphSystem",
+    sys: LambdaGraphSystem,
     word_len: int = 2,
     bound: int = 2,
     budget: Budget = DEFAULT_BUDGET,
 ) -> Verdict:
     """Succession must hold both ways between every pair of admissible words
-    up to `word_len`.  Accepts a subshift spec (its canonical system is
-    built at depth 2*word_len + bound) or a prebuilt system.
+    up to `word_len`, in a system of depth at least 2*word_len + bound.
 
     The words come from one `label_words` walk from the top, which also
     gives their endpoints.  Every pair runs through one :class:`_Succession`,
@@ -509,10 +501,6 @@ def check_synchronizingly_transitive(
     second word are shared across pairs; each pair draws on a fresh meter
     of `budget`.  A pair with no bridge up to `bound` is `unknown`: a
     longer bridge may exist."""
-    if isinstance(target, LambdaGraphSystem):
-        sys = target
-    else:
-        sys = build_lambda_synchronizing(target, 2 * word_len + bound, budget=budget)
     if 2 * word_len + bound > sys.depth:
         raise ValueError("truncation too shallow for the requested word length")
     top = frozenset(range(sys.levels[0].size))

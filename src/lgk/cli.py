@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys as _sys
 from typing import Optional
@@ -35,7 +34,7 @@ from .serialize import (
     verdict_payload,
 )
 from .subshift import Budget, BudgetExceeded, DEFAULT_BUDGET, SubshiftSpec
-from .system import LambdaGraphSystem, build_lambda_synchronizing, verify_all
+from .system import VERIFIER_ORDER, LambdaGraphSystem, build_lambda_synchronizing, verify_all
 from .flow import expand_spec, plan_for
 from .verdict import Verdict
 
@@ -141,15 +140,7 @@ def _verify_checks(sys: LambdaGraphSystem, budget: Budget) -> dict[str, Verdict]
     return checks
 
 
-STRUCTURAL = (
-    "essential",
-    "left-resolving",
-    "predecessor-separated",
-    "collapse surjective",
-    "label-collapse compatible",
-    "local property",
-    "matrix compatibility",
-)
+STRUCTURAL = tuple(name for name, _ in VERIFIER_ORDER) + ("matrix compatibility",)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -223,9 +214,8 @@ def cmd_flowcheck(args: argparse.Namespace) -> int:
     spec = _read_spec(args.spec)
     plan = plan_for(spec.alphabet, args.expand, args.fresh)
     expanded = expand_spec(spec, plan)
-    base_args = argparse.Namespace(**{**vars(args), "system": None})
-    base_sys = _built_system(base_args)
     budget = _budget(args, args.depth)
+    base_sys = build_lambda_synchronizing(spec, args.depth, budget=budget)
     expanded_sys = build_lambda_synchronizing(expanded, args.depth, budget=budget)
     base_report = invariant_report(base_sys)
     expanded_report = invariant_report(expanded_sys)
@@ -326,7 +316,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except MemoryError:
         print("inconclusive: out of memory at this depth or budget", file=_sys.stderr)
         return INCONCLUSIVE
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         # str() of a KeyError is the repr of its message, quotes included
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=_sys.stderr)

@@ -132,14 +132,6 @@ class BracketMachine:
         support, opens, emitted = state
         return state if emitted <= cap else (support, opens, cap)
 
-    def run(self, word: Word) -> tuple[frozenset[int], Word, int] | None:
-        state = self.start
-        for sym in word:
-            state = self.step(state, sym)
-            if state is None:
-                return None
-        return state
-
 
 def state_words(matrix: Matrix01, length: int) -> list[Word]:
     """A-admissible state sequences of the given length, lexicographic.

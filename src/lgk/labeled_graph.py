@@ -56,12 +56,17 @@ def from_names(
     """Build a graph from (source name, label name, target name) triples.
 
     Edge order is normalized, so graphs given the same triples in any order
-    compare equal (and serialize identically)."""
+    compare equal (and serialize identically).  An endpoint that is not
+    among `vertices` is a ValueError."""
     vs = tuple(vertices)
     pos = {v: i for i, v in enumerate(vs)}
-    es = tuple(sorted(
-        (pos[s], alphabet.index(a), pos[t]) for s, a, t in edges
-    ))
+
+    def at(name: str) -> int:
+        if name not in pos:
+            raise ValueError(f"edge endpoint {name!r} is not a declared vertex")
+        return pos[name]
+
+    es = tuple(sorted((at(s), alphabet.index(a), at(t)) for s, a, t in edges))
     return LabeledGraph(alphabet, vs, es)
 
 

@@ -34,6 +34,14 @@ def dumps(payload: Any) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+class _Fields(dict):
+    """A JSON object read by `spec_loads` or `system_loads`: reading a field
+    it lacks is invalid input, a ValueError that names the field."""
+
+    def __missing__(self, key: str) -> Any:
+        raise ValueError(f"missing field {key!r}")
+
+
 # -- subshift specs ------------------------------------------------------
 
 
@@ -133,7 +141,7 @@ def spec_dumps(spec: SubshiftSpec) -> str:
 
 
 def spec_loads(text: str) -> SubshiftSpec:
-    return spec_from_payload(json.loads(text))
+    return spec_from_payload(json.loads(text, object_pairs_hook=_Fields))
 
 
 # -- systems -------------------------------------------------------------
@@ -215,26 +223,18 @@ def system_dumps(sys: LambdaGraphSystem) -> str:
 
 
 def system_loads(text: str) -> LambdaGraphSystem:
-    return system_from_payload(json.loads(text))
+    return system_from_payload(json.loads(text, object_pairs_hook=_Fields))
 
 
 # -- verdicts and reports ------------------------------------------------
 
 
-def _json_safe(value: Any) -> Any:
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, frozenset):
-        return sorted(_json_safe(v) for v in value)
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    return str(value)
-
-
 def verdict_payload(verdict: Verdict) -> dict:
+    """Every witness is an int or a nested tuple of ints, which `dumps`
+    writes as lists."""
     out: dict[str, Any] = {"verdict": verdict.kind}
     if verdict.witness is not None:
-        out["witness"] = _json_safe(verdict.witness)
+        out["witness"] = verdict.witness
     if verdict.note:
         out["note"] = verdict.note
     return out

@@ -31,7 +31,7 @@ from lgk.invariants import connecting_checks, invariant_report, level_groups
 from lgk.labeled_graph import LabeledGraph, is_essential
 from lgk.linalg import AbelianGroup, cokernel, kernel_group
 from lgk.serialize import spec_dumps, system_dumps
-from lgk.subshift import DEFAULT_BUDGET, DyckN, FullShift, MarkovDyck, SoficGraph, sft_cover
+from lgk.subshift import DEFAULT_BUDGET, DyckN, FullShift, MarkovDyck, SoficGraph, _read, sft_cover
 from lgk.system import (
     _class_system,
     build_cantor_horizon_dyck,
@@ -265,7 +265,7 @@ def test_criterion_09_bracket_oracle_three_way_agreement():
     ok = True
     for k in range(9):
         for word in itertools.product(range(4), repeat=k):
-            alive = machine.run(word) is not None
+            alive = _read(machine, machine.start, word) is not None
             ok &= alive == (not oracles.reduce_brackets(FIB, word).is_zero)
             exists = any(read_down(sys, s, full[s], word) for s in range(9 - k))
             ok &= exists == alive

@@ -36,7 +36,7 @@ from lgk import (
     is_lambda_synchronizing_system,
     simplicity_prediction,
 )
-from lgk.analysis import _Succession
+from lgk.analysis import _Succession, _is_constant
 from lgk.dyck import state_words
 from lgk.labeled_graph import LabeledGraph, essential_subgraph
 from lgk.subshift import DEFAULT_BUDGET, _Meter
@@ -215,12 +215,16 @@ def test_succession_skips_bridges_below_the_truncation():
 
 
 def test_transitivity_verdicts():
-    assert check_synchronizingly_transitive(golden_mean_spec(), word_len=2).is_yes
-    assert check_synchronizingly_transitive(FullShift(2), word_len=2).is_yes
+    # each system is built at the least depth 2 * word_len + bound allows
+    golden = build_lambda_synchronizing(golden_mean_spec(), 6)
+    assert check_synchronizingly_transitive(golden, word_len=2).is_yes
+    full = build_lambda_synchronizing(FullShift(2), 6)
+    assert check_synchronizingly_transitive(full, word_len=2).is_yes
     assert check_synchronizingly_transitive(
         build_cantor_horizon_dyck(2, 4), word_len=1
     ).is_yes
-    stuck = check_synchronizingly_transitive(even_shift_spec(), word_len=1)
+    even = build_lambda_synchronizing(even_shift_spec(), 4)
+    stuck = check_synchronizingly_transitive(even, word_len=1)
     assert stuck.is_unknown
     assert stuck.witness is not None
 
@@ -261,6 +265,36 @@ def constant_systems(draw):
     cover = essential_subgraph(graph)
     assume(cover.vertices)
     return constant_system(cover, draw(st.integers(1, 5)))
+
+
+@st.composite
+def permuted_collapse_systems(draw):
+    """A graph repeated at every level whose collapse permutes its vertices
+    and is not the identity: every gap repeats the one above it, yet the
+    system is not constant."""
+    n = draw(st.integers(2, 3))
+    mapping = tuple(draw(st.permutations(range(n))))
+    assume(mapping != tuple(range(n)))
+    triples = st.tuples(st.integers(0, n - 1), st.integers(0, 1), st.integers(0, n - 1))
+    layer = tuple(sorted(draw(st.sets(triples, max_size=2 * n))))
+    depth = draw(st.integers(1, 4))
+    return LambdaGraphSystem(
+        alphabet=Alphabet(("a", "b")),
+        levels=(VertexLevel(size=n, tags=("",) * n),) * (depth + 1),
+        edges=(layer,) * depth,
+        iota=(mapping,) * depth,
+    )
+
+
+@given(st.one_of(gap_run_systems(), constant_systems(), permuted_collapse_systems()))
+def test_constancy_matches_a_full_scan(sys):
+    assert _is_constant(sys) == oracles.scan_is_constant(*raw(sys))
+
+
+@given(permuted_collapse_systems())
+def test_a_permuting_collapse_is_not_constant(sys):
+    assert all(sys.repeats[1:])
+    assert not _is_constant(sys)
 
 
 def triple(verdict: Verdict):

@@ -18,6 +18,7 @@ import oracles
 from conftest import FIB
 from lgk import DyckN, MarkovDyck, is_admissible
 from lgk.dyck import BracketMachine, all_ones, state_words, validate_transition_matrix
+from lgk.subshift import _read
 from lgk.system import build_cantor_horizon_markov_dyck, read_down
 
 SWAP = ((0, 1), (1, 0))  # the docstring example: state i only follows 3-i
@@ -48,7 +49,7 @@ def test_machine_agrees_with_reducer():
         machine = BracketMachine(matrix)
         for n in range(7):
             for word in product(range(4), repeat=n):
-                state = machine.run(word)
+                state = _read(machine, machine.start, word)
                 r = oracles.reduce_brackets(matrix, word)
                 assert (state is None) == r.is_zero, word
                 if state is not None:

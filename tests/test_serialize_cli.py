@@ -16,6 +16,7 @@ from conftest import FIB, even_shift_spec, golden_mean_spec
 from lgk.alphabet import Alphabet
 from lgk.cli import main
 from lgk.serialize import (
+    dumps,
     export_dot,
     report_dumps,
     spec_dumps,
@@ -162,10 +163,9 @@ def test_report_payload_shape():
 
 def test_verdict_payloads():
     assert verdict_payload(Verdict.yes()) == {"verdict": "yes"}
-    assert verdict_payload(Verdict.no(witness=(1, 2))) == {
-        "verdict": "no",
-        "witness": [1, 2],
-    }
+    # tuples, nested ones too, are written as JSON lists
+    nested = dumps(verdict_payload(Verdict.no(witness=(1, (2, 3)))))
+    assert json.loads(nested) == {"verdict": "no", "witness": [1, [2, 3]]}
     assert verdict_payload(Verdict.unknown(note="depth")) == {
         "verdict": "unknown",
         "note": "depth",
@@ -510,6 +510,29 @@ def test_cli_malformed_spec_fields_exit_2(tmp_path, payload):
     assert run.returncode == 2
     assert "Traceback" not in run.stderr
     assert run.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("build --spec", '{"kind": "sft", "alphabet": ["0", "1"]}', "missing field 'forbidden'"),
+        (
+            "invariants --system",
+            '{"alphabet": ["a"], "levels": [{"size": 1}], "edges": [], "iota": []}',
+            "missing field 'tags'",
+        ),
+        (
+            "build --spec",
+            '{"kind": "sofic", "alphabet": ["a"], "vertices": ["u"], "edges": [["u", "a", "v"]]}',
+            "edge endpoint 'v' is not a declared vertex",
+        ),
+    ],
+)
+def test_cli_invalid_input_names_what_is_wrong(command, payload, message, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(payload, encoding="utf-8")
+    assert main(command.split() + [str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cli_parser_is_built_once_and_parses_each_call_afresh(capsys):
