@@ -16,18 +16,25 @@ outside it: ι-irreducibility reads each path's word backward with
 `read_up`, once per path and step count rather than once per other
 vertex, and the transitivity check shares one table of bridges per first
 word and of lifted endpoints per second word across all its word pairs.
-On a constant system, condition (I) and the launching search read every
-layer as layer 0 with no length cap; their state sets repeat, so they end.
+The launching search reads words backward too: with R_l(w) the level-l
+vertices from which w can be read, R_l(a w) is the set of a-predecessors
+of R_{l+1}(w) (the predecessor sets of the subset construction), so one
+sweep from the last level up reads each readable set of each level once
+per symbol and serves every start level at once; a vertex v is launched
+when {v} is some R_l(w) with w nonempty.  On a constant system, condition
+(I) and the launching search read every layer as layer 0 with no length
+cap; their state sets repeat, so they end.
 
 The window lemma of :mod:`lgk.system`: a computation that reads only gaps
 l .. l + k - 1 gives at l what it gave at l - 1 when each of those gaps
 repeats the gap above it (`LambdaGraphSystem.repeats`).  The walks of
-condition (I) and of the launching search from level l with length k read
-exactly those gaps, so where the window repeats and k is unchanged they
-are not walked again: condition (I) skips the level, whose walks passed
-one level up, and the launching search reuses the vertices left
-unlaunched and draws the same budget units again, so the meter raises
-after the same unit as a fresh walk would.
+condition (I) from level l with length k, and the readable sets of level
+l up to length k, read exactly those gaps, so where the window repeats
+and k is unchanged they are not computed again: condition (I) skips the
+level, whose walks passed one level up, and the launching sweep hands
+the level the readable sets and unlaunched vertices of the level below
+and draws the same budget units again, so the meter raises after the
+same unit as a sweep that reads every level.
 """
 
 from __future__ import annotations
@@ -232,13 +239,19 @@ def check_iota_irreducible(
     fiber over its endpoint, and the starts it finds in the fiber over u
     are kept; `read_down` distributes over unions of sources, so v has a
     shadow exactly when that set meets the vertices v reaches in as many
-    steps.  The set is computed the first time some v needs it."""
+    steps.  The set is computed the first time some v needs it.
+
+    A path with less room below it than `bound` can only mark its level as
+    partially verified, so once the level is marked such paths are
+    skipped, and a level whose paths are all like that is left."""
     constant = _is_constant(sys)
     partial: set[int] = set()
     for level in range(min(max_level, sys.depth - 2) + 1):
         size = sys.levels[level].size
         # Words are nonempty, so no shadow takes more steps than this.
         most = min(bound, sys.depth - level - 1)
+        # Every path of the level has less room than `bound`.
+        short = most < bound
         # reaches[v][steps]: the vertices v reaches in exactly `steps` steps
         reaches = []
         for v in range(size):
@@ -247,6 +260,8 @@ def check_iota_irreducible(
                 reach.append(_successors(sys, l, reach[-1]))
             reaches.append(reach)
         for u in range(size):
+            if short and level in partial:
+                break
             if not constant:
                 # None of these depends on v: the paths out of u, the vertices
                 # collapsing onto u in each number of steps a shadow may take,
@@ -267,6 +282,8 @@ def check_iota_irreducible(
                     )
                 for index, (word, end) in enumerate(paths):
                     room = sys.depth - level - len(word)
+                    if room < bound and level in partial:
+                        continue
                     if room < 1:
                         # No collapse step fits below the truncation for
                         # this word length; skip rather than fail.
@@ -311,45 +328,70 @@ def check_iota_irreducible(
 # -- launching words and synchronization ---------------------------------
 
 
-def _unseparated_vertices(
-    sys: LambdaGraphSystem, level: int, max_len: Optional[int], meter: _Meter
-) -> set[int]:
-    """Vertices at `level` with no launching word of length <= max_len.
+def _read_back(
+    sys: LambdaGraphSystem,
+    layer: int,
+    below: dict[frozenset[int], int],
+    cap: Optional[int],
+    meter: _Meter,
+) -> tuple[dict[frozenset[int], int], set[int]]:
+    """One step of the backward sweep of readable sets.
 
-    Walks the determinized reader breadth first: a state maps each
-    still-alive origin vertex to where its reading currently stands; an
-    origin left as sole survivor has been launched by the word read so far.
-    With `max_len` None (a constant system) every layer is layer 0 and
-    there is no length cap: the walk runs until no new state appears, which
-    the `visited` set makes finite, or until every vertex is launched.
+    `below` maps each readable set X of the level under `layer` to the
+    least length of a word w with R(w) = X, in nondecreasing order of
+    length; R(w) is the set of vertices from which w can be read, and the
+    whole level is R of the empty word.  Each X shorter than `cap` (None:
+    no cap) is read backward through every symbol a labeling an edge into
+    it, one meter unit per (X, a), giving pred_a(X) = R(a w) at `layer`.
+    Returns the same map for level `layer`, in the same order, and the
+    vertices v with {v} = R(a w) for some X and a: those launched by a word
+    of length at most `cap`.  A singleton counts even when the map already
+    holds it, since the whole level of one vertex is R of the empty word.
     """
-    size = sys.levels[level].size
-    missing = set(range(size))
-    frontier = [tuple((v, frozenset([v])) for v in range(size))]
-    visited = set(frontier)
-    for length in count() if max_len is None else range(max_len):
-        if not (frontier and missing):
+    found = {frozenset(range(sys.levels[layer].size)): 0}
+    launched: set[int] = set()
+    tables = sys.adjacency.pred[layer].values()
+    for ends, length in below.items():
+        if cap is not None and length >= cap:
             break
-        layer = 0 if max_len is None else level + length
-        next_frontier = []
-        for state in frontier:
-            alive = frozenset().union(*(ends for _, ends in state))
-            for a in sorted(_out_symbols(sys, layer, alive)):
-                meter.tick()
-                advanced = tuple(
-                    (v, moved)
-                    for v, ends in state
-                    if (moved := step_down(sys, layer, ends, a))
-                )
-                if not advanced:
-                    continue
-                if len(advanced) == 1:
-                    missing.discard(advanced[0][0])
-                if advanced not in visited:
-                    visited.add(advanced)
-                    next_frontier.append(advanced)
-        frontier = next_frontier
-    return missing
+        for sources in tables:
+            starts = frozenset([s for t in ends if t in sources for s in sources[t]])
+            if not starts:
+                continue
+            meter.tick()
+            if len(starts) == 1:
+                launched |= starts
+            if starts not in found:
+                found[starts] = length + 1
+    return found, launched
+
+
+def _unlaunched(sys: LambdaGraphSystem, search: int, meter: _Meter) -> list[set[int]]:
+    """The vertices of each level l < L with no launching word of length at
+    most min(search, L - l), found by one backward sweep from level L up.
+
+    The map of level l reads gaps l .. l + cap - 1 for its cap
+    min(search, L - l), so where the level below has the same cap and its
+    window repeats, the window lemma gives level l the map, the unlaunched
+    vertices and the meter units of the level below, and the units are
+    drawn again: the meter raises after the same unit as a sweep that
+    reads every level."""
+    bottom = sys.depth
+    found = {frozenset(range(sys.levels[bottom].size)): 0}
+    unlaunched: list[set[int]] = []  # from level L - 1 up
+    cap_below = units = 0
+    for level in range(bottom - 1, -1, -1):
+        cap = min(search, bottom - level)
+        if cap == cap_below and window_repeats(sys.repeats, level + 1, cap):
+            meter.tick(units)
+        else:
+            before = meter.used
+            found, launched = _read_back(sys, level, found, cap, meter)
+            units = meter.used - before
+            missing = set(range(sys.levels[level].size)) - launched
+        unlaunched.append(missing)
+        cap_below = cap
+    return unlaunched[::-1]
 
 
 def is_lambda_synchronizing_system(
@@ -359,7 +401,7 @@ def is_lambda_synchronizing_system(
 ) -> Verdict:
     """Does every vertex launch some word, readable from it and from no
     sibling?  Word lengths up to `depth` (default: half the truncation) are
-    searched with the determinized reader automaton.
+    searched by one backward sweep of readable sets (:func:`_read_back`).
 
     Launching words legitimately grow with the level (a level-l vertex may
     need a length-l word), so only levels up to min(depth, L - depth) are
@@ -367,16 +409,23 @@ def is_lambda_synchronizing_system(
     below, and the candidate lengths fit the search.  Misses on deeper
     levels are reported in the note rather than degrading the verdict,
     since their launching words may simply not fit the truncation.
-    Constant systems are decided exactly: the uncapped walk exhausts the
-    reader-state closure of the repeated graph.  A `depth` outside
-    1 .. L is a ValueError: no level would have to pass.
+    Constant systems are decided exactly: the same sweep reads layer 0
+    with no length cap until no new readable set appears, which exhausts
+    the readable sets of the repeated graph.  A `depth` outside 1 .. L is
+    a ValueError: no level would have to pass.
     """
     if depth is not None and not (1 <= depth <= sys.depth):
         raise ValueError(f"depth must be between 1 and {sys.depth}")
     meter = _Meter(budget)
     try:
         if _is_constant(sys):
-            missing = _unseparated_vertices(sys, 0, None, meter)
+            found: dict[frozenset[int], int] = {frozenset(range(sys.levels[0].size)): 0}
+            while True:
+                grown, launched = _read_back(sys, 0, found, None, meter)
+                if grown.keys() == found.keys():
+                    break
+                found = grown
+            missing = set(range(sys.levels[0].size)) - launched
             if not missing:
                 return Verdict.yes()
             vertex = min(missing)
@@ -389,32 +438,23 @@ def is_lambda_synchronizing_system(
             )
         if depth is None:
             depth = max(1, sys.depth // 2)
-        unverified: list[tuple[int, int]] = []
-        walked: Optional[tuple[int, set[int], int]] = None  # length, missing, units
-        for level in range(sys.depth):
-            room = sys.depth - level
-            length = min(depth, room)
-            if walked is not None and walked[0] == length and window_repeats(sys.repeats, level, length):
-                _, missing, units = walked
-                meter.tick(units)
-            else:
-                before = meter.used
-                missing = _unseparated_vertices(sys, level, length, meter)
-                walked = (length, missing, meter.used - before)
-            if not missing:
-                continue
-            vertex = min(missing)
-            if level <= min(depth, sys.depth - depth):
-                return Verdict.unknown(
-                    witness=(level, vertex),
-                    note=(
-                        f"no word of length <= {length} is readable "
-                        f"from vertex {vertex} at level {level} alone"
-                    ),
-                )
-            unverified.append((level, vertex))
+        unlaunched = _unlaunched(sys, depth, meter)
     except BudgetExceeded as exc:
         return Verdict.unknown(note=str(exc))
+    unverified: list[tuple[int, int]] = []
+    for level, missing in enumerate(unlaunched):
+        if not missing:
+            continue
+        vertex = min(missing)
+        if level <= min(depth, sys.depth - depth):
+            return Verdict.unknown(
+                witness=(level, vertex),
+                note=(
+                    f"no word of length <= {min(depth, sys.depth - level)} is readable "
+                    f"from vertex {vertex} at level {level} alone"
+                ),
+            )
+        unverified.append((level, vertex))
     if unverified:
         levels = sorted({l for l, _ in unverified})
         return Verdict.yes(

@@ -53,7 +53,9 @@ def _budget(args: argparse.Namespace, depth: int) -> Budget:
     return Budget(max_words=words, max_depth=max(DEFAULT_BUDGET.max_depth, depth))
 
 
-def _read_spec(path: str) -> SubshiftSpec:
+def _read_spec(path: Optional[str]) -> SubshiftSpec:
+    if not path:
+        raise ValueError("provide --spec")
     with open(path, "r", encoding="utf-8") as fh:
         return spec_loads(fh.read())
 
@@ -81,7 +83,7 @@ def _built_system(args: argparse.Namespace) -> LambdaGraphSystem:
         sys = _read_system(args.system)
         _budget(args, sys.depth)
         return sys
-    if not getattr(args, "spec", None):
+    if "system" in vars(args) and not args.spec:  # build has no --system flag
         raise ValueError("provide --spec or --system")
     spec = _read_spec(args.spec)
     return build_lambda_synchronizing(spec, args.depth, budget=_budget(args, args.depth))

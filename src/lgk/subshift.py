@@ -51,8 +51,8 @@ class Budget:
     `max_words` caps the units one search draws: one per candidate word a
     :class:`CandidateTable` enumerates, one per product state the census
     of an expanded bracket shift visits, and, in :mod:`lgk.analysis`, one
-    per symbol the launching search reads from a reader state and one per
-    bridge the transitivity search tries for a word pair.
+    per (readable set, symbol) the launching search reads backward and one
+    per bridge the transitivity search tries for a word pair.
     """
 
     max_words: int = 1_000_000

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .alphabet import Alphabet, Word, bracket_alphabet
@@ -102,6 +103,26 @@ class Adjacency:
     out: tuple[dict[int, dict[int, list[int]]], ...]
     into: tuple[dict[int, list[tuple[int, int]]], ...]
     fiber: tuple[dict[int, list[int]], ...]
+
+    # Only the backward reads need it, so it is regrouped from `into` on
+    # first use rather than built with the other tables.
+    @cached_property
+    def pred(self) -> tuple[dict[int, dict[int, list[int]]], ...]:
+        """`pred[l][a][t]` lists the sources of the `a`-edges entering t in
+        edge layer l, ascending; each layer lists its symbols ascending, and
+        a symbol without edges in the layer has no entry.  A layer that
+        shares the `into` table of the layer above shares its table too."""
+        tables: list[dict[int, dict[int, list[int]]]] = []
+        for l, into in enumerate(self.into):
+            if l and into is self.into[l - 1]:
+                tables.append(tables[-1])
+                continue
+            by_symbol: dict[int, dict[int, list[int]]] = {}
+            for t, pairs in into.items():
+                for a, s in pairs:
+                    by_symbol.setdefault(a, {}).setdefault(t, []).append(s)
+            tables.append({a: by_symbol[a] for a in sorted(by_symbol)})
+        return tuple(tables)
 
 
 @dataclass(frozen=True)
@@ -237,8 +258,8 @@ def read_up(sys: LambdaGraphSystem, level: int, targets: frozenset[int], word: W
         raise ValueError(f"word of length {len(word)} does not fit below level {level}")
     current = targets
     for offset in range(len(word) - 1, -1, -1):
-        into, symbol = sys.adjacency.into[level + offset], word[offset]
-        current = frozenset(s for t in current for a, s in into.get(t, ()) if a == symbol)
+        sources = sys.adjacency.pred[level + offset].get(word[offset], {})
+        current = frozenset([s for t in current if t in sources for s in sources[t]])
         if not current:
             break
     return current
@@ -361,9 +382,21 @@ def verify_predecessor_separated(sys: LambdaGraphSystem) -> Verdict:
     """Distinct vertices at levels >= 1 have distinct predecessor-word sets.
 
     Classes are refined level by level by :func:`_predecessor_ranks`, up to
-    the first clash.
+    the first clash, and no further than the first level l >= 1 from which
+    every gap repeats the gap above it: if levels 1 .. l have no clash, no
+    level below has one.  For l >= 2, levels l - 1 and l have one size and
+    every vertex alone in its class, so the gap into l maps that partition
+    onto itself (renaming ranks maps keys one to one), and every later gap
+    is that gap again.  For l = 1 every gap is gap 0; level 1's partition
+    refines level 0's, and a gap maps finer partitions to finer ones, so
+    level 2's refines level 1's, which has every vertex alone already, and
+    so on down.  The ranks themselves may alternate: on the even shift's
+    quotient they are [1, 0] and [0, 1] on alternate levels.
     """
-    clash = _first_clash(_predecessor_ranks(sys.sizes, sys.edges))
+    tail = sys.depth  # gaps tail .. depth - 1 each repeat the gap above
+    while tail > 0 and sys.repeats[tail - 1]:
+        tail -= 1
+    clash = _first_clash(islice(_predecessor_ranks(sys.sizes, sys.edges), max(tail, 1) + 1))
     if clash is None:
         return Verdict.yes()
     level, first, second = clash
@@ -427,17 +460,25 @@ def verify_label_iota_compatible(sys: LambdaGraphSystem) -> Verdict:
 def local_tallies(sys: LambdaGraphSystem, l: int) -> Iterator[tuple[int, dict, dict]]:
     """Each vertex v of level l + 1 (1 <= l < depth) with the labels of the
     layer-l edges into v by the collapse of their source, and of the
-    layer-(l - 1) edges into iota_l(v) by source; ascending source, then symbol."""
+    layer-(l - 1) edges into iota_l(v) by source; ascending source, then symbol.
+
+    The second tally depends on the image only, so it is made once per
+    image and the vertices of one fiber share it; callers must not mutate
+    it."""
     into, iota = sys.adjacency.into, sys.iota
+    tallies: dict[int, dict[int, list[int]]] = {}
     for v in range(sys.levels[l + 1].size):
         incoming: dict[int, list[int]] = {}
         for a, s in into[l].get(v, ()):
             incoming.setdefault(iota[l - 1][s], []).append(a)
-        # ascending u, then symbol: the order of u's decides which failure is named
-        outgoing: dict[int, list[int]] = {}
-        for a, u in into[l - 1].get(iota[l][v], ()):
-            outgoing.setdefault(u, []).append(a)
-        yield v, incoming, outgoing
+        image = iota[l][v]
+        if image not in tallies:
+            # ascending u, then symbol: the order of u's decides which failure is named
+            outgoing: dict[int, list[int]] = {}
+            for a, u in into[l - 1].get(image, ()):
+                outgoing.setdefault(u, []).append(a)
+            tallies[image] = outgoing
+        yield v, incoming, tallies[image]
 
 
 def verify_local_property(sys: LambdaGraphSystem) -> Verdict:

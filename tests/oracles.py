@@ -968,21 +968,22 @@ def reference_launching(sizes, edges, iota, depth=None):
     def unseparated(level, max_len):
         missing = set(range(sizes[level]))
         frontier = [tuple((v, frozenset([v])) for v in range(sizes[level]))]
-        visited = set(frontier)
         for length in range(1, max_len + 1):
             if not missing:
                 break
             layer = level + length - 1
-            next_frontier = []
+            # A state is deduplicated among states of its own length only:
+            # the same numbers at another length name vertices of another
+            # level.
+            next_frontier = {}
             for state in frontier:
                 for a in sorted(scan_out_symbols(edges, layer, _alive(state))):
                     advanced = _advance(edges, layer, state, a)
                     if len(advanced) == 1:
                         missing.discard(advanced[0][0])
-                    if advanced and advanced not in visited:
-                        visited.add(advanced)
-                        next_frontier.append(advanced)
-            frontier = next_frontier
+                    if advanced:
+                        next_frontier[advanced] = None
+            frontier = list(next_frontier)
         return missing
 
     if depth is None:

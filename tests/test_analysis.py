@@ -14,7 +14,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import FIB, constant_system, even_shift_spec, golden_mean_spec, unshared
+from conftest import FIB, constant_system, even_shift_graph, even_shift_spec, golden_mean_spec, unshared
 from test_walkers import BUILT, gap_run_systems, random_systems, raw
 from lgk import (
     Alphabet,
@@ -178,6 +178,50 @@ def test_launching_search_replays_the_budget_of_a_shared_tail():
     with unshared():
         sys = build_lambda_synchronizing(spec, 18, budget=Budget(max_depth=18))
         assert [search(u) for u in budgets] == shared
+
+
+@pytest.mark.parametrize(
+    "sys, units",
+    [
+        (build_cantor_horizon_dyck(2, 6), 90),
+        # closure {V}, {u}, {w} of the even shift's cover: 2 + 4 + 5 units
+        (constant_system(even_shift_graph(), 4), 11),
+    ],
+    ids=["dyck2-depth6", "constant-even-cover"],
+)
+def test_launching_budget_counts_sets_read_backward(sys, units):
+    # One unit is one (readable set, symbol) read backward.
+    assert is_lambda_synchronizing_system(sys, budget=Budget(max_words=units)).is_yes
+    short = is_lambda_synchronizing_system(sys, budget=Budget(max_words=units - 1))
+    assert triple(short) == ("unknown", None, f"budget exhausted after {units} units")
+
+
+def test_a_launching_word_through_a_look_alike_reader_state_is_found():
+    # Reading b from level 0 sends each vertex to the vertex of its own
+    # number at level 1.  A forward reader walk that deduplicated its states
+    # across lengths took that state for its start state, read no further,
+    # and said vertex 0 launched no word of length <= 2; b b and b a launch
+    # vertices 0 and 1.
+    two = VertexLevel(2, ("", ""))
+    sys = LambdaGraphSystem(
+        alphabet=Alphabet(("a", "b")),
+        levels=(two,) * 3,
+        edges=(((0, 1, 0), (1, 1, 1)), ((0, 1, 0), (1, 0, 1))),
+        iota=((0, 1), (0, 1)),
+    )
+    assert readers(sys, (1, 1), 0) == [0]
+    assert readers(sys, (1, 0), 0) == [1]
+    assert triple(is_lambda_synchronizing_system(sys, 2)) == ("yes", None, "")
+    assert oracles.reference_launching(*raw(sys), 2) == ("yes", None, "")
+
+
+def test_iota_irreducibility_of_dyck3_matches_the_reference():
+    # At depth 5 every path out of level 2 has less room than the bound, so
+    # once the level is marked partial the rest of it is skipped.
+    sys = build_cantor_horizon_dyck(3, 5)
+    expected = oracles.reference_iota_irreducible(*raw(sys), sys.alphabet.names, 3, 2, 2)
+    assert expected == ("yes", None, "levels [2] verified only for the word lengths that fit the truncation")
+    assert triple(check_iota_irreducible(sys)) == expected
 
 
 def bridge(sys, first, second, bound):

@@ -535,6 +535,27 @@ def test_cli_invalid_input_names_what_is_wrong(command, payload, message, tmp_pa
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["flowcheck", "--expand", "a1"], "provide --spec"),
+        (["build"], "provide --spec"),
+        (["verify"], "provide --spec or --system"),
+    ],
+)
+def test_cli_without_an_input_names_the_flags_it_has(argv, message):
+    # build and flowcheck read specs only, so they do not offer --system
+    run = subprocess.run(
+        [_sys.executable, "-m", "lgk.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SPECS.parent / "src")},
+    )
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert run.stderr == f"error: {message}\n"
+
+
 def test_cli_parser_is_built_once_and_parses_each_call_afresh(capsys):
     from lgk.cli import _build_parser
 

@@ -137,6 +137,22 @@ def test_unseparated_cover_detected():
         canonical_form(sys)
 
 
+def test_predecessor_separation_ranks_the_first_level_of_a_repeated_tail():
+    # Gaps 1 .. 3 repeat one another, so ranking stops at level 2, the
+    # first level of that tail; the clash there must still be found.
+    one, two = VertexLevel(1, ("",)), VertexLevel(2, ("", ""))
+    split = ((0, 0, 0), (0, 1, 1))  # level 1: in-label a or b
+    merge = ((0, 0, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1))  # a from 0 and b from 1 into both
+    sys = LambdaGraphSystem(
+        alphabet=Alphabet(("a", "b")),
+        levels=(one,) + (two,) * 4,
+        edges=(split,) + (merge,) * 3,
+        iota=((0, 0),) + ((0, 1),) * 3,
+    )
+    assert sys.repeats == (False, False, True, True)
+    assert verify_predecessor_separated(sys).witness == (2, 0, 1)
+
+
 def test_canonical_form_idempotent():
     for sys in (
         build_lambda_synchronizing(golden_mean_spec(), 4),
