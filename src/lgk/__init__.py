@@ -46,7 +46,6 @@ from .subshift import (
     SoficGraph,
     SubshiftSpec,
     is_admissible,
-    synchronizing_classes,
 )
 from .system import (
     ConstructionError,

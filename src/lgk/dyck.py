@@ -59,13 +59,11 @@ def validate_transition_matrix(matrix: Matrix01) -> None:
 
 
 class BracketMachine:
-    """Incremental reducer; states are (support, opens, close_count).
+    """Incremental reducer; states are (support, opens).
 
-    close_count counts unmatched closes emitted so far: reading the word
-    after any length-l past, at most l pending opens of the past exist and
-    each emitted close consumes one while any remain, so a word with
-    close_count >= l behaves identically after every admissible length-l
-    past.  That is the synchronization criterion used elsewhere.
+    The unmatched closes read so far never decide whether a later symbol
+    reads, so a state keeps only the support they leave and the pending
+    opens.
     """
 
     def __init__(self, matrix: Matrix01):
@@ -76,61 +74,39 @@ class BracketMachine:
         self.full = frozenset(range(self.n))
 
     @property
-    def start(self) -> tuple[frozenset[int], Word, int]:
-        return (self.full, (), 0)
+    def start(self) -> tuple[frozenset[int], Word]:
+        return (self.full, ())
 
     def step(
-        self, state: tuple[frozenset[int], Word, int], symbol: int
-    ) -> tuple[frozenset[int], Word, int] | None:
+        self, state: tuple[frozenset[int], Word], symbol: int
+    ) -> tuple[frozenset[int], Word] | None:
         """Apply one symbol; None means the word is zero."""
-        support, opens, emitted = state
+        support, opens = state
         n = self.n
         if symbol < n:  # opening bracket
             i = symbol
             if opens:
                 if not self.matrix[i][opens[-1]]:
                     return None
-                return (support, opens + (i,), emitted)
+                return (support, opens + (i,))
             s = support & self.rows[i]
             if not s:
                 return None
-            return (s, (i,), emitted)
+            return (s, (i,))
         j = symbol - n  # closing bracket
         if opens:
             if opens[-1] != j:
                 return None
             rest = opens[:-1]
             if rest:
-                return (support, rest, emitted)
+                return (support, rest)
             s = support & self.rows[j]
             if not s:
                 return None
-            return (s, (), emitted)
+            return (s, ())
         if j not in support:
             return None
-        return (self.rows[j], (), emitted + 1)
-
-    @staticmethod
-    def emitted(state: tuple[frozenset[int], Word, int]) -> int:
-        """Unmatched closes read so far (the close_count of `state`)."""
-        return state[2]
-
-    @staticmethod
-    def clip(
-        state: tuple[frozenset[int], Word, int], cap: int
-    ) -> tuple[frozenset[int], Word, int]:
-        """`state` with its close_count lowered to at most `cap`.
-
-        `step` only copies or increments close_count and never branches on
-        it.  So for every word u, reading u from `state` and from its clip
-        dies at the same symbol, and otherwise ends in states that differ
-        only in close_count; and emitted(state·u) = emitted(state) + f(u),
-        where f(u) depends on the support and opens alone.  Hence
-        min(emitted, cap) commutes with `step`:
-        clip(step(clip(s, cap), x), cap) = clip(step(s, x), cap).
-        """
-        support, opens, emitted = state
-        return state if emitted <= cap else (support, opens, cap)
+        return (self.rows[j], ())
 
 
 def state_words(matrix: Matrix01, length: int) -> list[Word]:

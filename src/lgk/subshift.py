@@ -1,4 +1,4 @@
-"""Subshift specifications, their language and the class census.
+"""Subshift specifications and their language.
 
 Six spec kinds and two presentations.  Shifts of finite type (forbidden
 words), sofic shifts (labeled covers) and full shifts are presented by one
@@ -7,34 +7,22 @@ B(X).  Dyck and Markov-Dyck bracket shifts and their symbol expansions are
 read by a prefix-incremental bracket stepper.  `is_admissible(spec, word)`,
 membership in the factor language B(X), branches once on the presentation.
 
-`synchronizing_classes(spec, level)` is the census of a bracket spec: the
-past-equivalence classes of its level-`level` synchronizing words, each
-with a canonical representative and a fingerprint of its predecessor set.
-A spec with a cover needs no census; its λ-synchronizing system is the
-past-equivalence quotient of the cover (see :mod:`lgk.system`).
-
-The census honours a :class:`Budget`.  Its :class:`CandidateTable` draws
-one unit per candidate word it enumerates, and the census of an expanded
-bracket shift draws one unit per product state its walk visits
-(:func:`_expanded_class_reps`).  Exceeding the budget raises
-:class:`BudgetExceeded`, never a wrong answer.
+No spec is built by enumerating words: a spec with a cover is the past
+quotient of its cover, and a bracket spec, expanded or not, builds from
+its state words (see :mod:`lgk.system`).  So no build draws from a
+:class:`Budget`; the searches of :mod:`lgk.analysis` do, and exceeding
+the budget raises :class:`BudgetExceeded`, never a wrong answer.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Union
+from typing import Union
 
 from .alphabet import Alphabet, Word, bracket_alphabet
-from .dyck import (
-    BracketMachine,
-    Matrix01,
-    all_ones,
-    state_words,
-    validate_transition_matrix,
-)
+from .dyck import BracketMachine, Matrix01, all_ones, validate_transition_matrix
 from .labeled_graph import (
     LabeledGraph,
     essential_subgraph,
@@ -48,11 +36,11 @@ from .labeled_graph import (
 class Budget:
     """Caps for enumerative searches.
 
-    `max_words` caps the units one search draws: one per candidate word a
-    :class:`CandidateTable` enumerates, one per product state the census
-    of an expanded bracket shift visits, and, in :mod:`lgk.analysis`, one
-    per (readable set, symbol) the launching search reads backward and one
-    per bridge the transitivity search tries for a word pair.
+    `max_words` caps the units one search of :mod:`lgk.analysis` draws:
+    one per (readable set, symbol) the launching search reads backward and
+    one per bridge the transitivity search tries for a word pair.  No
+    system build draws units, expanded bracket shifts included; a build
+    reads only `max_depth`.
     """
 
     max_words: int = 1_000_000
@@ -310,7 +298,6 @@ class _ExpandedStepper:
     """
 
     def __init__(self, spec: Expanded):
-        self.spec = spec
         self.base = _machine(spec.base.matrix)
         self.fresh = spec.fresh
         self.target = spec.target
@@ -344,20 +331,6 @@ class _ExpandedStepper:
             return None
         return (nxt, False, False)
 
-    def emitted(self, state) -> int:
-        return self.base.emitted(state[0])
-
-    def clip(self, state, cap: int):
-        """`state` with the base close count lowered to at most `cap`.
-
-        `step` hands the count to the base machine and branches only on the
-        other components, so :meth:`BracketMachine.clip`'s lemma holds
-        here too: a read from the clip dies exactly when the read from
-        `state` does, and min(emitted, cap) commutes with `step`.
-        """
-        base_state, expecting, at_start = state
-        return (self.base.clip(base_state, cap), expecting, at_start)
-
 
 def _stepper(spec: SubshiftSpec):
     if isinstance(spec, Expanded):
@@ -381,7 +354,7 @@ def _in_alphabet(spec: SubshiftSpec, word: Word) -> bool:
     return all(0 <= sym < k for sym in word)
 
 
-# -- admissibility and candidate tables ---------------------------------
+# -- admissibility --------------------------------------------------------
 
 
 def is_admissible(spec: SubshiftSpec, word: Word) -> bool:
@@ -393,215 +366,3 @@ def is_admissible(spec: SubshiftSpec, word: Word) -> bool:
         return False
     st = _stepper(spec)
     return _read(st, st.start, word) is not None
-
-
-def _stepper_words(spec: SubshiftSpec, length: int, meter: _Meter) -> Iterator[tuple[Word, object]]:
-    """Admissible words of `length` with the stepper state each ends in."""
-    st = _stepper(spec)
-    k = len(spec.alphabet)
-
-    def go(state, word: Word) -> Iterator[tuple[Word, object]]:
-        if len(word) == length:
-            meter.tick()
-            yield word, state
-            return
-        for sym in range(k):
-            nxt = st.step(state, sym)
-            if nxt is not None:
-                yield from go(nxt, word + (sym,))
-
-    yield from go(st.start, ())
-
-
-class CandidateTable:
-    """The admissible length-`level` words of a bracket spec, grouped by the
-    stepper state each one ends in.
-
-    A candidate v precedes a word w (v·w admissible) exactly when w reads on
-    from v's end state.  So w's length-`level` predecessor set is the union
-    of the groups whose end states accept w, and w's *key* is the frozenset
-    of the ids (positions in `states`) of those end states.  Every group is
-    nonempty, and the groups are pairwise disjoint because each candidate
-    ends in exactly one state; hence distinct keys give distinct unions, and
-    two words have equal predecessor sets exactly when their keys are equal.
-
-    Building draws one unit per candidate from a fresh meter, so a budget
-    too small for the candidates runs out here.  A `key` lookup draws
-    nothing.  A table is built per census or per system build and is never
-    cached.
-    """
-
-    def __init__(self, spec: SubshiftSpec, level: int, budget: Budget = DEFAULT_BUDGET):
-        self.spec = spec
-        self.level = level
-        self._stepper = _stepper(spec)
-        groups: dict[object, list[Word]] = {}
-        for word, state in _stepper_words(spec, level, _Meter(budget)):
-            groups.setdefault(state, []).append(word)
-        self.states = tuple(groups)
-        self.groups = tuple(groups.values())
-
-    def key(self, word: Word) -> frozenset[int]:
-        """Ids of the end states from which `word` reads on."""
-        if not _in_alphabet(self.spec, word):
-            return frozenset()
-        st = self._stepper
-        return frozenset(
-            i for i, state in enumerate(self.states) if _read(st, state, word) is not None
-        )
-
-# -- synchronizing classes ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class SyncClass:
-    """A past-equivalence class of level-`level` synchronizing words of a
-    bracket spec.
-
-    `fingerprint` is the representative's key in the level's
-    :class:`CandidateTable`: the ids of the candidate end states from which
-    the representative reads on, which stand for its predecessor set and
-    identify the class among the classes of its level.
-    """
-
-    level: int
-    representative: Word
-    fingerprint: frozenset = field(repr=False)
-
-
-def synchronizing_classes(
-    spec: SubshiftSpec,
-    level: int,
-    budget: Budget = DEFAULT_BUDGET,
-    *,
-    _table: CandidateTable | None = None,
-) -> list[SyncClass]:
-    """All past-equivalence classes of level-`level` synchronizing words of
-    a Dyck, Markov-Dyck or expanded bracket spec.
-
-    Classes are ordered by (length, lexicographic) of their canonical
-    representative and keyed in a :class:`CandidateTable` of length-`level`
-    candidates; a system build passes the table it also looks its edges up
-    in as `_table`, so each level's candidates are enumerated once per
-    build.  A spec with a cover has no census (its system is the past
-    quotient of the cover) and raises TypeError.
-    """
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    table = CandidateTable(spec, level, budget) if _table is None else _table
-    if level == 0:
-        # the one length-0 candidate, (), ends in the start state, id 0,
-        # from which every admissible word reads on
-        return [SyncClass(0, (), frozenset({0}))]
-    if isinstance(spec, Expanded):
-        keyed = _expanded_class_reps(spec, table, budget)
-    else:
-        keyed = {}
-        for x in state_words(spec.matrix, level):
-            rep = tuple(spec.n + j for j in x)
-            keyed.setdefault(table.key(rep), rep)
-    out = [SyncClass(level, rep, key) for key, rep in keyed.items()]
-    out.sort(key=lambda c: (len(c.representative), c.representative))
-    return out
-
-
-class _ClippedStates:
-    """Stepper states clipped to `cap` unmatched closes, interned to ints.
-
-    Each id's transition row is filled lazily, with one `step` call per
-    (state, symbol); -1 stands for a read that dies.  Clipping after every
-    step is exact by the clip lemma (:meth:`BracketMachine.clip`).
-    """
-
-    _UNSET = -2
-
-    def __init__(self, st, cap: int, k: int):
-        self._st = st
-        self._cap = cap
-        self._k = k
-        self._ids: dict[object, int] = {}
-        self.states: list = []
-        self._next: list[int] = []  # id i's row is _next[i*k : (i+1)*k]
-        self._unset_row = [self._UNSET] * k
-
-    def intern(self, state) -> int:
-        state = self._st.clip(state, self._cap)
-        i = self._ids.get(state)
-        if i is None:
-            i = self._ids[state] = len(self.states)
-            self.states.append(state)
-            self._next += self._unset_row
-        return i
-
-    def step(self, i: int, symbol: int) -> int:
-        at = i * self._k + symbol
-        j = self._next[at]
-        if j == self._UNSET:
-            nxt = self._st.step(self.states[i], symbol)
-            j = self._next[at] = -1 if nxt is None else self.intern(nxt)
-        return j
-
-
-def _expanded_class_reps(
-    spec: Expanded, table: CandidateTable, budget: Budget
-) -> dict[frozenset[int], Word]:
-    """Class representatives of an expanded bracket shift, by key in `table`.
-
-    Every class of level-`level` synchronizing words is reached by a word
-    ending at its level-th unmatched close; with each close optionally
-    preceded by the fresh marker plus one optional trailing marker, length
-    2*level+1 suffices.  Each key keeps its (length, lexicographic) least
-    word, the canonical representative, and keys are inserted in the order
-    of those words.
-
-    The walk runs over *product states*, not words.  A word's product state
-    is its stepper state from the start, with the close count clipped to
-    `level`, together with the state it reaches from each end state in
-    `table.states`, clipped to count 0 (-1 once that read dies).  By the
-    clip lemma the word's key (the end states whose reads live) and whether
-    it synchronizes (emitted >= level) are functions of its product state,
-    and so is the product state of every extension.
-
-    Breadth first by length, each product state is visited once, with the
-    first word that reaches it.  Parents are expanded in the order they
-    were reached and symbols in increasing order, so new words come in
-    (length, lexicographic) order.  The first word is the least: let u·a
-    be the least word of its product state Q and u' the least word of u's
-    product state P.  Then u'·a reaches Q too and is no greater, so
-    u' = u; P was visited with u, and its expansion reached Q first
-    through u·a.  Two words with one product state have the same key and
-    extensions, so dropping the later word loses no class.  Hence the dict
-    equals that of keying every word of length 1..2*level+1 in (length,
-    lexicographic) order, keys and insertion order included.
-
-    Draws one unit from the budget per product state visited.
-    """
-    level = table.level
-    meter = _Meter(budget)
-    st = _stepper(spec)
-    k = len(spec.alphabet)
-    heads = _ClippedStates(st, level, k)
-    reads = _ClippedStates(st, 0, k)
-    root = (heads.intern(st.start), tuple(reads.intern(s) for s in table.states))
-    seen = {root}
-    frontier = [(root, ())]
-    keyed: dict[frozenset[int], Word] = {}
-    for _ in range(2 * level + 1):
-        reached = []
-        for (head, ends), word in frontier:
-            for sym in range(k):
-                nxt = heads.step(head, sym)
-                if nxt < 0:
-                    continue
-                product = (nxt, tuple(r if r < 0 else reads.step(r, sym) for r in ends))
-                if product in seen:
-                    continue
-                meter.tick()
-                seen.add(product)
-                w = word + (sym,)
-                reached.append((product, w))
-                if st.emitted(heads.states[nxt]) >= level:
-                    key = frozenset(i for i, r in enumerate(product[1]) if r >= 0)
-                    keyed.setdefault(key, w)
-        frontier = reached
-    return keyed

@@ -16,8 +16,9 @@ Builders:
 * :func:`build_lambda_synchronizing` constructs the canonical system of a
   subshift, dispatching once on its presentation: a cover (SFT, sofic and
   full shifts) is collapsed by past equivalence, Dyck and Markov-Dyck
-  shifts take the Cantor-horizon builder, and expanded bracket shifts
-  take the census of past-equivalence classes of synchronizing words.
+  shifts take the Cantor-horizon builder, and their expansions take it
+  with a target: the past quotient of the left interfaces of their
+  synchronizing words.
 
 :func:`canonical_form` renames every vertex by its predecessor structure,
 giving a byte-stable normal form used for isomorphism checks.
@@ -45,17 +46,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .alphabet import Alphabet, Word, bracket_alphabet
 from .dyck import Matrix01, all_ones, state_words, validate_transition_matrix
+from .flow import ExpansionPlan, expand_word
 from .labeled_graph import LabeledGraph
-from .subshift import (
-    DEFAULT_BUDGET,
-    Budget,
-    CandidateTable,
-    DyckN,
-    MarkovDyck,
-    SubshiftSpec,
-    cover,
-    synchronizing_classes,
-)
+from .subshift import DEFAULT_BUDGET, Budget, DyckN, MarkovDyck, SubshiftSpec, cover
 from .verdict import Verdict
 
 
@@ -487,13 +480,14 @@ def verify_local_property(sys: LambdaGraphSystem) -> Verdict:
     For u two levels above v's level, the labels of edges into v whose
     sources collapse to u must agree, with multiplicity, with the labels of
     edges from u into the collapse image of v (:func:`local_tallies`).
-    Level l reads gaps l - 1 and l.
+    Level l reads gaps l - 1 and l.  The witness names the least failing u
+    of the first failing v, whatever order the tallies were filled in.
     """
     for l in range(1, sys.depth):
         if window_repeats(sys.repeats, l - 1, 2):
             continue
         for v, incoming, outgoing in local_tallies(sys, l):
-            for u in set(incoming) | set(outgoing):
+            for u in sorted(set(incoming) | set(outgoing)):
                 have = sorted(incoming.get(u, []))
                 want = sorted(outgoing.get(u, []))
                 if have != want:
@@ -548,8 +542,12 @@ def verify_all(sys: LambdaGraphSystem) -> dict[str, Verdict]:
 # -- builders ------------------------------------------------------------
 
 
-def build_cantor_horizon_markov_dyck(matrix: Matrix01, depth: int) -> LambdaGraphSystem:
-    """Cantor-horizon system of the bracket shift of a 0-1 matrix.
+def build_cantor_horizon_markov_dyck(
+    matrix: Matrix01, depth: int, target: Optional[int] = None, fresh_name: str = "e"
+) -> LambdaGraphSystem:
+    """Cantor-horizon system of the bracket shift of a 0-1 matrix, or, given
+    a `target` symbol, of its expansion target -> fresh·target, the fresh
+    symbol named `fresh_name` (:func:`_interface_system`).
 
     Level-l vertices are the matrix-admissible state words of length l.  An
     opening symbol prepends its index to the state; a closing symbol pops
@@ -562,6 +560,11 @@ def build_cantor_horizon_markov_dyck(matrix: Matrix01, depth: int) -> LambdaGrap
     n = len(matrix)
     alphabet = bracket_alphabet(n)
     words = [state_words(matrix, l) for l in range(depth + 1)]
+    if target is not None:
+        if not 0 <= target < 2 * n:
+            raise ValueError("expansion target out of alphabet range")
+        plan = ExpansionPlan(target=target, fresh=2 * n, fresh_name=fresh_name)
+        return _interface_system(matrix, words, plan, alphabet.extend(fresh_name))
     index = [{w: i for i, w in enumerate(level)} for level in words]
     levels = tuple(
         VertexLevel(
@@ -587,6 +590,95 @@ def build_cantor_horizon_markov_dyck(matrix: Matrix01, depth: int) -> LambdaGrap
     return LambdaGraphSystem(
         alphabet=alphabet,
         levels=levels,
+        edges=tuple(edges),
+        iota=tuple(iota),
+    )
+
+
+def _interface_system(
+    matrix: Matrix01, words: list[list[Word]], plan: ExpansionPlan, alphabet: Alphabet
+) -> LambdaGraphSystem:
+    """System of the expansion `plan` of a bracket shift, the quotient of its
+    left interfaces by past equivalence.
+
+    A level-l synchronizing word w of the expansion is fixed, up to its
+    past, by its *interface* (c, flag): c is the state word of its first l
+    unmatched closes, and `flag` says that w begins with a bare target,
+    which needs the fresh symbol to its left.  A flagged interface needs
+    the target to read on into c: A(t, c_1) = 1 for an open target a_t (the
+    support its cancelled pair a_t b_t leaves), c_1 = t for a close target
+    b_t.  The x-edge into an interface leaves the interface of x·w, clipped
+    to l.  Into (y, False) these are the horizon edges, whose source is
+    flagged exactly when x is the target; into (y, True) reads only the
+    fresh symbol, from (y[:l], False).  The collapse drops the last index
+    and keeps the flag.
+
+    Distinct interfaces can share a past (Dyck-2 expanded at a1 has
+    2·2^l interfaces but 1, 3, 5, 8, 13, ... classes), so each level is
+    quotiented by :func:`_predecessor_ranks`.  Its precondition holds:
+    each (interface, symbol) has at most one source, and every interface
+    has an in-edge, hence a past of every length.  Classes are numbered by
+    rank, as :func:`canonical_form` numbers them, and each is tagged with a
+    synchronizing word of its first interface: the closes, expanded, after
+    a_t b_t for a flagged open target, with the fresh symbol of a leading
+    target dropped when the interface is flagged.  A collapse that sends
+    one class to two is a construction error.
+    """
+    n, target, fresh = len(matrix), plan.target, plan.fresh
+    if target < n:
+        may_flag = lambda c: not c or matrix[target][c[0]] == 1
+    else:
+        may_flag = lambda c: not c or c[0] == target - n
+    interfaces = [
+        [(c, False) for c in level] + [(c, True) for c in level if may_flag(c)]
+        for level in words
+    ]
+    index = [{v: i for i, v in enumerate(level)} for level in interfaces]
+    raw: list[list[Edge]] = []
+    for l, level in enumerate(interfaces[1:]):
+        at = index[l]
+        layer: list[Edge] = []
+        for j, (y, flagged) in enumerate(level):
+            if flagged:
+                layer.append((at[y[:l], False], fresh, j))
+                continue
+            layer.append((at[y[1:], y[0] == target], y[0], j))
+            for k in range(n):
+                if matrix[k][y[0]] == 1:
+                    layer.append((at[((k,) + y)[:l], n + k == target], n + k, j))
+        raw.append(layer)
+    ranks = list(_predecessor_ranks([len(level) for level in interfaces], raw))
+    levels = []
+    for level, rank in zip(interfaces, ranks):
+        first: dict[int, tuple[Word, bool]] = {}
+        for v, r in zip(level, rank):
+            first.setdefault(r, v)
+        tags = [""] * len(first)
+        for r, (c, flagged) in first.items():
+            base = tuple(n + i for i in c)
+            if flagged and target < n:
+                base = (target, n + target) + base
+            word = expand_word(base, plan)
+            tags[r] = alphabet.text(word[1:] if flagged else word)
+        levels.append(VertexLevel(size=len(tags), tags=tuple(tags)))
+    edges: list[tuple[Edge, ...]] = []
+    iota: list[tuple[int, ...]] = []
+    for l, layer in enumerate(raw):
+        low, high = ranks[l], ranks[l + 1]
+        edges.append(tuple(sorted({(low[s], a, high[t]) for s, a, t in layer})))
+        image = [-1] * levels[l + 1].size
+        for (y, flagged), r in zip(interfaces[l + 1], high):
+            down = low[index[l][y[:l], flagged]]
+            if image[r] not in (-1, down):
+                raise ConstructionError(
+                    f"class {levels[l + 1].tags[r]!r} at level {l + 1} collapses "
+                    f"onto two classes at level {l}"
+                )
+            image[r] = down
+        iota.append(tuple(image))
+    return LambdaGraphSystem(
+        alphabet=alphabet,
+        levels=tuple(levels),
         edges=tuple(edges),
         iota=tuple(iota),
     )
@@ -649,77 +741,6 @@ def _quotient_system(graph: LabeledGraph, depth: int) -> LambdaGraphSystem:
     )
 
 
-def _class_system(spec: SubshiftSpec, depth: int, budget: Budget) -> LambdaGraphSystem:
-    """Canonical system from past-equivalence classes of synchronizing words.
-
-    Level-l vertices are the classes of level-l synchronizing words.  For a
-    class with representative nu at level l+1 and a symbol x, the x-edge
-    into that class leaves the level-l class whose key in the level-l
-    candidate table is the key of x.nu.  Two implications make per-word
-    checks needless:
-
-    * x.nu is admissible exactly when its level-l key is nonempty: the
-      language is factorial and extendable, so an admissible word has some
-      length-l predecessor, and a word with one is a factor of an
-      admissible word;
-    * x.nu synchronizes at level l: the census picks nu with at least
-      l + 1 unmatched closes, and one symbol cancels at most one of them,
-      so emitted(x.nu) >= emitted(nu) - 1 >= l.
-
-    A key that names no known class is a construction error, so an
-    incomplete class census surfaces instead of a wrong system.  Each
-    level's table serves both its census and the lookups.
-    """
-    alphabet = spec.alphabet
-    tables = [CandidateTable(spec, l, budget) for l in range(depth + 1)]
-    classes = [
-        synchronizing_classes(spec, l, budget=budget, _table=table)
-        for l, table in enumerate(tables)
-    ]
-    index = [{c.fingerprint: i for i, c in enumerate(level)} for level in classes]
-    levels = tuple(
-        VertexLevel(
-            size=len(level),
-            tags=tuple(alphabet.text(c.representative) for c in level),
-        )
-        for level in classes
-    )
-    edges: list[tuple[Edge, ...]] = []
-    iota: list[tuple[int, ...]] = []
-    for l in range(depth):
-        layer: set[Edge] = set()
-        image: list[int] = []
-        for j, cls in enumerate(classes[l + 1]):
-            nu = cls.representative
-            for symbol in range(len(alphabet)):
-                extended = (symbol,) + nu
-                key = tables[l].key(extended)
-                if not key:
-                    continue  # x.nu is not admissible
-                source = index[l].get(key)
-                if source is None:
-                    raise ConstructionError(
-                        f"predecessor class of {alphabet.text(extended)!r} at "
-                        f"level {l} is not in the class census"
-                    )
-                layer.add((source, symbol, j))
-            down = index[l].get(tables[l].key(nu))
-            if down is None:
-                raise ConstructionError(
-                    f"collapse image of class {alphabet.text(nu)!r} at level {l} "
-                    f"is not in the class census"
-                )
-            image.append(down)
-        edges.append(tuple(sorted(layer)))
-        iota.append(tuple(image))
-    return LambdaGraphSystem(
-        alphabet=alphabet,
-        levels=levels,
-        edges=tuple(edges),
-        iota=tuple(iota),
-    )
-
-
 def build_lambda_synchronizing(
     spec: SubshiftSpec,
     depth: int,
@@ -730,10 +751,11 @@ def build_lambda_synchronizing(
     A spec with a cover (shifts of finite type, sofic and full shifts) is
     the exact quotient of its cover by past equivalence; a full shift's
     one-vertex cover gives a one-vertex chain.  Dyck and Markov-Dyck shifts
-    build structurally as Cantor-horizon systems, which equal their class
-    census systems.  Only expanded bracket shifts take the class census,
-    so the word budget caps only that census; the other builds draw no
-    words.
+    build structurally as Cantor-horizon systems, and their expansions as
+    the past quotients of their left interfaces
+    (:func:`build_cantor_horizon_markov_dyck` with a target).  No build
+    enumerates words, so none draws from the word budget; only its depth
+    cap applies here.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -744,7 +766,7 @@ def build_lambda_synchronizing(
         return _quotient_system(graph, depth)
     if isinstance(spec, (DyckN, MarkovDyck)):
         return build_cantor_horizon_markov_dyck(spec.matrix, depth)
-    return _class_system(spec, depth, budget)
+    return build_cantor_horizon_markov_dyck(spec.base.matrix, depth, spec.target, spec.fresh_name)
 
 
 # -- canonical form ------------------------------------------------------

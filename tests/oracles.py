@@ -794,9 +794,7 @@ def scan_local_property(sizes, edges, iota):
     For each v at level l+1 and u at level l-1, the sorted labels of the
     edges into v from vertices collapsing onto u must equal the sorted
     labels of the edges from u into the collapse image of v.  The pairs
-    (u, v) are tried in the order the package has always used: v ascending,
-    then u in the iteration order of the set of the u's met first among
-    the in-edges of v, then among the out-edges of every u (u ascending).
+    (u, v) are tried v ascending, then u ascending.
     """
     for l in range(1, len(sizes) - 1):
         for v in range(sizes[l + 1]):
@@ -810,7 +808,7 @@ def scan_local_property(sizes, edges, iota):
                 labels = [a for s, a, t in edges[l - 1] if s == u and t == image]
                 if labels:
                     outgoing[u] = labels
-            for u in set(incoming) | set(outgoing):
+            for u in sorted(set(incoming) | set(outgoing)):
                 have = sorted(incoming.get(u, []))
                 want = sorted(outgoing.get(u, []))
                 if have != want:
@@ -1146,40 +1144,3 @@ def reference_iota_irreducible(sizes, edges, iota, names, bound=3, max_level=2, 
             f"levels {sorted(partial)} verified only for the word lengths that fit the truncation",
         )
     return ("yes", None, "")
-
-
-# -- the word census of expanded bracket shifts --------------------------
-
-
-def _stepper_words(stepper, k: int, length: int):
-    """Admissible words of `length` with the stepper state each ends in."""
-
-    def go(state, word):
-        if len(word) == length:
-            yield word, state
-            return
-        for sym in range(k):
-            nxt = stepper.step(state, sym)
-            if nxt is not None:
-                yield from go(nxt, word + (sym,))
-
-    yield from go(stepper.start, ())
-
-
-def word_census_class_reps(stepper, k: int, table) -> dict:
-    """Key -> representative of the level-`table.level` classes of an
-    expanded bracket shift, by enumerating every admissible word of each
-    length 1..2*level+1 anew and keying it in `table`.
-
-    This is the word census the package ran before it walked product
-    states, kept as it was; the stepper (`start`, `step`, `emitted`), the
-    alphabet size and the candidate table (`level`, `key`) are passed in,
-    so nothing is imported from the package.
-    """
-    level = table.level
-    keyed = {}
-    for length in range(1, 2 * level + 2):
-        for w, state in _stepper_words(stepper, k, length):
-            if stepper.emitted(state) >= level:
-                keyed.setdefault(table.key(w), w)
-    return keyed

@@ -17,6 +17,8 @@ from pathlib import Path
 import oracles
 from conftest import FIB, constant_system, even_shift_spec, golden_mean_spec
 from test_linalg import assert_smith_certificate
+from test_system import bracket_census
+from test_walkers import raw
 
 from lgk.alphabet import Alphabet
 from lgk.analysis import (
@@ -31,9 +33,8 @@ from lgk.invariants import connecting_checks, invariant_report, level_groups
 from lgk.labeled_graph import LabeledGraph, is_essential
 from lgk.linalg import AbelianGroup, cokernel, kernel_group
 from lgk.serialize import spec_dumps, system_dumps
-from lgk.subshift import DEFAULT_BUDGET, DyckN, FullShift, MarkovDyck, SoficGraph, _read, sft_cover
+from lgk.subshift import DyckN, Expanded, FullShift, MarkovDyck, SoficGraph, _read, sft_cover
 from lgk.system import (
-    _class_system,
     build_cantor_horizon_dyck,
     build_cantor_horizon_markov_dyck,
     build_lambda_synchronizing,
@@ -126,18 +127,27 @@ def test_criterion_04_canonical_form_byte_identity():
     assert ok
 
 
-def test_criterion_05_generic_builder_matches_horizon():
-    # Bracket shifts build through the horizon construction; the class
-    # census, which builds their expansions, must give the same system,
-    # tags and vertex order included.
+def test_criterion_05_bracket_builder_matches_census():
+    # Bracket shifts build as Cantor-horizon systems, and their expansions
+    # as the past quotient of the left interfaces of their synchronizing
+    # words.  For Dyck-2, Fibonacci Markov-Dyck (depths 1-2) and Dyck-3
+    # (depth 1), and each expansion of one symbol, the build is the census
+    # system of those words taken from the definition; at depth 6 every
+    # expansion passes every structural axiom.
     started = time.monotonic()
     ok = True
-    for spec in (DyckN(2), DyckN(3), MarkovDyck(FIB)):
-        for depth in range(1, 5):
-            census = _class_system(spec, depth, DEFAULT_BUDGET)
-            ok &= census == build_cantor_horizon_markov_dyck(spec.matrix, depth)
+    for spec, top in ((DyckN(2), 2), (MarkovDyck(FIB), 2), (DyckN(3), 1)):
+        for target in (None, *range(len(spec.alphabet))):
+            for depth in range(1, top + 1):
+                built = build_cantor_horizon_markov_dyck(spec.matrix, depth, target, "e")
+                census = bracket_census(spec.matrix, depth, target)
+                ok &= oracles.nested_canonical_form(*raw(built)) == oracles.nested_canonical_form(*census)
+            if target is not None:
+                deep = build_lambda_synchronizing(Expanded(spec, target, "e"), 6)
+                ok &= all(v.is_yes for v in verify_all(deep).values())
     elapsed = time.monotonic() - started
-    _line(5, "class census equals horizon construction, depths 1..4", ok, elapsed)
+    ok &= elapsed < 30.0
+    _line(5, "bracket builds equal the definitional census, depths 1..2", ok, elapsed, 30.0)
     assert ok
 
 

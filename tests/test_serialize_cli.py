@@ -4,6 +4,7 @@ CLI tests drive `main(argv)` in-process against the spec files shipped in
 specs/, so they double as a format check on those files.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -343,37 +344,49 @@ def test_cli_flowcheck_bracket_fixed_depth(capsys):
     assert "at this depth" in capsys.readouterr().out
 
 
-def test_cli_flowcheck_budget_flag(capsys):
-    code = main(
-        [
-            "flowcheck",
-            "--spec", str(SPECS / "dyck2.json"),
-            "--depth", "3",
-            "--expand", "a1",
-            "--budget", "50",
-        ]
-    )
-    assert code == 3
-    assert "inconclusive" in capsys.readouterr().err
+VERIFY_DYCK2 = ["verify", "--spec", str(SPECS / "dyck2.json"), "--depth", "6", "--format", "json"]
 
 
-@pytest.mark.parametrize("budget, code", [("578", 3), ("579", 0)])
-def test_cli_flowcheck_budget_threshold(budget, code, capsys):
-    # The expanded side's level-3 census draws 579 units, one per product
-    # state its walk visits (a stepper state from the start with the state
-    # read from each candidate end state); the budget runs out exactly there.
-    argv = ["flowcheck", "--spec", str(SPECS / "dyck2.json"), "--depth", "3", "--expand", "a1"]
-    assert main(argv + ["--budget", budget]) == code
-    err = capsys.readouterr().err
-    assert err == ("inconclusive: budget exhausted after 579 units\n" if code == 3 else "")
+def _synchronizing_note(out: str) -> str:
+    return json.loads(out)["checks"]["synchronizing system"].get("note", "")
+
+
+def test_cli_verify_budget_flag(capsys):
+    # The launching search of verify draws 90 units on Dyck-2 at depth 6;
+    # an exhausted budget leaves its verdict unknown, which exits 3.
+    assert main(VERIFY_DYCK2 + ["--budget", "50"]) == 3
+    captured = capsys.readouterr()
+    assert _synchronizing_note(captured.out) == "budget exhausted after 51 units"
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("budget, code", [("89", 3), ("90", 0)])
+def test_cli_verify_budget_threshold(budget, code, capsys):
+    # The budget runs out exactly at the launching search's 90th unit: one
+    # per (readable set, symbol) it reads backward.
+    assert main(VERIFY_DYCK2 + ["--budget", budget]) == code
+    captured = capsys.readouterr()
+    note = _synchronizing_note(captured.out)
+    assert (note == "budget exhausted after 90 units") == (code == 3)
+    assert captured.err == ""
 
 
 def test_cli_budget_env_and_override(monkeypatch, capsys):
     monkeypatch.setenv("LGK_BUDGET", "50")
-    argv = ["flowcheck", "--spec", str(SPECS / "dyck2.json"), "--depth", "2", "--expand", "a1"]
-    assert main(argv) == 3
-    capsys.readouterr()
-    assert main(argv + ["--budget", "2000000"]) == 0
+    assert main(VERIFY_DYCK2) == 3
+    assert _synchronizing_note(capsys.readouterr().out) == "budget exhausted after 51 units"
+    assert main(VERIFY_DYCK2 + ["--budget", "2000000"]) == 0
+
+
+def test_cli_expanded_builds_draw_no_budget(capsys, monkeypatch):
+    # An expanded bracket shift builds from its interfaces and enumerates
+    # no words, so flowcheck gives its golden bytes on a budget of 0.
+    monkeypatch.chdir(SPECS.parent)
+    job = ["flowcheck", "--spec", "specs/dyck2.json", "--depth", "3", "--expand", "a1", "--format", "json"]
+    assert main(job + ["--budget", "0"]) == 0
+    goldens = json.loads((Path(__file__).resolve().parent / "cli_goldens.json").read_text(encoding="utf-8"))
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == goldens[" ".join(job)]["stdout_sha256"]
 
 
 NEGATIVE_BUDGET_JOBS = [
@@ -386,7 +399,8 @@ NEGATIVE_BUDGET_JOBS = [
 @pytest.mark.parametrize("words", ["-5", "-1"])
 def test_cli_negative_budget_is_invalid(argv, words, monkeypatch, capsys):
     # A negative budget is invalid input (exit 2), not an exhausted budget
-    # (exit 3); a budget of 0 stays legal.
+    # (exit 3); a budget of 0 stays legal.  It exhausts verify's launching
+    # search, while flowcheck of an expanded bracket shift draws nothing.
     assert main(argv + ["--budget", words]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
@@ -395,8 +409,12 @@ def test_cli_negative_budget_is_invalid(argv, words, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     monkeypatch.setenv("LGK_BUDGET", "0")
-    assert main(argv) == 3
-    assert capsys.readouterr().err.startswith("inconclusive: ")
+    if argv[0] == "verify":
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("inconclusive: ")
+    else:
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("command", ["invariants", "export-dot"])

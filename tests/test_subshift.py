@@ -1,4 +1,4 @@
-"""Subshift specs: admissibility, candidate tables, the class census.
+"""Subshift specs: admissibility, covers and the systems they build.
 
 Admissibility is cross-checked against direct definitions (forbidden-factor
 scan for the SFT, run-length parity for the even shift) rather than against
@@ -18,7 +18,6 @@ from conftest import FIB, even_shift_spec, fibonacci_dyck_spec, golden_mean_spec
 from lgk import (
     Alphabet,
     Budget,
-    BudgetExceeded,
     DyckN,
     FullShift,
     SftForbidden,
@@ -26,11 +25,10 @@ from lgk import (
     expand_spec,
     is_admissible,
     plan_for,
-    synchronizing_classes,
 )
 from lgk.dyck import all_ones
 from lgk.labeled_graph import is_essential, left_resolving_violation
-from lgk.subshift import CandidateTable, _expanded_class_reps, _read, _stepper, sft_cover
+from lgk.subshift import sft_cover
 from lgk.system import label_words, read_down
 from test_walkers import raw
 
@@ -49,14 +47,14 @@ def bracket_oracle(matrix, expand=None):
     return lambda word: oracles.expanded_word_nonzero(matrix, expand, fresh, word)
 
 
-# name -> (spec factory, longest word drawn, independent membership oracle)
-PREDECESSOR_SPECS = {
-    "dyck2": (lambda: DyckN(2), 3, bracket_oracle(all_ones(2))),
-    "fib": (fibonacci_dyck_spec, 3, bracket_oracle(FIB)),
-    "dyck2+e": (lambda: expanded(DyckN(2), "a1"), 3, bracket_oracle(all_ones(2), 0)),
-    "fib+e": (lambda: expanded(fibonacci_dyck_spec(), "a1"), 3, bracket_oracle(FIB, 0)),
-    "dyck2+b1": (lambda: expanded(DyckN(2), "b1"), 3, bracket_oracle(all_ones(2), 2)),
-    "fib+b1": (lambda: expanded(fibonacci_dyck_spec(), "b1"), 3, bracket_oracle(FIB, 2)),
+# name -> (spec factory, longest word checked, independent membership oracle)
+BRACKET_SPECS = {
+    "dyck2": (lambda: DyckN(2), 4, bracket_oracle(all_ones(2))),
+    "fib": (fibonacci_dyck_spec, 4, bracket_oracle(FIB)),
+    "dyck2+e": (lambda: expanded(DyckN(2), "a1"), 4, bracket_oracle(all_ones(2), 0)),
+    "fib+e": (lambda: expanded(fibonacci_dyck_spec(), "a1"), 4, bracket_oracle(FIB, 0)),
+    "dyck2+b1": (lambda: expanded(DyckN(2), "b1"), 4, bracket_oracle(all_ones(2), 2)),
+    "fib+b1": (lambda: expanded(fibonacci_dyck_spec(), "b1"), 4, bracket_oracle(FIB, 2)),
 }
 
 
@@ -135,26 +133,15 @@ def test_predecessor_and_follower_exact_sets():
     assert followers(sys, (), 1) == {(0,), (1,)}
 
 
-@settings(max_examples=320)  # about 50 per spec
-@given(st.sampled_from(sorted(PREDECESSOR_SPECS)), st.integers(0, 3), st.data())
-def test_predecessors_match_bruteforce(kind, length, data):
-    # The census key lemma: a bracket spec's predecessor set is the union of
-    # the candidate groups whose end states accept the word, and keys match
-    # exactly when predecessor sets do.
-    make, max_len, oracle = PREDECESSOR_SPECS[kind]
+@pytest.mark.parametrize("kind", sorted(BRACKET_SPECS))
+def test_bracket_language_matches_oracle(kind):
+    # The steppers of bracket specs and their expansions against the
+    # partial-map oracles, on every word up to the spec's longest length.
+    make, max_len, oracle = BRACKET_SPECS[kind]
     spec = make()
-    symbols = st.integers(0, len(spec.alphabet) - 1)
-    drawn = st.lists(symbols, max_size=max_len).map(tuple)
-    word = data.draw(drawn, label="word")
-    every = list(product(range(len(spec.alphabet)), repeat=length))
-
-    def past(w):
-        return {v for v in every if oracle(v + w)}
-
-    table = CandidateTable(spec, length)
-    assert {v for i in table.key(word) for v in table.groups[i]} == past(word)
-    other = data.draw(drawn, label="other")
-    assert (table.key(word) == table.key(other)) == (past(word) == past(other))
+    for n in range(max_len + 1):
+        for word in product(range(len(spec.alphabet)), repeat=n):
+            assert is_admissible(spec, word) == oracle(word), word
 
 
 @st.composite
@@ -247,41 +234,20 @@ def test_even_shift_quotient_matches_definitional_census():
         assert census == quotient, depth
 
 
-@pytest.mark.parametrize("make", [golden_mean_spec, even_shift_spec, lambda: FullShift(3)])
-def test_census_rejects_specs_with_a_cover(make):
-    # their systems are past quotients of their covers; the census is the
-    # bracket specs' alone
-    for level in (0, 1, 2):
-        with pytest.raises(TypeError):
-            synchronizing_classes(make(), level)
-
-
-def test_budget_exhaustion_raises():
-    # an expanded bracket shift builds by its class census, which the word
-    # budget caps
+def test_expanded_builds_draw_no_budget_units():
+    # an expanded bracket shift builds from its interfaces, enumerating no
+    # words, so a budget of 0 builds the same system
     spec = expanded(DyckN(2), "a1")
-    with pytest.raises(BudgetExceeded):
-        synchronizing_classes(spec, 3, Budget(max_words=10))
-    with pytest.raises(BudgetExceeded):
-        build_lambda_synchronizing(spec, 3, Budget(max_words=10))
-
-
-def test_bracket_predecessors_draw_one_word_per_candidate():
-    # Dyck-2 has 48 admissible words of length 3; each candidate costs one unit
-    with pytest.raises(BudgetExceeded):
-        CandidateTable(DyckN(2), 3, Budget(max_words=47))
-    table = CandidateTable(DyckN(2), 3, Budget(max_words=48))
-    assert sum(len(group) for group in table.groups) == 48
+    assert build_lambda_synchronizing(spec, 3, Budget(max_words=0)) == build_lambda_synchronizing(spec, 3)
 
 
 @pytest.mark.parametrize("kind", ["dyck2", "fib", "dyck2+e"])
 def test_bracket_specs_reject_out_of_range_symbols(kind):
-    spec = PREDECESSOR_SPECS[kind][0]()
+    spec = BRACKET_SPECS[kind][0]()
     k = len(spec.alphabet)
     for bad in (-1, k):
         for word in ((bad,), (1, bad), (bad, k - 1)):
             assert not is_admissible(spec, word), word
-            assert CandidateTable(spec, 1).key(word) == frozenset(), word
 
 
 @pytest.mark.parametrize(
@@ -324,93 +290,15 @@ def test_alphabet_constructions_do_not_grow_with_census_depth(monkeypatch):
     [
         golden_mean_spec,
         even_shift_spec,
-        *(PREDECESSOR_SPECS[k][0] for k in ("dyck2", "fib", "dyck2+e")),
+        *(BRACKET_SPECS[k][0] for k in ("dyck2", "fib", "dyck2+e")),
         lambda: FullShift(3),
     ],
     ids=["gm", "even", "dyck2", "fib", "dyck2+e", "full3"],
 )
-def test_negative_lengths_are_rejected(make):
-    with pytest.raises(ValueError, match="level must be >= 0"):
-        synchronizing_classes(make(), -1)
-
-
-@pytest.mark.parametrize("base", ["dyck2", "fib"])
-@pytest.mark.parametrize("target", ["a1", "b1"])
-def test_census_edge_implications_hold(base, target):
-    # The class system drops its per-edge checks on two implications: for
-    # a level-(l+1) representative nu and a symbol x, x.nu is admissible
-    # exactly when its level-l key is nonempty, and then x.nu has at least
-    # l unmatched closes, so it synchronizes at level l.
-    spec = expanded(DyckN(2) if base == "dyck2" else fibonacci_dyck_spec(), target)
-    stepper = _stepper(spec)
-    checked = 0
-    for l in range(3):
-        table = CandidateTable(spec, l)
-        for cls in synchronizing_classes(spec, l + 1):
-            for x in range(len(spec.alphabet)):
-                word = (x,) + cls.representative
-                admissible = is_admissible(spec, word)
-                assert bool(table.key(word)) == admissible, word
-                if admissible:
-                    assert stepper.emitted(_read(stepper, stepper.start, word)) >= l, word
-                    checked += 1
-    assert checked > 0
-
-
-# base spec -> highest level whose census is compared with the word census
-WORD_CENSUS_BASES = {"dyck2": (lambda: DyckN(2), 4), "fib": (fibonacci_dyck_spec, 4), "dyck3": (lambda: DyckN(3), 3)}
-WORD_CENSUS_EXPANSIONS = [
-    (base, name)
-    for base, (make, _) in WORD_CENSUS_BASES.items()
-    for name in make().alphabet.names
-]
-
-
-@pytest.mark.parametrize(
-    "base, target", WORD_CENSUS_EXPANSIONS, ids=[f"{b}+{t}" for b, t in WORD_CENSUS_EXPANSIONS]
-)
-def test_product_state_walk_matches_word_census(base, target):
-    # The walk over product states keeps each key's shortlex-least word and
-    # the order in which the word census first meets the keys.
-    make, top = WORD_CENSUS_BASES[base]
-    spec = expanded(make(), target)
-    stepper = _stepper(spec)
-    for level in range(1, top + 1):
-        table = CandidateTable(spec, level)
-        walked = _expanded_class_reps(spec, table, Budget())
-        census = oracles.word_census_class_reps(stepper, len(spec.alphabet), table)
-        assert list(walked.items()) == list(census.items()), level
-
-
-CLIP_SPECS = ["dyck2+e", "fib+e", "dyck2+b1", "fib+b1"]
-
-
-@given(st.sampled_from(CLIP_SPECS), st.integers(0, 4), st.data())
-def test_clipping_the_close_count_keeps_reads_and_commutes_with_step(kind, cap, data):
-    spec = PREDECESSOR_SPECS[kind][0]()
-    stepper = _stepper(spec)
-    words = st.lists(st.integers(0, len(spec.alphabet) - 1), max_size=8).map(tuple)
-    u = data.draw(words, label="u")
-    state = stepper.start
-    for x in u:  # u's longest admissible prefix
-        nxt = stepper.step(state, x)
-        if nxt is None:
-            break
-        state = nxt
-    w = data.draw(words, label="w")
-    # a read's liveness does not depend on the close count
-    assert (_read(stepper, stepper.clip(state, 0), w) is None) == (_read(stepper, state, w) is None)
-    # min(emitted, cap) commutes with step, symbol by symbol along w
-    clipped = stepper.clip(state, cap)
-    assert stepper.emitted(clipped) == min(stepper.emitted(state), cap)
-    for x in w:
-        state, clipped = stepper.step(state, x), stepper.step(clipped, x)
-        assert (clipped is None) == (state is None)
-        if state is None:
-            break
-        clipped = stepper.clip(clipped, cap)
-        assert clipped == stepper.clip(state, cap)
-        assert stepper.emitted(clipped) == min(stepper.emitted(state), cap)
+def test_shallow_depths_are_rejected(make):
+    for depth in (0, -1):
+        with pytest.raises(ValueError, match="depth must be at least 1"):
+            build_lambda_synchronizing(make(), depth)
 
 
 def test_sft_cover_shape():

@@ -10,12 +10,15 @@ from __future__ import annotations
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import FIB, constant_system, even_shift_graph, even_shift_spec, golden_mean_spec
 from lgk import (
     Alphabet,
     DyckN,
+    Expanded,
     FullShift,
     LambdaGraphSystem,
     MarkovDyck,
@@ -26,9 +29,11 @@ from lgk import (
     build_lambda_synchronizing,
     canonical_form,
     from_names,
+    is_admissible,
     level_isomorphic,
     verify_all,
 )
+from lgk.dyck import validate_transition_matrix
 from lgk.invariants import connecting_checks
 from lgk.subshift import sft_cover
 from lgk.system import (
@@ -37,6 +42,7 @@ from lgk.system import (
     read_down,
     verify_predecessor_separated,
 )
+from test_walkers import raw
 
 
 def assert_all_verifiers_pass(sys):
@@ -111,6 +117,106 @@ def test_fibonacci_horizon_shape():
     # tags spell the closing word attached to each state word
     assert sys.levels[1].tags == ("b1", "b2")
     assert sys.levels[2].tags == ("b1 b1", "b1 b2", "b2 b1")
+
+
+def _valid(matrix) -> bool:
+    try:
+        validate_transition_matrix(matrix)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def expansions(draw):
+    """A 0/1 matrix of size 2 or 3 with no zero row or column, a target
+    symbol of its bracket alphabet and a depth.  The definitional census
+    at depth 2 takes 5-35 s per size-3 case, so size 3 stays at depth 1."""
+    n = draw(st.integers(2, 3))
+    entries = st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple)
+    matrix = draw(st.lists(entries, min_size=n, max_size=n).map(tuple).filter(_valid))
+    target = draw(st.integers(0, 2 * n - 1))
+    depth = draw(st.integers(1, 2 if n == 2 else 1))
+    return matrix, target, depth
+
+
+def bracket_census(matrix, depth: int, target=None):
+    """Raw (sizes, edges, iota) of the definitional census system of the
+    bracket shift of `matrix`, or of its expansion of symbol `target`.
+
+    A word with at least `depth` unmatched closes synchronizes at every
+    level up to `depth`, and its level-l class is fixed by its first l
+    closes and, in an expansion, by whether it begins with a bare target.
+    Every such interface at level `depth` has a word of length at most
+    max(2·depth, depth + 2) (e b_t before each close target, a_t b_t before
+    a flagged open target), and a word extends by any number of symbols,
+    so the candidates of that length meet every class.
+    """
+    k = 2 * len(matrix)
+    if target is None:
+        def member(word):
+            return oracles.bracket_word_nonzero(matrix, word)
+    else:
+        k += 1
+
+        def member(word):
+            return oracles.expanded_word_nonzero(matrix, target, k - 1, word)
+
+    def synchronizes(word):
+        # drop each fresh; a trailing fresh reads as its target
+        base = tuple(s for s in word if s < 2 * len(matrix))
+        if target is not None and word[-1:] == (k - 1,):
+            base += (target,)
+        return len(oracles.reduce_brackets(matrix, base).closes) >= depth
+
+    return oracles.census_system(k, member, max(2 * depth, depth + 2), depth, keep=synchronizes)
+
+
+@settings(max_examples=25, deadline=None)
+@given(expansions())
+def test_expanded_bracket_builder_matches_definitional_census(case):
+    # the interface quotient of an expanded bracket shift is the census
+    # system of its synchronizing words
+    matrix, target, depth = case
+    census = bracket_census(matrix, depth, target)
+    built = build_cantor_horizon_markov_dyck(matrix, depth, target, "e")
+    assert oracles.nested_canonical_form(*census) == oracles.nested_canonical_form(*raw(built))
+
+
+EXPANDED_BASES = {"dyck2": DyckN(2), "dyck3": DyckN(3), "fib": MarkovDyck(FIB)}
+
+
+@pytest.mark.parametrize("base", sorted(EXPANDED_BASES))
+def test_expanded_classes_are_numbered_by_rank_and_tagged_by_synchronizing_words(base):
+    # Each class is numbered as the canonical form numbers it, and its tag
+    # is an admissible word with at least `level` unmatched closes.
+    base = EXPANDED_BASES[base]
+    for target in range(len(base.alphabet)):
+        spec = Expanded(base, target, "e")
+        sys = build_lambda_synchronizing(spec, 4)
+        assert sys.alphabet == spec.alphabet
+        assert_all_verifiers_pass(sys)
+        canonical = canonical_form(sys)
+        assert (canonical.edges, canonical.iota) == (sys.edges, sys.iota)
+        fresh = spec.fresh
+        for l, level in enumerate(sys.levels):
+            for tag in level.tags:
+                word = spec.alphabet.word(tag)
+                assert is_admissible(spec, word), (target, l, tag)
+                contracted = oracles.contract_word(word, target, fresh)
+                closes = oracles.reduce_brackets(base.matrix, contracted).closes
+                assert len(closes) >= l, (target, l, tag)
+
+
+def test_expanded_level_sizes():
+    # Dyck-2 expanded at a1 has 2·2^l interfaces but Fibonacci many classes
+    dyck2 = build_cantor_horizon_markov_dyck(((1, 1), (1, 1)), 6, 0, "e")
+    assert dyck2.sizes == (1, 3, 5, 8, 13, 21, 34)
+    dyck3 = build_cantor_horizon_markov_dyck(((1, 1, 1),) * 3, 7, 0, "e")
+    assert dyck3.sizes == (1, 4, 10, 24, 58, 140, 338, 816)
+    assert dyck3.levels[1].tags == ("b1", "b2", "b3", "a1 b1 b1")
+    with pytest.raises(ValueError, match="target out of alphabet range"):
+        build_cantor_horizon_markov_dyck(((1, 1), (1, 1)), 2, 4, "e")
 
 
 def test_horizon_iota_drops_newest_index():

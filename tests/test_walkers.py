@@ -230,12 +230,31 @@ COLLIDING = LambdaGraphSystem(
 )
 
 
+# The level-2 vertex has fiber in-edges from level-1 vertices collapsing
+# onto 8 (the lower source) and 0, and the collapse image has no in-edges to
+# match them, so both fail.  8 and 0 share a slot in a small set's hash
+# table and 8 is met first, yet the witness must name the smaller vertex, 0.
+INSERTED_LARGER_FIRST = LambdaGraphSystem(
+    alphabet=Alphabet(("x", "y")),
+    levels=(VertexLevel(9, ("",) * 9), VertexLevel(2, ("", "")), VertexLevel(1, ("",))),
+    edges=((), ((0, 0, 0), (1, 1, 0))),
+    iota=((8, 0), (0,)),
+)
+
+
 @given(systems)
 @example(COLLIDING)
+@example(INSERTED_LARGER_FIRST)
 def test_local_property_matches_layer_scan(sys):
     assert_local_property_matches(sys)
     if sys is COLLIDING:
         assert verify_local_property(sys).witness == (1, 1, 0)
+
+
+def test_local_property_names_the_least_failing_vertex():
+    verdict = verify_local_property(INSERTED_LARGER_FIRST)
+    assert verdict.is_no
+    assert verdict.witness == (1, 0, 0)
 
 
 def test_local_property_verdicts_on_built_systems():
