@@ -487,7 +487,7 @@ def verify_local_property(sys: LambdaGraphSystem) -> Verdict:
         if window_repeats(sys.repeats, l - 1, 2):
             continue
         for v, incoming, outgoing in local_tallies(sys, l):
-            for u in sorted(set(incoming) | set(outgoing)):
+            for u in sorted(incoming.keys() | outgoing.keys()):
                 have = sorted(incoming.get(u, []))
                 want = sorted(outgoing.get(u, []))
                 if have != want:
