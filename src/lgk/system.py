@@ -625,10 +625,10 @@ def _interface_system(
     one class to two is a construction error.
     """
     n, target, fresh = len(matrix), plan.target, plan.fresh
-    if target < n:
-        may_flag = lambda c: not c or matrix[target][c[0]] == 1
-    else:
-        may_flag = lambda c: not c or c[0] == target - n
+
+    def may_flag(c: Word) -> bool:
+        return not c or (matrix[target][c[0]] == 1 if target < n else c[0] == target - n)
+
     interfaces = [
         [(c, False) for c in level] + [(c, True) for c in level if may_flag(c)]
         for level in words
