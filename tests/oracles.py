@@ -419,7 +419,9 @@ def bracket_word_nonzero(matrix, word: tuple[int, ...]) -> bool:
     return False
 
 
-def expanded_word_nonzero(matrix, target: int, fresh: int, word: tuple[int, ...]) -> bool:
+def expanded_word_nonzero(
+    matrix, target: int, fresh: int, word: tuple[int, ...], nonzero=bracket_word_nonzero
+) -> bool:
     """Is `word` a factor of the expansion target -> fresh·target of the
     bracket shift of `matrix`?
 
@@ -429,7 +431,8 @@ def expanded_word_nonzero(matrix, target: int, fresh: int, word: tuple[int, ...]
     and its target lies past the window, and a target follows a fresh,
     unless the target is first and its fresh lies before the window.
     Dropping each fresh, and reading a trailing fresh as its target, gives
-    the base factor, which must be nonzero.
+    the base factor, which must be nonzero: by the partial maps, or by
+    `nonzero(matrix, base)` when a faster exact test is passed.
     """
     base = []
     for i, symbol in enumerate(word):
@@ -442,7 +445,7 @@ def expanded_word_nonzero(matrix, target: int, fresh: int, word: tuple[int, ...]
             if symbol == target and i > 0 and word[i - 1] != fresh:
                 return False
             base.append(symbol)
-    return bracket_word_nonzero(matrix, tuple(base))
+    return nonzero(matrix, tuple(base))
 
 
 # -- the bracket reduction calculus, kept as a second semantics ----------

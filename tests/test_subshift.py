@@ -7,6 +7,7 @@ the package's own machinery.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -133,6 +134,26 @@ def test_predecessor_and_follower_exact_sets():
     assert followers(sys, (), 1) == {(0,), (1,)}
 
 
+# depth 6 leaves room to read a word of up to 3 symbols below a past of 3
+PREDECESSOR_SYSTEMS = {
+    kind: build_lambda_synchronizing(make(), 6) for kind, (make, _, _) in BRACKET_SPECS.items()
+}
+
+
+@settings(max_examples=120, deadline=None)  # about 20 per spec
+@given(st.sampled_from(sorted(BRACKET_SPECS)), st.integers(0, 3), st.data())
+def test_predecessors_match_bruteforce(kind, length, data):
+    # A bracket spec's predecessor sets, read through its built system (the
+    # interface build, for an expansion), are the words v of `length` with
+    # v·word admissible.
+    _, _, oracle = BRACKET_SPECS[kind]
+    sys = PREDECESSOR_SYSTEMS[kind]
+    k = len(sys.alphabet)
+    word = data.draw(st.lists(st.integers(0, k - 1), max_size=3).map(tuple), label="word")
+    want = {v for v in product(range(k), repeat=length) if oracle(v + word)}
+    assert predecessors(sys, word, length) == want
+
+
 @pytest.mark.parametrize("kind", sorted(BRACKET_SPECS))
 def test_bracket_language_matches_oracle(kind):
     # The steppers of bracket specs and their expansions against the
@@ -239,6 +260,49 @@ def test_expanded_builds_draw_no_budget_units():
     # words, so a budget of 0 builds the same system
     spec = expanded(DyckN(2), "a1")
     assert build_lambda_synchronizing(spec, 3, Budget(max_words=0)) == build_lambda_synchronizing(spec, 3)
+
+
+# base spec -> its factory; each symbol of each base is expanded in turn
+INTERFACE_BASES = {"dyck2": lambda: DyckN(2), "dyck3": lambda: DyckN(3), "fib": fibonacci_dyck_spec}
+INTERFACE_EXPANSIONS = [
+    (base, name) for base, make in INTERFACE_BASES.items() for name in make().alphabet.names
+]
+
+
+def _reduces_nonzero(matrix, word):
+    return not oracles.reduce_brackets(matrix, word).is_zero
+
+
+@pytest.mark.parametrize(
+    "base, target", INTERFACE_EXPANSIONS, ids=[f"{b}+{t}" for b, t in INTERFACE_EXPANSIONS]
+)
+def test_interfaces_fix_the_past(base, target):
+    # The interface build of an expansion rests on two facts, checked on
+    # every level-l synchronizing word w of length max(2l, l+2), l = 1, 2:
+    # w's past, the length-l words v with v·w admissible, is fixed by its
+    # interface (its first l unmatched closes, and whether it begins with a
+    # bare target); and these words have as many pasts as the built level
+    # has classes.
+    spec = expanded(INTERFACE_BASES[base](), target)
+    matrix, t, fresh = spec.base.matrix, spec.target, spec.fresh
+    k = len(spec.alphabet)
+    member = lru_cache(maxsize=None)(
+        lambda w: oracles.expanded_word_nonzero(matrix, t, fresh, w, _reduces_nonzero)
+    )
+    sys = build_lambda_synchronizing(spec, 2)
+    for l in (1, 2):
+        pasts = {}
+        for w in product(range(k), repeat=max(2 * l, l + 2)):
+            if not member(w):
+                continue
+            # drop each fresh; a trailing fresh reads as its target
+            contracted = tuple(s for s in w if s != fresh) + ((t,) if w[-1] == fresh else ())
+            closes = oracles.reduce_brackets(matrix, contracted).closes
+            if len(closes) < l:
+                continue
+            past = frozenset(v for v in product(range(k), repeat=l) if member(v + w))
+            assert pasts.setdefault((closes[:l], w[0] == t), past) == past, (l, w)
+        assert len(set(pasts.values())) == sys.sizes[l], l
 
 
 @pytest.mark.parametrize("kind", ["dyck2", "fib", "dyck2+e"])
