@@ -16,6 +16,9 @@ outside it: ι-irreducibility reads each path's word backward with
 `read_up`, once per path and step count rather than once per other
 vertex, and the transitivity check shares one table of bridges per first
 word and of lifted endpoints per second word across all its word pairs.
+Where the same walk recurs under different loop variables (the collapse
+fibers of the irreducibility checks, the reads on from bridge endpoints),
+the check reads each distinct argument once (`_once`).
 The launching search reads words backward too: with R_l(w) the level-l
 vertices from which w can be read, R_l(a w) is the set of a-predecessors
 of R_{l+1}(w) (the predecessor sets of the subset construction), so one
@@ -40,8 +43,9 @@ same unit as a sweep that reads every level.
 from __future__ import annotations
 
 from copy import copy
+from functools import cache, partial
 from itertools import count, tee
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .alphabet import Word
 from .subshift import DEFAULT_BUDGET, Budget, BudgetExceeded, _Meter
@@ -56,6 +60,12 @@ from .system import (
     window_repeats,
 )
 from .verdict import Verdict
+
+
+def _once(walker: Callable, sys: LambdaGraphSystem) -> Callable:
+    """`walker` on `sys`, reading each distinct argument once; the reads are
+    kept for as long as the returned function is."""
+    return cache(partial(walker, sys))
 
 
 def _is_constant(sys: LambdaGraphSystem) -> bool:
@@ -169,17 +179,19 @@ def check_lambda_irreducible(
     """For each ordered vertex pair (u, v) on a level, some depth step L
     must make every vertex in the collapse fiber over u reachable from v by
     a path of length exactly L.  Searches L up to `bound` within the
-    truncation; conclusive refutation only for constant systems."""
+    truncation; conclusive refutation only for constant systems.  The
+    fiber over u does not depend on v, so each is read once."""
     constant = _is_constant(sys)
+    fibers = _once(iota_fiber, sys)
     for level in range(min(max_level, sys.depth - 1) + 1):
         size = sys.levels[level].size
+        limit = sys.depth - level if bound is None else min(bound, sys.depth - level)
         for u in range(size):
             for v in range(size):
-                limit = sys.depth - level if bound is None else min(bound, sys.depth - level)
                 ok = False
                 reach = frozenset([v])
                 for steps in range(1, limit + 1):
-                    fiber = iota_fiber(sys, level, u, steps)
+                    fiber = fibers(level, u, steps)
                     reach = _successors(sys, level + steps - 1, reach)
                     if fiber and fiber <= reach:
                         ok = True
@@ -239,13 +251,16 @@ def check_iota_irreducible(
     fiber over its endpoint, and the starts it finds in the fiber over u
     are kept; `read_down` distributes over unions of sources, so v has a
     shadow exactly when that set meets the vertices v reaches in as many
-    steps.  The set is computed the first time some v needs it.
+    steps.  The set is computed the first time some v needs it.  Each
+    collapse fiber is read once: the fiber over a path's endpoint depends
+    on the endpoint's level and the step count, not on u.
 
     A path with less room below it than `bound` can only mark its level as
     partially verified, so once the level is marked such paths are
     skipped, and a level whose paths are all like that is left."""
     constant = _is_constant(sys)
     partial: set[int] = set()
+    fibers = _once(iota_fiber, sys)
     for level in range(min(max_level, sys.depth - 2) + 1):
         size = sys.levels[level].size
         # Words are nonempty, so no shadow takes more steps than this.
@@ -268,7 +283,7 @@ def check_iota_irreducible(
                 # and starts[index, steps], those of lifts[steps] from which
                 # the word of paths[index] ends over its endpoint.
                 paths = list(_labeled_paths(sys, level, u, path_len))
-                lifts = [iota_fiber(sys, level, u, steps) for steps in range(most + 1)]
+                lifts = [fibers(level, u, steps) for steps in range(most + 1)]
                 starts: dict[tuple[int, int], frozenset[int]] = {}
             for v in range(size):
                 if u == v:
@@ -293,7 +308,7 @@ def check_iota_irreducible(
                     for steps in range(1, min(bound, room) + 1):
                         if (index, steps) not in starts:
                             # the shadow must end where the collapse maps onto `end`
-                            over_end = iota_fiber(sys, level + len(word), end, steps)
+                            over_end = fibers(level + len(word), end, steps)
                             starts[index, steps] = lifts[steps] & read_up(
                                 sys, level + steps, over_end, word
                             )
@@ -410,21 +425,24 @@ def is_lambda_synchronizing_system(
     levels are reported in the note rather than degrading the verdict,
     since their launching words may simply not fit the truncation.
     Constant systems are decided exactly: the same sweep reads layer 0
-    with no length cap until no new readable set appears, which exhausts
-    the readable sets of the repeated graph.  A `depth` outside 1 .. L is
-    a ValueError: no level would have to pass.
+    with no length cap, each readable set once, until no new readable set
+    appears, which exhausts the readable sets of the repeated graph.  A
+    `depth` outside 1 .. L is a ValueError: no level would have to pass.
     """
     if depth is not None and not (1 <= depth <= sys.depth):
         raise ValueError(f"depth must be between 1 and {sys.depth}")
     meter = _Meter(budget)
     try:
         if _is_constant(sys):
-            found: dict[frozenset[int], int] = {frozenset(range(sys.levels[0].size)): 0}
-            while True:
-                grown, launched = _read_back(sys, 0, found, None, meter)
-                if grown.keys() == found.keys():
-                    break
-                found = grown
+            # Each round reads only the sets the round before found first.
+            new: dict[frozenset[int], int] = {frozenset(range(sys.levels[0].size)): 0}
+            seen = set(new)
+            launched: set[int] = set()
+            while new:
+                grown, singles = _read_back(sys, 0, new, None, meter)
+                launched |= singles
+                new = {ends: length for ends, length in grown.items() if ends not in seen}
+                seen.update(new)
             missing = set(range(sys.levels[0].size)) - launched
             if not missing:
                 return Verdict.yes()
@@ -482,8 +500,11 @@ class _Succession:
     The bridges read on from a first word and the lifted endpoints of a
     second word (for each level it is lifted to) depend on one word of the
     pair only, so each is read once and shared by every pair searched here.
-    Bridges are drawn lazily, as the meter allows: a never-advanced `tee`
-    keeps those drawn so far, and its copies replay them.
+    So are the reads of a second word on from a bridge's endpoints and the
+    collapse fibers over a second word's endpoints, which many pairs
+    repeat.  Bridges are drawn lazily, as the meter allows: a
+    never-advanced `tee` keeps those drawn so far, and its copies replay
+    them.
     """
 
     def __init__(self, sys: LambdaGraphSystem, bound: int):
@@ -491,6 +512,8 @@ class _Succession:
         self.bound = bound
         self._bridges: dict[Word, Iterator[tuple[Word, frozenset[int]]]] = {}
         self._lifted: dict[tuple[Word, int], frozenset[int]] = {}
+        self._read_down = _once(read_down, sys)
+        self._fibers = _once(iota_fiber, sys)
 
     def bridge(
         self,
@@ -514,12 +537,12 @@ class _Succession:
         for bridge, ends_bridge in copy(self._bridges[first]):
             meter.tick()
             below = len(first) + len(bridge)
-            ends = read_down(sys, below, ends_bridge, second)
+            ends = self._read_down(below, ends_bridge, second)
             if not ends:
                 continue
             if (second, below) not in self._lifted:
                 self._lifted[second, below] = frozenset().union(
-                    *(iota_fiber(sys, len(second), v, below) for v in ends_second)
+                    *(self._fibers(len(second), v, below) for v in ends_second)
                 )
             if self._lifted[second, below] == ends:
                 return bridge

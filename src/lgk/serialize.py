@@ -5,13 +5,20 @@ newline), so canonical forms of isomorphic systems serialize to identical
 bytes.  Symbols appear by display name in files; indices stay internal.
 
 Spec payloads carry a `kind` discriminator: `sft`, `sofic`, `dyck`,
-`markov_dyck`, `full`, `expanded`.  System payloads mirror the dataclass:
+`markov_dyck`, `full`, `expanded`.  System files mirror the dataclass:
 levels with tags, per-layer labeled edges, and the collapse arrays.
+Reports, specs and verdicts go through `json.dumps(indent=2,
+sort_keys=True)`.  System files are written directly from the system's
+tuples, in the same bytes that call would give, and each distinct gap
+and level is rendered once: a gap that repeats the gap above it
+(`LambdaGraphSystem.repeats`), and a level equal to the level above,
+reuse the text of the one above.  The loader shares them again.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
 from .alphabet import Alphabet
@@ -147,20 +154,6 @@ def spec_loads(text: str) -> SubshiftSpec:
 # -- systems -------------------------------------------------------------
 
 
-def system_to_payload(sys: LambdaGraphSystem) -> dict:
-    return {
-        "alphabet": list(sys.alphabet.names),
-        "levels": [
-            {"size": level.size, "tags": list(level.tags)} for level in sys.levels
-        ],
-        "edges": [
-            [[s, sys.alphabet.names[a], t] for s, a, t in layer]
-            for layer in sys.edges
-        ],
-        "iota": [list(mapping) for mapping in sys.iota],
-    }
-
-
 def _list(value: Any, what: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{what} must be a list")
@@ -218,8 +211,48 @@ def system_from_payload(payload: dict) -> LambdaGraphSystem:
     return LambdaGraphSystem(alphabet=alphabet, levels=levels, edges=edges, iota=iota)
 
 
+def _block(items: list[str], pad: str) -> str:
+    """The `dumps` text of a list whose items are rendered already: one item
+    a line indented by `pad`, the closing bracket two spaces less."""
+    if not items:
+        return "[]"
+    return f"[\n{pad}" + f",\n{pad}".join(items) + f"\n{pad[:-2]}]"
+
+
 def system_dumps(sys: LambdaGraphSystem) -> str:
-    return dumps(system_to_payload(sys))
+    """`dumps` of the payload {alphabet, edges, iota, levels}, written
+    straight from the system: the edges are [source, symbol name, target]
+    triples and each level is {size, tags}.  A repeated gap and a level
+    equal to the one above reuse the text of the one above."""
+    quote = encode_basestring_ascii
+    names = [quote(name) for name in sys.alphabet.names]
+    # the text of an edge between its source and its target
+    middles = [f",\n        {name},\n        " for name in names]
+    edges: list[str] = []
+    iota: list[str] = []
+    for l, (layer, mapping) in enumerate(zip(sys.edges, sys.iota)):
+        if sys.repeats[l]:
+            edges.append(edges[-1])
+            iota.append(iota[-1])
+            continue
+        edges.append(_block([f"[\n        {s}{middles[a]}{t}\n      ]" for s, a, t in layer], "      "))
+        iota.append(_block([str(image) for image in mapping], "      "))
+    levels: list[str] = []
+    above = None
+    for level in sys.levels:
+        # the builders and the loader share a repeated level's object
+        if level is above or level == above:
+            levels.append(levels[-1])
+            continue
+        above = level
+        tags = _block([quote(tag) for tag in level.tags], "        ")
+        levels.append(f'{{\n      "size": {level.size},\n      "tags": {tags}\n    }}')
+    return (
+        f'{{\n  "alphabet": {_block(names, "    ")},\n'
+        f'  "edges": {_block(edges, "    ")},\n'
+        f'  "iota": {_block(iota, "    ")},\n'
+        f'  "levels": {_block(levels, "    ")}\n}}\n'
+    )
 
 
 def system_loads(text: str) -> LambdaGraphSystem:

@@ -12,6 +12,7 @@ machine and the partial maps against each other.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -1147,3 +1148,20 @@ def reference_iota_irreducible(sizes, edges, iota, names, bound=3, max_level=2, 
             f"levels {sorted(partial)} verified only for the word lengths that fit the truncation",
         )
     return ("yes", None, "")
+
+
+# -- system files, through the generic JSON encoder ----------------------
+
+
+def system_json(names, levels, edges, iota) -> str:
+    """The system file of the alphabet `names`, the levels given as (size,
+    tags) pairs, edge layers of (source, symbol index, target) triples and
+    collapse arrays: `json.dumps(indent=2, sort_keys=True)` of the payload
+    with the edges written as [source, symbol name, target]."""
+    payload = {
+        "alphabet": list(names),
+        "levels": [{"size": size, "tags": list(tags)} for size, tags in levels],
+        "edges": [[[s, names[a], t] for s, a, t in layer] for layer in edges],
+        "iota": [list(mapping) for mapping in iota],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

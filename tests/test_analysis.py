@@ -36,6 +36,7 @@ from lgk import (
     is_lambda_synchronizing_system,
     simplicity_prediction,
 )
+from lgk import analysis
 from lgk.analysis import _Succession, _is_constant
 from lgk.dyck import state_words
 from lgk.labeled_graph import LabeledGraph, essential_subgraph
@@ -184,8 +185,9 @@ def test_launching_search_replays_the_budget_of_a_shared_tail():
     "sys, units",
     [
         (build_cantor_horizon_dyck(2, 6), 90),
-        # closure {V}, {u}, {w} of the even shift's cover: 2 + 4 + 5 units
-        (constant_system(even_shift_graph(), 4), 11),
+        # closure {V}, {u}, {w} of the even shift's cover, each set read
+        # once: 2 + 2 + 1 units
+        (constant_system(even_shift_graph(), 4), 5),
     ],
     ids=["dyck2-depth6", "constant-even-cover"],
 )
@@ -271,6 +273,37 @@ def test_transitivity_verdicts():
     stuck = check_synchronizingly_transitive(even, word_len=1)
     assert stuck.is_unknown
     assert stuck.witness is not None
+
+
+@pytest.mark.parametrize(
+    "check, calls",
+    [
+        (check_lambda_irreducible, {"iota_fiber": 17}),
+        (check_iota_irreducible, {"iota_fiber": 48}),
+        (check_synchronizingly_transitive, {"read_down": 67, "iota_fiber": 15}),
+    ],
+    ids=["lambda-irreducible", "iota-irreducible", "transitive"],
+)
+def test_each_check_reads_each_walker_argument_once(check, calls, monkeypatch):
+    # The quotient of the SFT without "a b b a" stabilizes at level 3.  The
+    # fiber over a vertex does not depend on the vertex it is shadowed or
+    # reached from, and many word pairs read the same second word on from
+    # the same bridge endpoints, so repeating a walk would read nothing new.
+    spec = SftForbidden(Alphabet(("a", "b", "c")), frozenset({(0, 1, 1, 0)}))
+    sys = build_lambda_synchronizing(spec, 8)
+    seen: dict[str, list] = {name: [] for name in calls}
+    for name in calls:
+        walker = getattr(analysis, name)
+
+        def counted(sys, *args, name=name, walker=walker):
+            seen[name].append(args)
+            return walker(sys, *args)
+
+        monkeypatch.setattr(analysis, name, counted)
+    assert check(sys).is_yes
+    assert {name: len(args) for name, args in seen.items()} == calls
+    for args in seen.values():
+        assert len(set(args)) == len(args)
 
 
 def test_transitivity_needs_room():

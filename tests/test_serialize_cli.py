@@ -12,7 +12,10 @@ import sys as _sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import FIB, even_shift_spec, golden_mean_spec
 from lgk.alphabet import Alphabet
 from lgk.cli import main
@@ -112,6 +115,73 @@ def test_system_roundtrip():
     ]:
         text = system_dumps(sys)
         assert system_loads(text) == sys
+
+
+# Characters a JSON encoder escapes or, writing ASCII, spells out: quotes,
+# backslashes, control characters, non-ASCII text and lone surrogates.
+ODD = st.one_of(st.sampled_from('"\\\x00\x08\x1f\x7f\u00e9\u2028\ud800\udfff\U0001f600'), st.characters())
+
+
+@st.composite
+def odd_systems(draw) -> LambdaGraphSystem:
+    """A system whose symbol names and tags hold odd characters, with empty
+    edge layers and depth 0 allowed, and a tail of up to three gaps that
+    repeat the last drawn gap, as the same objects or as equal copies."""
+    symbol = st.text(ODD, min_size=1, max_size=3).filter(lambda name: not any(c.isspace() for c in name))
+    names = draw(st.lists(symbol, min_size=1, max_size=3, unique=True))
+    depth = draw(st.integers(0, 3))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=depth + 1, max_size=depth + 1))
+    tail = draw(st.integers(0, 3)) if depth else 0
+    if tail:
+        sizes[-1] = sizes[-2]
+    tags = st.text(ODD, max_size=3)
+    levels = [VertexLevel(m, tuple(draw(st.lists(tags, min_size=m, max_size=m)))) for m in sizes]
+    edges, iota = [], []
+    for l in range(depth):
+        triples = st.tuples(
+            st.integers(0, sizes[l] - 1), st.integers(0, len(names) - 1), st.integers(0, sizes[l + 1] - 1)
+        )
+        edges.append(tuple(sorted(draw(st.sets(triples, max_size=4)))))
+        images = st.integers(0, sizes[l] - 1)
+        iota.append(tuple(draw(st.lists(images, min_size=sizes[l + 1], max_size=sizes[l + 1]))))
+    for _ in range(tail):
+        if draw(st.booleans()):
+            levels.append(VertexLevel(levels[-1].size, tuple(list(levels[-1].tags))))
+            edges.append(tuple(list(edges[-1])))
+            iota.append(tuple(list(iota[-1])))
+        else:
+            levels.append(levels[-1])
+            edges.append(edges[-1])
+            iota.append(iota[-1])
+    return LambdaGraphSystem(Alphabet(tuple(names)), tuple(levels), tuple(edges), tuple(iota))
+
+
+def assert_written_as_the_generic_encoder_writes(sys):
+    levels = [(level.size, level.tags) for level in sys.levels]
+    text = system_dumps(sys)
+    assert text == oracles.system_json(sys.alphabet.names, levels, sys.edges, sys.iota)
+    loaded = system_loads(text)
+    assert loaded == sys and loaded.repeats == sys.repeats
+    for l, repeated in enumerate(sys.repeats):
+        if repeated:
+            assert loaded.edges[l] is loaded.edges[l - 1] and loaded.iota[l] is loaded.iota[l - 1]
+    for l in range(sys.depth):
+        if sys.levels[l + 1] == sys.levels[l]:
+            assert loaded.levels[l + 1] is loaded.levels[l]
+
+
+@settings(max_examples=200)
+@given(odd_systems())
+@example(LambdaGraphSystem(Alphabet(('"',)), (VertexLevel(1, ("\\",)),), (), ()))
+def test_system_dumps_writes_what_the_generic_encoder_writes(sys):
+    assert_written_as_the_generic_encoder_writes(sys)
+
+
+@pytest.mark.parametrize("name", ["goldenmean", "even_shift", "full3", "dyck2", "markovdyck_fib"])
+def test_built_systems_are_written_as_the_generic_encoder_writes(name):
+    spec = spec_loads((SPECS / f"{name}.json").read_text())
+    for depth in (1, 2, 8):
+        assert_written_as_the_generic_encoder_writes(build_lambda_synchronizing(spec, depth))
 
 
 def test_system_loads_sorts_and_dedups_edges():
