@@ -45,7 +45,10 @@ def _budget(args: argparse.Namespace, depth: int) -> Budget:
     words = DEFAULT_BUDGET.max_words
     env = os.environ.get("LGK_BUDGET")
     if env is not None:
-        words = int(env)
+        try:
+            words = int(env)
+        except ValueError:
+            raise ValueError(f"LGK_BUDGET must be an integer, got {env!r}") from None
     if getattr(args, "budget", None) is not None:
         words = args.budget
     if words < 0:
@@ -116,7 +119,13 @@ def _verify_checks(sys: LambdaGraphSystem, budget: Budget) -> dict[str, Verdict]
     if sys.depth == 0:
         raise ValueError("need at least one level gap")
     checks = dict(verify_all(sys))
-    bad_level = next((l for l, ok in enumerate(connecting_checks(sys)) if not ok), None)
+    # The local property implies the intertwining identity (see
+    # lgk.invariants.connecting_map_check), so only its failure needs the check.
+    bad_level = (
+        None
+        if checks["local property"].is_yes
+        else next((l for l, ok in enumerate(connecting_checks(sys)) if not ok), None)
+    )
     checks["matrix compatibility"] = (
         Verdict.yes()
         if bad_level is None

@@ -108,25 +108,3 @@ class BracketMachine:
             return None
         return (self.rows[j], ())
 
-
-def state_words(matrix: Matrix01, length: int) -> list[Word]:
-    """A-admissible state sequences of the given length, lexicographic.
-
-    These index the closing words b_{x1}..b_{xl} of the Markov-Dyck shift
-    (all state sequences, for the plain Dyck shift over all-ones A).
-    """
-    n = len(matrix)
-    if length == 0:
-        return [()]
-    out: list[Word] = []
-
-    def go(prefix: tuple[int, ...]) -> None:
-        if len(prefix) == length:
-            out.append(prefix)
-            return
-        for k in range(n):
-            if not prefix or matrix[prefix[-1]][k]:
-                go(prefix + (k,))
-
-    go(())
-    return out

@@ -41,11 +41,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import accumulate, islice
+from operator import ge
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .alphabet import Alphabet, Word, bracket_alphabet
-from .dyck import Matrix01, all_ones, state_words, validate_transition_matrix
+from .dyck import Matrix01, all_ones, validate_transition_matrix
 from .flow import ExpansionPlan, expand_word
 from .labeled_graph import LabeledGraph
 from .subshift import DEFAULT_BUDGET, Budget, DyckN, MarkovDyck, SubshiftSpec, cover
@@ -138,17 +139,20 @@ class LambdaGraphSystem:
         depth = len(self.levels) - 1
         if len(self.edges) != depth or len(self.iota) != depth:
             raise ValueError("edges and iota must have one layer per level gap")
+        symbols = len(self.alphabet)
         for l, layer in enumerate(self.edges):
             if self.repeats[l]:
                 continue
-            if list(layer) != sorted(set(layer)):
+            # sorted and duplicate-free: each edge strictly after the one before
+            if any(map(ge, layer, islice(layer, 1, None))):
                 raise ValueError(f"edge layer {l} must be sorted and duplicate-free")
+            sources, targets = self.levels[l].size, self.levels[l + 1].size
             for s, a, t in layer:
-                if not (0 <= s < self.levels[l].size):
+                if not (0 <= s < sources):
                     raise ValueError(f"edge source {s} out of range at level {l}")
-                if not (0 <= t < self.levels[l + 1].size):
+                if not (0 <= t < targets):
                     raise ValueError(f"edge target {t} out of range at level {l}")
-                if not (0 <= a < len(self.alphabet)):
+                if not (0 <= a < symbols):
                     raise ValueError(f"edge symbol {a} out of alphabet range")
         for l, mapping in enumerate(self.iota):
             if self.repeats[l]:
@@ -536,10 +540,129 @@ VERIFIER_ORDER = (
 
 
 def verify_all(sys: LambdaGraphSystem) -> dict[str, Verdict]:
-    return {name: check(sys) for name, check in VERIFIER_ORDER}
+    """Every verdict of :data:`VERIFIER_ORDER`, in its order.
+
+    The local property implies label-collapse compatibility, which is only
+    checked when the local property fails.  At each level l both compare, for every v at level
+    l + 1, its in-edges with those into iota_l(v), and both skip the same
+    windows; the local property splits the two in-label multisets by the
+    collapse u of their sources and matches them part by part, so their
+    unions, and hence the two in-label sets, agree.
+    """
+    local = verify_local_property(sys)
+    return {
+        name: local if name == "local property"
+        else Verdict.yes() if local.is_yes and name == "label-collapse compatible"
+        else check(sys)
+        for name, check in VERIFIER_ORDER
+    }
 
 
 # -- builders ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _StateLevel:
+    """The admissible state words of one length l, as index tables.
+
+    Words are in lexicographic order, so the children w·k of a word (k
+    ascending) are consecutive one level down: those of word i are
+    ``start[i] .. start[i + 1] - 1``.  ``parent[i]`` is the index of w[:-1]
+    one level up (the collapse), ``tail[i]`` that of w[1:], and
+    ``first[i]``, ``last[i]`` are w's first and last symbols.  The empty
+    word has first and last symbol n, which every symbol may follow, and
+    no parent or tail.  No word is stored: a builder that needs one reads
+    it off the parents (:func:`_state_word`).
+    """
+
+    parent: list[int]
+    first: list[int]
+    last: list[int]
+    tail: list[int]
+    start: list[int]
+
+
+def _state_levels(matrix: Matrix01, depth: int) -> list[_StateLevel]:
+    """Tables of the state words of lengths 0 .. depth, each level read off
+    the one above.  A child w·k of word i has the parent i, the first
+    symbol of w (k when w is empty) and the last symbol k, and its tail
+    w[1:]·k is the child by k of the tail of w."""
+    n = len(matrix)
+    successors = [[k for k in range(n) if row[k]] for row in matrix] + [list(range(n))]
+    place = [{k: r for r, k in enumerate(ks)} for ks in successors]
+
+    def level(parent: list[int], first: list[int], last: list[int], tail: list[int]) -> _StateLevel:
+        start = list(accumulate((len(successors[a]) for a in last), initial=0))
+        return _StateLevel(parent, first, last, tail, start)
+
+    levels = [level([], [n], [n], [])]
+    for l in range(depth):
+        up = levels[l]
+        parent: list[int] = []
+        first: list[int] = []
+        last: list[int] = []
+        tail: list[int] = []
+        for i, a in enumerate(up.last):
+            ks = successors[a]
+            parent += [i] * len(ks)
+            last += ks
+            if l == 0:
+                first += ks
+                tail += [0] * len(ks)
+                continue
+            first += [up.first[i]] * len(ks)
+            above, q = levels[l - 1], up.tail[i]
+            base, at = above.start[q], place[above.last[q]]
+            tail += [base + at[k] for k in ks]
+        levels.append(level(parent, first, last, tail))
+    return levels
+
+
+def _state_word(levels: Sequence[_StateLevel], l: int, i: int) -> Word:
+    """State word i of length l, read off the parents."""
+    word = []
+    for level in levels[l:0:-1]:
+        word.append(level.last[i])
+        i = level.parent[i]
+    return tuple(reversed(word))
+
+
+def _horizon_layers(matrix: Matrix01, levels: Sequence[_StateLevel]) -> list[list[Edge]]:
+    """Edge layers of the Cantor-horizon system on the state words `levels`,
+    each sorted by source, symbol and target as it is written.
+
+    The opening edge into y leaves y[1:] (its tail) labeled y[0], so the
+    opening edges out of word s are its a_x-edges into x·s, x ascending.
+    The b_k-edge into y leaves (k·y)[:l] when A(k, y[0]) = 1, so the closing
+    edges out of a word s = k·g of length l >= 1 are b_k-edges into the
+    grandchildren of g whose first symbol may follow k (all of them once
+    g is nonempty); out of the empty word they are the b_k-edges into
+    every level-1 word y with A(k, y[0]) = 1.
+    """
+    n = len(matrix)
+    layers: list[list[Edge]] = []
+    # One int object per vertex, shared by all its edges: large layers stay smaller.
+    sources = [0]
+    for l in range(len(levels) - 1):
+        level, below = levels[l], levels[l + 1]
+        targets = list(range(len(below.last)))
+        opening: list[list[Edge]] = [[] for _ in sources]
+        for t, s, x in zip(targets, below.tail, below.first):
+            opening[s].append((sources[s], x, t))
+        if l == 0:
+            layers.append(opening[0] + [(0, n + k, t) for k in range(n) for t in targets if matrix[k][t]])
+        else:
+            up = levels[l - 1]
+            layer: list[Edge] = []
+            for s, k, g in zip(sources, level.first, level.tail):
+                layer += opening[s]
+                row = matrix[k]
+                for c in range(up.start[g], up.start[g + 1]):
+                    if row[level.first[c]]:
+                        layer += [(s, n + k, t) for t in targets[level.start[c] : level.start[c + 1]]]
+            layers.append(layer)
+        sources = targets
+    return layers
 
 
 def build_cantor_horizon_markov_dyck(
@@ -553,53 +676,45 @@ def build_cantor_horizon_markov_dyck(
     opening symbol prepends its index to the state; a closing symbol pops
     indices revealed below the truncation, which at the level of state words
     shifts the word right by one.  The collapse drops the rightmost index.
+    Every source, target and collapse is read off the index tables of
+    :func:`_state_levels`, and each tag, the closing word of its state
+    word, is its parent's tag and one more close.
     """
     validate_transition_matrix(matrix)
     if depth < 1:
         raise ValueError("depth must be at least 1")
     n = len(matrix)
     alphabet = bracket_alphabet(n)
-    words = [state_words(matrix, l) for l in range(depth + 1)]
+    if target is not None and not 0 <= target < 2 * n:
+        raise ValueError("expansion target out of alphabet range")
+    levels = _state_levels(matrix, depth)
+    layers = _horizon_layers(matrix, levels)
     if target is not None:
-        if not 0 <= target < 2 * n:
-            raise ValueError("expansion target out of alphabet range")
         plan = ExpansionPlan(target=target, fresh=2 * n, fresh_name=fresh_name)
-        return _interface_system(matrix, words, plan, alphabet.extend(fresh_name))
-    index = [{w: i for i, w in enumerate(level)} for level in words]
-    levels = tuple(
-        VertexLevel(
-            size=len(level),
-            tags=tuple(alphabet.text(tuple(n + s for s in w)) for w in level),
-        )
-        for level in words
-    )
-    edges: list[tuple[Edge, ...]] = []
-    iota: list[tuple[int, ...]] = []
-    for l in range(depth):
-        layer: set[Edge] = set()
-        for j, y in enumerate(words[l + 1]):
-            # Opening edge: the state below is y with its newest index removed.
-            layer.add((index[l][y[1:]], y[0], j))
-            # Closing edges: reading b_k re-exposes state (k, y...) truncated.
-            for k in range(n):
-                if matrix[k][y[0]] == 1:
-                    source = ((k,) + y)[:l]
-                    layer.add((index[l][source], n + k, j))
-        edges.append(tuple(sorted(layer)))
-        iota.append(tuple(index[l][y[:-1]] for y in words[l + 1]))
+        return _interface_system(matrix, levels, layers, plan, alphabet.extend(fresh_name))
+    closes = alphabet.names[n:]
+    tags: list[tuple[str, ...]] = [("",)]
+    for level in levels[1:]:
+        prefix = [tag + " " if tag else "" for tag in tags[-1]]
+        tags.append(tuple([prefix[p] + closes[k] for p, k in zip(level.parent, level.last)]))
     return LambdaGraphSystem(
         alphabet=alphabet,
-        levels=levels,
-        edges=tuple(edges),
-        iota=tuple(iota),
+        levels=tuple(VertexLevel(size=len(t), tags=t) for t in tags),
+        edges=tuple(tuple(layer) for layer in layers),
+        iota=tuple(tuple(level.parent) for level in levels[1:]),
     )
 
 
 def _interface_system(
-    matrix: Matrix01, words: list[list[Word]], plan: ExpansionPlan, alphabet: Alphabet
+    matrix: Matrix01,
+    levels: Sequence[_StateLevel],
+    layers: Sequence[Sequence[Edge]],
+    plan: ExpansionPlan,
+    alphabet: Alphabet,
 ) -> LambdaGraphSystem:
     """System of the expansion `plan` of a bracket shift, the quotient of its
-    left interfaces by past equivalence.
+    left interfaces by past equivalence, read off the state-word tables
+    `levels` and horizon edge `layers` of the base shift.
 
     A level-l synchronizing word w of the expansion is fixed, up to its
     past, by its *interface* (c, flag): c is the state word of its first l
@@ -611,7 +726,8 @@ def _interface_system(
     to l.  Into (y, False) these are the horizon edges, whose source is
     flagged exactly when x is the target; into (y, True) reads only the
     fresh symbol, from (y[:l], False).  The collapse drops the last index
-    and keeps the flag.
+    and keeps the flag.  Level l lists the interfaces (c, False) in the
+    order of the state words, then the flagged ones.
 
     Distinct interfaces can share a past (Dyck-2 expanded at a1 has
     2·2^l interfaces but 1, 3, 5, 8, 13, ... classes), so each level is
@@ -625,60 +741,63 @@ def _interface_system(
     one class to two is a construction error.
     """
     n, target, fresh = len(matrix), plan.target, plan.fresh
-
-    def may_flag(c: Word) -> bool:
-        return not c or (matrix[target][c[0]] == 1 if target < n else c[0] == target - n)
-
-    interfaces = [
-        [(c, False) for c in level] + [(c, True) for c in level if may_flag(c)]
-        for level in words
-    ]
-    index = [{v: i for i, v in enumerate(level)} for level in interfaces]
+    flag_at: list[list[int]] = []  # per state word, the index of its flagged interface or -1
+    states: list[list[int]] = []  # per interface, its state word
+    for l, level in enumerate(levels):
+        if l == 0:
+            may_flag = [True]
+        elif target < n:
+            may_flag = [matrix[target][c] == 1 for c in level.first]
+        else:
+            may_flag = [c == target - n for c in level.first]
+        at, state = [], list(range(len(may_flag)))
+        for i, ok in enumerate(may_flag):
+            at.append(len(state) if ok else -1)
+            if ok:
+                state.append(i)
+        flag_at.append(at)
+        states.append(state)
     raw: list[list[Edge]] = []
-    for l, level in enumerate(interfaces[1:]):
-        at = index[l]
-        layer: list[Edge] = []
-        for j, (y, flagged) in enumerate(level):
-            if flagged:
-                layer.append((at[y[:l], False], fresh, j))
-                continue
-            layer.append((at[y[1:], y[0] == target], y[0], j))
-            for k in range(n):
-                if matrix[k][y[0]] == 1:
-                    layer.append((at[((k,) + y)[:l], n + k == target], n + k, j))
-        raw.append(layer)
-    ranks = list(_predecessor_ranks([len(level) for level in interfaces], raw))
-    levels = []
-    for level, rank in zip(interfaces, ranks):
-        first: dict[int, tuple[Word, bool]] = {}
-        for v, r in zip(level, rank):
+    for l, layer in enumerate(layers):
+        flag = flag_at[l]
+        raw.append(
+            [(flag[s], a, t) if a == target else (s, a, t) for s, a, t in layer]
+            + [(p, fresh, f) for p, f in zip(levels[l + 1].parent, flag_at[l + 1]) if f >= 0]
+        )
+    ranks = list(_predecessor_ranks([len(state) for state in states], raw))
+    vertex_levels = []
+    for l, rank in enumerate(ranks):
+        first: dict[int, int] = {}
+        for v, r in enumerate(rank):
             first.setdefault(r, v)
         tags = [""] * len(first)
-        for r, (c, flagged) in first.items():
-            base = tuple(n + i for i in c)
+        for r, v in first.items():
+            flagged = v >= len(levels[l].last)
+            base = tuple(n + i for i in _state_word(levels, l, states[l][v]))
             if flagged and target < n:
                 base = (target, n + target) + base
             word = expand_word(base, plan)
             tags[r] = alphabet.text(word[1:] if flagged else word)
-        levels.append(VertexLevel(size=len(tags), tags=tuple(tags)))
+        vertex_levels.append(VertexLevel(size=len(tags), tags=tuple(tags)))
     edges: list[tuple[Edge, ...]] = []
     iota: list[tuple[int, ...]] = []
     for l, layer in enumerate(raw):
         low, high = ranks[l], ranks[l + 1]
         edges.append(tuple(sorted({(low[s], a, high[t]) for s, a, t in layer})))
-        image = [-1] * levels[l + 1].size
-        for (y, flagged), r in zip(interfaces[l + 1], high):
-            down = low[index[l][y[:l], flagged]]
+        parent, flag, plain = levels[l + 1].parent, flag_at[l], len(levels[l + 1].last)
+        image = [-1] * vertex_levels[l + 1].size
+        for v, (i, r) in enumerate(zip(states[l + 1], high)):
+            down = low[parent[i] if v < plain else flag[parent[i]]]
             if image[r] not in (-1, down):
                 raise ConstructionError(
-                    f"class {levels[l + 1].tags[r]!r} at level {l + 1} collapses "
+                    f"class {vertex_levels[l + 1].tags[r]!r} at level {l + 1} collapses "
                     f"onto two classes at level {l}"
                 )
             image[r] = down
         iota.append(tuple(image))
     return LambdaGraphSystem(
         alphabet=alphabet,
-        levels=tuple(levels),
+        levels=tuple(vertex_levels),
         edges=tuple(edges),
         iota=tuple(iota),
     )

@@ -449,6 +449,35 @@ def expanded_word_nonzero(
     return nonzero(matrix, tuple(base))
 
 
+# -- the Cantor-horizon system, from state words keyed in dicts ----------
+
+
+def horizon_system(matrix, depth: int):
+    """The Cantor-horizon system of the bracket shift of `matrix`, as the
+    package first built it, from state words keyed in dicts: the alphabet
+    names, the levels as (size, tags) pairs, the sorted edge layers and the
+    collapses.  A level-(l+1) word y has the opening edge labeled a_{y[0]}
+    from y[1:] and, for each k with A(k, y[0]) = 1, the closing edge
+    labeled b_k from (k·y)[:l]; it collapses onto y[:-1], and its tag is its
+    closing word."""
+    n = len(matrix)
+    names = tuple(f"a{i + 1}" for i in range(n)) + tuple(f"b{i + 1}" for i in range(n))
+    words = [chain_words(matrix, l) for l in range(depth + 1)]
+    index = [{w: i for i, w in enumerate(level)} for level in words]
+    levels = [(len(level), tuple(" ".join(names[n + s] for s in w) for w in level)) for level in words]
+    edges, iota = [], []
+    for l in range(depth):
+        layer = set()
+        for j, y in enumerate(words[l + 1]):
+            layer.add((index[l][y[1:]], y[0], j))
+            for k in range(n):
+                if matrix[k][y[0]] == 1:
+                    layer.add((index[l][((k,) + y)[:l]], n + k, j))
+        edges.append(tuple(sorted(layer)))
+        iota.append(tuple(index[l][y[:-1]] for y in words[l + 1]))
+    return names, levels, edges, iota
+
+
 # -- the bracket reduction calculus, kept as a second semantics ----------
 
 

@@ -38,7 +38,6 @@ from lgk import (
 )
 from lgk import analysis
 from lgk.analysis import _Succession, _is_constant
-from lgk.dyck import state_words
 from lgk.labeled_graph import LabeledGraph, essential_subgraph
 from lgk.subshift import DEFAULT_BUDGET, _Meter
 from lgk.system import label_words, read_down
@@ -108,7 +107,7 @@ def test_closing_words_launch_horizon_vertices():
     sys = build_cantor_horizon_markov_dyck(FIB, 6)
     n = len(FIB)
     for level in (1, 2, 3):
-        for i, word in enumerate(state_words(FIB, level)):
+        for i, word in enumerate(oracles.chain_words(FIB, level)):
             closing = tuple(n + s for s in word)
             assert readers(sys, closing, level) == [i]
 

@@ -17,7 +17,7 @@ import pytest
 import oracles
 from conftest import FIB
 from lgk import DyckN, MarkovDyck, is_admissible
-from lgk.dyck import BracketMachine, all_ones, state_words, validate_transition_matrix
+from lgk.dyck import BracketMachine, all_ones, validate_transition_matrix
 from lgk.subshift import _read
 from lgk.system import build_cantor_horizon_markov_dyck, read_down
 
@@ -89,10 +89,15 @@ def test_path_existence_matches_admissibility_at_every_level():
 
 
 def test_state_word_enumeration():
-    assert [len(state_words(FIB, n)) for n in range(6)] == [1, 2, 3, 5, 8, 13]
-    for n in range(6):
-        assert state_words(FIB, n) == oracles.chain_words(FIB, n)
-        assert len(state_words(all_ones(2), n)) == 2**n
+    # horizon level n lists the admissible state words of length n in
+    # lexicographic order, each tagged with its closing word
+    assert [len(oracles.chain_words(FIB, n)) for n in range(6)] == [1, 2, 3, 5, 8, 13]
+    for matrix in (FIB, all_ones(2)):
+        sys = build_cantor_horizon_markov_dyck(matrix, 5)
+        for n, level in enumerate(sys.levels):
+            words = oracles.chain_words(matrix, n)
+            assert level.tags == tuple(" ".join(f"b{s + 1}" for s in w) for w in words)
+    assert sys.sizes == tuple(2**n for n in range(6))  # Dyck-2, built last
 
 
 def test_matrix_validation():

@@ -487,6 +487,16 @@ def test_cli_negative_budget_is_invalid(argv, words, monkeypatch, capsys):
         assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("argv", NEGATIVE_BUDGET_JOBS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("words", ["abc", "1.5", ""])
+def test_cli_non_integer_budget_variable_is_invalid(argv, words, monkeypatch, capsys):
+    # A budget variable that is not an integer is invalid input, and the
+    # message names the variable and its value.
+    monkeypatch.setenv("LGK_BUDGET", words)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: LGK_BUDGET must be an integer, got {words!r}\n"
+
+
 @pytest.mark.parametrize("command", ["invariants", "export-dot"])
 @pytest.mark.parametrize("words", ["-5", "-1"])
 def test_cli_negative_budget_is_invalid_on_system_input(command, words, tmp_path, monkeypatch, capsys):

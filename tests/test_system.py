@@ -7,7 +7,9 @@ cross-checked against the word-level oracles in test_dyck.py.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,16 +35,20 @@ from lgk import (
     level_isomorphic,
     verify_all,
 )
+from lgk import cli, system
 from lgk.dyck import validate_transition_matrix
 from lgk.invariants import connecting_checks
-from lgk.subshift import sft_cover
+from lgk.serialize import system_loads
+from lgk.subshift import DEFAULT_BUDGET, sft_cover
 from lgk.system import (
     iota_fiber,
     label_words,
     read_down,
+    verify_label_iota_compatible,
+    verify_local_property,
     verify_predecessor_separated,
 )
-from test_walkers import raw
+from test_walkers import gap_run_systems, random_systems, raw
 
 
 def assert_all_verifiers_pass(sys):
@@ -128,13 +134,34 @@ def _valid(matrix) -> bool:
 
 
 @st.composite
+def matrices(draw):
+    """A 2x2 or 3x3 0/1 matrix with no zero row or column."""
+    n = draw(st.integers(2, 3))
+    entries = st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple)
+    return draw(st.lists(entries, min_size=n, max_size=n).map(tuple).filter(_valid))
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(), st.integers(1, 7))
+def test_horizon_builder_matches_state_word_construction(matrix, depth):
+    # the index tables build the system that state words keyed in dicts build
+    names, levels, edges, iota = oracles.horizon_system(matrix, depth)
+    expected = LambdaGraphSystem(
+        alphabet=Alphabet(names),
+        levels=tuple(VertexLevel(size=size, tags=tags) for size, tags in levels),
+        edges=tuple(edges),
+        iota=tuple(iota),
+    )
+    assert build_cantor_horizon_markov_dyck(matrix, depth) == expected
+
+
+@st.composite
 def expansions(draw):
     """A 0/1 matrix of size 2 or 3 with no zero row or column, a target
     symbol of its bracket alphabet and a depth.  The definitional census
     at depth 2 takes 5-35 s per size-3 case, so size 3 stays at depth 1."""
-    n = draw(st.integers(2, 3))
-    entries = st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple)
-    matrix = draw(st.lists(entries, min_size=n, max_size=n).map(tuple).filter(_valid))
+    matrix = draw(matrices())
+    n = len(matrix)
     target = draw(st.integers(0, 2 * n - 1))
     depth = draw(st.integers(1, 2 if n == 2 else 1))
     return matrix, target, depth
@@ -225,6 +252,47 @@ def test_horizon_iota_drops_newest_index():
     assert oracles.scan_iota_image(sys.iota, 3, 0b010, 1) == 0b01
     assert oracles.scan_iota_image(sys.iota, 3, 0b110, 2) == 0b1
     assert iota_fiber(sys, 2, 0b01, 1) == frozenset({0b010, 0b011})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(random_systems(), gap_run_systems()))
+def test_local_property_implies_label_compatibility_and_intertwining(sys):
+    # verify takes both verdicts from the local property when it holds; the
+    # random systems break it about half the time
+    if verify_local_property(sys).is_yes:
+        assert verify_label_iota_compatible(sys).is_yes
+        assert all(connecting_checks(sys))
+
+
+def test_verify_runs_the_implied_checks_only_when_the_local_property_fails(monkeypatch):
+    calls: Counter = Counter()
+
+    def counted(name, check):
+        def wrapper(sys):
+            calls[name] += 1
+            return check(sys)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        system,
+        "VERIFIER_ORDER",
+        tuple(
+            (name, counted(name, check) if check is verify_label_iota_compatible else check)
+            for name, check in system.VERIFIER_ORDER
+        ),
+    )
+    monkeypatch.setattr(cli, "connecting_checks", counted("intertwining", connecting_checks))
+    checks = cli._verify_checks(build_cantor_horizon_dyck(2, 4), DEFAULT_BUDGET)
+    assert not calls
+    assert checks["label-collapse compatible"].is_yes and checks["matrix compatibility"].is_yes
+    with open(Path(__file__).resolve().parent / "non_intertwining_system.json", encoding="utf-8") as fh:
+        broken = system_loads(fh.read())
+    checks = cli._verify_checks(broken, DEFAULT_BUDGET)
+    assert calls == {"label-collapse compatible": 1, "intertwining": 1}
+    assert checks["local property"].is_no
+    assert checks["label-collapse compatible"] == verify_label_iota_compatible(broken)
+    assert checks["matrix compatibility"].witness == connecting_checks(broken).index(False)
 
 
 def test_repeated_cover_passes_every_verifier():
