@@ -3,14 +3,15 @@
 
 Runs the expansion comparison for a batch of subshifts: each spec is
 expanded at one symbol, both systems are built and their invariant reports
-compared.  Finite-type and sofic examples use a deep truncation and compare
-stable groups; bracket shifts stay shallow (their expanded systems are
-built by a word census that grows quickly with depth) and compare torsion
-chains level by level.
+compared.  Finite-type and sofic examples compare stable groups; bracket
+shifts, whose free ranks grow with the level, compare torsion chains level
+by level.  Every example runs at depth 6: an expanded bracket shift builds
+from the left interfaces of its synchronizing words, so it is as cheap as
+its base.
 
 Usage:
     python3 scripts/expansion_demo.py
-    python3 scripts/expansion_demo.py --bracket-depth 3   # slower, deeper census
+    python3 scripts/expansion_demo.py --bracket-depth 8   # deeper bracket examples
 """
 
 import argparse
@@ -36,16 +37,13 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    # Bracket depths are chosen so the censused tail is long enough to
-    # be honest: too shallow and one side can look stabilized off a
-    # two-gap window, which compares as inconclusive.
     cases = [
         ("goldenmean.json", "1", 6),
         ("even_shift.json", "0", 6),
         ("full2.json", "0", 6),
         ("full3.json", "0", 6),
-        ("dyck2.json", "a1", args.bracket_depth or 2),
-        ("markovdyck_fib.json", "b1", args.bracket_depth or 3),
+        ("dyck2.json", "a1", args.bracket_depth or 6),
+        ("markovdyck_fib.json", "b1", args.bracket_depth or 6),
     ]
     failures = 0
     for name, symbol, depth in cases:

@@ -45,7 +45,6 @@ from .subshift import (
     SftForbidden,
     SoficGraph,
     SubshiftSpec,
-    is_admissible,
 )
 from .system import (
     ConstructionError,

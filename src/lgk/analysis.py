@@ -563,7 +563,8 @@ def check_synchronizingly_transitive(
     so the bridges read on from a first word and the lifted endpoints of a
     second word are shared across pairs; each pair draws on a fresh meter
     of `budget`.  A pair with no bridge up to `bound` is `unknown`: a
-    longer bridge may exist."""
+    longer bridge may exist.  So is a pair that exhausts its meter, with
+    the meter's note."""
     if 2 * word_len + bound > sys.depth:
         raise ValueError("truncation too shallow for the requested word length")
     top = frozenset(range(sys.levels[0].size))
@@ -571,7 +572,11 @@ def check_synchronizingly_transitive(
     search = _Succession(sys, bound)
     for first, ends_first in words:
         for second, ends_second in words:
-            if search.bridge(first, ends_first, second, ends_second, _Meter(budget)) is None:
+            try:
+                bridge = search.bridge(first, ends_first, second, ends_second, _Meter(budget))
+            except BudgetExceeded as exc:
+                return Verdict.unknown(witness=(first, second), note=str(exc))
+            if bridge is None:
                 return Verdict.unknown(
                     witness=(first, second),
                     note=(

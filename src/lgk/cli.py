@@ -33,7 +33,7 @@ from .serialize import (
     system_loads,
     verdict_payload,
 )
-from .subshift import Budget, BudgetExceeded, DEFAULT_BUDGET, SubshiftSpec
+from .subshift import Budget, DEFAULT_BUDGET, SubshiftSpec
 from .system import VERIFIER_ORDER, LambdaGraphSystem, build_lambda_synchronizing, verify_all
 from .flow import expand_spec, plan_for
 from .verdict import Verdict
@@ -321,9 +321,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceeded as exc:
-        print(f"inconclusive: {exc}", file=_sys.stderr)
-        return INCONCLUSIVE
     except MemoryError:
         print("inconclusive: out of memory at this depth or budget", file=_sys.stderr)
         return INCONCLUSIVE

@@ -5,18 +5,16 @@ bi-infinite edge paths.  Throughout, "left-resolving" means no vertex has two
 incoming edges with the same label, so reading a word backwards from a vertex
 is deterministic.  On an essential left-resolving cover, past equivalence of
 vertices is therefore a level-by-level refinement, which the quotient builder
-in :mod:`lgk.system` computes; this module holds the graphs themselves, their
-structural checks and forward word reading (:func:`read_forward`, behind
-:func:`lgk.subshift.is_admissible`).
+in :mod:`lgk.system` computes; this module holds the graphs themselves and
+their structural checks.  Words are read on the built systems, not here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
-from .alphabet import Alphabet, Word
+from .alphabet import Alphabet
 
 
 @dataclass(frozen=True)
@@ -36,16 +34,6 @@ class LabeledGraph:
                 raise ValueError(f"edge {(s, a, t)} out of range")
         if len(set(self.edges)) != len(self.edges):
             raise ValueError("duplicate edges")
-
-    # Built once per graph and kept in the instance dict, which dataclass
-    # equality and hashing never read.  Callers must not mutate it.
-    @cached_property
-    def out_by_vertex(self) -> dict[int, list[tuple[int, int]]]:
-        """vertex -> [(label, target)]"""
-        out: dict[int, list[tuple[int, int]]] = {v: [] for v in range(len(self.vertices))}
-        for s, a, t in self.edges:
-            out[s].append((a, t))
-        return out
 
 
 def from_names(
@@ -114,17 +102,3 @@ def essential_subgraph(g: LabeledGraph) -> LabeledGraph:
         tuple(g.vertices[v] for v in order),
         tuple(sorted((pos[s], a, pos[t]) for s, a, t in edges)),
     )
-
-
-# -- word reading --------------------------------------------------------
-
-
-def read_forward(g: LabeledGraph, start: set[int], word: Word) -> set[int]:
-    """Endpoints of word-labeled paths starting anywhere in `start`."""
-    out = g.out_by_vertex
-    cur = set(start)
-    for a in word:
-        cur = {t for v in cur for b, t in out[v] if b == a}
-        if not cur:
-            break
-    return cur

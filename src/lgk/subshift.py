@@ -1,17 +1,20 @@
-"""Subshift specifications and their language.
+"""Subshift specifications and their presentations.
 
 Six spec kinds and two presentations.  Shifts of finite type (forbidden
 words), sofic shifts (labeled covers) and full shifts are presented by one
 essential left-resolving cover each, :func:`cover`, whose path language is
 B(X).  Dyck and Markov-Dyck bracket shifts and their symbol expansions are
-read by a prefix-incremental bracket stepper.  `is_admissible(spec, word)`,
-membership in the factor language B(X), branches once on the presentation.
+presented by their state words.  No spec is built by enumerating words:
+a spec with a cover is the past quotient of its cover, and a bracket
+spec, expanded or not, builds from its state words (see :mod:`lgk.system`).
+Either way the built system presents the subshift, and its paths are the
+one reader of the language: a word no longer than the depth is in B(X)
+exactly when it labels a path from the top level
+(:func:`lgk.system.read_down`).
 
-No spec is built by enumerating words: a spec with a cover is the past
-quotient of its cover, and a bracket spec, expanded or not, builds from
-its state words (see :mod:`lgk.system`).  So no build draws from a
-:class:`Budget`; the searches of :mod:`lgk.analysis` do, and exceeding
-the budget raises :class:`BudgetExceeded`, never a wrong answer.
+No build draws from a :class:`Budget`; the searches of :mod:`lgk.analysis`
+do, and one that exhausts its budget reports `unknown`, never a wrong
+answer.
 """
 
 from __future__ import annotations
@@ -22,13 +25,12 @@ from functools import cached_property, lru_cache
 from typing import Union
 
 from .alphabet import Alphabet, Word, bracket_alphabet
-from .dyck import BracketMachine, Matrix01, all_ones, validate_transition_matrix
+from .dyck import Matrix01, all_ones, validate_transition_matrix
 from .labeled_graph import (
     LabeledGraph,
     essential_subgraph,
     is_essential,
     left_resolving_violation,
-    read_forward,
 )
 
 
@@ -265,8 +267,8 @@ def _full_cover(spec: FullShift) -> LabeledGraph:
 def cover(spec: SubshiftSpec) -> LabeledGraph | None:
     """The essential left-resolving graph whose path language is B(X).
 
-    None for the bracket kinds, which have no finite cover; their language
-    is read by :func:`_stepper` instead.
+    None for the bracket kinds, which have no finite cover; their systems
+    build from state words instead.
     """
     if isinstance(spec, SftForbidden):
         return sft_cover(spec)
@@ -277,92 +279,3 @@ def cover(spec: SubshiftSpec) -> LabeledGraph | None:
     if isinstance(spec, _BRACKET_KINDS):
         return None
     raise TypeError(f"unknown spec {type(spec).__name__}")
-
-
-# -- bracket steppers ----------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _machine(matrix: Matrix01) -> BracketMachine:
-    return BracketMachine(matrix)
-
-
-class _ExpandedStepper:
-    """Prefix-incremental admissibility for expanded bracket words.
-
-    State is (base state, expecting_target).  A fresh symbol virtually reads
-    the target (any completion must), so a word ending in fresh is valid iff
-    that virtual step succeeds; the following real target then performs no
-    second base step.  A bare target is only admissible at position 0 (its
-    fresh sits before the window).
-    """
-
-    def __init__(self, spec: Expanded):
-        self.base = _machine(spec.base.matrix)
-        self.fresh = spec.fresh
-        self.target = spec.target
-
-    @property
-    def start(self):
-        return (self.base.start, False, True)  # (base state, expecting, at_start)
-
-    def step(self, state, symbol: int):
-        base_state, expecting, at_start = state
-        if symbol == self.fresh:
-            if expecting:
-                return None
-            nxt = self.base.step(base_state, self.target)
-            if nxt is None:
-                return None
-            return (nxt, True, False)
-        if symbol == self.target:
-            if expecting:
-                return (base_state, False, False)  # base already stepped
-            if not at_start:
-                return None
-            nxt = self.base.step(base_state, symbol)
-            if nxt is None:
-                return None
-            return (nxt, False, False)
-        if expecting:
-            return None
-        nxt = self.base.step(base_state, symbol)
-        if nxt is None:
-            return None
-        return (nxt, False, False)
-
-
-def _stepper(spec: SubshiftSpec):
-    if isinstance(spec, Expanded):
-        return _ExpandedStepper(spec)
-    if isinstance(spec, (DyckN, MarkovDyck)):
-        return _machine(spec.matrix)
-    raise TypeError(f"no stepper for {type(spec).__name__}")
-
-
-def _read(st, state, word: Word):
-    """Stepper state after reading `word` from `state`; None once it dies."""
-    for sym in word:
-        state = st.step(state, sym)
-        if state is None:
-            return None
-    return state
-
-
-def _in_alphabet(spec: SubshiftSpec, word: Word) -> bool:
-    k = len(spec.alphabet)
-    return all(0 <= sym < k for sym in word)
-
-
-# -- admissibility --------------------------------------------------------
-
-
-def is_admissible(spec: SubshiftSpec, word: Word) -> bool:
-    """True iff `word` belongs to the factor language of the subshift."""
-    g = cover(spec)
-    if g is not None:
-        return bool(read_forward(g, set(range(len(g.vertices))), word))
-    if not _in_alphabet(spec, word):
-        return False
-    st = _stepper(spec)
-    return _read(st, st.start, word) is not None

@@ -235,7 +235,21 @@ def _out_symbols(sys: LambdaGraphSystem, level: int, sources: frozenset[int]) ->
 
 
 def read_down(sys: LambdaGraphSystem, level: int, sources: frozenset[int], word: Word) -> frozenset[int]:
-    """Vertices reached from `sources` at `level` by reading `word`."""
+    """Vertices reached from `sources` at `level` by reading `word`.
+
+    On a system with the local property and surjective collapses, which
+    every builder returns, the words readable from all of level l are the
+    words readable from all of level 0, for every word that fits below l.
+    Up: for l >= 1 an a-edge s -> v of layer l is an in-edge of v from the
+    fiber over iota(s), so the local property gives an a-edge
+    iota(s) -> iota(v) of layer l - 1, and every path projects one level
+    up with its word.  Down: for an a-edge u -> w of layer l - 1 and any v
+    with iota(v) = w, the local property gives an a-edge into v from the
+    fiber over u, so a path lifts one level down from its last vertex
+    back.  The built system presents its subshift X, so a word of length
+    k <= depth is in B_k(X) exactly when reading it from all of level 0
+    reaches a vertex.
+    """
     if level < 0 or level + len(word) > sys.depth:
         raise ValueError(f"word of length {len(word)} does not fit below level {level}")
     current = sources

@@ -7,14 +7,17 @@ from hypothesis import HealthCheck, settings
 
 from lgk import (
     Alphabet,
+    Budget,
     LabeledGraph,
     LambdaGraphSystem,
     MarkovDyck,
     SftForbidden,
     SoficGraph,
     VertexLevel,
+    build_lambda_synchronizing,
     from_names,
 )
+from lgk.system import read_down
 
 # Derandomized so the suite is reproducible run to run; individual tests
 # that need more examples override locally.
@@ -66,6 +69,20 @@ def counted_system(sizes, counts, iota) -> LambdaGraphSystem:
         edges=tuple(tuple(sorted(layer)) for layer in layers),
         iota=tuple(tuple(mapping) for mapping in iota),
     )
+
+
+def top_language(sys: LambdaGraphSystem):
+    """Membership in the factor language that `sys` presents: a word of
+    length <= its depth is admissible exactly when it labels a path from
+    the top level (see `lgk.system.read_down`).  A longer word is a
+    ValueError."""
+    top = frozenset(range(sys.levels[0].size))
+    return lambda word: bool(read_down(sys, 0, top, tuple(word)))
+
+
+def system_language(spec, depth: int):
+    """`top_language` of the system of `spec`, built once at `depth`."""
+    return top_language(build_lambda_synchronizing(spec, depth, Budget(max_depth=depth)))
 
 
 def golden_mean_spec() -> SftForbidden:

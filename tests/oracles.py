@@ -6,8 +6,8 @@ rather than a tautology.  The implementations favour the most naive correct
 method available: determinantal divisors instead of elimination, explicit
 coset enumeration instead of normal forms, partial maps on words instead of
 a reduction calculus.  The one reduction calculus here, `reduce_brackets`,
-is a semantics of its own: the bracket tests hold it, the package's
-machine and the partial maps against each other.
+is a semantics of its own: the bracket tests hold it, path existence in
+the package's built systems and the partial maps against each other.
 """
 
 from __future__ import annotations
@@ -518,8 +518,7 @@ def reduce_brackets(matrix, word: tuple[int, ...]) -> DyckReduction:
     constraint: whatever comes next at nesting depth zero must start in a
     state j with A(i, j) = 1.  The support set is the intersection of those
     constraints, and an open on an empty stack or an unmatched close must
-    start inside it.  Unlike the package's machine, which only counts the
-    unmatched closes, this keeps their sequence.
+    start inside it.  The unmatched closes are kept in sequence.
     """
     n = len(matrix)
     rows = [frozenset(j for j in range(n) if matrix[i][j]) for i in range(n)]

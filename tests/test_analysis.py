@@ -19,7 +19,6 @@ from test_walkers import BUILT, gap_run_systems, random_systems, raw
 from lgk import (
     Alphabet,
     Budget,
-    BudgetExceeded,
     DyckN,
     FullShift,
     LambdaGraphSystem,
@@ -439,10 +438,12 @@ def test_transitivity_matches_reference(sys, data):
 def test_transitivity_meters_each_pair_alone():
     # Words of length <= 2 after '1' in the even shift: '', '0', '1', '00',
     # '10', '11'.  None bridges '1' to '0', so that pair tries all six, and
-    # no pair before it tries more; the pairs together try many more.
+    # no pair before it tries more; the pairs together try many more.  On
+    # five units that pair exhausts its meter, which is `unknown` too.
     even = build_lambda_synchronizing(even_shift_spec(), 6)
-    with pytest.raises(BudgetExceeded):
-        check_synchronizingly_transitive(even, word_len=2, bound=2, budget=Budget(max_words=5))
+    short = check_synchronizingly_transitive(even, word_len=2, bound=2, budget=Budget(max_words=5))
+    assert triple(short) == ("unknown", ((1,), (0,)), "budget exhausted after 6 units")
     verdict = check_synchronizingly_transitive(even, word_len=2, bound=2, budget=Budget(max_words=6))
     assert verdict.is_unknown
     assert verdict.witness == ((1,), (0,))
+    assert verdict.note.startswith("no bridge from '1' to '0'")

@@ -1,8 +1,9 @@
 """Symbol expansion: word rewriting and spec-level expansions.
 
-The load-bearing checks compare expanded-spec admissibility against plain
-word rewriting: a word is admissible exactly when its expansion image is.
-That equivalence is what the invariant comparison in flowcheck relies on.
+The load-bearing checks compare the language of an expanded spec, read off
+its built system, against plain word rewriting: a word is admissible
+exactly when its expansion image is.  That equivalence is what the
+invariant comparison in flowcheck relies on.
 """
 
 import itertools
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from conftest import even_shift_graph, even_shift_spec, golden_mean_spec
+from conftest import even_shift_graph, even_shift_spec, golden_mean_spec, system_language
 from lgk.alphabet import Alphabet
 from lgk.flow import (
     ExpansionPlan,
@@ -28,7 +29,6 @@ from lgk.subshift import (
     FullShift,
     SftForbidden,
     SoficGraph,
-    is_admissible,
 )
 
 
@@ -99,24 +99,25 @@ def test_expanded_golden_mean_forbidden_set():
 
 
 def test_expanded_golden_mean_admissibility():
-    exp = expand_sft(golden_mean_spec(), gm_plan())
+    member = system_language(expand_sft(golden_mean_spec(), gm_plan()), 4)
     # factors of expansion images
     for good in [(2, 1), (1, 0), (0, 2, 1, 0), (1,), (2,), (0, 0, 0)]:
-        assert is_admissible(exp, good)
+        assert member(good)
     # none of these contains a forbidden factor, yet every two-sided
     # extension runs into the image of the old forbidden word
     for dead in [(1, 2), (1, 2, 1), (2, 1, 2), (1, 2, 1, 0)]:
-        assert not is_admissible(exp, dead)
+        assert not member(dead)
     # the dead word contracts onto the forbidden word of the base shift
     assert oracles.contract_word((1, 2, 1), 1, 2) == (1, 1)
 
 
 def test_expansion_reflects_admissibility_sft():
     gm = golden_mean_spec()
-    exp = expand_sft(gm, gm_plan())
+    base = system_language(gm, 7)
+    exp = system_language(expand_sft(gm, gm_plan()), 14)
     for n in range(8):
         for word in itertools.product((0, 1), repeat=n):
-            assert is_admissible(gm, word) == is_admissible(exp, expand_word(word, gm_plan()))
+            assert base(word) == exp(expand_word(word, gm_plan()))
 
 
 # -- sofic covers --------------------------------------------------------
@@ -134,24 +135,24 @@ def test_expand_even_shift_graph_structure():
 
 def test_expansion_reflects_admissibility_sofic():
     plan = plan_for(even_shift_graph().alphabet, "0")
-    base = even_shift_spec()
-    exp = expand_spec(base, plan)
+    exp = expand_spec(even_shift_spec(), plan)
     assert isinstance(exp, SoficGraph)
+    base, expanded = system_language(even_shift_spec(), 8), system_language(exp, 16)
     for n in range(9):
         for word in itertools.product((0, 1), repeat=n):
-            assert is_admissible(base, word) == is_admissible(exp, expand_word(word, plan))
+            assert base(word) == expanded(expand_word(word, plan))
 
 
 def test_expanded_sofic_factors_contract_to_base_factors():
     plan = plan_for(even_shift_graph().alphabet, "0")
-    base = even_shift_spec()
-    exp = expand_spec(base, plan)
+    base = system_language(even_shift_spec(), 7)
+    exp = system_language(expand_spec(even_shift_spec(), plan), 7)
     seen = 0
     for length in range(1, 8):
         for word in itertools.product(range(3), repeat=length):
-            if not is_admissible(exp, word) or word[-1] == plan.fresh:
+            if not exp(word) or word[-1] == plan.fresh:
                 continue  # a trailing fresh has its target cut off by the window
-            assert is_admissible(base, oracles.contract_word(word, plan.target, plan.fresh))
+            assert base(oracles.contract_word(word, plan.target, plan.fresh))
             seen += 1
     assert seen > 50
 
@@ -175,9 +176,10 @@ def test_expanded_full_shift_is_finite_type():
     exp = expand_spec(FullShift(2), plan)
     assert isinstance(exp, SftForbidden)
     assert exp.forbidden == frozenset({(2, 1), (2, 2), (0, 0), (1, 0)})
-    assert is_admissible(exp, (2, 0, 1, 2, 0))
-    assert not is_admissible(exp, (2, 1))
-    assert not is_admissible(exp, (1, 0))
+    member = system_language(exp, 5)
+    assert member((2, 0, 1, 2, 0))
+    assert not member((2, 1))
+    assert not member((1, 0))
 
 
 def test_expanded_dyck_wrapper():
@@ -197,17 +199,17 @@ def test_expanded_dyck_wrapper():
 def test_expansion_reflects_admissibility_dyck():
     spec = DyckN(2)
     plan = plan_for(spec.alphabet, "a1")
-    exp = expand_spec(spec, plan)
+    base, exp = system_language(spec, 5), system_language(expand_spec(spec, plan), 10)
     for n in range(6):
         for word in itertools.product(range(4), repeat=n):
-            assert is_admissible(spec, word) == is_admissible(exp, expand_word(word, plan))
+            assert base(word) == exp(expand_word(word, plan))
 
 
 def test_expanded_dyck_boundary_words():
-    exp = expand_spec(DyckN(2), plan_for(DyckN(2).alphabet, "a1"))
-    assert is_admissible(exp, (0,))  # bare target opens a factor window
-    assert is_admissible(exp, (4, 0, 2))
-    assert is_admissible(exp, (4,))  # trailing fresh forces a target after the window
-    assert not is_admissible(exp, (1, 0))  # interior target must follow fresh
-    assert not is_admissible(exp, (4, 1))
-    assert not is_admissible(exp, (4, 0, 3))  # mismatched close dies in the base
+    exp = system_language(expand_spec(DyckN(2), plan_for(DyckN(2).alphabet, "a1")), 3)
+    assert exp((0,))  # bare target opens a factor window
+    assert exp((4, 0, 2))
+    assert exp((4,))  # trailing fresh forces a target after the window
+    assert not exp((1, 0))  # interior target must follow fresh
+    assert not exp((4, 1))
+    assert not exp((4, 0, 3))  # mismatched close dies in the base

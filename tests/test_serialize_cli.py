@@ -470,7 +470,8 @@ NEGATIVE_BUDGET_JOBS = [
 def test_cli_negative_budget_is_invalid(argv, words, monkeypatch, capsys):
     # A negative budget is invalid input (exit 2), not an exhausted budget
     # (exit 3); a budget of 0 stays legal.  It exhausts verify's launching
-    # search, while flowcheck of an expanded bracket shift draws nothing.
+    # and transitivity searches, which report `unknown` in a full report,
+    # while flowcheck of an expanded bracket shift draws nothing.
     assert main(argv + ["--budget", words]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
@@ -480,8 +481,13 @@ def test_cli_negative_budget_is_invalid(argv, words, monkeypatch, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
     monkeypatch.setenv("LGK_BUDGET", "0")
     if argv[0] == "verify":
-        assert main(argv) == 3
-        assert capsys.readouterr().err.startswith("inconclusive: ")
+        assert main(argv + ["--format", "json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        checks = json.loads(captured.out)["checks"]
+        for name in ("synchronizing system", "synchronizingly transitive"):
+            assert checks[name]["verdict"] == "unknown"
+            assert checks[name]["note"] == "budget exhausted after 1 units"
     else:
         assert main(argv) == 0
         assert capsys.readouterr().err == ""

@@ -1,8 +1,11 @@
-"""Subshift specs: admissibility, covers and the systems they build.
+"""Subshift specs: covers, the systems they build and the language those
+systems read.
 
-Admissibility is cross-checked against direct definitions (forbidden-factor
-scan for the SFT, run-length parity for the even shift) rather than against
-the package's own machinery.
+The factor language is read off the built systems, a word being admissible
+exactly when it labels a path from the top level, and is cross-checked
+against direct definitions (forbidden-factor scan for the SFT, run-length
+parity for the even shift) and the package-free oracles, rather than
+against the package's own machinery.
 """
 
 from __future__ import annotations
@@ -15,7 +18,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import FIB, even_shift_spec, fibonacci_dyck_spec, golden_mean_spec
+from conftest import (
+    FIB,
+    even_shift_spec,
+    fibonacci_dyck_spec,
+    golden_mean_spec,
+    system_language,
+    top_language,
+)
 from lgk import (
     Alphabet,
     Budget,
@@ -24,13 +34,13 @@ from lgk import (
     SftForbidden,
     build_lambda_synchronizing,
     expand_spec,
-    is_admissible,
     plan_for,
 )
 from lgk.dyck import all_ones
 from lgk.labeled_graph import is_essential, left_resolving_violation
 from lgk.subshift import sft_cover
 from lgk.system import label_words, read_down
+from test_dyck import reduces_nonzero
 from test_walkers import raw
 
 words_01 = st.lists(st.integers(0, 1), min_size=0, max_size=10).map(tuple)
@@ -75,39 +85,41 @@ def test_forbidden_normalization_drops_redundant_words():
     assert spec.forbidden == frozenset({(1, 1)})
 
 
+GOLDEN_MEAN_LANGUAGE = system_language(golden_mean_spec(), 10)
+
+
 @given(words_01)
 def test_golden_mean_admissibility_is_factor_avoidance(word):
-    assert is_admissible(golden_mean_spec(), word) == (not has_factor(word, (1, 1)))
+    assert GOLDEN_MEAN_LANGUAGE(word) == (not has_factor(word, (1, 1)))
 
 
 def test_even_shift_admissibility_is_run_parity():
-    spec = even_shift_spec()
+    member = system_language(even_shift_spec(), 8)
     for n in range(9):
         for word in product(range(2), repeat=n):
-            assert is_admissible(spec, word) == even_runs_between_ones(word), word
+            assert member(word) == even_runs_between_ones(word), word
 
 
-def admissible_words(spec, n):
-    return [w for w in product(range(len(spec.alphabet)), repeat=n) if is_admissible(spec, w)]
+def admissible_words(member, k, n):
+    return [w for w in product(range(k), repeat=n) if member(w)]
 
 
 def test_block_counts():
     # golden mean block counts follow the Fibonacci recurrence
-    gm = golden_mean_spec()
-    assert [len(admissible_words(gm, n)) for n in range(8)] == [1, 2, 3, 5, 8, 13, 21, 34]
-    assert [len(admissible_words(FullShift(3), n)) for n in range(5)] == [1, 3, 9, 27, 81]
+    counts = [len(admissible_words(GOLDEN_MEAN_LANGUAGE, 2, n)) for n in range(8)]
+    assert counts == [1, 2, 3, 5, 8, 13, 21, 34]
+    full3 = system_language(FullShift(3), 4)
+    assert [len(admissible_words(full3, 3, n)) for n in range(5)] == [1, 3, 9, 27, 81]
 
 
 def test_blocks_sorted_and_admissible():
     # the words read from the top of a canonical system come in
     # lexicographic order within a length, and are the admissible ones
-    gm = golden_mean_spec()
-    sys = build_lambda_synchronizing(gm, 5)
+    sys = build_lambda_synchronizing(golden_mean_spec(), 5)
     top = frozenset(range(sys.levels[0].size))
     out = [w for w, _ in label_words(sys, 0, top, 5) if len(w) == 5]
     assert out == sorted(out)
-    assert all(is_admissible(gm, w) for w in out)
-    assert out == admissible_words(gm, 5)
+    assert out == admissible_words(oracles.sft_language(2, [(1, 1)]), 2, 5)
 
 
 def followers(sys, word, length):
@@ -156,13 +168,14 @@ def test_predecessors_match_bruteforce(kind, length, data):
 
 @pytest.mark.parametrize("kind", sorted(BRACKET_SPECS))
 def test_bracket_language_matches_oracle(kind):
-    # The steppers of bracket specs and their expansions against the
+    # The built systems of bracket specs and their expansions against the
     # partial-map oracles, on every word up to the spec's longest length.
-    make, max_len, oracle = BRACKET_SPECS[kind]
-    spec = make()
+    _, max_len, oracle = BRACKET_SPECS[kind]
+    sys = PREDECESSOR_SYSTEMS[kind]
+    member = top_language(sys)
     for n in range(max_len + 1):
-        for word in product(range(len(spec.alphabet)), repeat=n):
-            assert is_admissible(spec, word) == oracle(word), word
+        for word in product(range(len(sys.alphabet)), repeat=n):
+            assert member(word) == oracle(word), word
 
 
 @st.composite
@@ -184,14 +197,19 @@ def covered_specs(draw):
 def test_cover_language_matches_oracle(presented, data):
     # Every word up to 4 symbols, then a drawn word of up to 6: shorter and
     # longer than the memory window, and with a symbol one past the
-    # alphabet now and then.
+    # alphabet now and then.  An empty shift has no system to read.
     spec, member = presented
+    if not member(()):
+        with pytest.raises(ValueError, match="the shift is empty"):
+            build_lambda_synchronizing(spec, 6)
+        return
+    built = system_language(spec, 6)
     k = len(spec.alphabet)
     for n in range(5):
         for v in product(range(k), repeat=n):
-            assert is_admissible(spec, v) == member(v), v
+            assert built(v) == member(v), v
     word = data.draw(st.lists(st.integers(0, k), max_size=6).map(tuple), label="word")
-    assert is_admissible(spec, word) == member(word)
+    assert built(word) == member(word)
 
 
 FOLLOWER_SYSTEMS = {
@@ -202,10 +220,10 @@ FOLLOWER_SYSTEMS = {
 
 @given(st.sampled_from(sorted(FOLLOWER_SYSTEMS)), words_01, st.integers(0, 3))
 def test_followers_match_bruteforce(kind, word, length):
-    spec = golden_mean_spec() if kind == "gm" else even_shift_spec()
-    if not is_admissible(spec, word):
+    member = even_runs_between_ones if kind == "even" else (lambda w: not has_factor(w, (1, 1)))
+    if not member(word):
         return
-    want = {v for v in product(range(2), repeat=length) if is_admissible(spec, word + v)}
+    want = {v for v in product(range(2), repeat=length) if member(word + v)}
     assert followers(FOLLOWER_SYSTEMS[kind], word, length) == want
 
 
@@ -269,10 +287,6 @@ INTERFACE_EXPANSIONS = [
 ]
 
 
-def _reduces_nonzero(matrix, word):
-    return not oracles.reduce_brackets(matrix, word).is_zero
-
-
 @pytest.mark.parametrize(
     "base, target", INTERFACE_EXPANSIONS, ids=[f"{b}+{t}" for b, t in INTERFACE_EXPANSIONS]
 )
@@ -287,7 +301,7 @@ def test_interfaces_fix_the_past(base, target):
     matrix, t, fresh = spec.base.matrix, spec.target, spec.fresh
     k = len(spec.alphabet)
     member = lru_cache(maxsize=None)(
-        lambda w: oracles.expanded_word_nonzero(matrix, t, fresh, w, _reduces_nonzero)
+        lambda w: oracles.expanded_word_nonzero(matrix, t, fresh, w, reduces_nonzero)
     )
     sys = build_lambda_synchronizing(spec, 2)
     for l in (1, 2):
@@ -307,11 +321,12 @@ def test_interfaces_fix_the_past(base, target):
 
 @pytest.mark.parametrize("kind", ["dyck2", "fib", "dyck2+e"])
 def test_bracket_specs_reject_out_of_range_symbols(kind):
-    spec = BRACKET_SPECS[kind][0]()
-    k = len(spec.alphabet)
+    sys = PREDECESSOR_SYSTEMS[kind]
+    member = top_language(sys)
+    k = len(sys.alphabet)
     for bad in (-1, k):
         for word in ((bad,), (1, bad), (bad, k - 1)):
-            assert not is_admissible(spec, word), word
+            assert not member(word), word
 
 
 @pytest.mark.parametrize(

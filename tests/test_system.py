@@ -31,7 +31,6 @@ from lgk import (
     build_lambda_synchronizing,
     canonical_form,
     from_names,
-    is_admissible,
     level_isomorphic,
     verify_all,
 )
@@ -48,6 +47,7 @@ from lgk.system import (
     verify_local_property,
     verify_predecessor_separated,
 )
+from test_dyck import reduces_nonzero
 from test_walkers import gap_run_systems, random_systems, raw
 
 
@@ -229,7 +229,8 @@ def test_expanded_classes_are_numbered_by_rank_and_tagged_by_synchronizing_words
         for l, level in enumerate(sys.levels):
             for tag in level.tags:
                 word = spec.alphabet.word(tag)
-                assert is_admissible(spec, word), (target, l, tag)
+                admissible = oracles.expanded_word_nonzero(base.matrix, target, fresh, word, reduces_nonzero)
+                assert admissible, (target, l, tag)
                 contracted = oracles.contract_word(word, target, fresh)
                 closes = oracles.reduce_brackets(base.matrix, contracted).closes
                 assert len(closes) >= l, (target, l, tag)
