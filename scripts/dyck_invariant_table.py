@@ -29,17 +29,21 @@ def main() -> int:
     parser.add_argument("--depth", type=int, default=5, help="truncation depth (default 5)")
     args = parser.parse_args()
 
-    if args.spec:
-        spec = spec_loads(Path(args.spec).read_text())
-        if not isinstance(spec, (DyckN, MarkovDyck)):
-            print("error: spec is not a bracket shift", file=sys.stderr)
-            return 2
-        matrix = spec.matrix
-        label = f"Markov-Dyck {matrix}"
-        system = build_cantor_horizon_markov_dyck(matrix, args.depth)
-    else:
-        label = f"Dyck shift, {args.pairs} bracket pairs"
-        system = build_cantor_horizon_dyck(args.pairs, args.depth)
+    try:
+        if args.spec:
+            spec = spec_loads(Path(args.spec).read_text())
+            if not isinstance(spec, (DyckN, MarkovDyck)):
+                print("error: spec is not a bracket shift", file=sys.stderr)
+                return 2
+            matrix = spec.matrix
+            label = f"Markov-Dyck {matrix}"
+            system = build_cantor_horizon_markov_dyck(matrix, args.depth)
+        else:
+            label = f"Dyck shift, {args.pairs} bracket pairs"
+            system = build_cantor_horizon_dyck(args.pairs, args.depth)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     report = invariant_report(system)
     print(label)

@@ -46,19 +46,23 @@ def main() -> int:
         ("markovdyck_fib.json", "b1", args.bracket_depth or 6),
     ]
     failures = 0
-    for name, symbol, depth in cases:
-        spec = spec_loads((SPECS / name).read_text())
-        plan = plan_for(spec.alphabet, symbol)
-        started = time.monotonic()
-        base = invariant_report(build_lambda_synchronizing(spec, depth))
-        expanded = invariant_report(
-            build_lambda_synchronizing(expand_spec(spec, plan), depth)
-        )
-        verdict, note = compare_reports(base, expanded)
-        elapsed = time.monotonic() - started
-        print(f"{name:<22} expand {symbol!r:<5} depth {depth}  "
-              f"{verdict.upper():<12} {elapsed:6.2f}s  {note}")
-        failures += verdict == "fail"
+    try:
+        for name, symbol, depth in cases:
+            spec = spec_loads((SPECS / name).read_text())
+            plan = plan_for(spec.alphabet, symbol)
+            started = time.monotonic()
+            base = invariant_report(build_lambda_synchronizing(spec, depth))
+            expanded = invariant_report(
+                build_lambda_synchronizing(expand_spec(spec, plan), depth)
+            )
+            verdict, note = compare_reports(base, expanded)
+            elapsed = time.monotonic() - started
+            print(f"{name:<22} expand {symbol!r:<5} depth {depth}  "
+                  f"{verdict.upper():<12} {elapsed:6.2f}s  {note}")
+            failures += verdict == "fail"
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 1 if failures else 0
 
 

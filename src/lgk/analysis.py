@@ -356,8 +356,9 @@ def _read_back(
     least length of a word w with R(w) = X, in nondecreasing order of
     length; R(w) is the set of vertices from which w can be read, and the
     whole level is R of the empty word.  Each X shorter than `cap` (None:
-    no cap) is read backward through every symbol a labeling an edge into
-    it, one meter unit per (X, a), giving pred_a(X) = R(a w) at `layer`.
+    no cap) is read backward once: its in-edges, grouped by symbol, give
+    pred_a(X) = R(a w) at `layer` for every symbol a labeling an edge into
+    it, one meter unit per (X, a), in ascending order of a.
     Returns the same map for level `layer`, in the same order, and the
     vertices v with {v} = R(a w) for some X and a: those launched by a word
     of length at most `cap`.  A singleton counts even when the map already
@@ -365,14 +366,16 @@ def _read_back(
     """
     found = {frozenset(range(sys.levels[layer].size)): 0}
     launched: set[int] = set()
-    tables = sys.adjacency.pred[layer].values()
+    into = sys.adjacency.into[layer]
     for ends, length in below.items():
         if cap is not None and length >= cap:
             break
-        for sources in tables:
-            starts = frozenset([s for t in ends if t in sources for s in sources[t]])
-            if not starts:
-                continue
+        by_symbol: dict[int, list[int]] = {}
+        for t in ends:
+            for a, s in into.get(t, ()):
+                by_symbol.setdefault(a, []).append(s)
+        for a in sorted(by_symbol):
+            starts = frozenset(by_symbol[a])
             meter.tick()
             if len(starts) == 1:
                 launched |= starts

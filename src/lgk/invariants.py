@@ -103,11 +103,13 @@ def connecting_map_check(sys: LambdaGraphSystem, l: int) -> bool:
 
     Entry [s][u] of the left side counts the layer-l edges from s into
     iota_{l+1}(u), and of the right the layer-(l+1) edges into u whose source
-    collapses to s: the sizes of the :func:`lgk.system.local_tallies` at u.
-    The local property compares their labels, so it implies this identity.
+    collapses to s: the times s occurs in the two sorted
+    :func:`lgk.system.local_tallies` at u, so the identity holds when their
+    source sequences agree.  The local property compares the whole pairs,
+    so it implies this identity.
     """
     return all(
-        {s: len(a) for s, a in incoming.items()} == {s: len(a) for s, a in outgoing.items()}
+        [s for s, _ in incoming] == [s for s, _ in outgoing]
         for _, incoming, outgoing in local_tallies(sys, l + 1)
     )
 

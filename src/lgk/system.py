@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import accumulate, islice, zip_longest
 from operator import ge
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -90,33 +90,15 @@ class Adjacency:
     entering t, and `fiber[l][v]` lists the level-(l+1) vertices collapsing
     onto v.  They are read off the sorted layers, so each source lists its
     symbols ascending with their targets ascending, and each target lists
-    its in-edges by ascending source, then symbol.  A vertex without such
-    edges (or preimages) has no entry.  Callers must not mutate them.
+    its in-edges by ascending source, then symbol.  `into` is the one
+    backward table: the backward reads pick their symbols out of it.  A
+    vertex without such edges (or preimages) has no entry.  Callers must
+    not mutate them.
     """
 
     out: tuple[dict[int, dict[int, list[int]]], ...]
     into: tuple[dict[int, list[tuple[int, int]]], ...]
     fiber: tuple[dict[int, list[int]], ...]
-
-    # Only the backward reads need it, so it is regrouped from `into` on
-    # first use rather than built with the other tables.
-    @cached_property
-    def pred(self) -> tuple[dict[int, dict[int, list[int]]], ...]:
-        """`pred[l][a][t]` lists the sources of the `a`-edges entering t in
-        edge layer l, ascending; each layer lists its symbols ascending, and
-        a symbol without edges in the layer has no entry.  A layer that
-        shares the `into` table of the layer above shares its table too."""
-        tables: list[dict[int, dict[int, list[int]]]] = []
-        for l, into in enumerate(self.into):
-            if l and into is self.into[l - 1]:
-                tables.append(tables[-1])
-                continue
-            by_symbol: dict[int, dict[int, list[int]]] = {}
-            for t, pairs in into.items():
-                for a, s in pairs:
-                    by_symbol.setdefault(a, {}).setdefault(t, []).append(s)
-            tables.append({a: by_symbol[a] for a in sorted(by_symbol)})
-        return tuple(tables)
 
 
 @dataclass(frozen=True)
@@ -269,8 +251,8 @@ def read_up(sys: LambdaGraphSystem, level: int, targets: frozenset[int], word: W
         raise ValueError(f"word of length {len(word)} does not fit below level {level}")
     current = targets
     for offset in range(len(word) - 1, -1, -1):
-        sources = sys.adjacency.pred[level + offset].get(word[offset], {})
-        current = frozenset([s for t in current if t in sources for s in sources[t]])
+        into, symbol = sys.adjacency.into[level + offset], word[offset]
+        current = frozenset([s for t in current for a, s in into.get(t, ()) if a == symbol])
         if not current:
             break
     return current
@@ -434,62 +416,52 @@ def verify_iota_surjective(sys: LambdaGraphSystem) -> Verdict:
     return Verdict.yes()
 
 
-def _in_label_sets(sys: LambdaGraphSystem, l: int) -> dict[int, frozenset[int]]:
-    """In-label set of each vertex at level l >= 1 (edge layer l-1)."""
-    into = sys.adjacency.into[l - 1]
-    return {
-        v: frozenset(a for a, _ in into.get(v, ())) for v in range(sys.levels[l].size)
-    }
-
-
 def verify_label_iota_compatible(sys: LambdaGraphSystem) -> Verdict:
-    """In-label sets are preserved by the collapse (checkable below level 1).
+    """In-label sets are preserved by the collapse (checkable below level 1):
+    the symbols of the two :func:`local_tallies` of each vertex agree.
 
     Level l reads gaps l - 1 and l.
     """
     for l in range(1, sys.depth):
         if window_repeats(sys.repeats, l - 1, 2):
             continue
-        lower = _in_label_sets(sys, l)
-        upper = _in_label_sets(sys, l + 1)
-        for v in range(sys.levels[l + 1].size):
-            image = sys.iota[l][v]
-            if upper[v] != lower[image]:
-                got = sorted(sys.alphabet.names[a] for a in upper[v])
-                want = sorted(sys.alphabet.names[a] for a in lower[image])
+        for v, incoming, outgoing in local_tallies(sys, l):
+            got, want = {a for _, a in incoming}, {a for _, a in outgoing}
+            if got != want:
+                names = sys.alphabet.names
                 return Verdict.no(
                     witness=(l + 1, v),
                     note=(
                         f"vertex {_tag(sys, l + 1, v)} at level {l + 1} has "
-                        f"in-labels {got} but its collapse image "
-                        f"{_tag(sys, l, image)} has {want}"
+                        f"in-labels {sorted(names[a] for a in got)} but its collapse image "
+                        f"{_tag(sys, l, sys.iota[l][v])} has {sorted(names[a] for a in want)}"
                     ),
                 )
     return Verdict.yes()
 
 
-def local_tallies(sys: LambdaGraphSystem, l: int) -> Iterator[tuple[int, dict, dict]]:
-    """Each vertex v of level l + 1 (1 <= l < depth) with the labels of the
-    layer-l edges into v by the collapse of their source, and of the
-    layer-(l - 1) edges into iota_l(v) by source; ascending source, then symbol.
+Tally = list[tuple[int, int]]
 
-    The second tally depends on the image only, so it is made once per
-    image and the vertices of one fiber share it; callers must not mutate
-    it."""
-    into, iota = sys.adjacency.into, sys.iota
-    tallies: dict[int, dict[int, list[int]]] = {}
+
+def local_tallies(sys: LambdaGraphSystem, l: int) -> Iterator[tuple[int, Tally, Tally]]:
+    """Each vertex v of level l + 1 (1 <= l < depth) with the two lists of
+    in-edges the collapse must match there, as sorted (vertex, symbol)
+    pairs: `incoming` pairs the collapse iota_{l-1}(s) of the source of each
+    layer-l edge into v with its symbol, and `outgoing` pairs the source
+    of each layer-(l - 1) edge into iota_l(v) with its symbol.
+
+    The one gather of three axioms: the local property compares the two
+    lists, label-collapse compatibility their symbol sets, and the
+    intertwining identity their source sequences.  `into` lists the second
+    in order already, so it is made once per image and the vertices of one
+    fiber share it; callers must not mutate it."""
+    into, below, above = sys.adjacency.into, sys.iota[l - 1], sys.iota[l]
+    tallies: dict[int, Tally] = {}
     for v in range(sys.levels[l + 1].size):
-        incoming: dict[int, list[int]] = {}
-        for a, s in into[l].get(v, ()):
-            incoming.setdefault(iota[l - 1][s], []).append(a)
-        image = iota[l][v]
+        image = above[v]
         if image not in tallies:
-            # ascending u, then symbol: the order of u's decides which failure is named
-            outgoing: dict[int, list[int]] = {}
-            for a, u in into[l - 1].get(image, ()):
-                outgoing.setdefault(u, []).append(a)
-            tallies[image] = outgoing
-        yield v, incoming, tallies[image]
+            tallies[image] = [(u, a) for a, u in into[l - 1].get(image, ())]
+        yield v, sorted([(below[s], a) for a, s in into[l].get(v, ())]), tallies[image]
 
 
 def verify_local_property(sys: LambdaGraphSystem) -> Verdict:
@@ -497,45 +469,49 @@ def verify_local_property(sys: LambdaGraphSystem) -> Verdict:
 
     For u two levels above v's level, the labels of edges into v whose
     sources collapse to u must agree, with multiplicity, with the labels of
-    edges from u into the collapse image of v (:func:`local_tallies`).
-    Level l reads gaps l - 1 and l.  The witness names the least failing u
-    of the first failing v, whatever order the tallies were filled in.
+    edges from u into the collapse image of v: the two sorted
+    :func:`local_tallies` of v are equal.  Level l reads gaps l - 1 and l.
+    The witness names the least u whose labels differ, of the first failing
+    v; it is looked for only once two tallies differ.
     """
+    names = sys.alphabet.names
     for l in range(1, sys.depth):
         if window_repeats(sys.repeats, l - 1, 2):
             continue
         for v, incoming, outgoing in local_tallies(sys, l):
-            for u in sorted(incoming.keys() | outgoing.keys()):
-                have = sorted(incoming.get(u, []))
-                want = sorted(outgoing.get(u, []))
-                if have != want:
-                    return Verdict.no(
-                        witness=(l, u, v),
-                        note=(
-                            f"between {_tag(sys, l - 1, u)} at level {l - 1} and "
-                            f"{_tag(sys, l + 1, v)} at level {l + 1}: fiber "
-                            f"in-labels {[sys.alphabet.names[a] for a in have]} vs "
-                            f"out-labels {[sys.alphabet.names[a] for a in want]}"
-                        ),
-                    )
+            if incoming == outgoing:
+                continue
+            # Both tallies are sorted and agree before the first pair where
+            # they part, so every u below both vertices there agrees, and
+            # the lesser of the two is the least u that does not.
+            parted = next(pair for pair in zip_longest(incoming, outgoing) if pair[0] != pair[1])
+            u = min(pair[0] for pair in parted if pair is not None)
+            return Verdict.no(
+                witness=(l, u, v),
+                note=(
+                    f"between {_tag(sys, l - 1, u)} at level {l - 1} and "
+                    f"{_tag(sys, l + 1, v)} at level {l + 1}: fiber "
+                    f"in-labels {[names[a] for w, a in incoming if w == u]} vs "
+                    f"out-labels {[names[a] for w, a in outgoing if w == u]}"
+                ),
+            )
     return Verdict.yes()
 
 
 def verify_essential(sys: LambdaGraphSystem) -> Verdict:
     """Every vertex emits an edge (below the last level) and receives one (above the first)."""
-    for l, layer in enumerate(sys.edges):
+    for l in range(sys.depth):
         if sys.repeats[l]:
             continue
-        sources = {s for s, a, t in layer}
-        targets = {t for s, a, t in layer}
+        out, into = sys.adjacency.out[l], sys.adjacency.into[l]
         for v in range(sys.levels[l].size):
-            if v not in sources:
+            if v not in out:
                 return Verdict.no(
                     witness=(l, v),
                     note=f"vertex {_tag(sys, l, v)} at level {l} has no outgoing edge",
                 )
         for v in range(sys.levels[l + 1].size):
-            if v not in targets:
+            if v not in into:
                 return Verdict.no(
                     witness=(l + 1, v),
                     note=f"vertex {_tag(sys, l + 1, v)} at level {l + 1} has no incoming edge",
@@ -557,11 +533,10 @@ def verify_all(sys: LambdaGraphSystem) -> dict[str, Verdict]:
     """Every verdict of :data:`VERIFIER_ORDER`, in its order.
 
     The local property implies label-collapse compatibility, which is only
-    checked when the local property fails.  At each level l both compare, for every v at level
-    l + 1, its in-edges with those into iota_l(v), and both skip the same
-    windows; the local property splits the two in-label multisets by the
-    collapse u of their sources and matches them part by part, so their
-    unions, and hence the two in-label sets, agree.
+    checked when the local property fails.  At each level l both read the
+    same :func:`local_tallies` of every v at level l + 1 and skip the same
+    windows; the local property asks for two equal tallies, and equal
+    tallies have equal symbol sets.
     """
     local = verify_local_property(sys)
     return {

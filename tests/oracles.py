@@ -848,6 +848,24 @@ def scan_local_property(sizes, edges, iota):
     return None
 
 
+def scan_label_compatible(sizes, edges, iota):
+    """First failure (l + 1, v, in-labels of v, in-labels of its collapse
+    image) of label-collapse compatibility, or None.
+
+    Each v at level l + 1 (1 <= l < depth) must have the same set of
+    in-edge labels as iota_l(v) at level l; the levels are tried top down,
+    v ascending, and both label sets come back sorted.
+    """
+    for l in range(1, len(sizes) - 1):
+        for v in range(sizes[l + 1]):
+            image = iota[l][v]
+            got = sorted({a for s, a, t in edges[l] if t == v})
+            want = sorted({a for s, a, t in edges[l - 1] if t == image})
+            if got != want:
+                return l + 1, v, got, want
+    return None
+
+
 def nested_canonical_form(sizes, edges, iota):
     """(sizes, edges, iota) renamed by nested predecessor keys, or None when
     two vertices of a level have equal keys.

@@ -1,7 +1,9 @@
-"""System walkers and canonical form against edge-scanning oracles.
+"""System walkers, local checks and canonical form against edge-scanning oracles.
 
-Every walker reads `LambdaGraphSystem.adjacency`, one set of lookup tables
-built per system.  `oracles` redoes each walk by rescanning whole edge
+Every walker reads `LambdaGraphSystem.adjacency`, three lookup tables
+(`out`, `into`, `fiber`) built per system, and the tables are checked to
+mirror the layers they are read off.  `oracles` redoes each walk, the
+local property and label-collapse compatibility by rescanning whole edge
 layers, and the canonical form with nested predecessor keys, on the raw
 (source, symbol, target) triples.  The drawn systems are arbitrary: not
 necessarily left-resolving, essential, predecessor-separated, or locally
@@ -37,6 +39,7 @@ from lgk.system import (
     read_down,
     read_up,
     step_down,
+    verify_label_iota_compatible,
     verify_local_property,
 )
 
@@ -251,6 +254,24 @@ def test_local_property_matches_layer_scan(sys):
         assert verify_local_property(sys).witness == (1, 1, 0)
 
 
+@given(systems)
+@example(COLLIDING)
+@example(INSERTED_LARGER_FIRST)
+def test_label_compatibility_matches_layer_scan(sys):
+    verdict = verify_label_iota_compatible(sys)
+    failure = oracles.scan_label_compatible(*raw(sys))
+    if failure is None:
+        assert verdict.is_yes
+        return
+    level, v, got, want = failure
+    assert verdict.is_no
+    assert verdict.witness == (level, v)
+    names = sys.alphabet.names
+    got, want = sorted(names[a] for a in got), sorted(names[a] for a in want)
+    assert f"in-labels {got} but its collapse image" in verdict.note
+    assert verdict.note.endswith(f" has {want}")
+
+
 def test_local_property_names_the_least_failing_vertex():
     verdict = verify_local_property(INSERTED_LARGER_FIRST)
     assert verdict.is_no
@@ -287,6 +308,31 @@ def test_adjacency_is_cached_outside_equality(sys):
     assert "adjacency" in vars(sys) and "adjacency" not in vars(twin)
     assert sys == twin and hash(sys) == hash(twin)
     assert twin.adjacency == sys.adjacency and twin.adjacency is not sys.adjacency
+
+
+@given(systems)
+def test_adjacency_mirrors_its_layers(sys):
+    sizes, edges, iota = raw(sys)
+    index = sys.adjacency
+    for l in range(sys.depth):
+        # the layer is sorted by (source, symbol, target), so a scan in its
+        # order lists each target's in-edges by ascending source, then symbol
+        into: dict = {}
+        out: dict = {}
+        for s, a, t in edges[l]:
+            into.setdefault(t, []).append((a, s))
+            out.setdefault(s, {}).setdefault(a, []).append(t)
+        fiber: dict = {}
+        for v, image in enumerate(iota[l]):
+            fiber.setdefault(image, []).append(v)
+        assert index.into[l] == into
+        assert index.out[l] == out
+        assert all(list(by_symbol) == sorted(by_symbol) for by_symbol in index.out[l].values())
+        assert index.fiber[l] == fiber
+        if sys.repeats[l]:
+            assert index.into[l] is index.into[l - 1]
+            assert index.out[l] is index.out[l - 1]
+            assert index.fiber[l] is index.fiber[l - 1]
 
 
 def assert_canonical_matches(sys):
