@@ -54,7 +54,6 @@ from .system import (
     build_cantor_horizon_markov_dyck,
     build_lambda_synchronizing,
     canonical_form,
-    level_isomorphic,
     verify_all,
 )
 from .serialize import export_dot, spec_dumps, spec_loads, system_dumps, system_loads

@@ -154,7 +154,10 @@ class AbelianGroup:
 
 
 def cokernel(m: Matrix) -> AbelianGroup:
-    """Z^rows / (column span of m)."""
+    """Z^rows / (column span of m).  Public, with :func:`kernel_group`, though
+    no CLI path calls either: `test_linalg` and acceptance criteria 1 and 8
+    hold :func:`snf_diagonal` to the oracles through them, and the
+    benchmark's layer tracer (`lgkbench/layers.py`) times both by name."""
     rows, _ = shape(m)
     diag = snf_diagonal(m)
     rank = sum(1 for x in diag if x)
@@ -162,7 +165,7 @@ def cokernel(m: Matrix) -> AbelianGroup:
 
 
 def kernel_group(m: Matrix) -> AbelianGroup:
-    """Kernel of m: Z^cols -> Z^rows, always free."""
+    """Kernel of m: Z^cols -> Z^rows, always free; public as :func:`cokernel` is."""
     _, cols = shape(m)
     diag = snf_diagonal(m)
     rank = sum(1 for x in diag if x)

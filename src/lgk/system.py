@@ -21,7 +21,9 @@ Builders:
   synchronizing words.
 
 :func:`canonical_form` renames every vertex by its predecessor structure,
-giving a byte-stable normal form used for isomorphism checks.
+giving a byte-stable normal form used for isomorphism checks.  It and the two
+quotient builders rank vertices by their pasts (:func:`_predecessor_ranks`)
+and merge along the ranks (:func:`_merge`).
 
 Gap l is edge layer l with collapse l, joining levels l and l + 1; it is
 the pair (A_l, I_l) of the paper, with no other representation.
@@ -323,83 +325,41 @@ def verify_left_resolving(sys: LambdaGraphSystem) -> Verdict:
     return Verdict.yes()
 
 
-def _predecessor_ranks(
-    sizes: Sequence[int], edges: Sequence[Iterable[Edge]]
-) -> Iterator[list[int]]:
-    """Refine each level's vertices by their predecessor structure, yielding
-    the ranks of one level at a time, so a caller may stop early.
-
-    Every top vertex has rank 0 (the empty past).  Below, a vertex's key is
-    the sorted tuple of its distinct (symbol, rank of source) pairs, and the
-    distinct keys of a level are ranked in ascending order, equal keys
-    sharing a rank.  By induction the ranks order the vertices as the
-    nested keys (symbol, key of source) would, without their size doubling
-    per level.
-
-    In a left-resolving system whose vertices all have a past of every
-    length (an essential system), equal keys are exactly equal
-    predecessor-word sets: a vertex's words of length l are, for each
-    in-symbol a, the words of length l - 1 into its one a-source followed
-    by a, and words partition by their last symbol.  One-step source
-    identity would be too coarse (two disjoint equally-labeled loops have
-    distinct in-edges but identical pasts).  A level's ranks are 0 .. k - 1
-    for its k distinct keys, and each level's ranks refine those above: a
-    key maps onto the key one level up by renaming the ranks of sources.
-    """
-    ranks = [0] * sizes[0]
-    yield ranks
-    for l in range(1, len(sizes)):
-        pairs: list[set[tuple[int, int]]] = [set() for _ in range(sizes[l])]
-        for s, a, t in edges[l - 1]:
-            pairs[t].add((a, ranks[s]))
-        keys = [tuple(sorted(p)) for p in pairs]
-        rank = {key: r for r, key in enumerate(sorted(set(keys)))}
-        ranks = [rank[key] for key in keys]
-        yield ranks
-
-
-def _first_clash(ranks: Iterable[list[int]]) -> Optional[tuple[int, int, int]]:
-    """The first (level, earlier vertex, later vertex) of two vertices of
-    one level >= 1 with equal ranks, lowest level first, if any."""
-    levels = iter(ranks)
-    next(levels, None)  # the top vertices all have the empty past
-    for l, level in enumerate(levels, start=1):
-        first: dict[int, int] = {}
-        for v, r in enumerate(level):
-            if first.setdefault(r, v) != v:
-                return l, first[r], v
-    return None
-
-
 def verify_predecessor_separated(sys: LambdaGraphSystem) -> Verdict:
     """Distinct vertices at levels >= 1 have distinct predecessor-word sets.
 
-    Classes are refined level by level by :func:`_predecessor_ranks`, up to
-    the first clash, and no further than the first level l >= 1 from which
-    every gap repeats the gap above it: if levels 1 .. l have no clash, no
-    level below has one.  For l >= 2, levels l - 1 and l have one size and
-    every vertex alone in its class, so the gap into l maps that partition
-    onto itself (renaming ranks maps keys one to one), and every later gap
-    is that gap again.  For l = 1 every gap is gap 0; level 1's partition
-    refines level 0's, and a gap maps finer partitions to finer ones, so
-    level 2's refines level 1's, which has every vertex alone already, and
-    so on down.  The ranks themselves may alternate: on the even shift's
-    quotient they are [1, 0] and [0, 1] on alternate levels.
+    The classes are those of :func:`_predecessor_ranks`, read off `into` down
+    to the first clash.  Level 1 keys a vertex by its in-symbols, since every
+    top vertex has rank 0.  Level l >= 2 keys it by its `into` list: level
+    l - 1 has no clash, so its ranks are a bijection, and distinct (symbol,
+    rank of source) pairs separate exactly what the sorted, duplicate-free
+    (symbol, source) pairs of `into` separate.
+
+    The check stops at the first level l >= 1 from which every gap repeats
+    the gap above it.  A repeated gap has the `into` table of the gap above,
+    so each level below l has the `into` lists of the level above it, which
+    are distinct if levels 1 .. l have no clash (at l = 1, lists with
+    distinct symbol sets differ).
     """
     tail = sys.depth  # gaps tail .. depth - 1 each repeat the gap above
     while tail > 0 and sys.repeats[tail - 1]:
         tail -= 1
-    clash = _first_clash(islice(_predecessor_ranks(sys.sizes, sys.edges), max(tail, 1) + 1))
-    if clash is None:
-        return Verdict.yes()
-    level, first, second = clash
-    return Verdict.no(
-        witness=clash,
-        note=(
-            f"vertices {_tag(sys, level, first)} and {_tag(sys, level, second)} "
-            f"at level {level} have identical predecessor words"
-        ),
-    )
+    into = sys.adjacency.into
+    for level in range(1, tail + 1):
+        first: dict[object, int] = {}
+        for v in range(sys.levels[level].size):
+            pairs = into[level - 1].get(v, ())
+            key = frozenset([a for a, _ in pairs]) if level == 1 else tuple(pairs)
+            earlier = first.setdefault(key, v)
+            if earlier != v:
+                return Verdict.no(
+                    witness=(level, earlier, v),
+                    note=(
+                        f"vertices {_tag(sys, level, earlier)} and {_tag(sys, level, v)} "
+                        f"at level {level} have identical predecessor words"
+                    ),
+                )
+    return Verdict.yes()
 
 
 def verify_iota_surjective(sys: LambdaGraphSystem) -> Verdict:
@@ -548,6 +508,67 @@ def verify_all(sys: LambdaGraphSystem) -> dict[str, Verdict]:
 
 
 # -- builders ------------------------------------------------------------
+
+
+def _predecessor_ranks(
+    sizes: Sequence[int], edges: Sequence[Iterable[Edge]]
+) -> Iterator[list[int]]:
+    """Refine each level's vertices by their predecessor structure, yielding
+    the ranks of one level at a time, so a caller may stop early.
+
+    Every top vertex has rank 0 (the empty past).  Below, a vertex's key is
+    the sorted tuple of its distinct (symbol, rank of source) pairs, and the
+    distinct keys of a level are ranked in ascending order, equal keys
+    sharing a rank.  By induction the ranks order the vertices as the
+    nested keys (symbol, key of source) would, without their size doubling
+    per level.  Its callers merge along the ranks (:func:`_merge`): the two
+    quotient builders and :func:`canonical_form`.
+
+    In a left-resolving system whose vertices all have a past of every
+    length (an essential system), equal keys are exactly equal
+    predecessor-word sets: a vertex's words of length l are, for each
+    in-symbol a, the words of length l - 1 into its one a-source followed
+    by a, and words partition by their last symbol.  One-step source
+    identity would be too coarse (two disjoint equally-labeled loops have
+    distinct in-edges but identical pasts).  A level's ranks are 0 .. k - 1
+    for its k distinct keys, and each level's ranks refine those above: a
+    key maps onto the key one level up by renaming the ranks of sources.
+    """
+    ranks = [0] * sizes[0]
+    yield ranks
+    for l in range(1, len(sizes)):
+        pairs: list[set[tuple[int, int]]] = [set() for _ in range(sizes[l])]
+        for s, a, t in edges[l - 1]:
+            pairs[t].add((a, ranks[s]))
+        keys = [tuple(sorted(p)) for p in pairs]
+        rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+        ranks = [rank[key] for key in keys]
+        yield ranks
+
+
+def _merge(
+    classes: Sequence[Sequence[int]], edges: Sequence[Iterable[Edge]], collapse: Sequence[Sequence[int]]
+) -> tuple[list[tuple[Edge, ...]], list[tuple[int, ...]]]:
+    """Edge layers and collapses of a leveled graph merged along `classes`:
+    level-l vertex v joins class ``classes[l][v]``, numbered 0 .. k - 1.  An
+    edge of ``edges[l]`` joins the classes of its ends (sorted, without
+    duplicates), and a class collapses onto the one class of its members'
+    images under ``collapse[l]``; two such classes are a construction error."""
+    layers: list[tuple[Edge, ...]] = []
+    iota: list[tuple[int, ...]] = []
+    for l, (layer, down) in enumerate(zip(edges, collapse)):
+        low, high = classes[l], classes[l + 1]
+        layers.append(tuple(sorted({(low[s], a, high[t]) for s, a, t in layer})))
+        image = [-1] * (max(high) + 1)
+        for v, c in enumerate(high):
+            up = low[down[v]]
+            if image[c] not in (-1, up):
+                raise ConstructionError(
+                    f"class {c} at level {l + 1} collapses onto classes {image[c]} and {up} at level {l}"
+                )
+            image[c] = up
+        iota.append(tuple(image))
+    return layers, iota
 
 
 @dataclass(frozen=True)
@@ -726,8 +747,9 @@ def _interface_system(
     rank, as :func:`canonical_form` numbers them, and each is tagged with a
     synchronizing word of its first interface: the closes, expanded, after
     a_t b_t for a flagged open target, with the fresh symbol of a leading
-    target dropped when the interface is flagged.  A collapse that sends
-    one class to two is a construction error.
+    target dropped when the interface is flagged.  The interface edges and
+    collapse are merged along the ranks (:func:`_merge`), so a collapse
+    that sends one class to two is a construction error.
     """
     n, target, fresh = len(matrix), plan.target, plan.fresh
     flag_at: list[list[int]] = []  # per state word, the index of its flagged interface or -1
@@ -768,22 +790,11 @@ def _interface_system(
             word = expand_word(base, plan)
             tags[r] = alphabet.text(word[1:] if flagged else word)
         vertex_levels.append(VertexLevel(size=len(tags), tags=tuple(tags)))
-    edges: list[tuple[Edge, ...]] = []
-    iota: list[tuple[int, ...]] = []
-    for l, layer in enumerate(raw):
-        low, high = ranks[l], ranks[l + 1]
-        edges.append(tuple(sorted({(low[s], a, high[t]) for s, a, t in layer})))
-        parent, flag, plain = levels[l + 1].parent, flag_at[l], len(levels[l + 1].last)
-        image = [-1] * vertex_levels[l + 1].size
-        for v, (i, r) in enumerate(zip(states[l + 1], high)):
-            down = low[parent[i] if v < plain else flag[parent[i]]]
-            if image[r] not in (-1, down):
-                raise ConstructionError(
-                    f"class {vertex_levels[l + 1].tags[r]!r} at level {l + 1} collapses "
-                    f"onto two classes at level {l}"
-                )
-            image[r] = down
-        iota.append(tuple(image))
+    collapse = [  # a flagged interface collapses onto the flagged interface of its parent
+        level.parent + [flag[level.parent[i]] for i in state[len(level.parent) :]]
+        for level, flag, state in zip(levels[1:], flag_at, states[1:])
+    ]
+    edges, iota = _merge(ranks, raw, collapse)
     return LambdaGraphSystem(
         alphabet=alphabet,
         levels=tuple(vertex_levels),
@@ -805,7 +816,8 @@ def _quotient_system(graph: LabeledGraph, depth: int) -> LambdaGraphSystem:
     in-symbol, so :func:`_predecessor_ranks` over ``depth`` copies of the
     cover's edges ranks level l's vertices exactly by their length-l pasts.
     Each level's classes are numbered in order of first appearance over the
-    cover's vertices.
+    cover's vertices, and the cover's edges and identity collapse are
+    merged along them (:func:`_merge`).
 
     Each level's partition refines the one above and is a function of it
     (a Moore refinement), so the first level L with as many classes as
@@ -829,18 +841,9 @@ def _quotient_system(graph: LabeledGraph, depth: int) -> LambdaGraphSystem:
         tags = tuple("|".join(sorted(names)) for names in members.values())
         levels.append(VertexLevel(size=len(tags), tags=tags))
     stable = len(levels) - 1  # the last refined level; the levels below repeat it
-    edges: list[tuple[Edge, ...]] = []
-    iota: list[tuple[int, ...]] = []
-    for l in range(min(depth, stable + 1)):
-        below = min(l + 1, stable)
-        low, high = partition[l], partition[below]
-        layer = {(low[s], a, high[t]) for s, a, t in graph.edges}
-        edges.append(tuple(sorted(layer)))
-        image = [0] * levels[below].size
-        for v, c in enumerate(high):
-            image[c] = low[v]
-        iota.append(tuple(image))
-    tail = depth - len(edges)
+    gaps = min(depth, stable + 1)
+    edges, iota = _merge(partition + [partition[stable]], [graph.edges] * gaps, [range(n)] * gaps)
+    tail = depth - gaps
     return LambdaGraphSystem(
         alphabet=graph.alphabet,
         levels=tuple(levels) + (levels[stable],) * (depth - stable),
@@ -886,48 +889,26 @@ def canonical_form(sys: LambdaGraphSystem) -> LambdaGraphSystem:
     Multiple top-level vertices are first merged into a single root (their
     out-edges are pooled, which preserves left-resolvedness because a
     left-resolving layer has at most one source per (symbol, target) pair).
-    Each vertex is then ranked by the labels and ranks of its predecessors
-    (:func:`_predecessor_ranks`); equal keys mean the system is not
-    predecessor-separated and are an error.  Each vertex is renamed to its
-    rank and tags are cleared, so two systems are level-isomorphic exactly
-    when their canonical forms are equal.
+    A system that is not predecessor-separated
+    (:func:`verify_predecessor_separated`) is an error.  Otherwise the ranks
+    of :func:`_predecessor_ranks` are a bijection on every level, and
+    :func:`_merge` renames each vertex to its rank; tags are cleared, so two
+    systems are level-isomorphic exactly when their canonical forms are
+    equal.
     """
-    edges = [set(layer) for layer in sys.edges]
-    iota = [list(mapping) for mapping in sys.iota]
-    sizes = list(sys.sizes)
-    if sizes[0] > 1:
-        if sys.depth >= 1:
-            edges[0] = {(0, a, t) for s, a, t in edges[0]}
-            iota[0] = [0] * sizes[1]
-        sizes[0] = 1
-
-    rename = list(_predecessor_ranks(sizes, edges))
-    clash = _first_clash(rename)
-    if clash is not None:
-        level, first, second = clash
-        raise ValueError(
-            f"not predecessor-separated: vertices {first} and {second} "
-            f"at level {level} have identical predecessor structure"
-        )
-    new_edges = tuple(
-        tuple(sorted((rename[l][s], a, rename[l + 1][t]) for s, a, t in edges[l]))
-        for l in range(len(sizes) - 1)
-    )
-    new_iota = []
-    for l in range(len(sizes) - 1):
-        mapping = [0] * sizes[l + 1]
-        for old, new in enumerate(rename[l + 1]):
-            mapping[new] = rename[l][iota[l][old]]
-        new_iota.append(tuple(mapping))
-    levels = tuple(VertexLevel(size=m, tags=("",) * m) for m in sizes)
+    separated = verify_predecessor_separated(sys)
+    if separated.is_no:
+        raise ValueError("not predecessor-separated: " + separated.note)
+    # Pooling one top vertex changes nothing, so the top is always pooled.
+    sizes = [1, *sys.sizes[1:]]
+    edges: list[Iterable[Edge]] = [{(0, a, t) for _, a, t in layer} for layer in sys.edges[:1]]
+    iota: list[Sequence[int]] = [[0] * m for m in sys.sizes[1:2]]
+    edges += sys.edges[1:]
+    iota += sys.iota[1:]
+    new_edges, new_iota = _merge(list(_predecessor_ranks(sizes, edges)), edges, iota)
     return LambdaGraphSystem(
         alphabet=sys.alphabet,
-        levels=levels,
-        edges=new_edges,
+        levels=tuple(VertexLevel(size=m, tags=("",) * m) for m in sizes),
+        edges=tuple(new_edges),
         iota=tuple(new_iota),
     )
-
-
-def level_isomorphic(first: LambdaGraphSystem, second: LambdaGraphSystem) -> bool:
-    """Level-preserving isomorphism of systems, via canonical forms."""
-    return canonical_form(first) == canonical_form(second)

@@ -866,6 +866,24 @@ def scan_label_compatible(sizes, edges, iota):
     return None
 
 
+def first_nested_clash(sizes, edges):
+    """The first (level, earlier vertex, later vertex) of two vertices of one
+    level >= 1 with equal nested predecessor keys, lowest level first, or
+    None.  A top vertex's key is empty; below, a vertex's key is the sorted
+    set of (symbol, key of source) over its in-edges."""
+    keys = [()] * sizes[0]
+    for l in range(1, len(sizes)):
+        incoming = [set() for _ in range(sizes[l])]
+        for s, a, t in edges[l - 1]:
+            incoming[t].add((a, keys[s]))
+        keys = [tuple(sorted(pairs)) for pairs in incoming]
+        first = {}
+        for v, key in enumerate(keys):
+            if first.setdefault(key, v) != v:
+                return l, first[key], v
+    return None
+
+
 def nested_canonical_form(sizes, edges, iota):
     """(sizes, edges, iota) renamed by nested predecessor keys, or None when
     two vertices of a level have equal keys.

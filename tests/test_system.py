@@ -19,6 +19,7 @@ import oracles
 from conftest import FIB, constant_system, even_shift_graph, even_shift_spec, golden_mean_spec
 from lgk import (
     Alphabet,
+    ConstructionError,
     DyckN,
     Expanded,
     FullShift,
@@ -31,7 +32,6 @@ from lgk import (
     build_lambda_synchronizing,
     canonical_form,
     from_names,
-    level_isomorphic,
     verify_all,
 )
 from lgk import cli, system
@@ -89,7 +89,7 @@ def test_sft_and_its_cover_build_the_same_system():
     cover = sft_cover(gm)
     direct = build_lambda_synchronizing(gm, 4)
     via_sofic = build_lambda_synchronizing(SoficGraph(cover), 4)
-    assert level_isomorphic(direct, via_sofic)
+    assert canonical_form(direct) == canonical_form(via_sofic)
 
 
 def test_even_shift_system():
@@ -308,12 +308,12 @@ def test_unseparated_cover_detected():
     sys = constant_system(two_loops_graph(), 3)
     # Every level clashes; the witness is the first clash, at level 1.
     assert verify_predecessor_separated(sys).witness == (1, 0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^not predecessor-separated: vertices u and v at level 1 "):
         canonical_form(sys)
 
 
 def test_predecessor_separation_ranks_the_first_level_of_a_repeated_tail():
-    # Gaps 1 .. 3 repeat one another, so ranking stops at level 2, the
+    # Gaps 1 .. 3 repeat one another, so the check stops at level 2, the
     # first level of that tail; the clash there must still be found.
     one, two = VertexLevel(1, ("",)), VertexLevel(2, ("", ""))
     split = ((0, 0, 0), (0, 1, 1))  # level 1: in-label a or b
@@ -328,6 +328,16 @@ def test_predecessor_separation_ranks_the_first_level_of_a_repeated_tail():
     assert verify_predecessor_separated(sys).witness == (2, 0, 1)
 
 
+def test_merge_rejects_a_class_collapsing_onto_two():
+    # Level-1 vertices 0 and 1 form one class, but collapse onto vertices 0
+    # and 1 of level 0, which are two classes.
+    message = "class 0 at level 1 collapses onto classes 0 and 1 at level 0$"
+    with pytest.raises(ConstructionError, match=message):
+        system._merge([[0, 1], [0, 0]], [[(0, 0, 0), (1, 0, 1)]], [[0, 1]])
+    edges, iota = system._merge([[0, 1], [0, 0]], [[(0, 0, 0), (1, 0, 1)]], [[1, 1]])
+    assert (edges, iota) == ([((0, 0, 0), (1, 0, 0))], [(1,)])
+
+
 def test_canonical_form_idempotent():
     for sys in (
         build_lambda_synchronizing(golden_mean_spec(), 4),
@@ -337,7 +347,6 @@ def test_canonical_form_idempotent():
         c = canonical_form(sys)
         assert canonical_form(c) == c
         assert all(tag == "" for level in c.levels for tag in level.tags)
-        assert level_isomorphic(sys, c)
 
 
 def test_canonical_form_forgets_vertex_order():
@@ -362,7 +371,6 @@ def test_canonical_form_forgets_vertex_order():
     )
     assert permuted != sys
     assert canonical_form(permuted) == canonical_form(sys)
-    assert level_isomorphic(permuted, sys)
 
 
 def test_gap_shapes_and_collapse_functions():

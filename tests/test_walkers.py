@@ -4,8 +4,8 @@ Every walker reads `LambdaGraphSystem.adjacency`, three lookup tables
 (`out`, `into`, `fiber`) built per system, and the tables are checked to
 mirror the layers they are read off.  `oracles` redoes each walk, the
 local property and label-collapse compatibility by rescanning whole edge
-layers, and the canonical form with nested predecessor keys, on the raw
-(source, symbol, target) triples.  The drawn systems are arbitrary: not
+layers, and predecessor separation and the canonical form with nested
+predecessor keys, on the raw (source, symbol, target) triples.  The drawn systems are arbitrary: not
 necessarily left-resolving, essential, predecessor-separated, or locally
 matched, and their collapse need not be surjective.
 """
@@ -41,6 +41,7 @@ from lgk.system import (
     step_down,
     verify_label_iota_compatible,
     verify_local_property,
+    verify_predecessor_separated,
 )
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -333,6 +334,22 @@ def test_adjacency_mirrors_its_layers(sys):
             assert index.into[l] is index.into[l - 1]
             assert index.out[l] is index.out[l - 1]
             assert index.fiber[l] is index.fiber[l - 1]
+
+
+@given(systems)
+def test_predecessor_separation_matches_nested_keys(sys):
+    # The check keys level 1 by in-symbol sets and lower levels by `into`
+    # lists, and stops at the repeated tail; nested keys read every level.
+    verdict = verify_predecessor_separated(sys)
+    clash = oracles.first_nested_clash(sys.sizes, sys.edges)
+    assert verdict.witness == clash
+    if clash is None:
+        assert verdict.is_yes
+        canonical_form(sys)
+        return
+    assert verdict.is_no
+    with pytest.raises(ValueError):
+        canonical_form(sys)
 
 
 def assert_canonical_matches(sys):
