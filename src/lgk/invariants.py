@@ -16,6 +16,12 @@ share their torsion.  Kernels are free, and every free rank follows from
 the shape m(l+1) x m(l) of M_l and its rank r: k0 = m(l+1) - r,
 k1 = m(l) - r, bf0 = m(l) - r, bf1 = m(l+1) - r.
 
+M_l and the blocks of the mapping cones are built as sparse integer
+columns straight from ``sys.edges`` and ``sys.iota``, and never as dense
+matrices: column s of M_l has a 1 at each vertex collapsing onto s and a
+-1 for each edge out of s.  :func:`lgk.linalg.sparse_snf_diagonal` takes
+them, and its unit-pivot front end keeps them sparse.
+
 A sequence is reported *stabilized* from level s when every gap from s on
 has the groups of the next, its connecting identity holds, and its mapping
 cone is acyclic, which makes the induced maps on k0 and k1 isomorphisms
@@ -41,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
-from .linalg import AbelianGroup, Matrix, snf_diagonal
+from .linalg import AbelianGroup, Column, sparse_snf_diagonal
 from .system import LambdaGraphSystem, local_tallies, window_repeats
 from .verdict import Verdict
 
@@ -60,24 +66,33 @@ class LevelGroups:
         return (self.k0, self.k1, self.bf0, self.bf1) == (other.k0, other.k1, other.bf0, other.bf1)
 
 
-def _collapse_rows(sys: LambdaGraphSystem, l: int) -> Matrix:
-    """I_l^t: row v of level l + 1 has a 1 at iota_l(v)."""
-    zero = [0] * sys.sizes[l]
-    return [zero[:image] + [1] + zero[image + 1 :] for image in sys.iota[l]]
+def _collapse_columns(sys: LambdaGraphSystem, l: int) -> list[Column]:
+    """I_l^t by columns: column s has a 1 at each level-(l+1) vertex v with
+    iota_l(v) = s."""
+    columns: list[Column] = [{} for _ in range(sys.sizes[l])]
+    for v, image in enumerate(sys.iota[l]):
+        columns[image][v] = 1
+    return columns
 
 
-def _k_matrix(sys: LambdaGraphSystem, l: int) -> Matrix:
-    """I_l^t - A_l^t, mapping Z^m(l) -> Z^m(l+1)."""
-    rows = _collapse_rows(sys, l)
+def _k_columns(sys: LambdaGraphSystem, l: int) -> list[Column]:
+    """M_l = I_l^t - A_l^t by columns, mapping Z^m(l) -> Z^m(l+1): column s
+    is the collapse column of s less one at t for each edge s -> t."""
+    columns = _collapse_columns(sys, l)
     for s, _, t in sys.edges[l]:
-        rows[t][s] -= 1
-    return rows
+        column = columns[s]
+        x = column.get(t, 0) - 1
+        if x:
+            column[t] = x
+        else:
+            del column[t]
+    return columns
 
 
 def level_groups(sys: LambdaGraphSystem, l: int) -> LevelGroups:
     """The four groups of gap l from the one diagonal of I_l^t - A_l^t."""
     size, next_size = sys.sizes[l], sys.sizes[l + 1]
-    divisors = [d for d in snf_diagonal(_k_matrix(sys, l)) if d]
+    divisors = [d for d in sparse_snf_diagonal(_k_columns(sys, l), next_size) if d]
     rank = len(divisors)
     return LevelGroups(
         level=l,
@@ -147,10 +162,13 @@ def _cone_acyclic(sys: LambdaGraphSystem, l: int) -> bool:
     this is the same test as "k0 map onto and k1 map unimodular".
     """
     size, middle, top = sys.sizes[l], sys.sizes[l + 1], sys.sizes[l + 2]
-    d2 = [[-x for x in row] for row in _k_matrix(sys, l)] + _collapse_rows(sys, l)
-    d1 = [push + rel for push, rel in zip(_collapse_rows(sys, l + 1), _k_matrix(sys, l + 1))]
-    lower = [d for d in snf_diagonal(d2) if d]
-    upper = [d for d in snf_diagonal(d1) if d]
+    d2 = [
+        {**{t: -x for t, x in rel.items()}, **{middle + v: 1 for v in push}}
+        for rel, push in zip(_k_columns(sys, l), _collapse_columns(sys, l))
+    ]
+    d1 = _collapse_columns(sys, l + 1) + _k_columns(sys, l + 1)
+    lower = [d for d in sparse_snf_diagonal(d2, 2 * middle) if d]
+    upper = [d for d in sparse_snf_diagonal(d1, top) if d]
     return (
         len(lower) == size
         and len(upper) == top

@@ -1,20 +1,26 @@
 """Exact integer linear algebra: Smith normal form diagonals and abelian groups.
 
-Matrices are lists of lists of Python ints (arbitrary precision), so every
-result is exact for every integer input.  Every caller needs only the
-diagonal of the Smith normal form: ranks, cokernels and kernels all read
-off it.  One pure-integer elimination computes it, on the matrix alone with
-no transforms kept, and the divisibility chain is repaired on the diagonal
-by gcd/lcm steps.  The matrices of a λ-graph system are sparse, so the
-elimination skips zero entries.
+Matrices are lists of lists of Python ints (arbitrary precision), or
+sparse columns: one dict per column from row index to nonzero entry.
+Every result is exact for every integer input.  Every caller needs only
+the diagonal of the Smith normal form: ranks, cokernels and kernels all
+read off it.  One routine computes it, :func:`sparse_snf_diagonal`, and the
+dense entry :func:`snf_diagonal` hands it the columns of its matrix.  A
+front end eliminates ±1 pivots in Markowitz order, which keeps the sparse
+0/±1 matrices of a λ-graph system sparse and leaves their elementary
+divisors unchanged; the small residual takes a pure-integer elimination
+with no transforms kept, and the divisibility chain is repaired on the
+diagonal by gcd/lcm steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 Matrix = list[list[int]]
+Column = dict[int, int]  # row index -> nonzero entry
 
 
 def shape(m: Matrix) -> tuple[int, int]:
@@ -58,20 +64,79 @@ def _divisor_chain(ds: list[int]) -> list[int]:
     return units + ds
 
 
-def snf_diagonal(m: Matrix) -> list[int]:
-    """Diagonal of the Smith form, ascending: nonzero divisors in a
-    divisibility chain, then zeros.  Exact for every integer matrix.
+def _unit_pivots(columns: list[Column], rows: int) -> list[tuple[int, int]]:
+    """Eliminate ±1 pivots in Markowitz order; return them as (row, column).
+
+    The column with the fewest entries that holds a unit goes first, and
+    within it the unit whose row the fewest columns have touched, so each
+    step creates little fill.  A unit pivot p at (r, c) clears row r by
+    subtracting multiples of column c from the other columns (exact,
+    since p is its own inverse), and then clears column c by row
+    operations that touch nothing else, so the matrix becomes [p] ⊕ the
+    rest: a unimodular step that keeps the elementary divisors and
+    contributes the divisor 1.  Column c is left empty and row r has no
+    entry left, so ``columns`` ends as the residual.
+
+    The pivots come back in the order taken.  Replaying them on the
+    original columns repeats every step, since each multiplier is read
+    off the entries of row r at that step.
+    """
+    # Row i -> the columns that have held an entry there; a column that
+    # has lost it is skipped when read.
+    support: list[list[int]] = [[] for _ in range(rows)]
+    heap = []
+    for j, column in enumerate(columns):
+        for i in column:
+            support[i].append(j)
+        heap.append((len(column), j))
+    heapify(heap)
+    pivots = []
+    while heap:
+        count, c = heappop(heap)
+        pivot_column = columns[c]
+        if count != len(pivot_column):
+            continue  # stale: the column changed and was pushed again
+        r = None
+        for i, x in pivot_column.items():
+            if x == 1 or x == -1:
+                touched = len(support[i])
+                if r is None or touched < fewest:
+                    r, fewest = i, touched
+        if r is None:
+            continue
+        p = pivot_column.pop(r)
+        for j in support[r]:
+            column = columns[j]
+            if j == c or r not in column:
+                continue
+            f = column.pop(r) * p
+            for i, x in pivot_column.items():
+                x *= f
+                y = column.get(i)
+                if y is None:
+                    column[i] = -x
+                    support[i].append(j)
+                elif y == x:
+                    del column[i]
+                else:
+                    column[i] = y - x
+            heappush(heap, (len(column), j))
+        support[r] = []
+        pivot_column.clear()
+        pivots.append((r, c))
+    return pivots
+
+
+def _eliminate(a: Matrix) -> list[int]:
+    """Nonzero Smith divisors of a dense matrix, in no particular order.
 
     Smallest-pivot elimination on Python ints, with no transforms kept.
     Each pass clears row t and column t against the pivot by floor
     division; a nonzero remainder is smaller than the pivot and becomes the
     next one.  Each pass updates only against the nonzeros of the pivot
-    row and column, which suits the sparse 0/1 matrices of a λ-graph
-    system.  Once the matrix is diagonal, the chain is repaired on the
-    diagonal alone.
+    row and column.  ``a`` is consumed.
     """
-    rows, cols = shape(m)
-    a = [list(row) for row in m]
+    rows, cols = shape(a)
     divisors = []
     for t in range(min(rows, cols)):
         piv = _find_pivot(a, t, rows, cols)
@@ -105,7 +170,37 @@ def snf_diagonal(m: Matrix) -> list[int]:
                 dirty = dirty or pivot_row[j] != 0
             piv = _find_pivot(a, t, rows, cols) if dirty else None
         divisors.append(abs(a[t][t]))
-    return _divisor_chain(divisors) + [0] * (min(rows, cols) - len(divisors))
+    return divisors
+
+
+def sparse_snf_diagonal(columns: list[Column], rows: int) -> list[int]:
+    """Diagonal of the Smith form of the rows x len(columns) matrix whose
+    column j maps row indices to the nonzero entries of ``columns[j]``;
+    ascending, as :func:`snf_diagonal`.  The columns are left unchanged.
+
+    The unit pivots go first (:func:`_unit_pivots`), keeping the sparse
+    0/±1 matrices of a λ-graph system sparse.  What remains, the nonempty
+    columns restricted to the rows they touch, takes the dense
+    elimination; on the Dyck-3 system it is one column at every gap to
+    depth 9.  The divisibility chain is repaired on the diagonal alone.
+    """
+    work = [dict(column) for column in columns]
+    units = len(_unit_pivots(work, rows))
+    residual = [column for column in work if column]
+    a = [[column.get(i, 0) for column in residual] for i in set().union(*residual)]
+    divisors = [1] * units + _eliminate(a)
+    return _divisor_chain(divisors) + [0] * (min(rows, len(columns)) - len(divisors))
+
+
+def snf_diagonal(m: Matrix) -> list[int]:
+    """Diagonal of the Smith form, ascending: nonzero divisors in a
+    divisibility chain, then zeros.  Exact for every integer matrix.
+
+    The columns of ``m`` go through :func:`sparse_snf_diagonal`, the one
+    Smith routine.
+    """
+    rows, cols = shape(m)
+    return sparse_snf_diagonal([{i: row[j] for i, row in enumerate(m) if row[j]} for j in range(cols)], rows)
 
 
 # -- abelian groups ------------------------------------------------------

@@ -103,15 +103,15 @@ def test_criterion_02_dyck_vertex_counts():
 def test_criterion_03_dyck_k_theory_torsion():
     started = time.monotonic()
     ok = True
-    for n in (2, 3):
-        report = invariant_report(build_cantor_horizon_dyck(n, 6))
-        for g in report.groups[1:6]:
+    for n, depth in ((2, 6), (3, 6), (3, 8)):
+        report = invariant_report(build_cantor_horizon_dyck(n, depth))
+        for g in report.groups[1:depth]:
             ok &= g.k0.torsion == (n,)
-        for g in report.groups[:6]:
+        for g in report.groups[:depth]:
             ok &= g.k1.is_trivial
     elapsed = time.monotonic() - started
     ok &= elapsed < 30.0
-    _line(3, "bracket-shift k0 torsion Z/N and trivial k1, levels 1..5", ok, elapsed, 30.0)
+    _line(3, "bracket-shift k0 torsion Z/N and trivial k1, levels 1..5 (Dyck-3: 1..7)", ok, elapsed, 30.0)
     assert ok
 
 

@@ -25,23 +25,34 @@ from lgk.linalg import (
     cokernel,
     kernel_group,
     snf_diagonal,
+    sparse_snf_diagonal,
 )
 
 
-def assert_smith_certificate(m):
-    """Certify the oracle's U·M·V = D, then require the package's diagonal
-    to equal the certified one."""
-    u, d, v = oracles.smith_normal_form(m)
-    rows, cols = len(m), len(m[0])
-    assert len(u) == rows and len(v) == cols
-    assert oracles.is_unimodular(u)
-    assert oracles.is_unimodular(v)
-    assert oracles.mat_mul(oracles.mat_mul(u, m), v) == d
-    diag = oracles.smith_diagonal(d)
-    for i in range(rows):
-        for j in range(cols):
-            if i != j:
-                assert d[i][j] == 0
+def columns_of(m, width):
+    return [{i: row[j] for i, row in enumerate(m) if row[j]} for j in range(width)]
+
+
+def assert_smith_certificate(m, width=None):
+    """Certify the oracle's U·M·V = D, then require the package's diagonal,
+    from the dense entry and from the column entry, to equal the certified
+    one.  ``width`` gives the column count of a matrix with no rows, whose
+    Smith diagonal is empty."""
+    rows = len(m)
+    cols = len(m[0]) if m else width or 0
+    diag = []
+    if rows:
+        u, d, v = oracles.smith_normal_form(m)
+        assert len(u) == rows and len(v) == cols
+        assert oracles.is_unimodular(u)
+        assert oracles.is_unimodular(v)
+        assert oracles.mat_mul(oracles.mat_mul(u, m), v) == d
+        diag = oracles.smith_diagonal(d)
+        for i in range(rows):
+            for j in range(cols):
+                if i != j:
+                    assert d[i][j] == 0
+    assert len(diag) == min(rows, cols)
     assert all(x >= 0 for x in diag)
     nonzero = [x for x in diag if x]
     # zeros only at the tail, and each entry divides the next
@@ -49,6 +60,9 @@ def assert_smith_certificate(m):
     for a, b in zip(nonzero, nonzero[1:]):
         assert b % a == 0
     assert snf_diagonal(m) == diag
+    columns = columns_of(m, cols)
+    assert sparse_snf_diagonal(columns, rows) == diag
+    assert columns == columns_of(m, cols)  # the column entry copies its input
 
 
 @st.composite
@@ -63,6 +77,56 @@ def int_matrices(draw, max_dim=6, span=30):
 @given(int_matrices())
 def test_smith_certificate_property(m):
     assert_smith_certificate(m)
+
+
+@st.composite
+def sparse_int_matrices(draw, max_dim=8):
+    """(matrix, width): a few nonzero cells, possibly no rows or no columns,
+    some zero rows and columns, and entries beyond ±1 or no unit at all."""
+    rows = draw(st.integers(0, max_dim))
+    cols = draw(st.integers(0, max_dim))
+    units = draw(st.booleans())
+    value = st.sampled_from((1, -1, 1, -1, 2, -3, 4, 7) if units else (2, -2, 3, -4, 6, -9, 12))
+    m = [[0] * cols for _ in range(rows)]
+    if rows and cols:
+        cell = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+        for r, c in draw(st.lists(cell, max_size=2 * (rows + cols))):
+            m[r][c] = draw(value)
+        if draw(st.booleans()):
+            m[draw(st.integers(0, rows - 1))] = [0] * cols
+        if draw(st.booleans()):
+            c = draw(st.integers(0, cols - 1))
+            for row in m:
+                row[c] = 0
+    return m, cols
+
+
+@settings(max_examples=300)
+@given(sparse_int_matrices())
+def test_unit_front_end_matches_oracle_on_sparse_matrices(drawn):
+    assert_smith_certificate(*drawn)
+
+
+def test_unit_front_end_matches_oracle_random_batch():
+    # Sparse matrices with a unit pivot chain and fill beyond ±1, and their
+    # doubles, which have no unit entry at all.
+    rng = random.Random(20261020)
+    for _ in range(200):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        m = [[0] * cols for _ in range(rows)]
+        for _ in range(rng.randint(0, 2 * (rows + cols))):
+            m[rng.randrange(rows)][rng.randrange(cols)] = rng.choice((1, -1, 1, -1, 2, -2, 3, 5))
+        assert_smith_certificate(m)
+        assert_smith_certificate([[2 * x for x in row] for row in m])
+
+
+def test_degenerate_shapes():
+    for n in range(4):
+        assert_smith_certificate([], n)  # 0 x n
+        assert_smith_certificate([[] for _ in range(n)])  # n x 0
+        assert sparse_snf_diagonal([{} for _ in range(n)], 0) == []
+        assert sparse_snf_diagonal([], n) == []
+    assert_smith_certificate([[0, 0], [0, 0], [0, 0]])
 
 
 def test_smith_certificate_random_batch():
