@@ -39,13 +39,14 @@ def main() -> int:
     )
     args = parser.parse_args()
 
+    bracket_depth = 6 if args.bracket_depth is None else args.bracket_depth
     cases = [
         ("goldenmean.json", "1", 6),
         ("even_shift.json", "0", 6),
         ("full2.json", "0", 6),
         ("full3.json", "0", 6),
-        ("dyck2.json", "a1", args.bracket_depth or 6),
-        ("markovdyck_fib.json", "b1", args.bracket_depth or 6),
+        ("dyck2.json", "a1", bracket_depth),
+        ("markovdyck_fib.json", "b1", bracket_depth),
     ]
     failures = 0
     try:

@@ -23,8 +23,6 @@ from .invariants import (
     InvariantReport,
     LevelGroups,
     compare_reports,
-    connecting_checks,
-    connecting_map_check,
     invariant_report,
     level_groups,
 )

@@ -180,20 +180,25 @@ def check_lambda_irreducible(
     must make every vertex in the collapse fiber over u reachable from v by
     a path of length exactly L.  Searches L up to `bound` within the
     truncation; conclusive refutation only for constant systems.  The
-    fiber over u does not depend on v, so each is read once."""
+    fiber over u does not depend on v, so each is read once, and the
+    vertices v reaches do not depend on u, so each step is taken once,
+    the first time some pair needs it."""
     constant = _is_constant(sys)
     fibers = _once(iota_fiber, sys)
     for level in range(min(max_level, sys.depth - 1) + 1):
         size = sys.levels[level].size
         limit = sys.depth - level if bound is None else min(bound, sys.depth - level)
+        # reaches[v][steps]: the vertices v reaches in exactly `steps` steps
+        reaches = [[frozenset([v])] for v in range(size)]
         for u in range(size):
             for v in range(size):
                 ok = False
-                reach = frozenset([v])
+                reach = reaches[v]
                 for steps in range(1, limit + 1):
                     fiber = fibers(level, u, steps)
-                    reach = _successors(sys, level + steps - 1, reach)
-                    if fiber and fiber <= reach:
+                    if len(reach) == steps:
+                        reach.append(_successors(sys, level + steps - 1, reach[-1]))
+                    if fiber and fiber <= reach[steps]:
                         ok = True
                         break
                 if ok:

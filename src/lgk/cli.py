@@ -21,7 +21,7 @@ from .analysis import (
     is_lambda_synchronizing_system,
     simplicity_prediction,
 )
-from .invariants import compare_reports, connecting_checks, invariant_report
+from .invariants import compare_reports, invariant_report
 from .serialize import (
     dumps,
     export_dot,
@@ -118,19 +118,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 def _verify_checks(sys: LambdaGraphSystem, budget: Budget) -> dict[str, Verdict]:
     if sys.depth == 0:
         raise ValueError("need at least one level gap")
-    checks = dict(verify_all(sys))
-    # The local property implies the intertwining identity (see
-    # lgk.invariants.connecting_map_check), so only its failure needs the check.
-    bad_level = (
-        None
-        if checks["local property"].is_yes
-        else next((l for l, ok in enumerate(connecting_checks(sys)) if not ok), None)
-    )
-    checks["matrix compatibility"] = (
-        Verdict.yes()
-        if bad_level is None
-        else Verdict.no(witness=bad_level, note=f"intertwining fails between levels {bad_level} and {bad_level + 1}")
-    )
+    checks = verify_all(sys)
     checks["branching condition (I)"] = check_condition_I(sys, min(3, sys.depth))
     checks["lambda-irreducible"] = check_lambda_irreducible(sys)
     checks["iota-irreducible"] = check_iota_irreducible(sys)
@@ -149,9 +137,6 @@ def _verify_checks(sys: LambdaGraphSystem, budget: Budget) -> dict[str, Verdict]
         transitive = Verdict.unknown(note="truncation too shallow for the pair search")
     checks["synchronizingly transitive"] = transitive
     return checks
-
-
-STRUCTURAL = tuple(name for name, _ in VERIFIER_ORDER) + ("matrix compatibility",)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -176,7 +161,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 lines.append(f"{'':<{width}} {verdict.note}")
         lines.append(f"{'simplicity predicted:':<{width}} {simplicity.kind}")
         _emit("\n".join(lines) + "\n", args.out)
-    if any(checks[name].is_no for name in STRUCTURAL):
+    if any(checks[name].is_no for name in VERIFIER_ORDER):
         return FAIL
     if any(v.is_unknown for v in checks.values()):
         return INCONCLUSIVE

@@ -36,10 +36,11 @@ Every per-gap computation runs once per distinct window of gaps, by the
 window lemma of :mod:`lgk.system`: a computation that reads only gaps
 l .. l + w - 1 gives at l what it gave at l - 1 when each of those gaps
 repeats the gap above it (``LambdaGraphSystem.repeats``).  The groups of
-gap l read gap l, and the intertwining check at l reads gaps l and l + 1,
-so both reuse the answer at l - 1; the mapping cone at l reads gaps l and
-l + 1 too, and the backward pass reuses cone l + 1 when gaps l + 1 and
-l + 2 repeat.
+gap l read gap l, so a repeated gap reuses the groups at l - 1; the mapping
+cone at l reads gaps l and l + 1, and the backward pass reuses cone l + 1
+when gaps l + 1 and l + 2 repeat.  The intertwining identity at each gap
+is read off the scan :func:`lgk.system.local_checks`, the one
+``lgk verify`` reports as matrix compatibility.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 from .linalg import AbelianGroup, Column, sparse_snf_diagonal
-from .system import LambdaGraphSystem, local_tallies, window_repeats
+from .system import LambdaGraphSystem, local_checks, window_repeats
 from .verdict import Verdict
 
 
@@ -103,46 +104,11 @@ def level_groups(sys: LambdaGraphSystem, l: int) -> LevelGroups:
     )
 
 
-def connecting_map_check(sys: LambdaGraphSystem, l: int) -> bool:
-    """Do the matrices intertwine between levels l and l+1?
-
-    This is the identity A_l I_{l+1} = I_l A_{l+1} and nothing more: it
-    already makes the induced k0 map well defined.  Transposing it gives
-    I_{l+1}^t A_l^t = A_{l+1}^t I_l^t, hence
-
-        I_{l+1}^t (I_l^t - A_l^t) = (I_{l+1}^t - A_{l+1}^t) I_l^t,
-
-    so I_{l+1}^t pushes each relation of level l (a column of the left
-    factor) into the relation lattice of level l+1, with the integer
-    certificate the matching column of I_l^t.
-
-    Entry [s][u] of the left side counts the layer-l edges from s into
-    iota_{l+1}(u), and of the right the layer-(l+1) edges into u whose source
-    collapses to s: the times s occurs in the two sorted
-    :func:`lgk.system.local_tallies` at u, so the identity holds when their
-    source sequences agree.  The local property compares the whole pairs,
-    so it implies this identity.
-    """
-    return all(
-        [s for s, _ in incoming] == [s for s, _ in outgoing]
-        for _, incoming, outgoing in local_tallies(sys, l + 1)
-    )
-
-
-def connecting_checks(sys: LambdaGraphSystem) -> tuple[bool, ...]:
-    """:func:`connecting_map_check` at every gap but the last, once per
-    distinct window: the check at l reads gaps l and l + 1 only."""
-    checks: list[bool] = []
-    for l in range(sys.depth - 1):
-        checks.append(checks[-1] if window_repeats(sys.repeats, l, 2) else connecting_map_check(sys, l))
-    return tuple(checks)
-
-
 def _cone_acyclic(sys: LambdaGraphSystem, l: int) -> bool:
     """Are the induced k0 and k1 maps from gap l to gap l+1 isomorphisms?
 
     Write M_l = I_l^t - A_l^t : Z^m(l) -> Z^m(l+1).  Granted the
-    intertwining identity (:func:`connecting_map_check`), the pair
+    intertwining identity (:func:`lgk.system.local_checks`), the pair
     (I_l^t, I_{l+1}^t) is a chain map from the two-term complex
     Z^m(l) -> Z^m(l+1) to Z^m(l+1) -> Z^m(l+2), and it induces the k1 map
     on H_1 = ker and the k0 map on H_0 = coker.  Its mapping cone is
@@ -224,7 +190,7 @@ def invariant_report(sys: LambdaGraphSystem) -> InvariantReport:
     groups: list[LevelGroups] = []
     for l in range(count):
         groups.append(replace(groups[-1], level=l) if sys.repeats[l] else level_groups(sys, l))
-    connecting = connecting_checks(sys)
+    connecting = local_checks(sys).intertwining
 
     start = count - 1
     cones = _cone_checks(sys)

@@ -2,11 +2,14 @@
 
 A system consists of vertex levels ``V_0 .. V_L``, labeled edge layers
 ``E_l`` from ``V_l`` to ``V_{l+1}``, and surjections ``iota_l`` collapsing
-``V_{l+1}`` onto ``V_l``.  The five structural axioms (left-resolving edge
-layers, predecessor-separated levels, surjective collapse, label sets
-compatible with the collapse, and the local in/out matching property) are
-checked by the ``verify_*`` functions, which return tri-state verdicts with
-witnesses rather than booleans.
+``V_{l+1}`` onto ``V_l``.  :func:`verify_all` returns the seven structural
+verdicts (essential, left-resolving edge layers, predecessor-separated
+levels, surjective collapse, label sets compatible with the collapse, the
+local in/out matching property, and the intertwining identity of the gap
+matrices) as tri-state verdicts with witnesses rather than booleans.  The
+last three are the axioms that link the edge layers to the collapse, and
+:func:`local_checks` decides them in one scan: the local property implies
+the other two.
 
 Builders:
 
@@ -34,7 +37,7 @@ l .. l + w - 1 and the levels they join gives at l what it gave at l - 1
 whenever each gap of its window repeats (:func:`window_repeats`), since
 the two windows are the same data one level apart.  So every per-gap
 computation runs once per distinct window: the verifiers below skip a
-window that repeats one they passed, and the quotient build, the loader
+window that repeats one they scanned, and the quotient build, the loader
 and :attr:`LambdaGraphSystem.adjacency` hand a repeated gap the objects
 of the gap above, which makes ``repeats`` a walk over shared pointers.
 """
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, islice, zip_longest
 from operator import ge
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .alphabet import Alphabet, Word, bracket_alphabet
 from .dyck import Matrix01, all_ones, validate_transition_matrix
@@ -109,7 +112,7 @@ class LambdaGraphSystem:
 
     `iota[l]` maps each level-(l+1) vertex to its level-l image.  Only
     shape constraints are enforced here, once per distinct gap; the
-    structural axioms are the business of the `verify_*` functions.
+    structural axioms are the business of :func:`verify_all`.
     """
 
     alphabet: Alphabet
@@ -295,9 +298,10 @@ def iota_fiber(sys: LambdaGraphSystem, level: int, vertex: int, steps: int) -> f
 
 # -- structural verifiers ------------------------------------------------
 #
-# Each verifier scans its windows from the top and stops at the first
-# failure, so a window that repeats the one above it (the window lemma) has
-# already passed and is skipped.
+# Each verifier scans its windows from the top, so a window that repeats
+# the one above it (the window lemma) gives what that one gave and is
+# skipped: the single-verdict verifiers stop at the first failure, and
+# local_checks copies the window's answers.
 
 
 def _tag(sys: LambdaGraphSystem, level: int, vertex: int) -> str:
@@ -376,30 +380,6 @@ def verify_iota_surjective(sys: LambdaGraphSystem) -> Verdict:
     return Verdict.yes()
 
 
-def verify_label_iota_compatible(sys: LambdaGraphSystem) -> Verdict:
-    """In-label sets are preserved by the collapse (checkable below level 1):
-    the symbols of the two :func:`local_tallies` of each vertex agree.
-
-    Level l reads gaps l - 1 and l.
-    """
-    for l in range(1, sys.depth):
-        if window_repeats(sys.repeats, l - 1, 2):
-            continue
-        for v, incoming, outgoing in local_tallies(sys, l):
-            got, want = {a for _, a in incoming}, {a for _, a in outgoing}
-            if got != want:
-                names = sys.alphabet.names
-                return Verdict.no(
-                    witness=(l + 1, v),
-                    note=(
-                        f"vertex {_tag(sys, l + 1, v)} at level {l + 1} has "
-                        f"in-labels {sorted(names[a] for a in got)} but its collapse image "
-                        f"{_tag(sys, l, sys.iota[l][v])} has {sorted(names[a] for a in want)}"
-                    ),
-                )
-    return Verdict.yes()
-
-
 Tally = list[tuple[int, int]]
 
 
@@ -410,11 +390,9 @@ def local_tallies(sys: LambdaGraphSystem, l: int) -> Iterator[tuple[int, Tally, 
     layer-l edge into v with its symbol, and `outgoing` pairs the source
     of each layer-(l - 1) edge into iota_l(v) with its symbol.
 
-    The one gather of three axioms: the local property compares the two
-    lists, label-collapse compatibility their symbol sets, and the
-    intertwining identity their source sequences.  `into` lists the second
-    in order already, so it is made once per image and the vertices of one
-    fiber share it; callers must not mutate it."""
+    The one gather of the three axioms of :func:`local_checks`.  `into`
+    lists the second in order already, so it is made once per image and the
+    vertices of one fiber share it; callers must not mutate it."""
     into, below, above = sys.adjacency.into, sys.iota[l - 1], sys.iota[l]
     tallies: dict[int, Tally] = {}
     for v in range(sys.levels[l + 1].size):
@@ -424,38 +402,88 @@ def local_tallies(sys: LambdaGraphSystem, l: int) -> Iterator[tuple[int, Tally, 
         yield v, sorted([(below[s], a) for a, s in into[l].get(v, ())]), tallies[image]
 
 
-def verify_local_property(sys: LambdaGraphSystem) -> Verdict:
-    """In-edges of v from the fiber over u match out-edges of u into iota(v).
+class LocalChecks(NamedTuple):
+    """The three axioms :func:`local_checks` decides in one scan."""
 
-    For u two levels above v's level, the labels of edges into v whose
-    sources collapse to u must agree, with multiplicity, with the labels of
-    edges from u into the collapse image of v: the two sorted
-    :func:`local_tallies` of v are equal.  Level l reads gaps l - 1 and l.
-    The witness names the least u whose labels differ, of the first failing
-    v; it is looked for only once two tallies differ.
+    local: Verdict  # the local property
+    labels: Verdict  # label-collapse compatibility
+    intertwining: tuple[bool, ...]  # the identity at each gap but the last
+
+
+def local_checks(sys: LambdaGraphSystem) -> LocalChecks:
+    """The local property, label-collapse compatibility and the intertwining
+    identity, read off the two :func:`local_tallies` of every v at every
+    level l + 1 (1 <= l < depth), once per distinct window: level l + 1
+    reads gaps l - 1 and l, and a repeated window repeats its answers.
+
+    * The local property: for u two levels above v's level, the labels of
+      edges into v whose sources collapse to u agree, with multiplicity,
+      with the labels of edges from u into the collapse image of v, so the
+      two sorted tallies of v are equal.  The witness names the least u
+      whose labels differ, of the first failing v.
+    * Label-collapse compatibility: in-label sets are preserved by the
+      collapse, so the symbols of the two tallies agree.
+    * The intertwining identity A_{l-1} I_l = I_{l-1} A_l at gap l - 1.  It
+      makes the induced k0 map well defined.  Transposing it gives
+      I_l^t A_{l-1}^t = A_l^t I_{l-1}^t, hence
+
+          I_l^t (I_{l-1}^t - A_{l-1}^t) = (I_l^t - A_l^t) I_{l-1}^t,
+
+      so I_l^t pushes each relation of level l - 1 (a column of the left
+      factor) into the relation lattice of level l, with the integer
+      certificate the matching column of I_{l-1}^t.  Entry [s][u] of
+      A_{l-1} I_l counts the layer-(l - 1) edges from s into iota_l(u), and
+      of I_{l-1} A_l the layer-l edges into u whose source collapses to s:
+      the times s occurs in the two sorted tallies at u, so the identity
+      holds when their source sequences agree.
+
+    Equal tallies have equal symbols and equal source sequences, so the
+    local property implies the other two, and a vertex whose tallies are
+    equal is passed with nothing else computed.  Where they differ, each
+    verdict still passing records its first failure there, and the gap's
+    identity fails if the source sequences differ.
     """
     names = sys.alphabet.names
+    local = labels = Verdict.yes()
+    intertwining: list[bool] = []
     for l in range(1, sys.depth):
         if window_repeats(sys.repeats, l - 1, 2):
+            intertwining.append(intertwining[-1])
             continue
+        holds = True
         for v, incoming, outgoing in local_tallies(sys, l):
             if incoming == outgoing:
                 continue
-            # Both tallies are sorted and agree before the first pair where
-            # they part, so every u below both vertices there agrees, and
-            # the lesser of the two is the least u that does not.
-            parted = next(pair for pair in zip_longest(incoming, outgoing) if pair[0] != pair[1])
-            u = min(pair[0] for pair in parted if pair is not None)
-            return Verdict.no(
-                witness=(l, u, v),
-                note=(
-                    f"between {_tag(sys, l - 1, u)} at level {l - 1} and "
-                    f"{_tag(sys, l + 1, v)} at level {l + 1}: fiber "
-                    f"in-labels {[names[a] for w, a in incoming if w == u]} vs "
-                    f"out-labels {[names[a] for w, a in outgoing if w == u]}"
-                ),
-            )
-    return Verdict.yes()
+            if local.is_yes:
+                # Both tallies are sorted and agree before the first pair
+                # where they part, so every u below both vertices there
+                # agrees, and the lesser of the two is the least u that
+                # does not.
+                parted = next(pair for pair in zip_longest(incoming, outgoing) if pair[0] != pair[1])
+                u = min(pair[0] for pair in parted if pair is not None)
+                local = Verdict.no(
+                    witness=(l, u, v),
+                    note=(
+                        f"between {_tag(sys, l - 1, u)} at level {l - 1} and "
+                        f"{_tag(sys, l + 1, v)} at level {l + 1}: fiber "
+                        f"in-labels {[names[a] for w, a in incoming if w == u]} vs "
+                        f"out-labels {[names[a] for w, a in outgoing if w == u]}"
+                    ),
+                )
+            if labels.is_yes:
+                got, want = {a for _, a in incoming}, {a for _, a in outgoing}
+                if got != want:
+                    labels = Verdict.no(
+                        witness=(l + 1, v),
+                        note=(
+                            f"vertex {_tag(sys, l + 1, v)} at level {l + 1} has "
+                            f"in-labels {sorted(names[a] for a in got)} but its collapse image "
+                            f"{_tag(sys, l, sys.iota[l][v])} has {sorted(names[a] for a in want)}"
+                        ),
+                    )
+            holds = holds and [s for s, _ in incoming] == [s for s, _ in outgoing]
+        intertwining.append(holds)
+    return LocalChecks(local, labels, tuple(intertwining))
 
 
 def verify_essential(sys: LambdaGraphSystem) -> Verdict:
@@ -480,31 +508,38 @@ def verify_essential(sys: LambdaGraphSystem) -> Verdict:
 
 
 VERIFIER_ORDER = (
-    ("essential", verify_essential),
-    ("left-resolving", verify_left_resolving),
-    ("predecessor-separated", verify_predecessor_separated),
-    ("collapse surjective", verify_iota_surjective),
-    ("label-collapse compatible", verify_label_iota_compatible),
-    ("local property", verify_local_property),
+    "essential",
+    "left-resolving",
+    "predecessor-separated",
+    "collapse surjective",
+    "label-collapse compatible",
+    "local property",
+    "matrix compatibility",
 )
 
 
 def verify_all(sys: LambdaGraphSystem) -> dict[str, Verdict]:
-    """Every verdict of :data:`VERIFIER_ORDER`, in its order.
-
-    The local property implies label-collapse compatibility, which is only
-    checked when the local property fails.  At each level l both read the
-    same :func:`local_tallies` of every v at level l + 1 and skip the same
-    windows; the local property asks for two equal tallies, and equal
-    tallies have equal symbol sets.
-    """
-    local = verify_local_property(sys)
-    return {
-        name: local if name == "local property"
-        else Verdict.yes() if local.is_yes and name == "label-collapse compatible"
-        else check(sys)
-        for name, check in VERIFIER_ORDER
-    }
+    """Every structural verdict, named and ordered as in
+    :data:`VERIFIER_ORDER`.  The last three come from one
+    :func:`local_checks` scan; "matrix compatibility" names the first gap
+    whose intertwining identity fails."""
+    local = local_checks(sys)
+    bad = next((l for l, holds in enumerate(local.intertwining) if not holds), None)
+    matrix = (
+        Verdict.yes()
+        if bad is None
+        else Verdict.no(witness=bad, note=f"intertwining fails between levels {bad} and {bad + 1}")
+    )
+    verdicts = (
+        verify_essential(sys),
+        verify_left_resolving(sys),
+        verify_predecessor_separated(sys),
+        verify_iota_surjective(sys),
+        local.labels,
+        local.local,
+        matrix,
+    )
+    return dict(zip(VERIFIER_ORDER, verdicts))
 
 
 # -- builders ------------------------------------------------------------

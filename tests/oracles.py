@@ -200,6 +200,13 @@ def gap_matrices(sizes, edges, iota):
     return a, i
 
 
+def dense_intertwining(sizes, edges, iota) -> tuple[bool, ...]:
+    """Does A_l I_{l+1} = I_l A_{l+1} hold, at each gap l but the last?
+    Dense products of the matrices of :func:`gap_matrices`."""
+    a, i = gap_matrices(sizes, edges, iota)
+    return tuple(mat_mul(a[l], i[l + 1]) == mat_mul(i[l], a[l + 1]) for l in range(len(sizes) - 2))
+
+
 def det_int(m: list[list[int]]) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = len(m)

@@ -28,7 +28,7 @@ from lgk.analysis import (
 )
 from lgk.cli import main
 from lgk.flow import expand_spec, plan_for
-from lgk.invariants import connecting_checks, invariant_report, level_groups
+from lgk.invariants import invariant_report, level_groups
 from lgk.labeled_graph import LabeledGraph, is_essential
 from lgk.linalg import AbelianGroup, cokernel, kernel_group
 from lgk.serialize import spec_dumps, system_dumps
@@ -240,9 +240,9 @@ def test_criterion_07_structural_suite_over_all_builders():
             "local property",
             "collapse surjective",
             "label-collapse compatible",
+            "matrix compatibility",
         ):
             ok &= verdicts[name].is_yes
-        ok &= all(connecting_checks(sys))
     elapsed = time.monotonic() - started
     _line(7, "structural axioms and matrix identity, 12 builder outputs", ok, elapsed)
     assert ok

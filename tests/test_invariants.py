@@ -21,8 +21,6 @@ from lgk.invariants import (
     _cone_acyclic,
     _cone_checks,
     compare_reports,
-    connecting_checks,
-    connecting_map_check,
     invariant_report,
     level_groups,
 )
@@ -36,7 +34,7 @@ from lgk.system import (
     build_cantor_horizon_dyck,
     build_cantor_horizon_markov_dyck,
     build_lambda_synchronizing,
-    verify_local_property,
+    local_checks,
 )
 
 Z = AbelianGroup.from_parts
@@ -174,12 +172,12 @@ def small_systems():
 
 
 def test_intertwining_certifies_every_pushed_relation():
-    """connecting_map_check is the intertwining identity alone; the lattice
+    """local_checks decides the intertwining identity alone; the lattice
     membership it implies is checked here column by column."""
     for sys in small_systems():
         a, i = oracles.gap_matrices(sys.sizes, sys.edges, sys.iota)
+        assert local_checks(sys).intertwining == (True,) * (sys.depth - 1)
         for l in range(sys.depth - 1):
-            assert connecting_map_check(sys, l)
             down, up = k_matrix(a, i, l), k_matrix(a, i, l + 1)
             push = oracles.transpose(i[l + 1])
             certificate = oracles.transpose(i[l])
@@ -262,11 +260,9 @@ def test_gather_matches_dense_intertwining_identity():
     @settings(max_examples=150)
     @given(intertwining_candidates())
     def check(sys):
-        a, i = oracles.gap_matrices(sys.sizes, sys.edges, sys.iota)
-        for l in range(sys.depth - 1):
-            dense = oracles.mat_mul(a[l], i[l + 1]) == oracles.mat_mul(i[l], a[l + 1])
-            assert connecting_map_check(sys, l) == dense
-            verdicts.append(dense)
+        dense = oracles.dense_intertwining(sys.sizes, sys.edges, sys.iota)
+        assert local_checks(sys).intertwining == dense
+        verdicts.extend(dense)
 
     check()
     assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
@@ -287,23 +283,22 @@ def horizon_systems(draw):
 
 
 def test_local_property_implies_intertwining():
-    """The local property at level l + 1 compares, for each vertex of level
-    l + 2, the labels of two tallies; the intertwining identity at gap l
-    compares their sizes alone.  So a `yes` there makes every connecting
-    check hold."""
+    """Where the layer-scan oracle finds the local property holding, the
+    dense identity A_l I_{l+1} = I_l A_{l+1} holds at every gap: the
+    implication that lets local_checks pass a vertex on equal tallies."""
     holding = []
 
     @settings(max_examples=150)
     @given(st.one_of(horizon_systems(), shape_only_systems(min_depth=2)))
     def check(sys):
-        if verify_local_property(sys).is_yes:
-            assert all(connecting_checks(sys))
+        if oracles.scan_local_property(sys.sizes, sys.edges, sys.iota) is None:
+            assert all(oracles.dense_intertwining(sys.sizes, sys.edges, sys.iota))
             holding.append(sys)
 
     check()
     for sys in small_systems():
-        assert verify_local_property(sys).is_yes
-        assert all(connecting_checks(sys))
+        checks = local_checks(sys)
+        assert checks.local.is_yes and all(checks.intertwining)
     assert len(holding) >= 20
 
 
@@ -353,8 +348,7 @@ def test_shared_gaps_match_per_gap_answers(sys):
     count = sys.depth
     report = invariant_report(sys)
     assert report.groups == tuple(level_groups(sys, l) for l in range(count))
-    assert report.connecting == connecting_checks(sys)
-    assert report.connecting == tuple(connecting_map_check(sys, l) for l in range(count - 1))
+    assert report.connecting == oracles.dense_intertwining(sys.sizes, sys.edges, sys.iota)
     assert list(_cone_checks(sys)) == [_cone_acyclic(sys, l) for l in reversed(range(count - 1))]
     with unshared():
         assert invariant_report(sys) == report
@@ -432,8 +426,9 @@ def test_cone_test_matches_two_map_oracle():
     for sys in differential_sequences():
         a, i = oracles.gap_matrices(sys.sizes, sys.edges, sys.iota)
         groups = [level_groups(sys, l) for l in range(sys.depth)]
+        intertwining = local_checks(sys).intertwining
         for l in range(sys.depth - 1):
-            if not connecting_map_check(sys, l):
+            if not intertwining[l]:
                 continue
             cone = _cone_acyclic(sys, l)
             if groups[l].same_shape(groups[l + 1]):

@@ -7,7 +7,6 @@ cross-checked against the word-level oracles in test_dyck.py.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from lgk import (
     LambdaGraphSystem,
     MarkovDyck,
     SoficGraph,
+    Verdict,
     VertexLevel,
     build_cantor_horizon_dyck,
     build_cantor_horizon_markov_dyck,
@@ -36,16 +36,16 @@ from lgk import (
 )
 from lgk import cli, system
 from lgk.dyck import validate_transition_matrix
-from lgk.invariants import connecting_checks
+from lgk.invariants import invariant_report
 from lgk.serialize import system_loads
 from lgk.subshift import DEFAULT_BUDGET, sft_cover
 from lgk.system import (
     iota_fiber,
     label_words,
+    local_tallies,
     read_down,
-    verify_label_iota_compatible,
-    verify_local_property,
     verify_predecessor_separated,
+    window_repeats,
 )
 from test_dyck import reduces_nonzero
 from test_walkers import gap_run_systems, random_systems, raw
@@ -54,7 +54,6 @@ from test_walkers import gap_run_systems, random_systems, raw
 def assert_all_verifiers_pass(sys):
     for name, verdict in verify_all(sys).items():
         assert verdict.is_yes, (name, verdict)
-    assert all(connecting_checks(sys))
 
 
 def two_loops_graph():
@@ -258,42 +257,52 @@ def test_horizon_iota_drops_newest_index():
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(random_systems(), gap_run_systems()))
 def test_local_property_implies_label_compatibility_and_intertwining(sys):
-    # verify takes both verdicts from the local property when it holds; the
-    # random systems break it about half the time
-    if verify_local_property(sys).is_yes:
-        assert verify_label_iota_compatible(sys).is_yes
-        assert all(connecting_checks(sys))
+    # the implication that lets local_checks pass a vertex on equal tallies,
+    # stated through the oracles; the random systems break the local
+    # property about half the time
+    if oracles.scan_local_property(*raw(sys)) is None:
+        assert oracles.scan_label_compatible(*raw(sys)) is None
+        assert all(oracles.dense_intertwining(*raw(sys)))
 
 
-def test_verify_runs_the_implied_checks_only_when_the_local_property_fails(monkeypatch):
-    calls: Counter = Counter()
+def read_system(name):
+    with open(Path(__file__).resolve().parent / name, encoding="utf-8") as fh:
+        return system_loads(fh.read())
 
-    def counted(name, check):
-        def wrapper(sys):
-            calls[name] += 1
-            return check(sys)
 
-        return wrapper
+def test_verify_and_invariants_scan_each_distinct_window_once(monkeypatch):
+    entered = []
 
-    monkeypatch.setattr(
-        system,
-        "VERIFIER_ORDER",
-        tuple(
-            (name, counted(name, check) if check is verify_label_iota_compatible else check)
-            for name, check in system.VERIFIER_ORDER
-        ),
+    def counted(sys, l):
+        entered.append(l)
+        return local_tallies(sys, l)
+
+    monkeypatch.setattr(system, "local_tallies", counted)
+    for sys, windows in (
+        (build_cantor_horizon_dyck(2, 4), [1, 2, 3]),
+        (constant_system(even_shift_graph(), 4), [1]),
+        (read_system("non_intertwining_system.json"), [1, 2]),
+    ):
+        assert [l for l in range(1, sys.depth) if not window_repeats(sys.repeats, l - 1, 2)] == windows
+        for run in (lambda: cli._verify_checks(sys, DEFAULT_BUDGET), lambda: invariant_report(sys)):
+            entered.clear()
+            run()
+            assert entered == windows
+
+
+def test_local_verdicts_on_a_non_intertwining_system():
+    checks = verify_all(read_system("non_intertwining_system.json"))
+    assert checks["label-collapse compatible"] == Verdict.no(
+        witness=(3, 0), note="vertex v0 at level 3 has in-labels ['x', 'y'] but its collapse image v0 has ['x']"
     )
-    monkeypatch.setattr(cli, "connecting_checks", counted("intertwining", connecting_checks))
-    checks = cli._verify_checks(build_cantor_horizon_dyck(2, 4), DEFAULT_BUDGET)
-    assert not calls
-    assert checks["label-collapse compatible"].is_yes and checks["matrix compatibility"].is_yes
-    with open(Path(__file__).resolve().parent / "non_intertwining_system.json", encoding="utf-8") as fh:
-        broken = system_loads(fh.read())
-    checks = cli._verify_checks(broken, DEFAULT_BUDGET)
-    assert calls == {"label-collapse compatible": 1, "intertwining": 1}
-    assert checks["local property"].is_no
-    assert checks["label-collapse compatible"] == verify_label_iota_compatible(broken)
-    assert checks["matrix compatibility"].witness == connecting_checks(broken).index(False)
+    assert checks["local property"] == Verdict.no(
+        witness=(2, 0, 0),
+        note="between v0 at level 1 and v0 at level 3: fiber in-labels ['x', 'y'] vs out-labels ['x']",
+    )
+    assert checks["matrix compatibility"] == Verdict.no(
+        witness=1, note="intertwining fails between levels 1 and 2"
+    )
+    assert list(checks) == list(system.VERIFIER_ORDER)
 
 
 def test_repeated_cover_passes_every_verifier():

@@ -36,11 +36,10 @@ from lgk.subshift import Budget, FullShift
 from lgk.system import (
     iota_fiber,
     label_words,
+    local_checks,
     read_down,
     read_up,
     step_down,
-    verify_label_iota_compatible,
-    verify_local_property,
     verify_predecessor_separated,
 )
 
@@ -210,7 +209,7 @@ def test_label_words_match_layer_scans_on_source_sets(sys, data):
 
 
 def assert_local_property_matches(sys):
-    verdict = verify_local_property(sys)
+    verdict = local_checks(sys).local
     failure = oracles.scan_local_property(*raw(sys))
     if failure is None:
         assert verdict.is_yes
@@ -252,14 +251,14 @@ INSERTED_LARGER_FIRST = LambdaGraphSystem(
 def test_local_property_matches_layer_scan(sys):
     assert_local_property_matches(sys)
     if sys is COLLIDING:
-        assert verify_local_property(sys).witness == (1, 1, 0)
+        assert local_checks(sys).local.witness == (1, 1, 0)
 
 
 @given(systems)
 @example(COLLIDING)
 @example(INSERTED_LARGER_FIRST)
 def test_label_compatibility_matches_layer_scan(sys):
-    verdict = verify_label_iota_compatible(sys)
+    verdict = local_checks(sys).labels
     failure = oracles.scan_label_compatible(*raw(sys))
     if failure is None:
         assert verdict.is_yes
@@ -274,14 +273,14 @@ def test_label_compatibility_matches_layer_scan(sys):
 
 
 def test_local_property_names_the_least_failing_vertex():
-    verdict = verify_local_property(INSERTED_LARGER_FIRST)
+    verdict = local_checks(INSERTED_LARGER_FIRST).local
     assert verdict.is_no
     assert verdict.witness == (1, 0, 0)
 
 
 def test_local_property_verdicts_on_built_systems():
     for sys in BUILT:
-        assert verify_local_property(sys).is_yes
+        assert local_checks(sys).local.is_yes
         assert_local_property_matches(sys)
 
 
