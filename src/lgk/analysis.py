@@ -26,7 +26,9 @@ sweep from the last level up reads each readable set of each level once
 per symbol and serves every start level at once; a vertex v is launched
 when {v} is some R_l(w) with w nonempty.  On a constant system, condition
 (I) and the launching search read every layer as layer 0 with no length
-cap; their state sets repeat, so they end.
+cap; their state sets repeat, so they end.  The irreducibility checks
+decide it by one strong-connectivity scan (`_first_unreachable`); on other
+systems they read exact-step reach sets from one table (`_reaches`).
 
 The window lemma of :mod:`lgk.system`: a computation that reads only gaps
 l .. l + k - 1 gives at l what it gave at l - 1 when each of those gaps
@@ -90,16 +92,36 @@ def _successors(sys: LambdaGraphSystem, level: int, sources: frozenset[int]) -> 
     return frozenset(reach)
 
 
-def _graph_reachable(sys: LambdaGraphSystem, start: int, goal: int) -> bool:
-    """Reachability in the repeated graph of a constant system: the
-    fixpoint of `_successors` on layer 0, from `start` itself."""
-    seen = frozenset([start])
-    while goal not in seen:
-        grown = seen | _successors(sys, 0, seen)
-        if grown == seen:
-            return False
-        seen = grown
-    return True
+def _reaches(sys: LambdaGraphSystem, level: int) -> Callable[[int, int], list[frozenset[int]]]:
+    """`reaches(v, steps)[k]`: the vertices that vertex v of `level` reaches
+    in exactly k steps, for k = 0 .. at least `steps`; each step is taken
+    once, the first time some caller needs it."""
+    rows = [[frozenset([v])] for v in range(sys.levels[level].size)]
+
+    def reaches(v: int, steps: int) -> list[frozenset[int]]:
+        row = rows[v]
+        while len(row) <= steps:
+            row.append(_successors(sys, level + len(row) - 1, row[-1]))
+        return row
+
+    return reaches
+
+
+def _first_unreachable(sys: LambdaGraphSystem) -> Optional[tuple[int, int]]:
+    """The first pair (u, v), u-major, with u unreachable from v (by a path
+    of any length, 0 included) in the repeated graph of a constant system,
+    or None: one fixpoint of `_successors` on layer 0 per vertex.  The
+    collapse is the identity, so the fiber over u is {u} at every level,
+    and both irreducibility checks refute exactly these pairs."""
+    size = sys.levels[0].size
+    reached = []
+    for v in range(size):
+        seen = frontier = frozenset([v])
+        while frontier:
+            frontier = _successors(sys, 0, frontier) - seen
+            seen |= frontier
+        reached.append(seen)
+    return next(((u, v) for u in range(size) for v in range(size) if u not in reached[v]), None)
 
 
 # -- condition (I): branching futures ------------------------------------
@@ -171,57 +193,43 @@ def check_condition_I(sys: LambdaGraphSystem, depth: int = 3) -> Verdict:
 # -- irreducibility ------------------------------------------------------
 
 
-def check_lambda_irreducible(
-    sys: LambdaGraphSystem,
-    bound: Optional[int] = None,
-    max_level: int = 2,
-) -> Verdict:
-    """For each ordered vertex pair (u, v) on a level, some depth step L
+def check_lambda_irreducible(sys: LambdaGraphSystem) -> Verdict:
+    """For each ordered vertex pair (u, v) on levels 0..2, some depth step L
     must make every vertex in the collapse fiber over u reachable from v by
-    a path of length exactly L.  Searches L up to `bound` within the
-    truncation; conclusive refutation only for constant systems.  The
-    fiber over u does not depend on v, so each is read once, and the
-    vertices v reaches do not depend on u, so each step is taken once,
-    the first time some pair needs it."""
-    constant = _is_constant(sys)
+    a path of length exactly L.  Searches L within the truncation; a
+    constant system is decided outright by `_first_unreachable`, and on
+    any other a pair without such an L is only `unknown`.  The fiber over
+    u does not depend on v, so each is read once, and the vertices v
+    reaches come from one `_reaches` table per level."""
+    levels = range(min(2, sys.depth - 1) + 1)
+    if _is_constant(sys) and levels:
+        pair = _first_unreachable(sys)
+        if pair is None:
+            return Verdict.yes()
+        u, v = pair
+        return Verdict.no(
+            witness=(0, u, v),
+            note=f"vertex {u} is unreachable from {v}, so no level can cover the fiber over {u}",
+        )
     fibers = _once(iota_fiber, sys)
-    for level in range(min(max_level, sys.depth - 1) + 1):
+    for level in levels:
         size = sys.levels[level].size
-        limit = sys.depth - level if bound is None else min(bound, sys.depth - level)
-        # reaches[v][steps]: the vertices v reaches in exactly `steps` steps
-        reaches = [[frozenset([v])] for v in range(size)]
+        limit = sys.depth - level
+        reaches = _reaches(sys, level)
         for u in range(size):
             for v in range(size):
-                ok = False
-                reach = reaches[v]
                 for steps in range(1, limit + 1):
                     fiber = fibers(level, u, steps)
-                    if len(reach) == steps:
-                        reach.append(_successors(sys, level + steps - 1, reach[-1]))
-                    if fiber and fiber <= reach[steps]:
-                        ok = True
+                    if fiber and fiber <= reaches(v, steps)[steps]:
                         break
-                if ok:
-                    continue
-                if constant:
-                    # Identity collapse: the fiber is {u}; reachability at
-                    # some exact length is plain graph reachability.
-                    if not _graph_reachable(sys, v, u):
-                        return Verdict.no(
-                            witness=(level, u, v),
-                            note=(
-                                f"vertex {u} is unreachable from {v}, so no "
-                                f"level can cover the fiber over {u}"
-                            ),
-                        )
-                    continue
-                return Verdict.unknown(
-                    witness=(level, u, v),
-                    note=(
-                        f"no step count up to {limit} lets vertex {v} reach the "
-                        f"whole fiber over vertex {u} at level {level}"
-                    ),
-                )
+                else:
+                    return Verdict.unknown(
+                        witness=(level, u, v),
+                        note=(
+                            f"no step count up to {limit} lets vertex {v} reach the "
+                            f"whole fiber over vertex {u} at level {level}"
+                        ),
+                    )
     return Verdict.yes()
 
 
@@ -262,65 +270,55 @@ def check_iota_irreducible(
 
     A path with less room below it than `bound` can only mark its level as
     partially verified, so once the level is marked such paths are
-    skipped, and a level whose paths are all like that is left."""
-    constant = _is_constant(sys)
+    skipped, and a level whose paths are all like that is left.  A
+    constant system is decided outright by `_first_unreachable`: a shadow
+    from v exists exactly when u is reachable from v."""
+    levels = range(min(max_level, sys.depth - 2) + 1)
+    if _is_constant(sys) and levels:
+        pair = _first_unreachable(sys)
+        if pair is None:
+            return Verdict.yes()
+        u, v = pair
+        return Verdict.no(witness=(0, v, u), note=f"vertex {u} is unreachable from {v}")
     partial: set[int] = set()
     fibers = _once(iota_fiber, sys)
-    for level in range(min(max_level, sys.depth - 2) + 1):
+    for level in levels:
         size = sys.levels[level].size
         # Words are nonempty, so no shadow takes more steps than this.
         most = min(bound, sys.depth - level - 1)
         # Every path of the level has less room than `bound`.
         short = most < bound
-        # reaches[v][steps]: the vertices v reaches in exactly `steps` steps
-        reaches = []
-        for v in range(size):
-            reach = [frozenset([v])]
-            for l in range(level, level + most):
-                reach.append(_successors(sys, l, reach[-1]))
-            reaches.append(reach)
+        reaches = _reaches(sys, level)
         for u in range(size):
             if short and level in partial:
                 break
-            if not constant:
-                # None of these depends on v: the paths out of u, the vertices
-                # collapsing onto u in each number of steps a shadow may take,
-                # and starts[index, steps], those of lifts[steps] from which
-                # the word of paths[index] ends over its endpoint.
-                paths = list(_labeled_paths(sys, level, u, path_len))
-                lifts = [fibers(level, u, steps) for steps in range(most + 1)]
-                starts: dict[tuple[int, int], frozenset[int]] = {}
+            # Neither depends on v: the paths out of u, and starts[index,
+            # steps], the vertices collapsing onto u in `steps` steps from
+            # which the word of paths[index] ends over its endpoint.
+            paths = list(_labeled_paths(sys, level, u, path_len))
+            starts: dict[tuple[int, int], frozenset[int]] = {}
             for v in range(size):
                 if u == v:
                     continue  # shadowed trivially with zero collapse steps
-                if constant:
-                    if _graph_reachable(sys, v, u):
-                        continue
-                    return Verdict.no(
-                        witness=(level, v, u),
-                        note=f"vertex {u} is unreachable from {v}",
-                    )
+                reach = reaches(v, most)
                 for index, (word, end) in enumerate(paths):
                     room = sys.depth - level - len(word)
                     if room < bound and level in partial:
                         continue
-                    if room < 1:
-                        # No collapse step fits below the truncation for
-                        # this word length; skip rather than fail.
-                        partial.add(level)
-                        continue
-                    found = False
+                    # A word with no room below it tries no step count: with
+                    # a bound >= 1 it marks the level partial, and with a
+                    # bound < 1 the first path out of u, of length 1 and
+                    # room >= 1, has already returned `unknown`.
                     for steps in range(1, min(bound, room) + 1):
                         if (index, steps) not in starts:
                             # the shadow must end where the collapse maps onto `end`
                             over_end = fibers(level + len(word), end, steps)
-                            starts[index, steps] = lifts[steps] & read_up(
+                            starts[index, steps] = fibers(level, u, steps) & read_up(
                                 sys, level + steps, over_end, word
                             )
-                        if starts[index, steps] & reaches[v][steps]:
-                            found = True
+                        if starts[index, steps] & reach[steps]:
                             break
-                    if not found:
+                    else:
                         if room < bound:
                             # the truncation cut the step search short, so
                             # a deeper shadow may exist below it

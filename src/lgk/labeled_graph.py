@@ -71,15 +71,14 @@ def left_resolving_violation(g: LabeledGraph) -> tuple[int, int] | None:
     return None
 
 
-def stranded_vertices(g: LabeledGraph) -> set[int]:
-    """Vertices lacking an outgoing or an incoming edge."""
-    has_out = {s for s, _, _ in g.edges}
-    has_in = {t for _, _, t in g.edges}
-    return {v for v in range(len(g.vertices)) if v not in has_out or v not in has_in}
-
-
 def is_essential(g: LabeledGraph) -> bool:
-    return not stranded_vertices(g)
+    """Every vertex has an outgoing and an incoming edge."""
+    has_out, has_in = set(), set()
+    for s, _, t in g.edges:
+        has_out.add(s)
+        has_in.add(t)
+    vertices = range(len(g.vertices))
+    return has_out.issuperset(vertices) and has_in.issuperset(vertices)
 
 
 def essential_subgraph(g: LabeledGraph) -> LabeledGraph:

@@ -1164,6 +1164,43 @@ def scan_reachable(edges, start: int, goal: int) -> bool:
     return goal in seen
 
 
+def reference_lambda_irreducible(sizes, edges, iota):
+    """Each vertex v of levels 0..2 must reach, in one exact number of steps
+    within the truncation, the whole collapse fiber over each vertex u of
+    its level, walking v's reach afresh for every pair; a constant system
+    refutes a pair that fails the search when u is unreachable from v."""
+    L = len(sizes) - 1
+    constant = scan_is_constant(sizes, edges, iota)
+    for level in range(min(2, L - 1) + 1):
+        for u in range(sizes[level]):
+            for v in range(sizes[level]):
+                reach = frozenset([v])
+                found = False
+                for steps in range(1, L - level + 1):
+                    reach = frozenset(t for s, a, t in edges[level + steps - 1] if s in reach)
+                    fiber = scan_iota_fiber(iota, level, u, steps)
+                    if fiber and fiber <= reach:
+                        found = True
+                        break
+                if found:
+                    continue
+                if not constant:
+                    return (
+                        "unknown",
+                        (level, u, v),
+                        f"no step count up to {L - level} lets vertex {v} reach the "
+                        f"whole fiber over vertex {u} at level {level}",
+                    )
+                if not scan_reachable(edges, v, u):
+                    return (
+                        "no",
+                        (level, u, v),
+                        f"vertex {u} is unreachable from {v}, so no level can "
+                        f"cover the fiber over {u}",
+                    )
+    return ("yes", None, "")
+
+
 def reference_iota_irreducible(sizes, edges, iota, names, bound=3, max_level=2, path_len=2):
     """Shadowing of the labeled paths out of u from every other vertex v,
     trying the candidate shadow starts one at a time and walking v's reach

@@ -51,6 +51,14 @@ def two_loops_system(depth=4):
     return constant_system(g, depth)
 
 
+def three_cycle_system(depth=4):
+    """A constant system whose vertices reach one another only by paths of
+    length up to 2."""
+    ab = Alphabet(("x",))
+    g = from_names(ab, ("u", "v", "w"), [("u", "x", "v"), ("v", "x", "w"), ("w", "x", "u")])
+    return constant_system(g, depth)
+
+
 def test_branching_verdicts():
     assert check_condition_I(build_lambda_synchronizing(golden_mean_spec(), 5)).is_yes
     assert check_condition_I(build_lambda_synchronizing(FullShift(2), 4)).is_yes
@@ -67,6 +75,40 @@ def test_lambda_irreducibility():
     assert check_lambda_irreducible(build_cantor_horizon_markov_dyck(FIB, 5)).is_yes
     assert check_lambda_irreducible(build_lambda_synchronizing(FullShift(3), 4)).is_yes
     assert check_lambda_irreducible(two_loops_system()).is_no
+    assert check_lambda_irreducible(three_cycle_system()).is_yes
+
+
+def recorded_reads(monkeypatch, names) -> dict[str, list]:
+    """Patch each named walker of `analysis` to record the arguments of
+    every read, by walker name."""
+    seen: dict[str, list] = {name: [] for name in names}
+    for name in names:
+        walker = getattr(analysis, name)
+
+        def counted(sys, *args, name=name, walker=walker):
+            seen[name].append(args)
+            return walker(sys, *args)
+
+        monkeypatch.setattr(analysis, name, counted)
+    return seen
+
+
+def test_constant_irreducibility_does_not_walk_the_depth(monkeypatch):
+    # A constant system is decided on its repeated graph, so a deeper
+    # truncation neither moves the verdicts nor reads more walkers.
+    seen = recorded_reads(monkeypatch, ("iota_fiber", "read_up"))
+    runs = {}
+    for depth in (4, 1000):
+        sys = two_loops_system(depth)
+        for check in (check_lambda_irreducible, check_iota_irreducible):
+            for args in seen.values():
+                args.clear()
+            verdict = triple(check(sys))
+            runs[depth, check] = verdict, {name: len(args) for name, args in seen.items()}
+    for check in (check_lambda_irreducible, check_iota_irreducible):
+        assert runs[4, check] == runs[1000, check]
+    assert runs[1000, check_lambda_irreducible][0][:2] == ("no", (0, 0, 1))
+    assert runs[1000, check_iota_irreducible][0][:2] == ("no", (0, 1, 0))
 
 
 def test_iota_irreducibility():
@@ -77,6 +119,7 @@ def test_iota_irreducibility():
     shallow = check_iota_irreducible(build_cantor_horizon_dyck(2, 5))
     assert shallow.is_yes and "truncation" in shallow.note
     assert check_iota_irreducible(two_loops_system()).is_no
+    assert check_iota_irreducible(three_cycle_system()).is_yes
 
 
 def readers(sys, word, level):
@@ -277,7 +320,7 @@ def test_transitivity_verdicts():
     "check, calls",
     [
         (check_lambda_irreducible, {"iota_fiber": 17}),
-        (check_iota_irreducible, {"iota_fiber": 48}),
+        (check_iota_irreducible, {"iota_fiber": 37}),
         (check_synchronizingly_transitive, {"read_down": 67, "iota_fiber": 15}),
     ],
     ids=["lambda-irreducible", "iota-irreducible", "transitive"],
@@ -289,15 +332,7 @@ def test_each_check_reads_each_walker_argument_once(check, calls, monkeypatch):
     # the same bridge endpoints, so repeating a walk would read nothing new.
     spec = SftForbidden(Alphabet(("a", "b", "c")), frozenset({(0, 1, 1, 0)}))
     sys = build_lambda_synchronizing(spec, 8)
-    seen: dict[str, list] = {name: [] for name in calls}
-    for name in calls:
-        walker = getattr(analysis, name)
-
-        def counted(sys, *args, name=name, walker=walker):
-            seen[name].append(args)
-            return walker(sys, *args)
-
-        monkeypatch.setattr(analysis, name, counted)
+    seen = recorded_reads(monkeypatch, calls)
     assert check(sys).is_yes
     assert {name: len(args) for name, args in seen.items()} == calls
     for args in seen.values():
@@ -390,6 +425,9 @@ def test_dynamical_checks_match_references(sys, data):
     search = data.draw(st.none() | st.integers(1, sys.depth))
     assert triple(is_lambda_synchronizing_system(sys, search)) == oracles.reference_launching(
         sizes, edges, iota, search
+    )
+    assert triple(check_lambda_irreducible(sys)) == oracles.reference_lambda_irreducible(
+        sizes, edges, iota
     )
     bound = data.draw(st.integers(1, 4))
     max_level = data.draw(st.integers(0, 3))
