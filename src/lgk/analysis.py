@@ -10,21 +10,30 @@ witness otherwise.  A `no` is never issued on evidence that deeper levels
 could overturn.
 
 Each check walks its question once through the walkers of
-:mod:`lgk.system`: `step_down`, `read_down`, `read_up`, `iota_fiber` and
-`label_words`.  Work that does not depend on the loop variable is done
-outside it: ι-irreducibility reads each path's word backward with
-`read_up`, once per path and step count rather than once per other
-vertex, and the transitivity check shares one table of bridges per first
-word and of lifted endpoints per second word across all its word pairs.
-Where the same walk recurs under different loop variables (the collapse
-fibers of the irreducibility checks, the reads on from bridge endpoints),
-the check reads each distinct argument once (`_once`).
+:mod:`lgk.system`: `step_down`, `read_down`, `read_up`, `label_words` and
+their one-gap reads.  The walkers hold vertex sets as masks (bit v of an
+int is vertex v) and keep each one-gap read in the read tables of its gap
+(`Adjacency.reads`), which a repeated gap shares with the gap above it:
+the window lemma applied to single reads.  So a walk that recurs under
+another loop variable (the collapse fibers of the irreducibility checks,
+the reads on from bridge endpoints), at another level of a repeated run,
+or in another check computes no read twice, and no check keeps a cache
+of walker results of its own.  Work that does not depend on the loop
+variable is done outside it: ι-irreducibility reads each path's word
+backward with `read_up`, once per path and step count rather than once
+per other vertex, λ-irreducibility lifts the fiber over u one step at a
+time for every v at once, and the transitivity check shares one table of
+bridges per first word and of lifted endpoints per second word across
+all its word pairs.
 The launching search reads words backward too: with R_l(w) the level-l
 vertices from which w can be read, R_l(a w) is the set of a-predecessors
 of R_{l+1}(w) (the predecessor sets of the subset construction), so one
 sweep from the last level up reads each readable set of each level once
 per symbol and serves every start level at once; a vertex v is launched
-when {v} is some R_l(w) with w nonempty.  On a constant system, condition
+when {v} is some R_l(w) with w nonempty.  The sweep keeps its readable
+sets as frozensets over `into`: it reads each set once in any case, all
+its symbols in one pass over the in-edges, so the read tables would save
+it nothing, and sets built bit by bit were slower there.  On a constant system, condition
 (I) and the launching search read every layer as layer 0 with no length
 cap; their state sets repeat, so they end.  The irreducibility checks
 decide it by one strong-connectivity scan (`_first_unreachable`); on other
@@ -45,7 +54,6 @@ same unit as a sweep that reads every level.
 from __future__ import annotations
 
 from copy import copy
-from functools import cache, partial
 from itertools import count, tee
 from typing import Callable, Iterator, Optional
 
@@ -53,8 +61,9 @@ from .alphabet import Word
 from .subshift import DEFAULT_BUDGET, Budget, BudgetExceeded, _Meter
 from .system import (
     LambdaGraphSystem,
+    _lift,
     _out_symbols,
-    iota_fiber,
+    _successors,
     label_words,
     read_down,
     read_up,
@@ -62,12 +71,6 @@ from .system import (
     window_repeats,
 )
 from .verdict import Verdict
-
-
-def _once(walker: Callable, sys: LambdaGraphSystem) -> Callable:
-    """`walker` on `sys`, reading each distinct argument once; the reads are
-    kept for as long as the returned function is."""
-    return cache(partial(walker, sys))
 
 
 def _is_constant(sys: LambdaGraphSystem) -> bool:
@@ -82,23 +85,13 @@ def _is_constant(sys: LambdaGraphSystem) -> bool:
     return all(sys.repeats[1:]) and all(m == tuple(range(sys.sizes[0])) for m in sys.iota[:1])
 
 
-def _successors(sys: LambdaGraphSystem, level: int, sources: frozenset[int]) -> frozenset[int]:
-    out = sys.adjacency.out[level]
-    reach: set[int] = set()
-    for s in sources:
-        if s in out:
-            for targets in out[s].values():
-                reach.update(targets)
-    return frozenset(reach)
-
-
-def _reaches(sys: LambdaGraphSystem, level: int) -> Callable[[int, int], list[frozenset[int]]]:
+def _reaches(sys: LambdaGraphSystem, level: int) -> Callable[[int, int], list[int]]:
     """`reaches(v, steps)[k]`: the vertices that vertex v of `level` reaches
     in exactly k steps, for k = 0 .. at least `steps`; each step is taken
     once, the first time some caller needs it."""
-    rows = [[frozenset([v])] for v in range(sys.levels[level].size)]
+    rows = [[1 << v] for v in range(sys.levels[level].size)]
 
-    def reaches(v: int, steps: int) -> list[frozenset[int]]:
+    def reaches(v: int, steps: int) -> list[int]:
         row = rows[v]
         while len(row) <= steps:
             row.append(_successors(sys, level + len(row) - 1, row[-1]))
@@ -116,12 +109,12 @@ def _first_unreachable(sys: LambdaGraphSystem) -> Optional[tuple[int, int]]:
     size = sys.levels[0].size
     reached = []
     for v in range(size):
-        seen = frontier = frozenset([v])
+        seen = frontier = 1 << v
         while frontier:
-            frontier = _successors(sys, 0, frontier) - seen
+            frontier = _successors(sys, 0, frontier) & ~seen
             seen |= frontier
         reached.append(seen)
-    return next(((u, v) for u in range(size) for v in range(size) if u not in reached[v]), None)
+    return next(((u, v) for u in range(size) for v in range(size) if not reached[v] >> u & 1), None)
 
 
 # -- condition (I): branching futures ------------------------------------
@@ -134,7 +127,7 @@ def _unique_future(
     "dies" when no label is left, "depth" after `length` steps, or, in a
     constant system (layer 0 throughout, no cap), "cycles" when a state set
     repeats.  The walk is deterministic, so a cycle never forks later."""
-    current = frozenset([vertex])
+    current = 1 << vertex
     seen = {current}
     for k in count() if constant else range(length):
         layer = 0 if constant else level + k
@@ -143,7 +136,7 @@ def _unique_future(
             return None
         if not labels:
             return "dies"
-        current = step_down(sys, layer, current, labels.pop())
+        current = step_down(sys, layer, current, labels[0])
         if constant:
             if current in seen:
                 return "cycles"
@@ -199,9 +192,11 @@ def check_lambda_irreducible(sys: LambdaGraphSystem) -> Verdict:
     a path of length exactly L.  Searches L within the truncation; a
     constant system is decided outright by `_first_unreachable`, and on
     any other a pair without such an L is only `unknown`.  The fiber over
-    u does not depend on v, so each is read once, and the vertices v
-    reaches come from one `_reaches` table per level."""
-    levels = range(min(2, sys.depth - 1) + 1)
+    u does not depend on v, so it is lifted one step at a time for all v at
+    once, and the vertices v reaches come from one `_reaches` table per
+    level."""
+    depth = sys.depth
+    levels = range(min(2, depth - 1) + 1)
     if _is_constant(sys) and levels:
         pair = _first_unreachable(sys)
         if pair is None:
@@ -211,25 +206,30 @@ def check_lambda_irreducible(sys: LambdaGraphSystem) -> Verdict:
             witness=(0, u, v),
             note=f"vertex {u} is unreachable from {v}, so no level can cover the fiber over {u}",
         )
-    fibers = _once(iota_fiber, sys)
+    adjacency = sys.adjacency
     for level in levels:
         size = sys.levels[level].size
-        limit = sys.depth - level
+        limit = depth - level
         reaches = _reaches(sys, level)
         for u in range(size):
-            for v in range(size):
-                for steps in range(1, limit + 1):
-                    fiber = fibers(level, u, steps)
-                    if fiber and fiber <= reaches(v, steps)[steps]:
-                        break
-                else:
-                    return Verdict.unknown(
-                        witness=(level, u, v),
-                        note=(
-                            f"no step count up to {limit} lets vertex {v} reach the "
-                            f"whole fiber over vertex {u} at level {level}"
-                        ),
-                    )
+            waiting = list(range(size))  # the v without a step count yet
+            fiber = 1 << u
+            for steps in range(1, limit + 1):
+                fiber = _lift(adjacency, level + steps - 1, fiber, 1)
+                if not fiber:
+                    break
+                waiting = [v for v in waiting if fiber & reaches(v, steps)[steps] != fiber]
+                if not waiting:
+                    break
+            if waiting:
+                v = waiting[0]
+                return Verdict.unknown(
+                    witness=(level, u, v),
+                    note=(
+                        f"no step count up to {limit} lets vertex {v} reach the "
+                        f"whole fiber over vertex {u} at level {level}"
+                    ),
+                )
     return Verdict.yes()
 
 
@@ -264,45 +264,53 @@ def check_iota_irreducible(
     fiber over its endpoint, and the starts it finds in the fiber over u
     are kept; `read_down` distributes over unions of sources, so v has a
     shadow exactly when that set meets the vertices v reaches in as many
-    steps.  The set is computed the first time some v needs it.  Each
-    collapse fiber is read once: the fiber over a path's endpoint depends
-    on the endpoint's level and the step count, not on u.
+    steps.  The set is computed the first time some v needs it.
 
     A path with less room below it than `bound` can only mark its level as
     partially verified, so once the level is marked such paths are
     skipped, and a level whose paths are all like that is left.  A
-    constant system is decided outright by `_first_unreachable`: a shadow
-    from v exists exactly when u is reachable from v."""
-    levels = range(min(max_level, sys.depth - 2) + 1)
-    if _is_constant(sys) and levels:
+    constant system is decided outright by `_first_unreachable`, at every
+    depth: a shadow from v exists exactly when u is reachable from v.  Any
+    other system whose range of levels to search is empty is `unknown`."""
+    depth = sys.depth
+    levels = range(min(max_level, depth - 2) + 1)
+    if depth and _is_constant(sys):
         pair = _first_unreachable(sys)
         if pair is None:
             return Verdict.yes()
         u, v = pair
         return Verdict.no(witness=(0, v, u), note=f"vertex {u} is unreachable from {v}")
+    if not levels:
+        return Verdict.unknown(note=f"no level to search: the level range 0 .. {levels.stop - 1} is empty")
+    adjacency = sys.adjacency
     partial: set[int] = set()
-    fibers = _once(iota_fiber, sys)
     for level in levels:
         size = sys.levels[level].size
         # Words are nonempty, so no shadow takes more steps than this.
-        most = min(bound, sys.depth - level - 1)
+        most = min(bound, depth - level - 1)
         # Every path of the level has less room than `bound`.
         short = most < bound
         reaches = _reaches(sys, level)
         for u in range(size):
             if short and level in partial:
                 break
-            # Neither depends on v: the paths out of u, and starts[index,
-            # steps], the vertices collapsing onto u in `steps` steps from
-            # which the word of paths[index] ends over its endpoint.
-            paths = list(_labeled_paths(sys, level, u, path_len))
-            starts: dict[tuple[int, int], frozenset[int]] = {}
+            # None depends on v: the paths out of u with the room below
+            # them, the fibers over u, and for each path its starts: entry
+            # steps - 1 holds the vertices collapsing onto u in `steps`
+            # steps from which the path's word ends over its endpoint.  A
+            # v tries the step counts in order, so the entries are made in
+            # order, the first time some v needs them.
+            paths = [
+                (word, end, depth - level - len(word))
+                for word, end in _labeled_paths(sys, level, u, path_len)
+            ]
+            over_u = [_lift(adjacency, level, 1 << u, steps) for steps in range(most + 1)]
+            starts: list[list[int]] = [[] for _ in paths]
             for v in range(size):
                 if u == v:
                     continue  # shadowed trivially with zero collapse steps
                 reach = reaches(v, most)
-                for index, (word, end) in enumerate(paths):
-                    room = sys.depth - level - len(word)
+                for (word, end, room), found in zip(paths, starts):
                     if room < bound and level in partial:
                         continue
                     # A word with no room below it tries no step count: with
@@ -310,13 +318,11 @@ def check_iota_irreducible(
                     # bound < 1 the first path out of u, of length 1 and
                     # room >= 1, has already returned `unknown`.
                     for steps in range(1, min(bound, room) + 1):
-                        if (index, steps) not in starts:
+                        if len(found) < steps:
                             # the shadow must end where the collapse maps onto `end`
-                            over_end = fibers(level + len(word), end, steps)
-                            starts[index, steps] = fibers(level, u, steps) & read_up(
-                                sys, level + steps, over_end, word
-                            )
-                        if starts[index, steps] & reach[steps]:
+                            over_end = _lift(adjacency, level + len(word), 1 << end, steps)
+                            found.append(over_u[steps] & read_up(sys, level + steps, over_end, word))
+                        if found[steps - 1] & reach[steps]:
                             break
                     else:
                         if room < bound:
@@ -506,27 +512,24 @@ class _Succession:
     The bridges read on from a first word and the lifted endpoints of a
     second word (for each level it is lifted to) depend on one word of the
     pair only, so each is read once and shared by every pair searched here.
-    So are the reads of a second word on from a bridge's endpoints and the
-    collapse fibers over a second word's endpoints, which many pairs
-    repeat.  Bridges are drawn lazily, as the meter allows: a
-    never-advanced `tee` keeps those drawn so far, and its copies replay
-    them.
+    The reads of a second word on from a bridge's endpoints, which many
+    pairs repeat, are kept by the walkers with the other reads of their
+    gaps.  Bridges are drawn lazily, as the meter allows: a never-advanced
+    `tee` keeps those drawn so far, and its copies replay them.
     """
 
     def __init__(self, sys: LambdaGraphSystem, bound: int):
         self.sys = sys
         self.bound = bound
-        self._bridges: dict[Word, Iterator[tuple[Word, frozenset[int]]]] = {}
-        self._lifted: dict[tuple[Word, int], frozenset[int]] = {}
-        self._read_down = _once(read_down, sys)
-        self._fibers = _once(iota_fiber, sys)
+        self._bridges: dict[Word, Iterator[tuple[Word, int]]] = {}
+        self._lifted: dict[tuple[Word, int], int] = {}
 
     def bridge(
         self,
         first: Word,
-        ends_first: frozenset[int],
+        ends_first: int,
         second: Word,
-        ends_second: frozenset[int],
+        ends_second: int,
         meter: _Meter,
     ) -> Optional[Word]:
         """The first bridge that works for the pair, ticking `meter` once per
@@ -543,13 +546,11 @@ class _Succession:
         for bridge, ends_bridge in copy(self._bridges[first]):
             meter.tick()
             below = len(first) + len(bridge)
-            ends = self._read_down(below, ends_bridge, second)
+            ends = read_down(sys, below, ends_bridge, second)
             if not ends:
                 continue
             if (second, below) not in self._lifted:
-                self._lifted[second, below] = frozenset().union(
-                    *(self._fibers(len(second), v, below) for v in ends_second)
-                )
+                self._lifted[second, below] = _lift(sys.adjacency, len(second), ends_second, below)
             if self._lifted[second, below] == ends:
                 return bridge
         return None
@@ -573,7 +574,7 @@ def check_synchronizingly_transitive(
     the meter's note."""
     if 2 * word_len + bound > sys.depth:
         raise ValueError("truncation too shallow for the requested word length")
-    top = frozenset(range(sys.levels[0].size))
+    top = (1 << sys.levels[0].size) - 1
     words = [(w, ends) for w, ends in label_words(sys, 0, top, word_len) if w]
     search = _Succession(sys, bound)
     for first, ends_first in words:

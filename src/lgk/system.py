@@ -40,11 +40,14 @@ computation runs once per distinct window: the verifiers below skip a
 window that repeats one they scanned, and the quotient build, the loader
 and :attr:`LambdaGraphSystem.adjacency` hand a repeated gap the objects
 of the gap above, which makes ``repeats`` a walk over shared pointers.
+A walker's one-gap read is such a computation with a window of one gap:
+it is kept in the read tables of its gap, which a repeated gap shares,
+so it is computed once per run of repeated gaps (:class:`Adjacency`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, islice, zip_longest
 from operator import ge
@@ -86,9 +89,29 @@ def window_repeats(repeats: Sequence[bool], first: int, width: int) -> bool:
     return 0 < first and first + width <= len(repeats) and all(repeats[first : first + width])
 
 
+class GapReads:
+    """The walker reads of one gap, each computed the first time it is asked
+    for and then kept, keyed by the vertex set read and, for a one-symbol
+    read, its symbol: `down` maps (symbol, sources) to the targets of the
+    symbol's edges, `up` maps (symbol, targets) to their sources, `symbols`
+    maps sources to their out-symbols, ascending, `after` maps sources to
+    the targets of all their edges, and `lift` maps vertices to the
+    vertices one level down collapsing onto them."""
+
+    __slots__ = ("down", "up", "symbols", "after", "lift")
+
+    def __init__(self) -> None:
+        self.down: dict[tuple[int, int], int] = {}
+        self.up: dict[tuple[int, int], int] = {}
+        self.symbols: dict[int, tuple[int, ...]] = {}
+        self.after: dict[int, int] = {}
+        self.lift: dict[int, int] = {}
+
+
 @dataclass(frozen=True)
 class Adjacency:
-    """Lookup tables of a system, one per edge layer and per collapse layer.
+    """Lookup tables of a system, one per edge layer and per collapse layer,
+    and the reads the walkers made through them.
 
     `out[l][s][a]` lists the targets of the `a`-edges leaving s in edge
     layer l, `into[l][t]` lists the (symbol, source) pairs of the edges
@@ -99,11 +122,21 @@ class Adjacency:
     backward table: the backward reads pick their symbols out of it.  A
     vertex without such edges (or preimages) has no entry.  Callers must
     not mutate them.
+
+    The walkers hold vertex sets as masks, Python ints with bit v set for
+    vertex v, and build each result from the lists above.  `reads[l]` keeps
+    every read of gap l (:class:`GapReads`).  A gap that repeats the gap
+    above it holds the same tables and so gives the same reads: that is the
+    window lemma for a one-gap window, so such a gap shares the reads of the
+    gap above, and a read made at one level of a repeated run is made once
+    for the whole run.  The reads live as long as the system's index and
+    are no part of its value.
     """
 
     out: tuple[dict[int, dict[int, list[int]]], ...]
     into: tuple[dict[int, list[tuple[int, int]]], ...]
     fiber: tuple[dict[int, list[int]], ...]
+    reads: tuple[GapReads, ...] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -173,17 +206,19 @@ class LambdaGraphSystem:
         )
 
     # Every walker below goes through these tables; a repeated gap shares
-    # the tables of the gap above.
+    # the tables and the reads of the gap above.
     @cached_property
     def adjacency(self) -> Adjacency:
         out: list[dict[int, dict[int, list[int]]]] = []
         into: list[dict[int, list[tuple[int, int]]]] = []
         fiber: list[dict[int, list[int]]] = []
+        reads: list[GapReads] = []
         for l, (layer, mapping) in enumerate(zip(self.edges, self.iota)):
             if self.repeats[l]:
                 out.append(out[-1])
                 into.append(into[-1])
                 fiber.append(fiber[-1])
+                reads.append(reads[-1])
                 continue
             by_source: dict[int, dict[int, list[int]]] = {}
             by_target: dict[int, list[tuple[int, int]]] = {}
@@ -196,32 +231,119 @@ class LambdaGraphSystem:
             out.append(by_source)
             into.append(by_target)
             fiber.append(by_image)
-        return Adjacency(out=tuple(out), into=tuple(into), fiber=tuple(fiber))
+            reads.append(GapReads())
+        return Adjacency(out=tuple(out), into=tuple(into), fiber=tuple(fiber), reads=tuple(reads))
 
 
 # -- walking helpers -----------------------------------------------------
+#
+# Vertex sets are masks: bit v of the int is vertex v.  Each one-gap read
+# below is looked up in the gap's reads and computed from the adjacency
+# lists only the first time (see :class:`Adjacency`).
 
 
-def step_down(sys: LambdaGraphSystem, level: int, sources: frozenset[int], symbol: int) -> frozenset[int]:
+def _members(mask: int) -> list[int]:
+    """The vertices of `mask`, highest first.  A set of one vertex is read
+    off its length; a larger one from one scan of its binary digits."""
+    if not mask & (mask - 1):
+        return [mask.bit_length() - 1] if mask else []
+    bits = bin(mask)
+    top = len(bits) - 1
+    found = []
+    i = bits.find("1", 2)
+    while i > 0:
+        found.append(top - i)
+        i = bits.find("1", i + 1)
+    return found
+
+
+def _down(adjacency: Adjacency, level: int, sources: int, symbol: int) -> int:
+    reads = adjacency.reads[level].down
+    key = (symbol, sources)
+    targets = reads.get(key)
+    if targets is None:
+        out = adjacency.out[level]
+        targets = 0
+        for s in _members(sources):
+            row = out.get(s)
+            if row is not None:
+                for t in row.get(symbol, ()):
+                    targets |= 1 << t
+        reads[key] = targets
+    return targets
+
+
+def _up(adjacency: Adjacency, level: int, targets: int, symbol: int) -> int:
+    reads = adjacency.reads[level].up
+    key = (symbol, targets)
+    sources = reads.get(key)
+    if sources is None:
+        into = adjacency.into[level]
+        sources = 0
+        for t in _members(targets):
+            for a, s in into.get(t, ()):
+                if a == symbol:
+                    sources |= 1 << s
+        reads[key] = sources
+    return sources
+
+
+def _lift(adjacency: Adjacency, level: int, vertices: int, steps: int) -> int:
+    """The vertices at `level + steps` collapsing onto `vertices` at `level`."""
+    for l in range(level, level + steps):
+        if not vertices:
+            break
+        reads = adjacency.reads[l].lift
+        below = reads.get(vertices)
+        if below is None:
+            fiber = adjacency.fiber[l]
+            below = 0
+            for v in _members(vertices):
+                for w in fiber.get(v, ()):
+                    below |= 1 << w
+            reads[vertices] = below
+        vertices = below
+    return vertices
+
+
+def step_down(sys: LambdaGraphSystem, level: int, sources: int, symbol: int) -> int:
     """Targets one level below `sources` reachable by a `symbol`-edge."""
     if not 0 <= level < len(sys.edges):
         raise ValueError(f"no edge layer below level {level}")
-    out = sys.adjacency.out[level]
-    targets: set[int] = set()
-    for s in sources:
-        by_symbol = out.get(s)
-        if by_symbol is not None and symbol in by_symbol:
-            targets.update(by_symbol[symbol])
-    return frozenset(targets)
+    return _down(sys.adjacency, level, sources, symbol)
 
 
-def _out_symbols(sys: LambdaGraphSystem, level: int, sources: frozenset[int]) -> set[int]:
-    """Symbols of the edges leaving `sources` at `level`."""
-    out = sys.adjacency.out[level]
-    return {a for s in sources if s in out for a in out[s]}
+def _out_symbols(sys: LambdaGraphSystem, level: int, sources: int) -> tuple[int, ...]:
+    """Symbols of the edges leaving `sources` at `level`, ascending.  Those
+    of one vertex are the keys of its `out` row, which are kept already."""
+    adjacency = sys.adjacency
+    out = adjacency.out[level]
+    if not sources & (sources - 1):
+        return tuple(out.get(sources.bit_length() - 1, ()))
+    reads = adjacency.reads[level].symbols
+    symbols = reads.get(sources)
+    if symbols is None:
+        symbols = reads[sources] = tuple(sorted({a for s in _members(sources) if s in out for a in out[s]}))
+    return symbols
 
 
-def read_down(sys: LambdaGraphSystem, level: int, sources: frozenset[int], word: Word) -> frozenset[int]:
+def _successors(sys: LambdaGraphSystem, level: int, sources: int) -> int:
+    """Targets of all the edges leaving `sources` at `level`."""
+    adjacency = sys.adjacency
+    reads = adjacency.reads[level].after
+    targets = reads.get(sources)
+    if targets is None:
+        out = adjacency.out[level]
+        targets = 0
+        for s in _members(sources):
+            for ts in out.get(s, {}).values():
+                for t in ts:
+                    targets |= 1 << t
+        reads[sources] = targets
+    return targets
+
+
+def read_down(sys: LambdaGraphSystem, level: int, sources: int, word: Word) -> int:
     """Vertices reached from `sources` at `level` by reading `word`.
 
     On a system with the local property and surjective collapses, which
@@ -237,35 +359,32 @@ def read_down(sys: LambdaGraphSystem, level: int, sources: frozenset[int], word:
     k <= depth is in B_k(X) exactly when reading it from all of level 0
     reaches a vertex.
     """
-    if level < 0 or level + len(word) > sys.depth:
+    if level < 0 or level + len(word) > len(sys.edges):
         raise ValueError(f"word of length {len(word)} does not fit below level {level}")
-    current = sources
+    adjacency = sys.adjacency
     for offset, symbol in enumerate(word):
-        current = step_down(sys, level + offset, current, symbol)
-        if not current:
+        if not sources:
             break
-    return current
+        sources = _down(adjacency, level + offset, sources, symbol)
+    return sources
 
 
-def read_up(sys: LambdaGraphSystem, level: int, targets: frozenset[int], word: Word) -> frozenset[int]:
+def read_up(sys: LambdaGraphSystem, level: int, targets: int, word: Word) -> int:
     """Vertices at `level` from which `word` reaches some vertex of
     `targets` at level `level + len(word)`: `word` read backward through
     the in-edges.  `read_down` distributes over unions of sources, so
     read_down(S, word) meets `targets` exactly when S meets this set."""
-    if level < 0 or level + len(word) > sys.depth:
+    if level < 0 or level + len(word) > len(sys.edges):
         raise ValueError(f"word of length {len(word)} does not fit below level {level}")
-    current = targets
+    adjacency = sys.adjacency
     for offset in range(len(word) - 1, -1, -1):
-        into, symbol = sys.adjacency.into[level + offset], word[offset]
-        current = frozenset([s for t in current for a, s in into.get(t, ()) if a == symbol])
-        if not current:
+        if not targets:
             break
-    return current
+        targets = _up(adjacency, level + offset, targets, word[offset])
+    return targets
 
 
-def label_words(
-    sys: LambdaGraphSystem, level: int, sources: frozenset[int], max_len: int
-) -> Iterator[tuple[Word, frozenset[int]]]:
+def label_words(sys: LambdaGraphSystem, level: int, sources: int, max_len: int) -> Iterator[tuple[Word, int]]:
     """Distinct label words of length 0..max_len readable from `sources` at
     `level`, each with its endpoints, in (length, lexicographic) order and
     one at a time; a negative `max_len` gives none."""
@@ -273,27 +392,24 @@ def label_words(
         raise ValueError("word length exceeds remaining depth")
     if max_len < 0:
         return
+    adjacency = sys.adjacency
     layer = [((), sources)]
     yield layer[0]
     for l in range(level, level + max_len):
         next_layer = []
         for word, ends in layer:
-            for a in sorted(_out_symbols(sys, l, ends)):
-                entry = (word + (a,), step_down(sys, l, ends, a))
+            for a in _out_symbols(sys, l, ends):
+                entry = (word + (a,), _down(adjacency, l, ends, a))
                 next_layer.append(entry)
                 yield entry
         layer = next_layer
 
 
-def iota_fiber(sys: LambdaGraphSystem, level: int, vertex: int, steps: int) -> frozenset[int]:
+def iota_fiber(sys: LambdaGraphSystem, level: int, vertex: int, steps: int) -> int:
     """Vertices at `level + steps` collapsing onto `vertex` at `level`."""
-    if level < 0 or steps < 0 or level + steps > sys.depth:
+    if level < 0 or steps < 0 or level + steps > len(sys.edges):
         raise ValueError(f"cannot lift {steps} steps down from level {level}")
-    fiber = [vertex]
-    for k in range(steps):
-        below = sys.adjacency.fiber[level + k]
-        fiber = [w for v in fiber if v in below for w in below[v]]
-    return frozenset(fiber)
+    return _lift(sys.adjacency, level, 1 << vertex, steps)
 
 
 # -- structural verifiers ------------------------------------------------

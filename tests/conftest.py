@@ -71,12 +71,26 @@ def counted_system(sizes, counts, iota) -> LambdaGraphSystem:
     )
 
 
+def mask(vertices) -> int:
+    """The vertex set `vertices` as the walkers hold it: an int with bit v
+    set for each vertex v."""
+    bits = 0
+    for v in vertices:
+        bits |= 1 << v
+    return bits
+
+
+def members(bits: int) -> frozenset[int]:
+    """The vertices of the walker set `bits`."""
+    return frozenset(v for v in range(bits.bit_length()) if bits >> v & 1)
+
+
 def top_language(sys: LambdaGraphSystem):
     """Membership in the factor language that `sys` presents: a word of
     length <= its depth is admissible exactly when it labels a path from
     the top level (see `lgk.system.read_down`).  A longer word is a
     ValueError."""
-    top = frozenset(range(sys.levels[0].size))
+    top = mask(range(sys.levels[0].size))
     return lambda word: bool(read_down(sys, 0, top, tuple(word)))
 
 

@@ -1204,17 +1204,21 @@ def reference_lambda_irreducible(sizes, edges, iota):
 def reference_iota_irreducible(sizes, edges, iota, names, bound=3, max_level=2, path_len=2):
     """Shadowing of the labeled paths out of u from every other vertex v,
     trying the candidate shadow starts one at a time and walking v's reach
-    afresh for every word."""
+    afresh for every word.  A constant system is decided on its repeated
+    graph whatever levels the search would cover, every level being level
+    0; any other system with no level to search is unknown."""
     L = len(sizes) - 1
-    if scan_is_constant(sizes, edges, iota):
-        for level in range(min(max_level, L - 2) + 1):
-            for u in range(sizes[level]):
-                for v in range(sizes[level]):
-                    if u != v and not scan_reachable(edges, v, u):
-                        return ("no", (level, v, u), f"vertex {u} is unreachable from {v}")
+    last = min(max_level, L - 2)
+    if L >= 1 and scan_is_constant(sizes, edges, iota):
+        for u in range(sizes[0]):
+            for v in range(sizes[0]):
+                if u != v and not scan_reachable(edges, v, u):
+                    return ("no", (0, v, u), f"vertex {u} is unreachable from {v}")
         return ("yes", None, "")
+    if last < 0:
+        return ("unknown", None, f"no level to search: the level range 0 .. {last} is empty")
     partial = set()
-    for level in range(min(max_level, L - 2) + 1):
+    for level in range(last + 1):
         for u in range(sizes[level]):
             paths = scan_labeled_paths(edges, level, u, path_len)
             for v in range(sizes[level]):

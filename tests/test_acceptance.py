@@ -15,7 +15,7 @@ from collections import Counter
 from pathlib import Path
 
 import oracles
-from conftest import FIB, constant_system, even_shift_spec, golden_mean_spec
+from conftest import FIB, constant_system, even_shift_spec, golden_mean_spec, mask
 from test_linalg import assert_smith_certificate
 from test_system import bracket_census
 from test_walkers import raw
@@ -269,7 +269,7 @@ def test_criterion_08_smith_certificates_and_cokernels():
 def test_criterion_09_bracket_reduction_matches_path_existence():
     started = time.monotonic()
     sys = build_cantor_horizon_markov_dyck(FIB, 8)
-    full = [frozenset(range(sys.levels[l].size)) for l in range(9)]
+    full = [mask(range(sys.levels[l].size)) for l in range(9)]
     ok = True
     for k in range(9):
         for word in itertools.product(range(4), repeat=k):

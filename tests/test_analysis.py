@@ -7,6 +7,7 @@ systems where launching words are the closing words themselves.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import FIB, constant_system, even_shift_graph, even_shift_spec, golden_mean_spec, unshared
+from conftest import FIB, constant_system, even_shift_graph, even_shift_spec, golden_mean_spec, mask, unshared
 from test_walkers import BUILT, gap_run_systems, random_systems, raw
 from lgk import (
     Alphabet,
@@ -35,11 +36,10 @@ from lgk import (
     is_lambda_synchronizing_system,
     simplicity_prediction,
 )
-from lgk import analysis
 from lgk.analysis import _Succession, _is_constant
 from lgk.labeled_graph import LabeledGraph, essential_subgraph
 from lgk.subshift import DEFAULT_BUDGET, _Meter
-from lgk.system import label_words, read_down
+from lgk.system import GapReads, label_words, read_down
 from lgk.verdict import Verdict
 
 
@@ -78,37 +78,60 @@ def test_lambda_irreducibility():
     assert check_lambda_irreducible(three_cycle_system()).is_yes
 
 
-def recorded_reads(monkeypatch, names) -> dict[str, list]:
-    """Patch each named walker of `analysis` to record the arguments of
-    every read, by walker name."""
-    seen: dict[str, list] = {name: [] for name in names}
-    for name in names:
-        walker = getattr(analysis, name)
+class _Logged(dict):
+    """A read table of one run of gaps that logs each read handed to it
+    to keep, which the walkers do once per computed read."""
 
-        def counted(sys, *args, name=name, walker=walker):
-            seen[name].append(args)
-            return walker(sys, *args)
+    def __init__(self, log: list, gap: int, kind: str):
+        super().__init__()
+        self.log, self.gap, self.kind = log, gap, kind
 
-        monkeypatch.setattr(analysis, name, counted)
-    return seen
+    def __setitem__(self, key, value):
+        self.log.append((self.gap, self.kind, key))
+        super().__setitem__(key, value)
 
 
-def test_constant_irreducibility_does_not_walk_the_depth(monkeypatch):
-    # A constant system is decided on its repeated graph, so a deeper
-    # truncation neither moves the verdicts nor reads more walkers.
-    seen = recorded_reads(monkeypatch, ("iota_fiber", "read_up"))
+def computed_reads(sys: LambdaGraphSystem) -> list:
+    """Empty the read tables of `sys` and log every read its walkers compute
+    from now on, as (gap, kind, key): the gap is the first of the run of
+    gaps that share the tables, the kind a slot of `GapReads`."""
+    log: list = []
+    first: dict[int, int] = {}
+    for l, reads in enumerate(sys.adjacency.reads):
+        if first.setdefault(id(reads), l) == l:
+            for kind in GapReads.__slots__:
+                setattr(reads, kind, _Logged(log, l, kind))
+    return log
+
+
+def test_constant_irreducibility_does_not_walk_the_depth():
+    # A constant system is decided on its repeated graph, so neither a
+    # deeper truncation nor the shallowest one moves the verdicts or
+    # computes other reads.  At depth 1 no level has room for a path and
+    # its shadow, which once made ι-irreducibility a vacuous `yes`.
     runs = {}
-    for depth in (4, 1000):
+    for depth in (1, 4, 1000):
         sys = two_loops_system(depth)
         for check in (check_lambda_irreducible, check_iota_irreducible):
-            for args in seen.values():
-                args.clear()
-            verdict = triple(check(sys))
-            runs[depth, check] = verdict, {name: len(args) for name, args in seen.items()}
+            log = computed_reads(sys)
+            runs[depth, check] = triple(check(sys)), log
     for check in (check_lambda_irreducible, check_iota_irreducible):
-        assert runs[4, check] == runs[1000, check]
-    assert runs[1000, check_lambda_irreducible][0][:2] == ("no", (0, 0, 1))
-    assert runs[1000, check_iota_irreducible][0][:2] == ("no", (0, 1, 0))
+        assert runs[1, check] == runs[4, check] == runs[1000, check]
+    assert runs[1, check_lambda_irreducible][0][:2] == ("no", (0, 0, 1))
+    assert runs[1, check_iota_irreducible][0][:2] == ("no", (0, 1, 0))
+    assert runs[1, check_iota_irreducible][1] == [(0, "after", 0b01), (0, "after", 0b10)]
+
+
+def test_iota_irreducibility_without_a_level_to_search_is_unknown():
+    # Depth 1, or a negative max_level, leaves levels 0 .. -1 to search on
+    # a system that is not constant: nothing is inspected, so nothing is
+    # certified.
+    empty = ("unknown", None, "no level to search: the level range 0 .. -1 is empty")
+    shallow = build_lambda_synchronizing(golden_mean_spec(), 1)
+    assert not _is_constant(shallow)
+    assert triple(check_iota_irreducible(shallow)) == empty
+    deep = build_lambda_synchronizing(golden_mean_spec(), 4)
+    assert triple(check_iota_irreducible(deep, max_level=-1)) == empty
 
 
 def test_iota_irreducibility():
@@ -124,7 +147,7 @@ def test_iota_irreducibility():
 
 def readers(sys, word, level):
     """The vertices at `level` from which `word` is readable."""
-    return [v for v in range(sys.levels[level].size) if read_down(sys, level, frozenset([v]), word)]
+    return [v for v in range(sys.levels[level].size) if read_down(sys, level, 1 << v, word)]
 
 
 def test_launching_vertices():
@@ -267,9 +290,27 @@ def test_iota_irreducibility_of_dyck3_matches_the_reference():
     assert triple(check_iota_irreducible(sys)) == expected
 
 
+@pytest.mark.parametrize("depth", [4, 5])
+def test_checks_on_levels_wider_than_a_word_match_the_references(depth):
+    # Dyck-3 has 81 vertices at level 4 and 243 at level 5, so the checks
+    # read vertex sets wider than one digit of an int.
+    sys = build_cantor_horizon_dyck(3, depth)
+    sizes, edges, iota = raw(sys)
+    names = sys.alphabet.names
+    assert triple(check_lambda_irreducible(sys)) == oracles.reference_lambda_irreducible(sizes, edges, iota)
+    assert triple(check_condition_I(sys, 3)) == oracles.reference_condition_I(sizes, edges, iota, 3)
+    assert triple(is_lambda_synchronizing_system(sys)) == oracles.reference_launching(sizes, edges, iota, None)
+    assert triple(check_synchronizingly_transitive(sys, word_len=1, bound=2)) == oracles.reference_transitivity(
+        sizes, edges, iota, names, 1, 2
+    )
+    if depth == 4:  # depth 5 is the test above
+        expected = oracles.reference_iota_irreducible(sizes, edges, iota, names)
+        assert triple(check_iota_irreducible(sys)) == expected
+
+
 def bridge(sys, first, second, bound):
     """The first bridge from `first` to `second` up to `bound`, or None."""
-    top = frozenset(range(sys.levels[0].size))
+    top = mask(range(sys.levels[0].size))
     ends_first = read_down(sys, 0, top, first)
     ends_second = read_down(sys, 0, top, second)
     return _Succession(sys, bound).bridge(first, ends_first, second, ends_second, _Meter(DEFAULT_BUDGET))
@@ -291,7 +332,7 @@ def test_succession_skips_bridges_below_the_truncation():
     for (word_len, bound), spec in product(cases, (golden_mean_spec(), even_shift_spec())):
         sys = build_lambda_synchronizing(spec, 2 * word_len + bound)
         sizes, edges, iota = raw(sys)
-        top = frozenset(range(sys.levels[0].size))
+        top = mask(range(sys.levels[0].size))
         words = [w for w, _ in label_words(sys, 0, top, word_len) if w]
         for first in words:
             for second in words:
@@ -317,26 +358,37 @@ def test_transitivity_verdicts():
 
 
 @pytest.mark.parametrize(
-    "check, calls",
+    "check, shared, apart",
     [
-        (check_lambda_irreducible, {"iota_fiber": 17}),
-        (check_iota_irreducible, {"iota_fiber": 37}),
-        (check_synchronizingly_transitive, {"read_down": 67, "iota_fiber": 15}),
+        (check_lambda_irreducible, {"lift": 11, "after": 9}, {"lift": 14, "after": 11}),
+        (check_iota_irreducible, {"lift": 15, "after": 10, "up": 27}, {"lift": 28, "after": 12, "up": 61}),
+        (check_synchronizingly_transitive, {"down": 30, "symbols": 3, "lift": 8}, {"down": 33, "symbols": 3, "lift": 10}),
     ],
     ids=["lambda-irreducible", "iota-irreducible", "transitive"],
 )
-def test_each_check_reads_each_walker_argument_once(check, calls, monkeypatch):
-    # The quotient of the SFT without "a b b a" stabilizes at level 3.  The
-    # fiber over a vertex does not depend on the vertex it is shadowed or
-    # reached from, and many word pairs read the same second word on from
-    # the same bridge endpoints, so repeating a walk would read nothing new.
+def test_each_check_computes_each_read_once_per_distinct_gap(check, shared, apart):
+    # The quotient of the SFT without "a b b a" stabilizes at level 3, so
+    # gaps 4 .. 7 repeat gap 3 and share its reads.  Each read (kind, set
+    # and symbol) is computed once in the tables of its run of gaps, and a
+    # repeated gap computes no read that the gap above it computed: the
+    # reads a system without shared gaps computes at every gap are the
+    # ones computed once per run.  The fiber over a vertex does not depend
+    # on the vertex it is shadowed or reached from, and many word pairs
+    # read the same second word on from the same bridge endpoints, so a
+    # read computed again would be one computed before.
     spec = SftForbidden(Alphabet(("a", "b", "c")), frozenset({(0, 1, 1, 0)}))
     sys = build_lambda_synchronizing(spec, 8)
-    seen = recorded_reads(monkeypatch, calls)
+    assert sys.repeats == (False,) * 4 + (True,) * 4
+    log = computed_reads(sys)
     assert check(sys).is_yes
-    assert {name: len(args) for name, args in seen.items()} == calls
-    for args in seen.values():
-        assert len(set(args)) == len(args)
+    assert len(set(log)) == len(log)
+    assert Counter(kind for _, kind, _ in log) == shared
+    with unshared():
+        apart_sys = build_lambda_synchronizing(spec, 8)
+        every = computed_reads(apart_sys)
+        assert check(apart_sys).is_yes
+    assert Counter(kind for _, kind, _ in every) == apart
+    assert {(min(gap, 3), kind, key) for gap, kind, key in every} == set(log)
 
 
 def test_transitivity_needs_room():

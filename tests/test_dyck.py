@@ -25,6 +25,7 @@ from conftest import (
     even_shift_spec,
     fibonacci_dyck_spec,
     golden_mean_spec,
+    mask,
     system_language,
 )
 from lgk import DyckN, FullShift, MarkovDyck, build_lambda_synchronizing, expand_spec, plan_for
@@ -127,7 +128,7 @@ def test_path_existence_matches_admissibility_at_every_level(case):
     k = len(spec.alphabet)
     want = {w for n in range(max_len + 1) for w in product(range(k), repeat=n) if member(w)}
     for start in range(depth + 1):
-        everyone = frozenset(range(sys.levels[start].size))
+        everyone = mask(range(sys.levels[start].size))
         fits = min(max_len, depth - start)
         read = {w for w, _ in label_words(sys, start, everyone, fits)}
         assert read == {w for w in want if len(w) <= fits}, start

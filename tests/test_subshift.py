@@ -23,6 +23,7 @@ from conftest import (
     even_shift_spec,
     fibonacci_dyck_spec,
     golden_mean_spec,
+    mask,
     system_language,
     top_language,
 )
@@ -116,7 +117,7 @@ def test_blocks_sorted_and_admissible():
     # the words read from the top of a canonical system come in
     # lexicographic order within a length, and are the admissible ones
     sys = build_lambda_synchronizing(golden_mean_spec(), 5)
-    top = frozenset(range(sys.levels[0].size))
+    top = mask(range(sys.levels[0].size))
     out = [w for w, _ in label_words(sys, 0, top, 5) if len(w) == 5]
     assert out == sorted(out)
     assert out == admissible_words(oracles.sft_language(2, [(1, 1)]), 2, 5)
@@ -124,13 +125,13 @@ def test_blocks_sorted_and_admissible():
 
 def followers(sys, word, length):
     """Words of `length` readable after `word` from the top of `sys`."""
-    ends = read_down(sys, 0, frozenset(range(sys.levels[0].size)), word)
+    ends = read_down(sys, 0, mask(range(sys.levels[0].size)), word)
     return {w for w, _ in label_words(sys, len(word), ends, length) if len(w) == length}
 
 
 def predecessors(sys, word, length):
     """Words of `length` from the top of `sys` that `word` reads on from."""
-    top = frozenset(range(sys.levels[0].size))
+    top = mask(range(sys.levels[0].size))
     return {
         w
         for w, ends in label_words(sys, 0, top, length)

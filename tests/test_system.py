@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import FIB, constant_system, even_shift_graph, even_shift_spec, golden_mean_spec
+from conftest import FIB, constant_system, even_shift_graph, even_shift_spec, golden_mean_spec, mask
 from lgk import (
     Alphabet,
     ConstructionError,
@@ -79,7 +79,7 @@ def test_golden_mean_system():
     a, _ = oracles.gap_matrices(canonical.sizes, canonical.edges, canonical.iota)
     assert a[1] == [[0, 1], [1, 1]]
     assert sum(a[0][0]) == 3
-    words = {w for w, _ in label_words(sys, 0, frozenset({0}), 3) if len(w) == 3}
+    words = {w for w, _ in label_words(sys, 0, 1 << 0, 3) if len(w) == 3}
     assert words == set(filter(oracles.sft_language(2, [(1, 1)]), product(range(2), repeat=3)))
 
 
@@ -251,7 +251,7 @@ def test_horizon_iota_drops_newest_index():
     # vertex words are in lexicographic order, so indices read as binary
     assert oracles.scan_iota_image(sys.iota, 3, 0b010, 1) == 0b01
     assert oracles.scan_iota_image(sys.iota, 3, 0b110, 2) == 0b1
-    assert iota_fiber(sys, 2, 0b01, 1) == frozenset({0b010, 0b011})
+    assert iota_fiber(sys, 2, 0b01, 1) == mask({0b010, 0b011})
 
 
 @settings(max_examples=300, deadline=None)
@@ -396,9 +396,9 @@ def test_gap_shapes_and_collapse_functions():
 
 def test_read_down_words():
     sys = build_lambda_synchronizing(golden_mean_spec(), 4)
-    root = frozenset({0})
-    assert read_down(sys, 0, root, (1, 1)) == frozenset()
-    assert read_down(sys, 0, root, (0, 1)) != frozenset()
+    root = 1 << 0
+    assert read_down(sys, 0, root, (1, 1)) == 0
+    assert read_down(sys, 0, root, (0, 1)) != 0
     with pytest.raises(ValueError):
         read_down(sys, 0, root, (0, 1, 0, 1, 0))
 

@@ -15,11 +15,11 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import FIB, constant_system, even_shift_graph, golden_mean_spec, unshared
+from conftest import FIB, constant_system, even_shift_graph, golden_mean_spec, mask, members, unshared
 from lgk import (
     Alphabet,
     LambdaGraphSystem,
@@ -142,29 +142,68 @@ systems = st.one_of(
 )
 
 
-@given(systems, st.data())
-def test_steps_and_fibers_match_layer_scans(sys, data):
+@st.composite
+def wide_systems(draw) -> LambdaGraphSystem:
+    """A random system with a level of 65 to 150 vertices, wider than one
+    machine word, so that the walkers' vertex masks are multi-digit ints.
+    Its edges and collapses come from a drawn `Random`, and with a drawn
+    flag its one gap repeats at every level, so the repeated gaps share
+    reads of wide sets."""
+    rng = draw(st.randoms(use_true_random=False))
+    k = draw(st.integers(1, 3))
+    depth = draw(st.integers(1, 3))
+    wide = draw(st.integers(65, 150))
+    if draw(st.booleans()):
+        sizes = [wide] * (depth + 1)
+    else:
+        sizes = [draw(st.integers(1, 150)) for _ in range(depth + 1)]
+        sizes[draw(st.integers(0, depth))] = wide
+    edges, iota = [], []
+    for l in range(depth):
+        if l and sizes[l - 1] == sizes[l] == sizes[l + 1]:
+            edges.append(edges[-1])
+            iota.append(iota[-1])
+            continue
+        count = rng.randint(0, 3 * sizes[l])
+        triples = {(rng.randrange(sizes[l]), rng.randrange(k), rng.randrange(sizes[l + 1])) for _ in range(count)}
+        edges.append(tuple(sorted(triples)))
+        iota.append(tuple(rng.randrange(sizes[l]) for _ in range(sizes[l + 1])))
+    return LambdaGraphSystem(
+        alphabet=Alphabet(tuple("abc"[:k])),
+        levels=tuple(VertexLevel(size=m, tags=("",) * m) for m in sizes),
+        edges=tuple(edges),
+        iota=tuple(iota),
+    )
+
+
+# Dyck-3 has 81 vertices at level 4 and 243 at level 5.
+WIDE_BUILT = (build_cantor_horizon_dyck(3, 4), build_cantor_horizon_dyck(3, 5))
+
+wide = st.one_of(wide_systems(), st.sampled_from(WIDE_BUILT), relabeled(st.sampled_from(WIDE_BUILT)))
+
+
+def assert_steps_and_fibers_match(sys, data):
     sizes, edges, iota = raw(sys)
     for l in range(sys.depth):
         sources = data.draw(st.frozensets(st.integers(0, sizes[l] - 1)))
         for a in range(len(sys.alphabet)):
-            assert step_down(sys, l, sources, a) == oracles.scan_step_down(edges, l, sources, a)
+            assert members(step_down(sys, l, mask(sources), a)) == oracles.scan_step_down(edges, l, sources, a)
     level = data.draw(st.integers(0, sys.depth))
     sources = data.draw(st.frozensets(st.integers(0, sizes[level] - 1)))
     word = tuple(
         data.draw(st.lists(st.integers(0, len(sys.alphabet) - 1), max_size=sys.depth - level))
     )
-    assert read_down(sys, level, sources, word) == oracles.scan_read_down(edges, level, sources, word)
+    expected = oracles.scan_read_down(edges, level, sources, word)
+    assert members(read_down(sys, level, mask(sources), word)) == expected
     for level in range(sys.depth + 1):
         for v in range(sizes[level]):
             for steps in range(sys.depth - level + 1):
-                assert iota_fiber(sys, level, v, steps) == oracles.scan_iota_fiber(iota, level, v, steps)
-                fiber = iota_fiber(sys, level, v, steps)
+                fiber = members(iota_fiber(sys, level, v, steps))
+                assert fiber == oracles.scan_iota_fiber(iota, level, v, steps)
                 assert all(oracles.scan_iota_image(iota, level + steps, w, steps) == v for w in fiber)
 
 
-@given(systems, st.data())
-def test_read_up_matches_per_vertex_reads(sys, data):
+def assert_read_up_matches(sys, data):
     sizes, edges, _ = raw(sys)
     level = data.draw(st.integers(0, sys.depth))
     # the empty word only where no symbol fits
@@ -175,7 +214,48 @@ def test_read_up_matches_per_vertex_reads(sys, data):
     word = data.draw(words | st.sampled_from(readable) if readable else words)
     targets = data.draw(st.frozensets(st.integers(0, sizes[level + length] - 1), min_size=1))
     expected = oracles.scan_read_up(sizes, edges, level, targets, word)
-    assert read_up(sys, level, targets, word) == expected
+    assert members(read_up(sys, level, mask(targets), word)) == expected
+
+
+def assert_label_words_match(sys, data, longest):
+    _, edges, _ = raw(sys)
+    level = data.draw(st.integers(0, sys.depth))
+    sources = data.draw(st.frozensets(st.integers(0, sys.sizes[level] - 1)))
+    max_len = data.draw(st.integers(0, min(longest, sys.depth - level)))
+    expected = [
+        (word, mask(oracles.scan_read_down(edges, level, sources, word)))
+        for length in range(max_len + 1)
+        for word in oracles.scan_label_words(edges, level, sources, length)
+    ]
+    assert list(label_words(sys, level, mask(sources), max_len)) == expected
+
+
+@given(systems, st.data())
+def test_steps_and_fibers_match_layer_scans(sys, data):
+    assert_steps_and_fibers_match(sys, data)
+
+
+@given(systems, st.data())
+def test_read_up_matches_per_vertex_reads(sys, data):
+    assert_read_up_matches(sys, data)
+
+
+@given(systems, st.data())
+def test_label_words_match_layer_scans_on_source_sets(sys, data):
+    assert_label_words_match(sys, data, sys.depth)
+
+
+@settings(max_examples=30)
+@given(wide, st.data())
+def test_walkers_match_layer_scans_on_levels_wider_than_a_word(sys, data):
+    # Every other walker test draws levels of at most 8 vertices, whose
+    # masks fit one digit of an int; these read sets of up to 243 vertices.
+    # The second pass reads through the tables the first pass filled.
+    assert max(sys.sizes) > 64
+    for _ in range(2):
+        assert_steps_and_fibers_match(sys, data)
+        assert_read_up_matches(sys, data)
+        assert_label_words_match(sys, data, 3)
 
 
 @given(systems)
@@ -184,7 +264,7 @@ def test_word_walks_keep_their_order(sys):
     for level in range(sys.depth + 1):
         for v in range(sys.sizes[level]):
             for length in range(min(3, sys.depth - level) + 1):
-                words = label_words(sys, level, frozenset([v]), length)
+                words = label_words(sys, level, 1 << v, length)
                 assert [w for w, _ in words if len(w) == length] == oracles.scan_label_words(
                     edges, level, {v}, length
                 )
@@ -192,20 +272,6 @@ def test_word_walks_keep_their_order(sys):
                 assert list(_labeled_paths(sys, level, v, max_len)) == oracles.scan_labeled_paths(
                     edges, level, v, max_len
                 )
-
-
-@given(systems, st.data())
-def test_label_words_match_layer_scans_on_source_sets(sys, data):
-    _, edges, _ = raw(sys)
-    level = data.draw(st.integers(0, sys.depth))
-    sources = data.draw(st.frozensets(st.integers(0, sys.sizes[level] - 1)))
-    max_len = data.draw(st.integers(0, sys.depth - level))
-    expected = [
-        (word, oracles.scan_read_down(edges, level, sources, word))
-        for length in range(max_len + 1)
-        for word in oracles.scan_label_words(edges, level, sources, length)
-    ]
-    assert list(label_words(sys, level, sources, max_len)) == expected
 
 
 def assert_local_property_matches(sys):
@@ -389,7 +455,7 @@ def test_canonical_form_of_a_deep_chain():
 
 def test_walkers_reject_levels_outside_the_system():
     sys = build_cantor_horizon_dyck(2, 4)
-    top = frozenset({0})
+    top = 1 << 0
     with pytest.raises(ValueError):
         step_down(sys, -1, top, 0)  # would read the last edge layer
     with pytest.raises(ValueError):
@@ -410,4 +476,4 @@ def test_walkers_reject_levels_outside_the_system():
         read_up(sys, 2, top, (0, 0, 0))  # would end past the depth
     with pytest.raises(ValueError):
         list(label_words(sys, -1, top, 1))
-    assert iota_fiber(sys, 4, 0, 0) == frozenset({0})
+    assert iota_fiber(sys, 4, 0, 0) == 1 << 0
