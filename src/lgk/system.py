@@ -94,9 +94,10 @@ class GapReads:
     for and then kept, keyed by the vertex set read and, for a one-symbol
     read, its symbol: `down` maps (symbol, sources) to the targets of the
     symbol's edges, `up` maps (symbol, targets) to their sources, `symbols`
-    maps sources to their out-symbols, ascending, `after` maps sources to
-    the targets of all their edges, and `lift` maps vertices to the
-    vertices one level down collapsing onto them."""
+    maps two or more sources to their out-symbols, ascending (those of one
+    vertex are its `out` row), `after` maps sources to the targets of all
+    their edges, and `lift` maps vertices to the vertices one level down
+    collapsing onto them."""
 
     __slots__ = ("down", "up", "symbols", "after", "lift")
 
@@ -257,7 +258,11 @@ def _members(mask: int) -> list[int]:
     return found
 
 
-def _down(adjacency: Adjacency, level: int, sources: int, symbol: int) -> int:
+def step_down(sys: LambdaGraphSystem, level: int, sources: int, symbol: int) -> int:
+    """Targets one level below `sources` reachable by a `symbol`-edge."""
+    if not 0 <= level < len(sys.edges):
+        raise ValueError(f"no edge layer below level {level}")
+    adjacency = sys.adjacency
     reads = adjacency.reads[level].down
     key = (symbol, sources)
     targets = reads.get(key)
@@ -304,13 +309,6 @@ def _lift(adjacency: Adjacency, level: int, vertices: int, steps: int) -> int:
             reads[vertices] = below
         vertices = below
     return vertices
-
-
-def step_down(sys: LambdaGraphSystem, level: int, sources: int, symbol: int) -> int:
-    """Targets one level below `sources` reachable by a `symbol`-edge."""
-    if not 0 <= level < len(sys.edges):
-        raise ValueError(f"no edge layer below level {level}")
-    return _down(sys.adjacency, level, sources, symbol)
 
 
 def _out_symbols(sys: LambdaGraphSystem, level: int, sources: int) -> tuple[int, ...]:
@@ -361,11 +359,10 @@ def read_down(sys: LambdaGraphSystem, level: int, sources: int, word: Word) -> i
     """
     if level < 0 or level + len(word) > len(sys.edges):
         raise ValueError(f"word of length {len(word)} does not fit below level {level}")
-    adjacency = sys.adjacency
     for offset, symbol in enumerate(word):
         if not sources:
             break
-        sources = _down(adjacency, level + offset, sources, symbol)
+        sources = step_down(sys, level + offset, sources, symbol)
     return sources
 
 
@@ -392,14 +389,13 @@ def label_words(sys: LambdaGraphSystem, level: int, sources: int, max_len: int) 
         raise ValueError("word length exceeds remaining depth")
     if max_len < 0:
         return
-    adjacency = sys.adjacency
     layer = [((), sources)]
     yield layer[0]
     for l in range(level, level + max_len):
         next_layer = []
         for word, ends in layer:
             for a in _out_symbols(sys, l, ends):
-                entry = (word + (a,), _down(adjacency, l, ends, a))
+                entry = (word + (a,), step_down(sys, l, ends, a))
                 next_layer.append(entry)
                 yield entry
         layer = next_layer
