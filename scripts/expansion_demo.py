@@ -17,7 +17,6 @@ Usage:
 import argparse
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -25,7 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from lgk.flow import expand_spec, plan_for
 from lgk.invariants import compare_reports, invariant_report
 from lgk.serialize import spec_loads
-from lgk.subshift import DEFAULT_BUDGET
+from lgk.subshift import DEFAULT_BUDGET, Budget
 from lgk.system import build_lambda_synchronizing
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -54,7 +53,7 @@ def main() -> int:
             spec = spec_loads((SPECS / name).read_text())
             plan = plan_for(spec.alphabet, symbol)
             # the CLI's rule: the depth cap rises to the depth asked for
-            budget = replace(DEFAULT_BUDGET, max_depth=max(DEFAULT_BUDGET.max_depth, depth))
+            budget = Budget(DEFAULT_BUDGET.max_words, max(DEFAULT_BUDGET.max_depth, depth))
             started = time.monotonic()
             base = invariant_report(build_lambda_synchronizing(spec, depth, budget))
             expanded = invariant_report(

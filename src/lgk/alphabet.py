@@ -8,17 +8,23 @@ space-separated word strings parse unambiguously.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
+
+from .record import Record
 
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    names: tuple[str, ...]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False, hash=False)
+class Alphabet(Record):
+    __slots__ = ("names", "_index")
+    _fields = ("names",)
 
+    def __init__(self, names: tuple[str, ...]) -> None:
+        object.__setattr__(self, "names", names)
+        self.__post_init__()
+
+    # Kept apart from __init__ under this name: the benchmark tracer
+    # (lgkbench/tracer.py) counts constructions by wrapping it.
     def __post_init__(self) -> None:
         if not self.names:
             raise ValueError("alphabet must be nonempty")

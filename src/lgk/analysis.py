@@ -53,7 +53,6 @@ same unit as a sweep that reads every level.
 
 from __future__ import annotations
 
-from copy import copy
 from itertools import count, tee
 from typing import Callable, Iterator, Optional
 
@@ -194,10 +193,12 @@ def check_lambda_irreducible(sys: LambdaGraphSystem) -> Verdict:
     any other a pair without such an L is only `unknown`.  The fiber over
     u does not depend on v, so it is lifted one step at a time for all v at
     once, and the vertices v reaches come from one `_reaches` table per
-    level."""
+    level.  A system of depth 0 has no level to search and is `unknown`."""
     depth = sys.depth
     levels = range(min(2, depth - 1) + 1)
-    if _is_constant(sys) and levels:
+    if not levels:
+        return Verdict.unknown(note=f"no level to search: the level range 0 .. {levels.stop - 1} is empty")
+    if _is_constant(sys):
         pair = _first_unreachable(sys)
         if pair is None:
             return Verdict.yes()
@@ -440,9 +441,12 @@ def is_lambda_synchronizing_system(
     with no length cap, each readable set once, until no new readable set
     appears, which exhausts the readable sets of the repeated graph.  A
     `depth` outside 1 .. L is a ValueError: no level would have to pass.
+    A system of depth 0 has no edge to read a word on and is `unknown`.
     """
     if depth is not None and not (1 <= depth <= sys.depth):
         raise ValueError(f"depth must be between 1 and {sys.depth}")
+    if not sys.depth:
+        return Verdict.unknown(note=f"no level to search: the level range 0 .. {sys.depth - 1} is empty")
     meter = _Meter(budget)
     try:
         if _is_constant(sys):
@@ -543,7 +547,7 @@ class _Succession:
         sys = self.sys
         if first not in self._bridges:
             self._bridges[first] = tee(label_words(sys, len(first), ends_first, self.bound), 1)[0]
-        for bridge, ends_bridge in copy(self._bridges[first]):
+        for bridge, ends_bridge in self._bridges[first].__copy__():
             meter.tick()
             below = len(first) + len(bridge)
             ends = read_down(sys, below, ends_bridge, second)

@@ -10,11 +10,11 @@ wrapper spec because their expansions leave the sofic world).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .alphabet import Alphabet, Word
 from .labeled_graph import LabeledGraph
+from .record import Record
 from .subshift import (
     DyckN,
     Expanded,
@@ -26,8 +26,7 @@ from .subshift import (
 )
 
 
-@dataclass(frozen=True)
-class ExpansionPlan:
+class ExpansionPlan(Record):
     """Rewrite `target` to fresh·target.
 
     `target` is a symbol of the base alphabet; `fresh` is its expansion
@@ -35,13 +34,14 @@ class ExpansionPlan:
     pins down both alphabets involved.
     """
 
-    target: int
-    fresh: int
-    fresh_name: str
+    __slots__ = _fields = ("target", "fresh", "fresh_name")
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.target < self.fresh):
+    def __init__(self, target: int, fresh: int, fresh_name: str) -> None:
+        if not (0 <= target < fresh):
             raise ValueError("target must be a base symbol below the fresh index")
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "fresh", fresh)
+        object.__setattr__(self, "fresh_name", fresh_name)
 
 
 def plan_for(

@@ -45,21 +45,25 @@ is read off the scan :func:`lgk.system.local_checks`, the one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 from .linalg import AbelianGroup, Column, sparse_snf_diagonal
+from .record import Record
 from .system import LambdaGraphSystem, local_checks, window_repeats
 from .verdict import Verdict
 
 
-@dataclass(frozen=True)
-class LevelGroups:
-    level: int
-    k0: AbelianGroup
-    k1: AbelianGroup
-    bf0: AbelianGroup
-    bf1: AbelianGroup
+class LevelGroups(Record):
+    __slots__ = _fields = ("level", "k0", "k1", "bf0", "bf1")
+
+    def __init__(
+        self, level: int, k0: AbelianGroup, k1: AbelianGroup, bf0: AbelianGroup, bf1: AbelianGroup
+    ) -> None:
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "k0", k0)
+        object.__setattr__(self, "k1", k1)
+        object.__setattr__(self, "bf0", bf0)
+        object.__setattr__(self, "bf1", bf1)
 
     def same_shape(self, other: "LevelGroups") -> bool:
         """Isomorphic groups, whatever the level: an :class:`AbelianGroup` is
@@ -159,12 +163,20 @@ def _cone_checks(sys: LambdaGraphSystem) -> Iterator[bool]:
 _MIN_STABLE_LEVELS = 2
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    sizes: tuple[int, ...]
-    groups: tuple[LevelGroups, ...]
-    connecting: tuple[bool, ...]
-    stabilized: Verdict  # witness: first stable level
+class InvariantReport(Record):
+    __slots__ = _fields = ("sizes", "groups", "connecting", "stabilized")
+
+    def __init__(
+        self,
+        sizes: tuple[int, ...],
+        groups: tuple[LevelGroups, ...],
+        connecting: tuple[bool, ...],
+        stabilized: Verdict,  # witness: first stable level
+    ) -> None:
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "connecting", connecting)
+        object.__setattr__(self, "stabilized", stabilized)
 
     @property
     def stable_groups(self) -> Optional[LevelGroups]:
@@ -189,7 +201,11 @@ def invariant_report(sys: LambdaGraphSystem) -> InvariantReport:
         raise ValueError("need at least one level gap")
     groups: list[LevelGroups] = []
     for l in range(count):
-        groups.append(replace(groups[-1], level=l) if sys.repeats[l] else level_groups(sys, l))
+        if sys.repeats[l]:
+            above = groups[-1]
+            groups.append(LevelGroups(l, above.k0, above.k1, above.bf0, above.bf1))
+        else:
+            groups.append(level_groups(sys, l))
     connecting = local_checks(sys).intertwining
 
     start = count - 1

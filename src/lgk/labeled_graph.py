@@ -11,29 +11,34 @@ their structural checks.  Words are read on the built systems, not here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .alphabet import Alphabet
+from .record import Record
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
+class LabeledGraph(Record):
     """Vertices are names; edges are (source index, symbol index, target index)."""
 
-    alphabet: Alphabet
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[int, int, int], ...]
+    __slots__ = _fields = ("alphabet", "vertices", "edges")
 
-    def __post_init__(self) -> None:
-        if len(set(self.vertices)) != len(self.vertices):
+    def __init__(
+        self,
+        alphabet: Alphabet,
+        vertices: tuple[str, ...],
+        edges: tuple[tuple[int, int, int], ...],
+    ) -> None:
+        if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertex names")
-        n, k = len(self.vertices), len(self.alphabet)
-        for s, a, t in self.edges:
+        n, k = len(vertices), len(alphabet)
+        for s, a, t in edges:
             if not (0 <= s < n and 0 <= t < n and 0 <= a < k):
                 raise ValueError(f"edge {(s, a, t)} out of range")
-        if len(set(self.edges)) != len(self.edges):
+        if len(set(edges)) != len(edges):
             raise ValueError("duplicate edges")
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
 
 
 def from_names(
@@ -79,6 +84,25 @@ def is_essential(g: LabeledGraph) -> bool:
         has_in.add(t)
     vertices = range(len(g.vertices))
     return has_out.issuperset(vertices) and has_in.issuperset(vertices)
+
+
+def unreachable_pair(g: LabeledGraph) -> tuple[int, int] | None:
+    """Return (u, v) with no path from u to v, if any.  The graph is strongly
+    connected when every vertex is reached from vertex 0 and reaches it."""
+    for forward in (True, False):
+        step: dict[int, list[int]] = {}
+        for s, _, t in g.edges:
+            step.setdefault(s if forward else t, []).append(t if forward else s)
+        seen, stack = {0}, [0]
+        while stack:
+            for w in step.get(stack.pop(), ()):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        for v in range(len(g.vertices)):
+            if v not in seen:
+                return (0, v) if forward else (v, 0)
+    return None
 
 
 def essential_subgraph(g: LabeledGraph) -> LabeledGraph:

@@ -15,9 +15,10 @@ diagonal by gcd/lcm steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd
+
+from .record import Record
 
 Matrix = list[list[int]]
 Column = dict[int, int]  # row index -> nonzero entry
@@ -206,19 +207,19 @@ def snf_diagonal(m: Matrix) -> list[int]:
 # -- abelian groups ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Record):
     """Finitely generated abelian group Z^rank ⊕ Z/t1 ⊕ … with t_i | t_{i+1}."""
 
-    free_rank: int
-    torsion: tuple[int, ...]
+    __slots__ = _fields = ("free_rank", "torsion")
 
-    def __post_init__(self) -> None:
-        for i, t in enumerate(self.torsion):
+    def __init__(self, free_rank: int, torsion: tuple[int, ...]) -> None:
+        for i, t in enumerate(torsion):
             if t < 2:
                 raise ValueError("torsion entries must be >= 2 (normalize first)")
-            if i and self.torsion[i] % self.torsion[i - 1]:
+            if i and torsion[i] % torsion[i - 1]:
                 raise ValueError("torsion must form a divisibility chain")
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
 
     @staticmethod
     def from_parts(free_rank: int, divisors: list[int] | tuple[int, ...]) -> "AbelianGroup":

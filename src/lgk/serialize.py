@@ -5,8 +5,9 @@ newline), so canonical forms of isomorphic systems serialize to identical
 bytes.  Symbols appear by display name in files; indices stay internal.
 
 Spec payloads carry a `kind` discriminator: `sft`, `sofic`, `dyck`,
-`markov_dyck`, `full`, `expanded`.  System files mirror the dataclass:
-levels with tags, per-layer labeled edges, and the collapse arrays.
+`markov_dyck`, `full`, `expanded`.  System files mirror the fields of a
+`LambdaGraphSystem` record: levels with tags, per-layer labeled edges,
+and the collapse arrays.
 Reports, specs and verdicts go through `json.dumps(indent=2,
 sort_keys=True)`.  System files are written directly from the system's
 tuples, in the same bytes that call would give, and each distinct gap

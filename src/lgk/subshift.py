@@ -20,7 +20,6 @@ answer.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Union
 
@@ -31,11 +30,12 @@ from .labeled_graph import (
     essential_subgraph,
     is_essential,
     left_resolving_violation,
+    unreachable_pair,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(Record):
     """Caps for enumerative searches.
 
     `max_words` caps the units one search of :mod:`lgk.analysis` draws:
@@ -45,8 +45,11 @@ class Budget:
     reads only `max_depth`.
     """
 
-    max_words: int = 1_000_000
-    max_depth: int = 12
+    __slots__ = _fields = ("max_words", "max_depth")
+
+    def __init__(self, max_words: int = 1_000_000, max_depth: int = 12) -> None:
+        object.__setattr__(self, "max_words", max_words)
+        object.__setattr__(self, "max_depth", max_depth)
 
 
 DEFAULT_BUDGET = Budget()
@@ -73,67 +76,79 @@ class _Meter:
 # -- spec variants -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SftForbidden:
+class SftForbidden(Record):
     """Shift of finite type over `alphabet` avoiding the given factor words."""
 
-    alphabet: Alphabet
-    forbidden: frozenset[Word]
+    __slots__ = _fields = ("alphabet", "forbidden")
 
-    def __post_init__(self) -> None:
-        for f in self.forbidden:
+    def __init__(self, alphabet: Alphabet, forbidden: frozenset[Word]) -> None:
+        for f in forbidden:
             if len(f) == 0:
                 raise ValueError("forbidden words must be nonempty")
             for s in f:
-                if not (0 <= s < len(self.alphabet)):
+                if not (0 <= s < len(alphabet)):
                     raise ValueError(f"forbidden word {f} out of alphabet range")
         # Normalize: a word containing another forbidden word is redundant.
         kept = frozenset(
             f
-            for f in self.forbidden
+            for f in forbidden
             if not any(
                 g != f and any(f[i : i + len(g)] == g for i in range(len(f) - len(g) + 1))
-                for g in self.forbidden
+                for g in forbidden
             )
         )
-        if kept != self.forbidden:
-            object.__setattr__(self, "forbidden", kept)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "forbidden", kept)
 
 
-@dataclass(frozen=True)
-class SoficGraph:
-    """Sofic shift presented by an essential left-resolving labeled graph."""
+class SoficGraph(Record):
+    """Sofic shift presented by an essential, left-resolving and strongly
+    connected labeled graph.
 
-    graph: LabeledGraph
+    Merging the vertices of such a graph by their pasts gives its left
+    Fischer cover, which depends on the shift alone.  A graph that is not
+    strongly connected can keep a past that no synchronizing word has, so
+    its quotient would depend on the presentation: it is refused."""
 
-    def __post_init__(self) -> None:
-        if not self.graph.vertices:
+    __slots__ = _fields = ("graph",)
+
+    def __init__(self, graph: LabeledGraph) -> None:
+        if not graph.vertices:
             raise ValueError("sofic cover must have vertices")
-        if not is_essential(self.graph):
+        if not is_essential(graph):
             raise ValueError("sofic cover must be essential (no stranded vertices)")
-        bad = left_resolving_violation(self.graph)
+        bad = left_resolving_violation(graph)
         if bad is not None:
             v, a = bad
             raise ValueError(
                 f"sofic cover not left-resolving: vertex "
-                f"{self.graph.vertices[v]!r} has two in-edges labeled "
-                f"{self.graph.alphabet.names[a]!r}"
+                f"{graph.vertices[v]!r} has two in-edges labeled "
+                f"{graph.alphabet.names[a]!r}"
             )
+        pair = unreachable_pair(graph)
+        if pair is not None:
+            u, v = pair
+            raise ValueError(
+                f"sofic cover must be strongly connected: vertex "
+                f"{graph.vertices[v]!r} is unreachable from {graph.vertices[u]!r}"
+            )
+        object.__setattr__(self, "graph", graph)
 
     @property
     def alphabet(self) -> Alphabet:
         return self.graph.alphabet
 
 
-@dataclass(frozen=True)
-class DyckN:
+class DyckN(Record):
     """Dyck shift with n bracket pairs."""
 
-    n: int
+    _fields = ("n",)
+    __slots__ = _fields + ("__dict__",)
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
+    def __init__(self, n: int) -> None:
+        if n < 2:
             raise ValueError("Dyck shift needs n >= 2")
+        object.__setattr__(self, "n", n)
 
     @cached_property
     def alphabet(self) -> Alphabet:
@@ -144,14 +159,15 @@ class DyckN:
         return all_ones(self.n)
 
 
-@dataclass(frozen=True)
-class MarkovDyck:
+class MarkovDyck(Record):
     """Markov-Dyck shift of a 0/1 matrix with no zero rows or columns."""
 
-    matrix: Matrix01
+    _fields = ("matrix",)
+    __slots__ = _fields + ("__dict__",)
 
-    def __post_init__(self) -> None:
-        validate_transition_matrix(self.matrix)
+    def __init__(self, matrix: Matrix01) -> None:
+        validate_transition_matrix(matrix)
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def n(self) -> int:
@@ -162,40 +178,42 @@ class MarkovDyck:
         return bracket_alphabet(self.n)
 
 
-@dataclass(frozen=True)
-class FullShift:
+class FullShift(Record):
     """Full shift on n symbols."""
 
-    n: int
+    _fields = ("n",)
+    __slots__ = _fields + ("__dict__",)
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
+    def __init__(self, n: int) -> None:
+        if n < 2:
             raise ValueError("full shift needs n >= 2")
+        object.__setattr__(self, "n", n)
 
     @cached_property
     def alphabet(self) -> Alphabet:
         return Alphabet(tuple(str(i) for i in range(self.n)))
 
 
-@dataclass(frozen=True)
-class Expanded:
+class Expanded(Record):
     """Symbol expansion of a bracket shift: `target` becomes fresh·target.
 
     SFT, sofic, and full-shift expansions compile away (see lgk.flow); this
     wrapper exists for the bracket shifts, whose expansions are not sofic.
     """
 
-    base: Union[DyckN, MarkovDyck]
-    target: int
-    fresh_name: str
+    _fields = ("base", "target", "fresh_name")
+    __slots__ = _fields + ("__dict__",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.base, (DyckN, MarkovDyck)):
+    def __init__(self, base: Union[DyckN, MarkovDyck], target: int, fresh_name: str) -> None:
+        if not isinstance(base, (DyckN, MarkovDyck)):
             raise ValueError("Expanded wraps only Dyck-type specs")
-        if not (0 <= self.target < len(self.base.alphabet)):
+        if not (0 <= target < len(base.alphabet)):
             raise ValueError("expansion target out of alphabet range")
-        if self.fresh_name in self.base.alphabet:
-            raise ValueError(f"fresh symbol {self.fresh_name!r} already in alphabet")
+        if fresh_name in base.alphabet:
+            raise ValueError(f"fresh symbol {fresh_name!r} already in alphabet")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "fresh_name", fresh_name)
         self.alphabet  # built now, so a fresh name that is no symbol name fails here
 
     @cached_property

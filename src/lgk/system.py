@@ -47,16 +47,16 @@ so it is computed once per run of repeated gaps (:class:`Adjacency`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, islice, zip_longest
 from operator import ge
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .alphabet import Alphabet, Word, bracket_alphabet
 from .dyck import Matrix01, all_ones, validate_transition_matrix
 from .flow import ExpansionPlan, expand_word
 from .labeled_graph import LabeledGraph
+from .record import Record
 from .subshift import DEFAULT_BUDGET, Budget, DyckN, MarkovDyck, SubshiftSpec, cover
 from .verdict import Verdict
 
@@ -65,18 +65,18 @@ class ConstructionError(ValueError):
     """A builder hit a word that breaks its synchronization assumptions."""
 
 
-@dataclass(frozen=True)
-class VertexLevel:
+class VertexLevel(Record):
     """One vertex level: `size` vertices carrying display tags."""
 
-    size: int
-    tags: tuple[str, ...]
+    __slots__ = _fields = ("size", "tags")
 
-    def __post_init__(self) -> None:
-        if self.size < 1:
+    def __init__(self, size: int, tags: tuple[str, ...]) -> None:
+        if size < 1:
             raise ValueError("vertex level must be nonempty")
-        if len(self.tags) != self.size:
-            raise ValueError(f"expected {self.size} tags, got {len(self.tags)}")
+        if len(tags) != size:
+            raise ValueError(f"expected {size} tags, got {len(tags)}")
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "tags", tags)
 
 
 Edge = tuple[int, int, int]  # (source, symbol, target)
@@ -109,8 +109,7 @@ class GapReads:
         self.lift: dict[int, int] = {}
 
 
-@dataclass(frozen=True)
-class Adjacency:
+class Adjacency(Record):
     """Lookup tables of a system, one per edge layer and per collapse layer,
     and the reads the walkers made through them.
 
@@ -134,14 +133,26 @@ class Adjacency:
     are no part of its value.
     """
 
-    out: tuple[dict[int, dict[int, list[int]]], ...]
-    into: tuple[dict[int, list[tuple[int, int]]], ...]
-    fiber: tuple[dict[int, list[int]], ...]
-    reads: tuple[GapReads, ...] = field(compare=False, repr=False)
+    __slots__ = ("out", "into", "fiber", "reads")
+    _fields = ("out", "into", "fiber")
+
+    def __init__(
+        self,
+        out: tuple[dict[int, dict[int, list[int]]], ...],
+        into: tuple[dict[int, list[tuple[int, int]]], ...],
+        fiber: tuple[dict[int, list[int]], ...],
+        reads: tuple[GapReads, ...],
+    ) -> None:
+        object.__setattr__(self, "out", out)
+        object.__setattr__(self, "into", into)
+        object.__setattr__(self, "fiber", fiber)
+        object.__setattr__(self, "reads", reads)
+
+    def __reduce__(self) -> tuple:
+        return Adjacency, (self.out, self.into, self.fiber, self.reads)
 
 
-@dataclass(frozen=True)
-class LambdaGraphSystem:
+class LambdaGraphSystem(Record):
     """Truncated leveled system; `edges[l]` joins level l to l+1.
 
     `iota[l]` maps each level-(l+1) vertex to its level-l image.  Only
@@ -149,12 +160,21 @@ class LambdaGraphSystem:
     structural axioms are the business of :func:`verify_all`.
     """
 
-    alphabet: Alphabet
-    levels: tuple[VertexLevel, ...]
-    edges: tuple[tuple[Edge, ...], ...]
-    iota: tuple[tuple[int, ...], ...]
+    _fields = ("alphabet", "levels", "edges", "iota")
+    __slots__ = _fields + ("__dict__",)
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        alphabet: Alphabet,
+        levels: tuple[VertexLevel, ...],
+        edges: tuple[tuple[Edge, ...], ...],
+        iota: tuple[tuple[int, ...], ...],
+    ) -> None:
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "iota", iota)
+        # The shape checks read `repeats`, so they run on the set fields.
         if not self.levels:
             raise ValueError("system needs at least one level")
         depth = len(self.levels) - 1
@@ -192,8 +212,8 @@ class LambdaGraphSystem:
     def sizes(self) -> tuple[int, ...]:
         return tuple(level.size for level in self.levels)
 
-    # Built once per system and kept in the instance dict, which dataclass
-    # equality and hashing never read.
+    # Built once per system and kept in the instance dict, which record
+    # equality, hashing and repr never read (they read `_fields` only).
     @cached_property
     def repeats(self) -> tuple[bool, ...]:
         """`repeats[l]`: gap l repeats gap l - 1 (see the module docstring)."""
@@ -514,12 +534,17 @@ def local_tallies(sys: LambdaGraphSystem, l: int) -> Iterator[tuple[int, Tally, 
         yield v, sorted([(below[s], a) for a, s in into[l].get(v, ())]), tallies[image]
 
 
-class LocalChecks(NamedTuple):
-    """The three axioms :func:`local_checks` decides in one scan."""
+class LocalChecks(Record):
+    """The three axioms :func:`local_checks` decides in one scan: the local
+    property, label-collapse compatibility, and the intertwining identity
+    at each gap but the last."""
 
-    local: Verdict  # the local property
-    labels: Verdict  # label-collapse compatibility
-    intertwining: tuple[bool, ...]  # the identity at each gap but the last
+    __slots__ = _fields = ("local", "labels", "intertwining")
+
+    def __init__(self, local: Verdict, labels: Verdict, intertwining: tuple[bool, ...]) -> None:
+        object.__setattr__(self, "local", local)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "intertwining", intertwining)
 
 
 def local_checks(sys: LambdaGraphSystem) -> LocalChecks:
@@ -718,8 +743,7 @@ def _merge(
     return layers, iota
 
 
-@dataclass(frozen=True)
-class _StateLevel:
+class _StateLevel(Record):
     """The admissible state words of one length l, as index tables.
 
     Words are in lexicographic order, so the children w·k of a word (k
@@ -732,11 +756,16 @@ class _StateLevel:
     it off the parents (:func:`_state_word`).
     """
 
-    parent: list[int]
-    first: list[int]
-    last: list[int]
-    tail: list[int]
-    start: list[int]
+    __slots__ = _fields = ("parent", "first", "last", "tail", "start")
+
+    def __init__(
+        self, parent: list[int], first: list[int], last: list[int], tail: list[int], start: list[int]
+    ) -> None:
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "last", last)
+        object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "start", start)
 
 
 def _state_levels(matrix: Matrix01, depth: int) -> list[_StateLevel]:

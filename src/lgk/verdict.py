@@ -9,23 +9,24 @@ saying which bound was hit).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
+
+from .record import Record
 
 YES = "yes"
 NO = "no"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    kind: str
-    witness: Any = None
-    note: str = ""
+class Verdict(Record):
+    __slots__ = _fields = ("kind", "witness", "note")
 
-    def __post_init__(self) -> None:
-        if self.kind not in (YES, NO, UNKNOWN):
-            raise ValueError(f"bad verdict kind: {self.kind!r}")
+    def __init__(self, kind: str, witness: Any = None, note: str = "") -> None:
+        if kind not in (YES, NO, UNKNOWN):
+            raise ValueError(f"bad verdict kind: {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "note", note)
 
     @staticmethod
     def yes(note: str = "", witness: Any = None) -> "Verdict":

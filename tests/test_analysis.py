@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
@@ -39,6 +40,7 @@ from lgk import (
 from lgk.analysis import _Succession, _is_constant
 from lgk.labeled_graph import LabeledGraph, essential_subgraph
 from lgk.subshift import DEFAULT_BUDGET, _Meter
+from lgk.cli import main
 from lgk.system import GapReads, label_words, read_down
 from lgk.verdict import Verdict
 
@@ -132,6 +134,36 @@ def test_iota_irreducibility_without_a_level_to_search_is_unknown():
     assert triple(check_iota_irreducible(shallow)) == empty
     deep = build_lambda_synchronizing(golden_mean_spec(), 4)
     assert triple(check_iota_irreducible(deep, max_level=-1)) == empty
+
+
+def test_checks_on_a_system_of_depth_0_are_unknown():
+    # Level 0 of the full 2-shift alone: one vertex, no edge layer.  It is
+    # constant vacuously, but no level is inspected, so no check may say
+    # `yes`, and the launching sweep has no layer to read.
+    full2 = build_lambda_synchronizing(FullShift(2), 2)
+    flat = LambdaGraphSystem(full2.alphabet, full2.levels[:1], (), ())
+    assert flat.depth == 0 and _is_constant(flat)
+    def empty(last: int) -> tuple:
+        return ("unknown", None, f"no level to search: the level range 0 .. {last} is empty")
+
+    # Each check names its own range: λ-irreducibility searches levels
+    # 0 .. L - 1, ι-irreducibility 0 .. L - 2, and the launching sweep the
+    # levels above the bottom one.
+    assert triple(check_lambda_irreducible(flat)) == empty(-1)
+    assert triple(check_iota_irreducible(flat)) == empty(-2)
+    assert triple(is_lambda_synchronizing_system(flat)) == empty(-1)
+    with pytest.raises(ValueError, match="between 1 and 0"):
+        is_lambda_synchronizing_system(flat, depth=1)
+    # Level 0 heads a system that decides all three from its repeated graph.
+    assert check_lambda_irreducible(full2).is_yes
+    assert is_lambda_synchronizing_system(full2).is_yes
+
+
+def test_cli_refuses_depth_0(capsys):
+    spec = str(Path(__file__).resolve().parent.parent / "specs" / "full2.json")
+    for command in ("build", "verify", "invariants"):
+        assert main([command, "--spec", spec, "--depth", "0"]) == 2
+        assert capsys.readouterr().err == "error: depth must be at least 1\n"
 
 
 def test_iota_irreducibility():

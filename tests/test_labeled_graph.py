@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import golden_mean_spec
 from lgk.alphabet import Alphabet
-from lgk.labeled_graph import LabeledGraph, essential_subgraph
+from lgk.labeled_graph import LabeledGraph, essential_subgraph, from_names, unreachable_pair
 from lgk.subshift import sft_cover
 from lgk.system import _quotient_system
 
@@ -59,6 +59,40 @@ def test_quotient_matches_a_full_refinement(g):
         assert [list(level.tags) for level in quotient.levels] == tags[: depth + 1]
         assert [list(layer) for layer in quotient.edges] == layers[:depth]
         assert [list(mapping) for mapping in quotient.iota] == collapses[:depth]
+
+
+def reachable(g: LabeledGraph) -> set[tuple[int, int]]:
+    """All pairs (u, v) with a path from u to v, by transitive closure."""
+    pairs = {(u, u) for u in range(len(g.vertices))} | {(s, t) for s, _, t in g.edges}
+    while True:
+        longer = pairs | {(u, w) for u, v in pairs for x, w in pairs if v == x}
+        if longer == pairs:
+            return pairs
+        pairs = longer
+
+
+@given(essential_left_resolving_covers())
+def test_unreachable_pair_decides_strong_connectivity(g):
+    pair = unreachable_pair(g)
+    closure = reachable(g)
+    if pair is None:
+        assert len(closure) == len(g.vertices) ** 2
+    else:
+        assert pair not in closure
+
+
+def test_unreachable_pair_reads_both_directions():
+    ab = Alphabet(("0", "1"))
+    # z is reached from nothing else: found going forward from u
+    padded = from_names(
+        ab, ("u", "w", "z"), [("u", "0", "w"), ("u", "1", "u"), ("w", "0", "u"), ("z", "0", "z")]
+    )
+    assert unreachable_pair(padded) == (0, 2)
+    # v is reached from u but does not reach it: found going backward
+    sink = from_names(ab, ("u", "v"), [("u", "0", "u"), ("u", "1", "v"), ("v", "0", "v")])
+    assert unreachable_pair(sink) == (1, 0)
+    cycle = from_names(ab, ("u", "v"), [("u", "0", "v"), ("v", "1", "u")])
+    assert unreachable_pair(cycle) is None
 
 
 def test_deep_quotient_stays_small():

@@ -630,6 +630,13 @@ def test_cli_malformed_spec_fields_exit_2(tmp_path, payload):
             '{"kind": "sofic", "alphabet": ["a"], "vertices": ["u"], "edges": [["u", "a", "v"]]}',
             "edge endpoint 'v' is not a declared vertex",
         ),
+        (
+            # the even shift's Fischer cover padded with a vertex z
+            "invariants --depth 6 --spec",
+            '{"kind": "sofic", "alphabet": ["0", "1"], "vertices": ["u", "w", "z"], '
+            '"edges": [["u", "0", "w"], ["u", "1", "u"], ["w", "0", "u"], ["z", "0", "z"]]}',
+            "sofic cover must be strongly connected: vertex 'z' is unreachable from 'u'",
+        ),
     ],
 )
 def test_cli_invalid_input_names_what_is_wrong(command, payload, message, tmp_path, capsys):

@@ -33,8 +33,10 @@ from lgk import (
     DyckN,
     FullShift,
     SftForbidden,
+    SoficGraph,
     build_lambda_synchronizing,
     expand_spec,
+    from_names,
     plan_for,
 )
 from lgk.dyck import all_ones
@@ -274,6 +276,22 @@ def test_even_shift_quotient_matches_definitional_census():
         assert census == quotient, depth
 
 
+def test_sofic_presentations_must_be_strongly_connected():
+    # The even shift's Fischer cover padded with a vertex z carrying a 0
+    # loop presents the even shift again, since 0^inf lies in it.  Its
+    # quotient kept z's past as a class of its own (sizes 1 2 3 3 ..., K0 =
+    # K1 = Z where the even shift has 0), so such a presentation is refused.
+    padded = from_names(
+        Alphabet(("0", "1")),
+        ("u", "w", "z"),
+        [("u", "0", "w"), ("u", "1", "u"), ("w", "0", "u"), ("z", "0", "z")],
+    )
+    message = "^sofic cover must be strongly connected: vertex 'z' is unreachable from 'u'$"
+    with pytest.raises(ValueError, match=message):
+        SoficGraph(padded)
+    assert SoficGraph(even_shift_spec().graph) == even_shift_spec()
+
+
 def test_expanded_builds_draw_no_budget_units():
     # an expanded bracket shift builds from its interfaces, enumerating no
     # words, so a budget of 0 builds the same system
@@ -350,13 +368,13 @@ def test_spec_alphabet_is_built_once_and_keeps_equality(make):
 
 def test_alphabet_constructions_do_not_grow_with_census_depth(monkeypatch):
     built = []
-    original = Alphabet.__post_init__
+    original = Alphabet.__init__
 
-    def counting(self):
-        built.append(self.names)
-        original(self)
+    def counting(self, names):
+        built.append(names)
+        original(self, names)
 
-    monkeypatch.setattr(Alphabet, "__post_init__", counting)
+    monkeypatch.setattr(Alphabet, "__init__", counting)
     counts = []
     for depth in (1, 2):
         built.clear()
