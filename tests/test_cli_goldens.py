@@ -68,6 +68,12 @@ def _jobs() -> list[tuple[str, ...]]:
     jobs.append(("verify", "--spec", "specs/markovdyck_fib.json", "--depth", "12", "--format", "json"))
     # The depth at which the dynamical checks' per-start reads cost most.
     jobs.append(("verify", "--spec", "specs/dyck3.json", "--depth", "6", "--format", "json"))
+    # Shallow truncations, where the checks shorten their own searches:
+    # condition (I) walks of length 1 and 2, no pair search below depth 3,
+    # and bridges of length 1 at depth 3.
+    for depth in ("1", "2", "3"):
+        jobs.append(("verify", "--spec", "specs/goldenmean.json", "--depth", depth, "--format", "json"))
+    jobs.append(("verify", "--spec", "specs/dyck2.json", "--depth", "3", "--format", "text"))
     return jobs
 
 
