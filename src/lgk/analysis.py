@@ -72,6 +72,12 @@ from .system import (
 from .verdict import Verdict
 
 
+def _no_level(last: int) -> Verdict:
+    """The verdict of a check whose range of levels to search, 0 .. `last`,
+    is empty: nothing is inspected, so nothing is certified."""
+    return Verdict.unknown(note=f"no level to search: the level range 0 .. {last} is empty")
+
+
 def _is_constant(sys: LambdaGraphSystem) -> bool:
     """All levels repeat the same graph with the identity collapse.
 
@@ -143,25 +149,27 @@ def _unique_future(
     return "depth"
 
 
-def check_condition_I(sys: LambdaGraphSystem, depth: int = 3) -> Verdict:
-    """Every vertex should admit two distinct label words of length `depth`.
+def check_condition_I(sys: LambdaGraphSystem) -> Verdict:
+    """Every vertex should admit two distinct label words of length
+    k = min(3, L), on a system of depth L.
 
-    Levels 0..L-depth are inspected, so the words stay inside the
-    truncation.  A single forking anywhere along the unique prefix
-    certifies the vertex.  In a constant system the walk of
-    `_unique_future` runs until its state set dies or cycles, either of
-    which refutes the property outright; a cycle cannot fork later, so
-    refuting on its first repeat is exact.  Otherwise an unbranched vertex
-    is only `unknown`.
+    Levels 0..L-k are inspected, so the words stay inside the truncation.
+    A single forking anywhere along the unique prefix certifies the vertex.
+    In a constant system the walk of `_unique_future` runs until its state
+    set dies or cycles, either of which refutes the property outright; a
+    cycle cannot fork later, so refuting on its first repeat is exact.
+    Otherwise an unbranched vertex is only `unknown`, and so is a system of
+    depth 0, which has no edge to walk.
     """
-    if not (1 <= depth <= sys.depth):
-        raise ValueError(f"depth must be between 1 and {sys.depth}")
+    length = min(3, sys.depth)
+    if not length:
+        return _no_level(-1)
     constant = _is_constant(sys)
-    for level in range(sys.depth - depth + 1):
-        if window_repeats(sys.repeats, level, depth):
+    for level in range(sys.depth - length + 1):
+        if window_repeats(sys.repeats, level, length):
             continue  # the walks from the level above read the same gaps and passed
         for vertex in range(sys.levels[level].size):
-            reason = _unique_future(sys, level, vertex, depth, constant)
+            reason = _unique_future(sys, level, vertex, length, constant)
             if reason is None:
                 continue
             where = f"vertex {vertex} at level {level}"
@@ -169,7 +177,7 @@ def check_condition_I(sys: LambdaGraphSystem, depth: int = 3) -> Verdict:
                 return Verdict.unknown(
                     witness=(level, vertex),
                     note=(
-                        f"{where} shows a single label word of length {depth}; "
+                        f"{where} shows a single label word of length {length}; "
                         f"deeper levels undecided"
                     ),
                 )
@@ -197,7 +205,7 @@ def check_lambda_irreducible(sys: LambdaGraphSystem) -> Verdict:
     depth = sys.depth
     levels = range(min(2, depth - 1) + 1)
     if not levels:
-        return Verdict.unknown(note=f"no level to search: the level range 0 .. {levels.stop - 1} is empty")
+        return _no_level(levels.stop - 1)
     if _is_constant(sys):
         pair = _first_unreachable(sys)
         if pair is None:
@@ -249,16 +257,13 @@ def _labeled_paths(
                 stack.append((word + (a,), l + 1, t))
 
 
-def check_iota_irreducible(
-    sys: LambdaGraphSystem,
-    bound: int = 3,
-    max_level: int = 2,
-    path_len: int = 2,
-) -> Verdict:
+def check_iota_irreducible(sys: LambdaGraphSystem) -> Verdict:
     """Any labeled path from u should be shadowed, compatibly with the
     collapse, by a path starting from any other vertex v of the same level:
     v reaches some u' collapsing onto u, from which the same label word runs
-    to a vertex collapsing onto the original endpoint.
+    to a vertex collapsing onto the original endpoint.  The paths of length
+    at most 2 out of each vertex of levels 0..2 are tried, each with shadows
+    of up to `bound` = 3 collapse steps.
 
     Whether a start u' works does not depend on v.  So for each path out of
     u and each step count, one `read_up` reads the word backward from the
@@ -274,7 +279,8 @@ def check_iota_irreducible(
     depth: a shadow from v exists exactly when u is reachable from v.  Any
     other system whose range of levels to search is empty is `unknown`."""
     depth = sys.depth
-    levels = range(min(max_level, depth - 2) + 1)
+    bound = 3
+    levels = range(min(2, depth - 2) + 1)
     if depth and _is_constant(sys):
         pair = _first_unreachable(sys)
         if pair is None:
@@ -282,7 +288,7 @@ def check_iota_irreducible(
         u, v = pair
         return Verdict.no(witness=(0, v, u), note=f"vertex {u} is unreachable from {v}")
     if not levels:
-        return Verdict.unknown(note=f"no level to search: the level range 0 .. {levels.stop - 1} is empty")
+        return _no_level(levels.stop - 1)
     adjacency = sys.adjacency
     partial: set[int] = set()
     for level in levels:
@@ -303,7 +309,7 @@ def check_iota_irreducible(
             # order, the first time some v needs them.
             paths = [
                 (word, end, depth - level - len(word))
-                for word, end in _labeled_paths(sys, level, u, path_len)
+                for word, end in _labeled_paths(sys, level, u, 2)
             ]
             over_u = [_lift(adjacency, level, 1 << u, steps) for steps in range(most + 1)]
             starts: list[list[int]] = [[] for _ in paths]
@@ -314,10 +320,8 @@ def check_iota_irreducible(
                 for (word, end, room), found in zip(paths, starts):
                     if room < bound and level in partial:
                         continue
-                    # A word with no room below it tries no step count: with
-                    # a bound >= 1 it marks the level partial, and with a
-                    # bound < 1 the first path out of u, of length 1 and
-                    # room >= 1, has already returned `unknown`.
+                    # A word with no room below it tries no step count and
+                    # marks the level partial.
                     for steps in range(1, min(bound, room) + 1):
                         if len(found) < steps:
                             # the shadow must end where the collapse maps onto `end`
@@ -422,31 +426,26 @@ def _unlaunched(sys: LambdaGraphSystem, search: int, meter: _Meter) -> list[set[
     return unlaunched[::-1]
 
 
-def is_lambda_synchronizing_system(
-    sys: LambdaGraphSystem,
-    depth: Optional[int] = None,
-    budget: Budget = DEFAULT_BUDGET,
-) -> Verdict:
+def is_lambda_synchronizing_system(sys: LambdaGraphSystem, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     """Does every vertex launch some word, readable from it and from no
-    sibling?  Word lengths up to `depth` (default: half the truncation) are
-    searched by one backward sweep of readable sets (:func:`_read_back`).
+    sibling?  Word lengths up to k = max(1, L // 2), half the truncation,
+    are searched by one backward sweep of readable sets
+    (:func:`_read_back`).
 
     Launching words legitimately grow with the level (a level-l vertex may
-    need a length-l word), so only levels up to min(depth, L - depth) are
-    required to pass: there the search length is not capped by the room
-    below, and the candidate lengths fit the search.  Misses on deeper
-    levels are reported in the note rather than degrading the verdict,
-    since their launching words may simply not fit the truncation.
-    Constant systems are decided exactly: the same sweep reads layer 0
-    with no length cap, each readable set once, until no new readable set
-    appears, which exhausts the readable sets of the repeated graph.  A
-    `depth` outside 1 .. L is a ValueError: no level would have to pass.
-    A system of depth 0 has no edge to read a word on and is `unknown`.
+    need a length-l word), so only levels up to min(k, L - k) are required
+    to pass: there the search length is not capped by the room below, and
+    the candidate lengths fit the search.  Misses on deeper levels are
+    reported in the note rather than degrading the verdict, since their
+    launching words may simply not fit the truncation.  Constant systems
+    are decided exactly: the same sweep reads layer 0 with no length cap,
+    each readable set once, until no new readable set appears, which
+    exhausts the readable sets of the repeated graph.  A system of depth 0
+    has no edge to read a word on and is `unknown`.
     """
-    if depth is not None and not (1 <= depth <= sys.depth):
-        raise ValueError(f"depth must be between 1 and {sys.depth}")
     if not sys.depth:
-        return Verdict.unknown(note=f"no level to search: the level range 0 .. {sys.depth - 1} is empty")
+        return _no_level(-1)
+    search = max(1, sys.depth // 2)
     meter = _Meter(budget)
     try:
         if _is_constant(sys):
@@ -470,9 +469,7 @@ def is_lambda_synchronizing_system(
                     f"any word; reader-state closure exhausted"
                 ),
             )
-        if depth is None:
-            depth = max(1, sys.depth // 2)
-        unlaunched = _unlaunched(sys, depth, meter)
+        unlaunched = _unlaunched(sys, search, meter)
     except BudgetExceeded as exc:
         return Verdict.unknown(note=str(exc))
     unverified: list[tuple[int, int]] = []
@@ -480,11 +477,11 @@ def is_lambda_synchronizing_system(
         if not missing:
             continue
         vertex = min(missing)
-        if level <= min(depth, sys.depth - depth):
+        if level <= min(search, sys.depth - search):
             return Verdict.unknown(
                 witness=(level, vertex),
                 note=(
-                    f"no word of length <= {min(depth, sys.depth - level)} is readable "
+                    f"no word of length <= {min(search, sys.depth - level)} is readable "
                     f"from vertex {vertex} at level {level} alone"
                 ),
             )
@@ -541,9 +538,9 @@ class _Succession:
         from the top level.
 
         Every bridge up to `bound` fits below `first` with room for
-        `second`: the caller's guard 2 * word_len + bound <= depth, with
-        both words of length <= word_len, gives
-        depth - len(first) - len(second) >= bound."""
+        `second`: :func:`check_synchronizingly_transitive` picks its word
+        length and bound with 2 * word_len + bound <= depth, so words of
+        length <= word_len leave depth - len(first) - len(second) >= bound."""
         sys = self.sys
         if first not in self._bridges:
             self._bridges[first] = tee(label_words(sys, len(first), ends_first, self.bound), 1)[0]
@@ -560,14 +557,13 @@ class _Succession:
         return None
 
 
-def check_synchronizingly_transitive(
-    sys: LambdaGraphSystem,
-    word_len: int = 2,
-    bound: int = 2,
-    budget: Budget = DEFAULT_BUDGET,
-) -> Verdict:
+def check_synchronizingly_transitive(sys: LambdaGraphSystem, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     """Succession must hold both ways between every pair of admissible words
-    up to `word_len`, in a system of depth at least 2*word_len + bound.
+    up to length `word_len`, with bridges up to length `bound`: words up to
+    length 2 at depth L >= 6 and up to length 1 below it, and bridges up to
+    min(2, L - 2 * word_len), so that a pair and its bridge fit the
+    truncation.  A system of depth below 3 leaves no room for a pair and a
+    bridge and is `unknown`; a `yes` names both lengths.
 
     The words come from one `label_words` walk from the top, which also
     gives their endpoints.  Every pair runs through one :class:`_Succession`,
@@ -576,8 +572,10 @@ def check_synchronizingly_transitive(
     of `budget`.  A pair with no bridge up to `bound` is `unknown`: a
     longer bridge may exist.  So is a pair that exhausts its meter, with
     the meter's note."""
-    if 2 * word_len + bound > sys.depth:
-        raise ValueError("truncation too shallow for the requested word length")
+    if sys.depth < 3:
+        return Verdict.unknown(note="truncation too shallow for the pair search")
+    word_len = 2 if sys.depth >= 6 else 1
+    bound = min(2, sys.depth - 2 * word_len)
     top = (1 << sys.levels[0].size) - 1
     words = [(w, ends) for w, ends in label_words(sys, 0, top, word_len) if w]
     search = _Succession(sys, bound)
@@ -595,7 +593,7 @@ def check_synchronizingly_transitive(
                         f"{sys.alphabet.text(second)!r} within bound {bound}"
                     ),
                 )
-    return Verdict.yes()
+    return Verdict.yes(note=f"word pairs up to length {word_len}, bridges up to {bound}")
 
 
 def simplicity_prediction(transitive: Verdict, branching: Verdict) -> Verdict:

@@ -76,20 +76,21 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _built_system(args: argparse.Namespace) -> LambdaGraphSystem:
-    """System from --system file or built from --spec at --depth.
+def _built_system(args: argparse.Namespace) -> tuple[LambdaGraphSystem, Budget]:
+    """System from --system file or built from --spec at --depth, and the
+    word budget.
 
-    The word budget is validated on both paths, so a negative --budget or
+    The budget is validated on both paths, so a negative --budget or
     LGK_BUDGET is invalid input whether or not anything is built.
     """
     if getattr(args, "system", None):
         sys = _read_system(args.system)
-        _budget(args, sys.depth)
-        return sys
+        return sys, _budget(args, sys.depth)
     if "system" in vars(args) and not args.spec:  # build has no --system flag
         raise ValueError("provide --spec or --system")
     spec = _read_spec(args.spec)
-    return build_lambda_synchronizing(spec, args.depth, budget=_budget(args, args.depth))
+    budget = _budget(args, args.depth)
+    return build_lambda_synchronizing(spec, args.depth, budget=budget), budget
 
 
 def _size_table(sys: LambdaGraphSystem) -> str:
@@ -103,7 +104,7 @@ def _size_table(sys: LambdaGraphSystem) -> str:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    sys = _built_system(args)
+    sys, _ = _built_system(args)
     payload = system_dumps(sys)
     if args.format == "json" and args.out is None:
         _sys.stdout.write(payload)
@@ -116,32 +117,19 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def _verify_checks(sys: LambdaGraphSystem, budget: Budget) -> dict[str, Verdict]:
-    if sys.depth == 0:
+    if not sys.depth:
         raise ValueError("need at least one level gap")
     checks = verify_all(sys)
-    checks["branching condition (I)"] = check_condition_I(sys, min(3, sys.depth))
+    checks["branching condition (I)"] = check_condition_I(sys)
     checks["lambda-irreducible"] = check_lambda_irreducible(sys)
     checks["iota-irreducible"] = check_iota_irreducible(sys)
-    checks["synchronizing system"] = is_lambda_synchronizing_system(sys, budget=budget)
-    if sys.depth >= 3:
-        word_len = 2 if sys.depth >= 6 else 1
-        bound = min(2, sys.depth - 2 * word_len)
-        transitive = check_synchronizingly_transitive(
-            sys, word_len=word_len, bound=bound, budget=budget
-        )
-        if transitive.is_yes:
-            transitive = Verdict.yes(
-                note=f"word pairs up to length {word_len}, bridges up to {bound}"
-            )
-    else:
-        transitive = Verdict.unknown(note="truncation too shallow for the pair search")
-    checks["synchronizingly transitive"] = transitive
+    checks["synchronizing system"] = is_lambda_synchronizing_system(sys, budget)
+    checks["synchronizingly transitive"] = check_synchronizingly_transitive(sys, budget)
     return checks
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    sys = _built_system(args)
-    budget = _budget(args, sys.depth)
+    sys, budget = _built_system(args)
     checks = _verify_checks(sys, budget)
     simplicity = simplicity_prediction(
         checks["synchronizingly transitive"], checks["branching condition (I)"]
@@ -190,7 +178,7 @@ def _report_text(report) -> str:
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
-    sys = _built_system(args)
+    sys, _ = _built_system(args)
     report = invariant_report(sys)
     if args.format == "json":
         _emit(report_dumps(report), args.out)
@@ -239,7 +227,7 @@ def cmd_flowcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    sys = _built_system(args)
+    sys, _ = _built_system(args)
     _emit(export_dot(sys), args.out)
     return PASS
 

@@ -701,6 +701,60 @@ def strongly_connected(n: int, edges) -> bool:
     return all(all(row) for row in reach)
 
 
+# -- Bowen–Franks groups of shifts of finite type, from block graphs -----
+
+
+def sft_block_graph(k: int, forbidden):
+    """(n, edges) of the essential higher block graph of the SFT over
+    symbols 0..k-1 avoiding the `forbidden` words.
+
+    With m = max(longest forbidden length - 1, 1), the vertices are the
+    m-blocks with no forbidden factor and each such (m+1)-block x is one
+    edge x[:-1] -> x[1:], labeled x[0]; vertices without an in-edge or an
+    out-edge are deleted until none is left.  Every forbidden word fits in
+    an (m+1)-window, so the bi-infinite paths are the points of the shift.
+    Vertices are numbered in lexicographic order of their blocks.
+    """
+    forbidden = [tuple(f) for f in forbidden]
+    m = max([1] + [len(f) - 1 for f in forbidden])
+
+    def clean(word) -> bool:
+        return not any(
+            word[i : i + len(f)] == f
+            for f in forbidden
+            for i in range(len(word) - len(f) + 1)
+        )
+
+    blocks = [x for x in product(range(k), repeat=m + 1) if clean(x)]
+    vertices = {x for x in product(range(k), repeat=m) if clean(x)}
+    while True:
+        kept = [x for x in blocks if x[:-1] in vertices and x[1:] in vertices]
+        essential = {x[:-1] for x in kept} & {x[1:] for x in kept}
+        if essential == vertices:
+            break
+        vertices = essential
+    index = {v: i for i, v in enumerate(sorted(vertices))}
+    return len(index), [(index[x[:-1]], x[0], index[x[1:]]) for x in kept]
+
+
+def sft_bowen_franks(k: int, forbidden):
+    """((free rank, torsion), nullity): the cokernel Z^n / (I - A) Z^n and
+    the rank of ker(I - A), for A the adjacency matrix of `sft_block_graph`.
+
+    Both are invariant under conjugacy and flow equivalence (Bowen–Franks
+    1977; Parry–Sullivan 1975), so any matrix presenting the shift gives
+    them; for an irreducible SFT they are its stable K0 = BF0 and K1 = BF1.
+    Torsion is the divisibility chain of the Smith diagonal's entries > 1.
+    """
+    n, edges = sft_block_graph(k, forbidden)
+    i_minus_a = [[int(i == j) for j in range(n)] for i in range(n)]
+    for s, _, t in edges:
+        i_minus_a[s][t] -= 1
+    diagonal = smith_diagonal(smith_normal_form(i_minus_a)[1]) if n else []
+    nullity = diagonal.count(0)
+    return (nullity, tuple(d for d in diagonal if d > 1)), nullity
+
+
 # -- the λ-synchronizing system, from its definition ----------------------
 
 

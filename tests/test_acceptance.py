@@ -289,8 +289,8 @@ def test_criterion_10_simplicity_predictions():
     systems.append(build_cantor_horizon_dyck(2, 6))
     ok = True
     for sys in systems:
-        transitive = check_synchronizingly_transitive(sys, word_len=2, bound=2)
-        branching = check_condition_I(sys, 3)
+        transitive = check_synchronizingly_transitive(sys)
+        branching = check_condition_I(sys)
         ok &= simplicity_prediction(transitive, branching).is_yes
     elapsed = time.monotonic() - started
     _line(10, "simplicity predicted yes for all reference systems", ok, elapsed)

@@ -45,6 +45,38 @@ from lgk.system import GapReads, label_words, read_down
 from lgk.verdict import Verdict
 
 
+# The search bounds each check sets from the depth L of its system, written
+# out here apart from `lgk`, so the references in `oracles` are called with
+# the values the checks must use.
+
+
+def condition_I_length(depth: int) -> int:
+    return min(3, depth)
+
+
+def launching_search(depth: int) -> int:
+    return max(1, depth // 2)
+
+
+def transitivity_bounds(depth: int) -> tuple[int, int]:
+    """Word length and bridge bound: words up to length 2 from depth 6 on,
+    and the longest bridge up to 2 that fits below two words."""
+    word_len = 2 if depth >= 6 else 1
+    return word_len, min(2, depth - 2 * word_len)
+
+
+def reference_transitivity(sys: LambdaGraphSystem) -> tuple:
+    """The reference pair search under the bounds the check picks, with
+    the notes of a shallow truncation and of a `yes`."""
+    if sys.depth < 3:
+        return ("unknown", None, "truncation too shallow for the pair search")
+    word_len, bound = transitivity_bounds(sys.depth)
+    expected = oracles.reference_transitivity(*raw(sys), sys.alphabet.names, word_len, bound)
+    if expected[0] == "yes":
+        return ("yes", None, f"word pairs up to length {word_len}, bridges up to {bound}")
+    return expected
+
+
 def two_loops_system(depth=4):
     ab = Alphabet(("x", "y"))
     g = from_names(
@@ -125,15 +157,12 @@ def test_constant_irreducibility_does_not_walk_the_depth():
 
 
 def test_iota_irreducibility_without_a_level_to_search_is_unknown():
-    # Depth 1, or a negative max_level, leaves levels 0 .. -1 to search on
-    # a system that is not constant: nothing is inspected, so nothing is
-    # certified.
+    # Depth 1 leaves levels 0 .. -1 to search on a system that is not
+    # constant: nothing is inspected, so nothing is certified.
     empty = ("unknown", None, "no level to search: the level range 0 .. -1 is empty")
     shallow = build_lambda_synchronizing(golden_mean_spec(), 1)
     assert not _is_constant(shallow)
     assert triple(check_iota_irreducible(shallow)) == empty
-    deep = build_lambda_synchronizing(golden_mean_spec(), 4)
-    assert triple(check_iota_irreducible(deep, max_level=-1)) == empty
 
 
 def test_checks_on_a_system_of_depth_0_are_unknown():
@@ -147,14 +176,16 @@ def test_checks_on_a_system_of_depth_0_are_unknown():
         return ("unknown", None, f"no level to search: the level range 0 .. {last} is empty")
 
     # Each check names its own range: λ-irreducibility searches levels
-    # 0 .. L - 1, ι-irreducibility 0 .. L - 2, and the launching sweep the
-    # levels above the bottom one.
+    # 0 .. L - 1, ι-irreducibility 0 .. L - 2, and condition (I) and the
+    # launching sweep the levels above the bottom one.  The pair search of
+    # transitivity needs a depth of 3.
+    assert triple(check_condition_I(flat)) == empty(-1)
     assert triple(check_lambda_irreducible(flat)) == empty(-1)
     assert triple(check_iota_irreducible(flat)) == empty(-2)
     assert triple(is_lambda_synchronizing_system(flat)) == empty(-1)
-    with pytest.raises(ValueError, match="between 1 and 0"):
-        is_lambda_synchronizing_system(flat, depth=1)
+    assert triple(check_synchronizingly_transitive(flat)) == reference_transitivity(flat)
     # Level 0 heads a system that decides all three from its repeated graph.
+    assert check_condition_I(full2).is_yes
     assert check_lambda_irreducible(full2).is_yes
     assert is_lambda_synchronizing_system(full2).is_yes
 
@@ -230,21 +261,21 @@ def test_synchronizing_system_budget_exhaustion_is_unknown():
     assert verdict.is_unknown
 
 
-def test_synchronizing_system_rejects_a_search_deeper_than_the_system():
-    # Two a-loops whose collapse swaps them: no vertex ever launches a word.
-    # A search longer than the system would leave no level that must pass.
+def test_synchronizing_system_without_a_launching_word_is_unknown():
+    # Two a-loops whose collapse swaps them: no vertex ever launches a word,
+    # but the system is not constant, so at every depth, with searches of
+    # length 1 to 4, level 0 is only `unknown`.
     two = VertexLevel(size=2, tags=("u", "v"))
-    sys = LambdaGraphSystem(
-        alphabet=Alphabet(("a",)),
-        levels=(two,) * 5,
-        edges=(((0, 0, 0), (1, 0, 1)),) * 4,
-        iota=((1, 0),) * 4,
-    )
-    stuck = is_lambda_synchronizing_system(sys, depth=4)
-    assert stuck.is_unknown and stuck.witness == (0, 0)
-    for depth in (0, 5, 9):
-        with pytest.raises(ValueError, match="depth must be between 1 and 4"):
-            is_lambda_synchronizing_system(sys, depth=depth)
+    for depth in range(1, 9):
+        sys = LambdaGraphSystem(
+            alphabet=Alphabet(("a",)),
+            levels=(two,) * (depth + 1),
+            edges=(((0, 0, 0), (1, 0, 1)),) * depth,
+            iota=((1, 0),) * depth,
+        )
+        stuck = triple(is_lambda_synchronizing_system(sys))
+        assert stuck[:2] == ("unknown", (0, 0))
+        assert stuck == oracles.reference_launching(*raw(sys), launching_search(depth))
 
 
 def test_launching_search_replays_the_budget_of_a_shared_tail():
@@ -299,17 +330,18 @@ def test_a_launching_word_through_a_look_alike_reader_state_is_found():
     # number at level 1.  A forward reader walk that deduplicated its states
     # across lengths took that state for its start state, read no further,
     # and said vertex 0 launched no word of length <= 2; b b and b a launch
-    # vertices 0 and 1.
+    # vertices 0 and 1.  At depth 4 the search reaches length 2.
     two = VertexLevel(2, ("", ""))
     sys = LambdaGraphSystem(
         alphabet=Alphabet(("a", "b")),
-        levels=(two,) * 3,
-        edges=(((0, 1, 0), (1, 1, 1)), ((0, 1, 0), (1, 0, 1))),
-        iota=((0, 1), (0, 1)),
+        levels=(two,) * 5,
+        edges=(((0, 1, 0), (1, 1, 1)),) + (((0, 1, 0), (1, 0, 1)),) * 3,
+        iota=((0, 1),) * 4,
     )
+    assert launching_search(sys.depth) == 2
     assert readers(sys, (1, 1), 0) == [0]
     assert readers(sys, (1, 0), 0) == [1]
-    assert triple(is_lambda_synchronizing_system(sys, 2)) == ("yes", None, "")
+    assert triple(is_lambda_synchronizing_system(sys)) == ("yes", None, "")
     assert oracles.reference_launching(*raw(sys), 2) == ("yes", None, "")
 
 
@@ -330,11 +362,12 @@ def test_checks_on_levels_wider_than_a_word_match_the_references(depth):
     sizes, edges, iota = raw(sys)
     names = sys.alphabet.names
     assert triple(check_lambda_irreducible(sys)) == oracles.reference_lambda_irreducible(sizes, edges, iota)
-    assert triple(check_condition_I(sys, 3)) == oracles.reference_condition_I(sizes, edges, iota, 3)
-    assert triple(is_lambda_synchronizing_system(sys)) == oracles.reference_launching(sizes, edges, iota, None)
-    assert triple(check_synchronizingly_transitive(sys, word_len=1, bound=2)) == oracles.reference_transitivity(
-        sizes, edges, iota, names, 1, 2
+    assert triple(check_condition_I(sys)) == oracles.reference_condition_I(sizes, edges, iota, 3)
+    assert triple(is_lambda_synchronizing_system(sys)) == oracles.reference_launching(
+        sizes, edges, iota, launching_search(depth)
     )
+    assert transitivity_bounds(depth) == (1, 2)
+    assert triple(check_synchronizingly_transitive(sys)) == reference_transitivity(sys)
     if depth == 4:  # depth 5 is the test above
         expected = oracles.reference_iota_irreducible(sizes, edges, iota, names)
         assert triple(check_iota_irreducible(sys)) == expected
@@ -375,16 +408,17 @@ def test_succession_skips_bridges_below_the_truncation():
 
 
 def test_transitivity_verdicts():
-    # each system is built at the least depth 2 * word_len + bound allows
+    # Each system is built at the least depth 2 * word_len + 2 allows for
+    # its word length, and a `yes` names the bounds searched.
+    deep = "word pairs up to length 2, bridges up to 2"
     golden = build_lambda_synchronizing(golden_mean_spec(), 6)
-    assert check_synchronizingly_transitive(golden, word_len=2).is_yes
+    assert triple(check_synchronizingly_transitive(golden)) == ("yes", None, deep)
     full = build_lambda_synchronizing(FullShift(2), 6)
-    assert check_synchronizingly_transitive(full, word_len=2).is_yes
-    assert check_synchronizingly_transitive(
-        build_cantor_horizon_dyck(2, 4), word_len=1
-    ).is_yes
+    assert triple(check_synchronizingly_transitive(full)) == ("yes", None, deep)
+    dyck = check_synchronizingly_transitive(build_cantor_horizon_dyck(2, 4))
+    assert triple(dyck) == ("yes", None, "word pairs up to length 1, bridges up to 2")
     even = build_lambda_synchronizing(even_shift_spec(), 4)
-    stuck = check_synchronizingly_transitive(even, word_len=1)
+    stuck = check_synchronizingly_transitive(even)
     assert stuck.is_unknown
     assert stuck.witness is not None
 
@@ -424,10 +458,14 @@ def test_each_check_computes_each_read_once_per_distinct_gap(check, shared, apar
 
 
 def test_transitivity_needs_room():
-    with pytest.raises(ValueError):
-        check_synchronizingly_transitive(
-            build_lambda_synchronizing(golden_mean_spec(), 2), word_len=2
-        )
+    # Below depth 3 no word pair and bridge fit; at depth 3 the bridges
+    # shorten to length 1.
+    shallow = ("unknown", None, "truncation too shallow for the pair search")
+    for depth in (1, 2):
+        sys = build_lambda_synchronizing(golden_mean_spec(), depth)
+        assert triple(check_synchronizingly_transitive(sys)) == shallow
+    sys = build_lambda_synchronizing(golden_mean_spec(), 3)
+    assert triple(check_synchronizingly_transitive(sys)) == ("yes", None, "word pairs up to length 1, bridges up to 1")
 
 
 def test_simplicity_prediction_table():
@@ -495,66 +533,51 @@ def triple(verdict: Verdict):
     return verdict.kind, verdict.witness, verdict.note
 
 
-@given(
-    st.one_of(random_systems(), gap_run_systems(), constant_systems(), st.sampled_from(BUILT)),
-    st.data(),
-)
-def test_dynamical_checks_match_references(sys, data):
+@given(st.one_of(random_systems(), gap_run_systems(), constant_systems(), st.sampled_from(BUILT)))
+def test_dynamical_checks_match_references(sys):
     sizes, edges, iota = raw(sys)
-    names = sys.alphabet.names
-    depth = data.draw(st.integers(1, sys.depth))
-    assert triple(check_condition_I(sys, depth)) == oracles.reference_condition_I(
-        sizes, edges, iota, depth
+    assert triple(check_condition_I(sys)) == oracles.reference_condition_I(
+        sizes, edges, iota, condition_I_length(sys.depth)
     )
-    search = data.draw(st.none() | st.integers(1, sys.depth))
-    assert triple(is_lambda_synchronizing_system(sys, search)) == oracles.reference_launching(
-        sizes, edges, iota, search
+    assert triple(is_lambda_synchronizing_system(sys)) == oracles.reference_launching(
+        sizes, edges, iota, launching_search(sys.depth)
     )
     assert triple(check_lambda_irreducible(sys)) == oracles.reference_lambda_irreducible(
         sizes, edges, iota
     )
-    bound = data.draw(st.integers(1, 4))
-    max_level = data.draw(st.integers(0, 3))
-    path_len = data.draw(st.integers(1, 3))
-    assert triple(
-        check_iota_irreducible(sys, bound=bound, max_level=max_level, path_len=path_len)
-    ) == oracles.reference_iota_irreducible(sizes, edges, iota, names, bound, max_level, path_len)
+    assert triple(check_iota_irreducible(sys)) == oracles.reference_iota_irreducible(
+        sizes, edges, iota, sys.alphabet.names, bound=3, max_level=2, path_len=2
+    )
 
 
 def test_walks_whose_window_leaves_a_run_are_walked_again():
-    # Three equal gaps, then a dead gap into one vertex: each window that
+    # A run of equal gaps, then a dead gap into one vertex: each window that
     # reaches the dead gap differs from the window above it, though its
-    # first gaps repeat.
+    # first gaps repeat.  Runs of 0 to 7 gaps give depths 1 to 8, so
+    # condition (I) walks 1, 2 and 3 steps and the launching search reaches
+    # lengths 1 to 4.
     two, one = VertexLevel(2, ("", "")), VertexLevel(1, ("",))
     run = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
-    sys = LambdaGraphSystem(
-        alphabet=Alphabet(("a", "b")),
-        levels=(two,) * 4 + (one,),
-        edges=(run,) * 3 + ((),),
-        iota=((0, 0),) * 3 + ((0,),),
-    )
-    sizes, edges, iota = raw(sys)
-    for depth in range(1, sys.depth + 1):
-        assert triple(check_condition_I(sys, depth)) == oracles.reference_condition_I(
-            sizes, edges, iota, depth
+    for length in range(8):
+        sys = LambdaGraphSystem(
+            alphabet=Alphabet(("a", "b")),
+            levels=(two,) * (length + 1) + (one,),
+            edges=(run,) * length + ((),),
+            iota=((0, 0),) * length + ((0,),),
         )
-    for search in (None, *range(1, sys.depth + 1)):
-        assert triple(is_lambda_synchronizing_system(sys, search)) == oracles.reference_launching(
-            sizes, edges, iota, search
+        sizes, edges, iota = raw(sys)
+        assert triple(check_condition_I(sys)) == oracles.reference_condition_I(
+            sizes, edges, iota, condition_I_length(sys.depth)
+        )
+        assert triple(is_lambda_synchronizing_system(sys)) == oracles.reference_launching(
+            sizes, edges, iota, launching_search(sys.depth)
         )
 
 
-@given(st.one_of(random_systems(), constant_systems(), st.sampled_from(BUILT)), st.data())
-def test_transitivity_matches_reference(sys, data):
-    sizes, edges, iota = raw(sys)
-    word_len = data.draw(st.integers(1, 2))
-    bound = data.draw(st.integers(0, 3))
-    if 2 * word_len + bound > sys.depth:
-        with pytest.raises(ValueError):
-            check_synchronizingly_transitive(sys, word_len=word_len, bound=bound)
-        return
-    expected = oracles.reference_transitivity(sizes, edges, iota, sys.alphabet.names, word_len, bound)
-    assert triple(check_synchronizingly_transitive(sys, word_len=word_len, bound=bound)) == expected
+@given(st.one_of(random_systems(), gap_run_systems(), constant_systems(), st.sampled_from(BUILT)))
+def test_transitivity_matches_reference(sys):
+    # Gap runs reach depth 9, where the words grow to length 2.
+    assert triple(check_synchronizingly_transitive(sys)) == reference_transitivity(sys)
 
 
 def test_transitivity_meters_each_pair_alone():
@@ -563,9 +586,10 @@ def test_transitivity_meters_each_pair_alone():
     # no pair before it tries more; the pairs together try many more.  On
     # five units that pair exhausts its meter, which is `unknown` too.
     even = build_lambda_synchronizing(even_shift_spec(), 6)
-    short = check_synchronizingly_transitive(even, word_len=2, bound=2, budget=Budget(max_words=5))
+    assert transitivity_bounds(even.depth) == (2, 2)
+    short = check_synchronizingly_transitive(even, Budget(max_words=5))
     assert triple(short) == ("unknown", ((1,), (0,)), "budget exhausted after 6 units")
-    verdict = check_synchronizingly_transitive(even, word_len=2, bound=2, budget=Budget(max_words=6))
+    verdict = check_synchronizingly_transitive(even, Budget(max_words=6))
     assert verdict.is_unknown
     assert verdict.witness == ((1,), (0,))
     assert verdict.note.startswith("no bridge from '1' to '0'")

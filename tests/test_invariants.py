@@ -9,7 +9,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -27,7 +27,7 @@ from lgk.invariants import (
 from lgk.flow import expand_spec, plan_for
 from lgk.linalg import AbelianGroup, cokernel, kernel_group
 from lgk.serialize import spec_loads
-from lgk.subshift import DyckN, FullShift, MarkovDyck, SftForbidden
+from lgk.subshift import Budget, DyckN, FullShift, MarkovDyck, SftForbidden, sft_cover
 from lgk.system import (
     LambdaGraphSystem,
     VertexLevel,
@@ -466,6 +466,50 @@ def test_expansion_passes_for_bracket_shift_at_fixed_depth():
     verdict, why = compare_reports(base, expanded)
     assert verdict == "pass"
     assert "at this depth" in why
+
+
+@given(
+    st.sets(st.lists(st.integers(0, 2), min_size=2, max_size=4).map(tuple), min_size=4, max_size=4),
+    st.sampled_from("012"),
+)
+def test_sft_groups_match_the_bowen_franks_oracle(forbidden, symbol):
+    # A random irreducible 3-symbol SFT, shaped like the benchmark's pool,
+    # and its expansion at one symbol: the last level of each report has
+    # the Bowen–Franks data of the base's block graph.  The past quotient
+    # of the cover is exactly stable from level |cover vertices| - 1, so
+    # the last level is read, not the stabilization verdict.
+    n, edges = oracles.sft_block_graph(3, forbidden)
+    assume(oracles.strongly_connected(n, edges))
+    (free_rank, torsion), nullity = oracles.sft_bowen_franks(3, forbidden)
+    expected = (AbelianGroup(free_rank, torsion), AbelianGroup(nullity, ()))
+    spec = SftForbidden(Alphabet(("0", "1", "2")), frozenset(forbidden))
+    for side in (spec, expand_spec(spec, plan_for(spec.alphabet, symbol))):
+        depth = len(sft_cover(side).vertices) + 3
+        last = invariant_report(build_lambda_synchronizing(side, depth, budget=Budget(max_depth=depth))).groups[-1]
+        assert (last.k0, last.k1) == (last.bf0, last.bf1) == expected
+
+
+@st.composite
+def irreducible_bracket_matrices(draw):
+    """A 0/1 matrix of size 2 or 3 with no zero row or column whose graph
+    is strongly connected."""
+    n = draw(st.integers(2, 3))
+    row = st.tuples(*[st.integers(0, 1)] * n)
+    matrix = draw(st.tuples(*[row] * n).filter(valid_bracket_matrix))
+    edges = [(i, 0, j) for i in range(n) for j in range(n) if matrix[i][j]]
+    assume(oracles.strongly_connected(n, edges))
+    return matrix
+
+
+@given(irreducible_bracket_matrices(), st.data())
+def test_markov_dyck_expansions_never_fail(matrix, data):
+    # Expanding a symbol is a flow equivalence, so no comparison of an
+    # irreducible Markov-Dyck shift with its expansion may say `fail`.
+    spec = MarkovDyck(matrix)
+    symbol = data.draw(st.sampled_from(spec.alphabet.names))
+    expanded = expand_spec(spec, plan_for(spec.alphabet, symbol))
+    base, other = (invariant_report(build_lambda_synchronizing(side, 5)) for side in (spec, expanded))
+    assert compare_reports(base, other)[0] != "fail"
 
 
 def test_compare_detects_genuine_differences():
